@@ -40,7 +40,7 @@ import json
 import os
 import re
 from pathlib import Path
-from typing import Any, Dict, List, Optional, Union
+from typing import Any, Dict, List, Optional, Sequence, Tuple, Union
 
 from repro._version import __version__
 from repro.experiments.config import ExperimentConfig
@@ -187,15 +187,36 @@ class ResultCache:
         self.hits += 1
         return ExperimentResult.from_dict(d)
 
-    def put(self, result: ExperimentResult) -> bool:
+    def split(self, configs: Sequence[ExperimentConfig]) -> Tuple[list, list]:
+        """Partition ``configs`` into ``(hits, misses)``, one counted :meth:`get` each.
+
+        A hit is ``(result, row)`` with ``row`` the stored row itself: the
+        record path writes it to the sweep's store as is, so a replayed
+        hit is neither re-serialised nor re-:meth:`put`.
+        """
+        hits: List[tuple] = []
+        misses: List[ExperimentConfig] = []
+        for config in configs:
+            result = self.get(config)
+            if result is None:
+                misses.append(config)
+            else:
+                hits.append((result, self._index[self.key_for(config)]))
+        return hits, misses
+
+    def put(self, result: ExperimentResult, row: Optional[Dict[str, Any]] = None) -> bool:
         """Record a computed result in this worker's shard.
+
+        ``row`` is ``result.to_dict()`` where the caller already built it
+        (the record path shares one row with the store); it is indexed
+        and appended as is.
 
         Returns True if the result was appended, False if the key was
         already present with an equivalent result (dedup) or the result
         is not cacheable (telemetry side-channels).  A key collision with
         a *different* result raises :class:`CacheConflictError`.
         """
-        d = result.to_dict()
+        d = result.to_dict() if row is None else row
         if not _cacheable(d):
             return False
         key = self._key_of_dict(d["config"])

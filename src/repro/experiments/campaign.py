@@ -165,12 +165,6 @@ def load_failures(store: ResultStore) -> List[FailedRun]:
     return rows
 
 
-def _run_one(config_dict: dict) -> dict:
-    """Pool worker: dict in, dict out (cheap to pickle)."""
-    result = run_experiment(ExperimentConfig.from_dict(config_dict))
-    return result.to_dict()
-
-
 def _run_one_safe(payload: tuple) -> dict:
     """Exception-capturing pool worker: tagged ``ok``/``err`` dict out."""
     config_dict, telemetry_dict = payload
@@ -284,6 +278,50 @@ def _backoff_delay(label: str, attempt: int, backoff_s: float) -> float:
     return base * (1.0 + jitter)
 
 
+def _recorder(done: CampaignResult, total: int, *, store: Optional[ResultStore], cache,
+              progress=None, on_failure=None, spans=NULL_SPAN_TRACER) -> tuple:
+    """The record path of :func:`run_campaign` and the queue worker.
+
+    Returns ``(record, record_failure)``, sharing one ``finished`` count.
+    What ``record(result, row)`` passes on is the JSON-ready *row*, at
+    most one per result: the one the caller already holds (a worker
+    shipped the result as a dict; the cache or the store served it),
+    else one ``result.to_dict()``, built only if there is somewhere to
+    write it.  That row goes to ``store.append_dict`` and ``cache.put``.
+    ``from_cache`` marks a replayed hit: stored, but not put back into
+    the cache that served it (a *recomputed* result still is, and meets
+    the conflict check there).  ``in_store``: the store already holds it.
+    """
+    finished = 0
+
+    def record(result: ExperimentResult, row: Optional[Dict[str, Any]] = None, *,
+               from_cache: bool = False, in_store: bool = False) -> None:
+        nonlocal finished
+        finished += 1
+        to_store = store is not None and not in_store
+        to_cache = cache is not None and not from_cache
+        if row is None and (to_store or to_cache):
+            row = result.to_dict()
+        if to_store:
+            with spans.span("store", label=ExperimentConfig.from_dict(result.config).label()):
+                store.append_dict(row)
+        if to_cache:
+            cache.put(result, row)
+        done.append(result)
+        if progress is not None:
+            progress(finished, total, result)
+
+    def record_failure(failure: FailedRun) -> None:
+        nonlocal finished
+        finished += 1
+        done.failures.append(failure)
+        _append_failure(store, failure)
+        if on_failure is not None:
+            on_failure(finished, total, failure)
+
+    return record, record_failure
+
+
 def run_campaign(
     configs: Sequence[ExperimentConfig],
     *,
@@ -340,57 +378,27 @@ def run_campaign(
     done = CampaignResult()
     todo: List[ExperimentConfig] = list(configs)
     if store is not None and resume:
-        have = store.completed_labels()
-        if have:
-            wanted = {c.label() for c in todo}
-            done.extend(
-                r
-                for r in store
-                if ExperimentConfig.from_dict(r.config).label() in wanted
-                and ExperimentConfig.from_dict(r.config).label() in have
-            )
-            todo = [c for c in todo if c.label() not in have]
-            done.resumed = len(done)
+        found: List[tuple] = []
+        have = store.completed_labels({c.label() for c in todo}, found)
+        done.extend(result for _label, result, _row in found)
+        todo = [c for c in todo if c.label() not in have]
+        done.resumed = len(done)
 
     # Content-addressed cache layer: anything any store has seen skips
     # the engine.  Hits are replayed through the normal record path below
     # so store/progress/span accounting treat them like completions.
-    cached_results: List[ExperimentResult] = []
+    cached_results: List[tuple] = []  # (result, the cache's own row)
     if cache is not None and telemetry is None:
-        remaining: List[ExperimentConfig] = []
-        for cfg in todo:
-            hit = cache.get(cfg)
-            if hit is not None:
-                cached_results.append(hit)
-            else:
-                remaining.append(cfg)
-        todo = remaining
+        cached_results, todo = cache.split(todo)
         done.cache_hits = len(cached_results)
 
     total = len(todo) + len(cached_results)
     done.engine_runs = len(todo)
-    finished = 0
     spans = span_tracer if span_tracer is not None else NULL_SPAN_TRACER
-
-    def _record(result: ExperimentResult) -> None:
-        nonlocal finished
-        finished += 1
-        if store is not None:
-            with spans.span("store", label=ExperimentConfig.from_dict(result.config).label()):
-                store.append(result)
-        if cache is not None and telemetry is None:
-            cache.put(result)  # dedups cached replays, records fresh runs
-        done.append(result)
-        if progress is not None:
-            progress(finished, total, result)
-
-    def _record_failure(failure: FailedRun) -> None:
-        nonlocal finished
-        finished += 1
-        done.failures.append(failure)
-        _append_failure(store, failure)
-        if on_failure is not None:
-            on_failure(finished, total, failure)
+    _record, _record_failure = _recorder(
+        done, total, store=store, cache=cache if telemetry is None else None,
+        progress=progress, on_failure=on_failure, spans=spans,
+    )
 
     telemetry_dict = telemetry.to_dict() if telemetry is not None else None
 
@@ -404,8 +412,8 @@ def run_campaign(
                 "resumed": done.resumed, "cache_hits": len(cached_results)},
     )
     try:
-        for cached in cached_results:
-            _record(cached)
+        for cached, row in cached_results:
+            _record(cached, row, from_cache=True)
         if hardened:
             _run_hardened(
                 todo,
@@ -432,7 +440,7 @@ def run_campaign(
                     [c.to_dict() for c in shard_cfgs]
                 )["many"]:
                     if "ok" in tagged:
-                        _record(ExperimentResult.from_dict(tagged["ok"]))
+                        _record(ExperimentResult.from_dict(tagged["ok"]), tagged["ok"])
                     else:
                         _record_failure(FailedRun.from_dict(tagged["err"]))
                 wspan.close()
@@ -470,7 +478,7 @@ def run_campaign(
                 for tagged in pool.imap_unordered(_pool_entry_mixed, payloads):
                     for row in tagged.get("many", [tagged]):
                         if "ok" in row:
-                            _record(ExperimentResult.from_dict(row["ok"]))
+                            _record(ExperimentResult.from_dict(row["ok"]), row["ok"])
                         else:
                             _record_failure(FailedRun.from_dict(row["err"]))
         return done
@@ -490,7 +498,7 @@ def _run_hardened(
     retries: int,
     backoff_s: float,
     worker_fn: Callable[[tuple], dict],
-    record: Callable[[ExperimentResult], None],
+    record: Callable[[ExperimentResult, Dict[str, Any]], None],
     record_failure: Callable[[FailedRun], None],
     on_retry: Optional[Callable[[str, int, float, FailedRun], None]],
     result: CampaignResult,
@@ -590,33 +598,34 @@ def _run_hardened(
         for entry in list(running):
             proc, conn = entry["proc"], entry["conn"]
             tagged = None
-            finished = False
-            if conn.poll():
+            ready = conn.poll()
+            dead = not ready and not proc.is_alive()
+            if dead:
+                # It may have sent and exited between the poll above and the
+                # liveness check: look once more before calling it a crash.
+                ready = conn.poll()
+            if ready:
                 try:
                     tagged = conn.recv()
                 except EOFError:
                     tagged = None  # died between connecting and sending
-                finished = True
-            elif not proc.is_alive():
-                finished = True  # never reported: crash
-            elif entry["deadline"] is not None and now >= entry["deadline"]:
-                proc.terminate()
-                proc.join()
-                conn.close()
-                running.remove(entry)
-                progressed = True
-                _finish_span(entry, "timeout")
-                _resolve_failure(
-                    entry,
-                    _failure(
+            elif not dead:
+                if entry["deadline"] is not None and now >= entry["deadline"]:
+                    proc.terminate()
+                    proc.join()
+                    conn.close()
+                    running.remove(entry)
+                    progressed = True
+                    _finish_span(entry, "timeout")
+                    _resolve_failure(
                         entry,
-                        "timeout",
-                        f"run exceeded the {timeout_s:g}s wall-clock timeout "
-                        "and was killed by the watchdog",
-                    ),
-                )
-                continue
-            if not finished:
+                        _failure(
+                            entry,
+                            "timeout",
+                            f"run exceeded the {timeout_s:g}s wall-clock timeout "
+                            "and was killed by the watchdog",
+                        ),
+                    )
                 continue
             proc.join()
             conn.close()
@@ -634,7 +643,7 @@ def _run_hardened(
                 )
             elif "ok" in tagged:
                 _finish_span(entry, "ok")
-                record(ExperimentResult.from_dict(tagged["ok"]))
+                record(ExperimentResult.from_dict(tagged["ok"]), tagged["ok"])
             else:
                 failure = FailedRun.from_dict(tagged["err"])
                 _finish_span(entry, failure.kind)

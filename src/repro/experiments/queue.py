@@ -47,13 +47,13 @@ import socket
 import traceback as _traceback
 from dataclasses import dataclass, field
 from pathlib import Path
-from typing import Any, Dict, Iterator, List, Optional, Sequence, Tuple, Union
+from typing import Any, Dict, Iterator, List, Optional, Sequence, Union
 
 from repro.experiments.cache import ResultCache
 from repro.experiments.campaign import (
     CampaignResult,
     FailedRun,
-    _append_failure,
+    _recorder,
     _run_batched_shard_safe,
 )
 from repro.experiments.config import ExperimentConfig
@@ -119,9 +119,11 @@ class WorkQueue:
         self.claims_dir.mkdir(parents=True, exist_ok=True)
         self.done_dir.mkdir(parents=True, exist_ok=True)
         self.tasks = tasks
-        self._by_id = {t.task_id: t for t in tasks}
         #: Tasks this instance reclaimed from a dead owner (for store dedup).
         self.reclaimed: set = set()
+        #: Tasks this instance has seen done.  Done markers are never
+        #: removed, so :meth:`claim` skips these without another ``stat``.
+        self._seen_done: set = set()
 
     # -- construction -------------------------------------------------------------
 
@@ -244,7 +246,10 @@ class WorkQueue:
         claims.  Check :meth:`drained` / :meth:`counts` for completion.
         """
         for task in self.tasks:
+            if task.task_id in self._seen_done:
+                continue
             if self.is_done(task.task_id):
+                self._seen_done.add(task.task_id)
                 continue
             if self._try_claim(task.task_id):
                 return task
@@ -261,6 +266,7 @@ class WorkQueue:
             fh.flush()
             os.fsync(fh.fileno())
         os.replace(tmp, self._done_path(task_id))
+        self._seen_done.add(task_id)
 
     def release(self, task_id: str) -> None:
         """Drop this worker's claim so another worker can take the task."""
@@ -317,89 +323,64 @@ def run_queue_worker(
     """
     run_fn = run_fn or run_experiment
     done = CampaignResult()
-    finished = 0
-    total = queue.counts()["configs"]
-
-    def _persist(result: ExperimentResult, *, skip_store: bool = False) -> None:
-        nonlocal finished
-        finished += 1
-        if store is not None and not skip_store:
-            store.append(result)
-        if cache is not None:
-            cache.put(result)
-        done.append(result)
-        if progress is not None:
-            progress(finished, total, result)
-
-    def _persist_failure(failure: FailedRun) -> None:
-        nonlocal finished
-        finished += 1
-        done.failures.append(failure)
-        _append_failure(store, failure)
-        if on_failure is not None:
-            on_failure(finished, total, failure)
+    record, record_failure = _recorder(
+        done, queue.counts()["configs"], store=store, cache=cache,
+        progress=progress, on_failure=on_failure,
+    )
 
     while True:
         task = queue.claim()
         if task is None:
             break
-        stored_labels: set = set()
+        configs = [ExperimentConfig.from_dict(d) for d in task.configs]
+        #: label -> (result, row) the dead owner of a reclaimed task persisted.
+        stored: Dict[str, tuple] = {}
         if task.task_id in queue.reclaimed and store is not None:
-            task_labels = {
-                ExperimentConfig.from_dict(d).label() for d in task.configs
-            }
-            stored_labels = store.completed_labels() & task_labels
+            found: List[tuple] = []
+            store.completed_labels({c.label() for c in configs}, found)
+            stored = {label: (result, row) for label, result, row in found}
         results = 0
         failures = 0
         if task.kind == "shard":
-            todo = [
-                d
-                for d in task.configs
-                if ExperimentConfig.from_dict(d).label() not in stored_labels
-            ]
-            cached, fresh = _take_cached(todo, cache)
-            for result in cached:
+            fresh = [c for c in configs if c.label() not in stored]
+            cached, fresh = cache.split(fresh) if cache is not None else ([], fresh)
+            for hit, row in cached:
                 done.cache_hits += 1
-                _persist(result)
+                record(hit, row, from_cache=True)
                 results += 1
             if fresh:
-                for tagged in _run_batched_shard_safe(fresh)["many"]:
+                for tagged in _run_batched_shard_safe([c.to_dict() for c in fresh])["many"]:
+                    done.engine_runs += 1
                     if "ok" in tagged:
-                        done.engine_runs += 1
-                        _persist(ExperimentResult.from_dict(tagged["ok"]))
+                        record(ExperimentResult.from_dict(tagged["ok"]), tagged["ok"])
                         results += 1
                     else:
-                        done.engine_runs += 1
-                        _persist_failure(FailedRun.from_dict(tagged["err"]))
+                        record_failure(FailedRun.from_dict(tagged["err"]))
                         failures += 1
         else:
-            for config_dict in task.configs:
-                cfg = ExperimentConfig.from_dict(config_dict)
-                already_stored = cfg.label() in stored_labels
-                cached = cache.get(cfg) if cache is not None else None
-                if cached is not None:
+            for cfg, config_dict in zip(configs, task.configs):
+                label = cfg.label()
+                in_store = label in stored
+                served = cache.split([cfg])[0] if cache is not None else []
+                if served or in_store:
                     done.cache_hits += 1
-                    _persist(cached, skip_store=already_stored)
+                    if served:
+                        record(*served[0], from_cache=True, in_store=in_store)
+                    else:
+                        # Persisted by the dead owner but absent from the
+                        # cache (crash between the two appends): recover
+                        # the stored row instead of recomputing.
+                        record(*stored[label], in_store=True)
                     results += 1
                     continue
-                if already_stored:
-                    # Persisted by the dead owner but absent from the
-                    # cache (crash between the two appends): recover the
-                    # stored row instead of recomputing.
-                    recovered = _stored_result(store, cfg)
-                    if recovered is not None:
-                        done.cache_hits += 1
-                        _persist(recovered, skip_store=True)
-                        results += 1
-                        continue
                 try:
                     result = run_fn(cfg)
                 except Exception as exc:
                     done.engine_runs += 1
-                    _persist_failure(
+                    record_failure(
                         FailedRun(
                             config=config_dict,
-                            label=cfg.label(),
+                            label=label,
                             error=repr(exc),
                             traceback=_traceback.format_exc(),
                         )
@@ -407,36 +388,7 @@ def run_queue_worker(
                     failures += 1
                     continue
                 done.engine_runs += 1
-                _persist(result)
+                record(result)
                 results += 1
         queue.complete(task.task_id, results=results, failures=failures)
     return done
-
-
-def _take_cached(
-    config_dicts: List[Dict[str, Any]], cache: Optional[ResultCache]
-) -> Tuple[List[ExperimentResult], List[Dict[str, Any]]]:
-    """Split shard members into (cached results, configs still to run)."""
-    if cache is None:
-        return [], list(config_dicts)
-    cached: List[ExperimentResult] = []
-    fresh: List[Dict[str, Any]] = []
-    for d in config_dicts:
-        hit = cache.get(ExperimentConfig.from_dict(d))
-        if hit is not None:
-            cached.append(hit)
-        else:
-            fresh.append(d)
-    return cached, fresh
-
-
-def _stored_result(
-    store: Optional[ResultStore], cfg: ExperimentConfig
-) -> Optional[ExperimentResult]:
-    if store is None:
-        return None
-    label = cfg.label()
-    for result in store:
-        if ExperimentConfig.from_dict(result.config).label() == label:
-            return result
-    return None

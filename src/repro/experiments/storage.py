@@ -33,7 +33,7 @@ from __future__ import annotations
 import json
 import warnings
 from pathlib import Path
-from typing import IO, Any, Dict, Iterator, List, Optional, Set, Tuple, Union
+from typing import IO, Any, Container, Dict, Iterator, List, Optional, Set, Tuple, Union
 
 from repro.experiments.config import ExperimentConfig
 from repro.metrics.summary import ExperimentResult
@@ -154,24 +154,41 @@ class ResultStore:
                 stacklevel=2,
             )
 
+    def _result_of(self, lineno: int, d: Dict[str, Any]) -> ExperimentResult:
+        """Schema check of one stored row: the row as a result, or ValueError."""
+        try:
+            return ExperimentResult.from_dict(d)
+        except (KeyError, TypeError) as exc:
+            raise ValueError(
+                f"{self.path}:{lineno}: corrupt result line ({exc!r})"
+            ) from None
+
     def __iter__(self) -> Iterator[ExperimentResult]:
         for lineno, d in self.iter_dicts():
-            try:
-                yield ExperimentResult.from_dict(d)
-            except (KeyError, TypeError) as exc:
-                raise ValueError(
-                    f"{self.path}:{lineno}: corrupt result line ({exc!r})"
-                ) from None
+            yield self._result_of(lineno, d)
 
     def load(self) -> List[ExperimentResult]:
         """Read every stored result into memory."""
         return list(self)
 
-    def completed_labels(self) -> Set[str]:
-        """Labels of configs already present (for campaign resume)."""
+    def completed_labels(
+        self, wanted: Container[str] = (), found: Optional[list] = None
+    ) -> Set[str]:
+        """Labels of configs already present (for campaign resume).
+
+        One pass over the store, every row schema-checked.  A caller that
+        also wants stored results back names their labels in ``wanted`` and
+        passes a list as ``found``: each matching row is appended to it as
+        ``(label, result, row)`` in store order, so resuming reads the
+        file once rather than once for the labels and again to load.
+        """
         labels: Set[str] = set()
-        for result in self:
-            labels.add(ExperimentConfig.from_dict(result.config).label())
+        for lineno, d in self.iter_dicts():
+            result = self._result_of(lineno, d)
+            label = ExperimentConfig.from_dict(result.config).label()
+            labels.add(label)
+            if found is not None and label in wanted:
+                found.append((label, result, d))
         return labels
 
     def __len__(self) -> int:

@@ -7,7 +7,7 @@ touches simulator objects.
 
 from __future__ import annotations
 
-from dataclasses import asdict, dataclass, field
+from dataclasses import dataclass, field
 from typing import Any, Dict, List, Optional
 
 
@@ -26,8 +26,23 @@ class FlowStats:
     fast_recoveries: int
 
     def to_dict(self) -> Dict[str, Any]:
-        """JSON-ready dict; inverse of :meth:`from_dict`."""
-        return asdict(self)
+        """JSON-ready dict; inverse of :meth:`from_dict`.
+
+        Spelled out field by field (``dataclasses.asdict`` recurses and
+        deep-copies, ~10x slower over the hundreds of flows of a wide
+        result); tests/metrics/test_summary.py pins it to the field list.
+        """
+        return {
+            "flow_id": self.flow_id,
+            "sender_node": self.sender_node,
+            "cca": self.cca,
+            "throughput_bps": self.throughput_bps,
+            "bytes_received": self.bytes_received,
+            "segments_sent": self.segments_sent,
+            "retransmits": self.retransmits,
+            "rto_count": self.rto_count,
+            "fast_recoveries": self.fast_recoveries,
+        }
 
     @classmethod
     def from_dict(cls, d: Dict[str, Any]) -> "FlowStats":
@@ -45,8 +60,14 @@ class SenderStats:
     flows: int
 
     def to_dict(self) -> Dict[str, Any]:
-        """JSON-ready dict; inverse of :meth:`from_dict`."""
-        return asdict(self)
+        """JSON-ready dict; inverse of :meth:`from_dict` (see :class:`FlowStats`)."""
+        return {
+            "node": self.node,
+            "cca": self.cca,
+            "throughput_bps": self.throughput_bps,
+            "retransmits": self.retransmits,
+            "flows": self.flows,
+        }
 
     @classmethod
     def from_dict(cls, d: Dict[str, Any]) -> "SenderStats":

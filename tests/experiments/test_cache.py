@@ -102,6 +102,26 @@ def test_put_then_get_roundtrip(tmp_path):
     assert cache.stats()["entries"] == 1
 
 
+def test_put_takes_the_callers_row_and_split_hands_it_back(tmp_path):
+    """The record path builds one row per result and shares it: put
+    indexes and appends that very dict, and split returns it with the hit."""
+    cache = ResultCache(tmp_path, worker="w1")
+    result = _result(1)
+    row = result.to_dict()
+    assert cache.put(result, row) is True
+    hits, misses = cache.split([_config(2), _config(1)])
+    assert misses == [_config(2)]
+    ((hit, hit_row),) = hits
+    assert hit_row is row and hit.to_dict() == row
+    assert (cache.hits, cache.misses, cache.puts) == (1, 1, 1)
+    cache.close()
+    assert cache.shard_path.read_text() == json.dumps(row, sort_keys=True) + "\n"
+    # A recomputed result offered with its row still meets the conflict check.
+    drifted = _result(1, jain=0.5)
+    with pytest.raises(CacheConflictError):
+        cache.put(drifted, drifted.to_dict())
+
+
 def test_shard_layout_is_salt_namespaced(tmp_path):
     cache = ResultCache(tmp_path, salt="s1", worker="w1")
     cache.put(_result(1))

@@ -119,6 +119,33 @@ def test_crashed_worker_recorded_as_crash(tmp_path):
     assert "exitcode" in row.error
 
 
+def test_result_sent_just_before_exit_is_not_a_crash(tmp_path, monkeypatch):
+    """A worker that sends and exits between the watchdog's ``poll()`` and
+    its ``is_alive()`` has reported: the result is in the pipe.  Make the
+    first poll of each pipe miss exactly that way."""
+    import multiprocessing
+    from multiprocessing.connection import Connection
+
+    real_poll = Connection.poll
+    missed = set()
+
+    def poll_missing_once(self, timeout=0.0):
+        if id(self) in missed:
+            return real_poll(self, timeout)
+        missed.add(id(self))
+        assert real_poll(self, 30.0)  # the worker has sent its result ...
+        for child in multiprocessing.active_children():
+            child.join(30.0)  # ... and exited ...
+        return False  # ... just after this poll looked
+
+    monkeypatch.setattr(Connection, "poll", poll_missing_once)
+    store = ResultStore(tmp_path / "r.jsonl")
+    results = run_campaign(_configs(2), store=store, worker_fn=_run_one_safe)
+    assert results.summary() == {"ok": 2, "failed": 0, "retried": 0, "total": 2}
+    assert len(missed) == 2 and len(store) == 2
+    assert load_failures(store) == []
+
+
 def test_raising_worker_recorded_as_error():
     results = run_campaign(_configs(1), worker_fn=_raising_worker)
     (row,) = results.failures

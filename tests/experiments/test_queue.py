@@ -150,6 +150,36 @@ def test_cross_host_claim_is_never_stale(tmp_path):
     assert q.claim() is None
 
 
+def test_claim_stats_each_done_marker_once(tmp_path, monkeypatch):
+    """Done markers are never removed, so a drain must not re-``stat`` the
+    finished tasks on every claim: O(N) ``is_done`` calls, not O(N^2)."""
+    n = 40
+    q = WorkQueue.create(tmp_path / "q", [_config(s) for s in range(n)])
+    calls = []
+    real = WorkQueue.is_done
+    monkeypatch.setattr(
+        WorkQueue, "is_done", lambda self, task_id: calls.append(task_id) or real(self, task_id)
+    )
+    result = run_queue_worker(q, run_fn=_fake_run)
+    assert result.summary()["ok"] == n and q.drained
+    # counts() once (2 per task), one per claim, drained once.
+    assert len(calls) <= 5 * n
+
+
+def test_claim_sees_tasks_another_worker_finished(tmp_path):
+    """The done memo is per instance and only ever grows from the disk's
+    truth: a second worker's completions are picked up, its live claims
+    are re-examined on every claim."""
+    q1 = WorkQueue.create(tmp_path / "q", [_config(1), _config(2)])
+    q2 = WorkQueue.open(tmp_path / "q")
+    first = q1.claim()
+    assert q2.claim().task_id != first.task_id  # live claim skipped, not remembered
+    q1.release(first.task_id)
+    assert q2.claim().task_id == first.task_id  # ... so a released one is found
+    q2.complete(first.task_id, results=1)
+    assert q1.claim() is None and q1.is_done(first.task_id)
+
+
 def test_counts(tmp_path):
     q = WorkQueue.create(tmp_path / "q", [_config(s) for s in (1, 2, 3)])
     assert q.counts() == {"tasks": 3, "configs": 3, "done": 0, "claimed": 0, "pending": 3}

@@ -1,0 +1,205 @@
+"""The record path serialises each result once and reads the store once.
+
+Every execution path — serial single-config, serial batched shard, pool,
+hardened, queue worker — hands results to one record function
+(``campaign._recorder``).  Spies count, in the recording process, the rows
+built (``ExperimentResult.to_dict``), the ``ResultCache.put`` calls and the
+reads of the store (``ResultStore.iter_dicts``).
+"""
+
+import collections
+import json
+import time
+
+import pytest
+
+from repro.experiments.cache import CacheConflictError, ResultCache
+from repro.experiments.campaign import _run_one_safe, load_failures, run_campaign
+from repro.experiments.config import ExperimentConfig
+from repro.experiments.queue import WorkQueue, run_queue_worker
+from repro.experiments.storage import ResultStore, TornWriteWarning
+from repro.metrics.summary import ExperimentResult
+from repro.units import mbps
+
+N = 3
+
+
+def _configs(engine="fluid", n=N, **kw):
+    return [
+        ExperimentConfig(
+            cca_pair=("cubic", "cubic"),
+            bottleneck_bw_bps=mbps(100),
+            duration_s=5.0,
+            engine=engine,
+            seed=300 + i,
+            **kw,
+        )
+        for i in range(n)
+    ]
+
+
+@pytest.fixture
+def spy(monkeypatch):
+    """Call counts of the record path's three costs, in this process."""
+    counts = collections.Counter()
+
+    def counting(owner, name):
+        real = getattr(owner, name)
+
+        def wrapper(self, *args, **kwargs):
+            counts[name] += 1
+            return real(self, *args, **kwargs)
+
+        monkeypatch.setattr(owner, name, wrapper)
+
+    counting(ExperimentResult, "to_dict")
+    counting(ResultCache, "put")
+    counting(ResultStore, "iter_dicts")
+    return counts
+
+
+def _campaign(engine, **kwargs):
+    def sweep(tmp_path, name, cache):
+        store = ResultStore(tmp_path / f"{name}.jsonl")
+        return store, run_campaign(_configs(engine), store=store, cache=cache, **kwargs)
+
+    return sweep
+
+
+def _queue_worker(tmp_path, name, cache):
+    store = ResultStore(tmp_path / f"{name}.jsonl")
+    queue = WorkQueue.create(tmp_path / f"{name}-queue", _configs())
+    return store, run_queue_worker(queue, store=store, cache=cache)
+
+
+# (sweep function, rows the recording process may build for N fresh results)
+# — pool and hardened workers build their rows in their own processes.
+PATHS = {
+    "serial": (_campaign("fluid", jobs=1), N),
+    "serial-shard": (_campaign("fluid_batched", jobs=1), N),
+    "pool": (_campaign("fluid", jobs=2), 0),
+    "hardened": (_campaign("fluid", jobs=2, retries=1), 0),
+    "queue-worker": (_queue_worker, N),
+}
+
+
+@pytest.mark.parametrize("path", sorted(PATHS))
+def test_one_row_per_fresh_result_and_none_for_a_replayed_hit(tmp_path, spy, path):
+    sweep, rows_built_here = PATHS[path]
+    with ResultCache(tmp_path / "cache", worker="cold") as cache:
+        store, cold = sweep(tmp_path, "cold", cache)
+    assert (len(cold), cold.engine_runs, cache.puts) == (N, N, N)
+    assert spy["to_dict"] == rows_built_here
+    assert spy["put"] == N
+    cold_lines = sorted(store.path.read_text().splitlines())
+    assert len(cold_lines) == N
+
+    # The same sweep from the now-full cache: every result is a replayed
+    # hit — stored again, but neither re-serialised nor re-put.
+    spy.clear()
+    with ResultCache(tmp_path / "cache", worker="warm") as cache:
+        store, warm = sweep(tmp_path, "warm", cache)
+    assert (len(warm), warm.cache_hits, warm.engine_runs) == (N, N, 0)
+    assert (cache.hits, cache.misses, cache.puts) == (N, 0, 0)
+    assert spy["to_dict"] == 0
+    assert spy["put"] == 0
+    assert not cache.shard_path.exists()
+    assert sorted(store.path.read_text().splitlines()) == cold_lines
+
+
+@pytest.mark.parametrize("path", sorted(set(PATHS) - {"queue-worker"}))
+def test_resumed_sweep_reads_the_store_once(tmp_path, spy, path):
+    sweep, _ = PATHS[path]
+    store, _ = sweep(tmp_path, "r", None)
+    before = store.path.read_bytes()
+    spy.clear()
+    _, resumed = sweep(tmp_path, "r", None)
+    assert (len(resumed), resumed.resumed, resumed.engine_runs) == (N, N, 0)
+    assert spy["iter_dicts"] == 1
+    assert spy["to_dict"] == 0
+    assert store.path.read_bytes() == before
+    assert [r.to_dict() for r in resumed] == [
+        r.to_dict() for r in ResultStore(store.path).load()
+    ]
+
+
+def _drifting_worker(payload):
+    """A nondeterministic engine: the Jain index moves from run to run."""
+    config_dict, _ = payload
+    row = _run_one_safe((config_dict, None))["ok"]
+    return {"ok": dict(row, jain_index=time.time())}
+
+
+def test_recomputed_result_still_meets_the_conflict_check(tmp_path, spy):
+    """Only a *replayed hit* skips put.  A result computed again for a key
+    the cache already holds is put: deduplicated if equivalent, refused
+    with CacheConflictError if not."""
+    twice = _configs() + _configs()
+    with ResultCache(tmp_path / "cache", worker="a") as cache:
+        outcome = run_campaign(twice, cache=cache)
+        assert (outcome.engine_runs, spy["put"], cache.puts) == (2 * N, 2 * N, N)
+    with ResultCache(tmp_path / "drift", worker="a") as cache:
+        with pytest.raises(CacheConflictError, match="jain_index"):
+            run_campaign(twice, cache=cache, worker_fn=_drifting_worker)
+
+
+@pytest.mark.parametrize(
+    "config",
+    [
+        ExperimentConfig(
+            cca_pair=("cubic", "cubic"), bottleneck_bw_bps=mbps(10),
+            duration_s=3.0, mss_bytes=1500, flows_per_node=1, engine="packet",
+        ),
+        _configs("fluid", 1)[0],
+        _configs("fluid_batched", 1)[0],
+    ],
+    ids=lambda c: c.engine,
+)
+def test_stored_line_is_the_sorted_dump_of_to_dict(tmp_path, config):
+    store = ResultStore(tmp_path / "r.jsonl")
+    with ResultCache(tmp_path / "cache", worker="w") as cache:
+        (result,) = run_campaign([config], store=store, cache=cache)
+        line = json.dumps(result.to_dict(), sort_keys=True) + "\n"
+        assert store.path.read_text() == line
+        assert cache.shard_path.read_text() == line
+
+
+# -- resume corruption, through run_campaign ----------------------------------------
+
+
+def _full_store(tmp_path):
+    store = ResultStore(tmp_path / "r.jsonl")
+    run_campaign(_configs(), store=store)
+    store.close()
+    return store.path
+
+
+def test_resume_raises_on_garbage_mid_file(tmp_path):
+    path = _full_store(tmp_path)
+    lines = path.read_bytes().splitlines(keepends=True)
+    lines[0] = lines[0][:40] + b"\n"
+    path.write_bytes(b"".join(lines))
+    with pytest.raises(ValueError, match="not a torn trailing write"):
+        run_campaign(_configs(), store=ResultStore(path), resume=True)
+
+
+def test_resume_raises_on_a_well_formed_line_that_is_not_a_result(tmp_path):
+    path = _full_store(tmp_path)
+    with path.open("a") as fh:
+        fh.write('{"not": "a result"}\n')
+    with pytest.raises(ValueError, match="corrupt result line"):
+        run_campaign(_configs(), store=ResultStore(path), resume=True)
+
+
+def test_resume_pardons_a_torn_tail_and_reruns_only_that_config(tmp_path):
+    path = _full_store(tmp_path)
+    data = path.read_bytes()
+    last = data.rstrip(b"\n").rfind(b"\n") + 1
+    path.write_bytes(data[: last + 37])  # SIGKILL mid-append
+    store = ResultStore(path)
+    with pytest.warns(TornWriteWarning):
+        outcome = run_campaign(_configs(), store=store, resume=True)
+    store.close()
+    assert (len(outcome), outcome.resumed, outcome.engine_runs) == (N, N - 1, 1)
+    assert not load_failures(store)
+    assert sorted(r.config["seed"] for r in ResultStore(path).load()) == [300, 301, 302]

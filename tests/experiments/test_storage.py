@@ -52,6 +52,24 @@ def test_completed_labels(tmp_path):
     assert cfg.label() in labels
 
 
+def test_completed_labels_hands_back_wanted_rows_from_the_same_pass(tmp_path):
+    store = ResultStore(tmp_path / "r.jsonl")
+    for seed in (7, 8, 9):
+        store.append(_result(seed))
+    label = {
+        seed: ExperimentConfig(
+            cca_pair=("cubic", "cubic"), bottleneck_bw_bps=mbps(100), seed=seed
+        ).label()
+        for seed in (7, 8, 9, 10)
+    }
+    found = []
+    labels = store.completed_labels({label[9], label[7], label[10]}, found)
+    assert labels == {label[7], label[8], label[9]}
+    assert [name for name, _, _ in found] == [label[7], label[9]]  # store order
+    for _, result, row in found:
+        assert result.to_dict() == row
+
+
 def test_corrupt_line_raises(tmp_path):
     path = tmp_path / "r.jsonl"
     path.write_text('{"not": "a result"}\n')
