@@ -6,37 +6,41 @@ CPU-bound pure Python, so processes, not threads) and streams results into
 a :class:`~repro.experiments.storage.ResultStore` as they complete, which
 makes interrupted sweeps resumable.
 
-Configs with ``engine == "fluid_batched"`` take a fast path in the plain
-serial/pool modes: they are grouped into lock-step shards (see
-:mod:`repro.fluid.state`) and each shard advances as **one** stacked
-integration, with per-config rows recorded individually.  Telemetry and
-hardened mode fall back to one run per config through
+One protocol carries every config to an engine: :func:`plan_tasks` turns
+the list into *tasks* (one config, or a ``fluid_batched`` lock-step shard,
+see :mod:`repro.fluid.state`, that advances as **one** stacked
+integration), :func:`run_task` is the one worker body (tagged ``ok`` /
+``err`` rows out, one per member config), and the one outcome loop of
+:func:`_recorder` records them.  Four thin transports only move tasks and
+rows: inline, a process pool (``jobs > 1``), the watchdog below, and the
+queue claim loop of :mod:`repro.experiments.queue`.  Telemetry and the
+watchdog want one run per config through
 :func:`~repro.experiments.runner.run_experiment` — bit-identical, because
-batched results do not depend on shard composition.  Fairness sampling
-(``fairness_interval_s``) works on both paths: the batched fast path
-drives one vectorized probe hook per shard, and the fallback samples
-per-run (see :mod:`repro.obs.fairness`) — the recorded series are
-identical either way.
+batched results do not depend on shard composition; fairness sampling
+(``fairness_interval_s``, see :mod:`repro.obs.fairness`) records the same
+series either way.
 
-A worker raising no longer aborts the pool: the exception is captured as a
+A run that raises does not abort the sweep: the exception is captured as a
 :class:`FailedRun` row (with the traceback string), appended to a sibling
 ``<store>.failures.jsonl`` file, and counted in the returned
 :class:`CampaignResult`.  Failed configs are *not* written to the result
 store, so a resumed campaign retries them.
 
-The *hardened* execution mode (any of ``timeout_s``, ``retries``, or a
-custom ``worker_fn``) survives misbehaving workers, not just raising
-ones: each config runs in its own watchdogged process, a worker that
-outlives its per-run wall-clock deadline is killed and recorded as a
+The *hardened* mode (any of ``timeout_s``, ``retries``, or a custom
+``worker_fn``) survives misbehaving workers, not just raising ones: the
+watchdog transport runs each config in its own watched process, a worker
+that outlives its per-run wall-clock deadline is killed and recorded as a
 ``timeout`` row, a worker that dies without reporting (segfault,
 ``os._exit``, OOM-kill) becomes a ``crash`` row, and every failure is
 retried up to ``retries`` times with exponential backoff plus
-deterministic per-label jitter before the config is declared dead.  See
-docs/FAULTS.md for the full degradation semantics.
+deterministic per-label jitter before the config is declared dead.  A
+dead *pool* worker hands the pool's unfinished tasks to the same
+transport.  See docs/FAULTS.md for the full degradation semantics.
 """
 
 from __future__ import annotations
 
+import hashlib
 import json
 import multiprocessing as mp
 import random as _random
@@ -44,7 +48,7 @@ import sys
 import time
 import traceback as _traceback
 from collections import deque
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from pathlib import Path
 from typing import Any, Callable, Dict, List, Optional, Sequence
 
@@ -165,105 +169,104 @@ def load_failures(store: ResultStore) -> List[FailedRun]:
     return rows
 
 
-def _run_one_safe(payload: tuple) -> dict:
-    """Exception-capturing pool worker: tagged ``ok``/``err`` dict out."""
-    config_dict, telemetry_dict = payload
-    telemetry = TelemetryOptions.from_dict(telemetry_dict) if telemetry_dict else None
-    try:
-        result = run_experiment(ExperimentConfig.from_dict(config_dict), telemetry)
-        return {"ok": result.to_dict()}
-    except Exception as exc:
-        return {
+@dataclass
+class QueueTask:
+    """The unit every transport carries: one config, or a batched-fluid shard."""
+
+    task_id: str
+    kind: str  # "one" | "shard"
+    configs: List[Dict[str, Any]] = field(default_factory=list)
+
+    def to_dict(self) -> Dict[str, Any]:
+        """Plain-dict form, one ``tasks.jsonl`` line."""
+        return {"task_id": self.task_id, "kind": self.kind, "configs": self.configs}
+
+    @classmethod
+    def from_dict(cls, d: Dict[str, Any]) -> "QueueTask":
+        """Rebuild a task from its :meth:`to_dict` form."""
+        return cls(task_id=d["task_id"], kind=d["kind"], configs=d["configs"])
+
+
+def task_id_for(config_dicts: Sequence[Dict[str, Any]]) -> str:
+    """Content address of a task: hash of its member config dicts."""
+    blob = json.dumps(list(config_dicts), sort_keys=True)
+    return hashlib.sha256(blob.encode("utf-8")).hexdigest()[:20]
+
+
+def plan_tasks(configs: Sequence[ExperimentConfig], *, batch: bool = True) -> List[QueueTask]:
+    """Shard a config list into tasks, shards first.
+
+    ``fluid_batched`` configs group into lock-step shards (one stacked
+    integration per task); everything else becomes one task per config.
+    With ``batch`` False (telemetry or the watchdog, which want one run /
+    process per config) everything stays per-config — correct either way,
+    because a one-config run reproduces the shard member's rows bit-for-bit
+    (batch-composition invariance).
+    """
+    batched = [c for c in configs if c.engine == "fluid_batched"] if batch else []
+    tasks: List[QueueTask] = []
+    if batched:
+        from repro.fluid.state import plan_shards
+
+        for shard in plan_shards(batched):
+            dicts = [batched[i].to_dict() for i in shard]
+            tasks.append(QueueTask(task_id_for(dicts), "shard", dicts))
+    for cfg in configs:
+        if not batch or cfg.engine != "fluid_batched":
+            dicts = [cfg.to_dict()]
+            tasks.append(QueueTask(task_id_for(dicts), "one", dicts))
+    return tasks
+
+
+def _err_rows(config_dicts: Sequence[Dict[str, Any]], error: str, traceback: str = "",
+              kind: str = "error") -> List[dict]:
+    """One tagged ``err`` row per member config of a task that gave no results."""
+    return [
+        {
             "err": FailedRun(
-                config=config_dict,
-                label=ExperimentConfig.from_dict(config_dict).label(),
-                error=repr(exc),
-                traceback=_traceback.format_exc(),
+                config=d,
+                label=ExperimentConfig.from_dict(d).label(),
+                error=error,
+                traceback=traceback,
+                kind=kind,
             ).to_dict()
         }
+        for d in config_dicts
+    ]
 
 
-def _run_batched_shard_safe(config_dicts: List[dict]) -> dict:
-    """Run one batched-fluid shard; tagged per-config rows under ``many``.
+def run_task(
+    kind: str,
+    config_dicts: Sequence[Dict[str, Any]],
+    telemetry_dict: Optional[dict] = None,
+    worker_fn: Optional[Callable[[tuple], dict]] = None,
+) -> List[dict]:
+    """The one worker body: run a task, one tagged row per member config.
 
-    The whole shard advances as one stacked integration.  If it raises,
-    every member config gets its own ``err`` row so resume/retry treat
-    them individually (results are independent of shard composition, so
-    a rerun of the survivors alone is bit-identical).
+    ``shard`` advances as one stacked integration; ``one`` runs through
+    :func:`~repro.experiments.runner.run_experiment`, or through
+    ``worker_fn((config_dict, telemetry_dict)) -> {"ok": row} | {"err":
+    row}`` where the caller brings its own (chaos tests, the queue's
+    ``run_fn``).  A run that raises — a custom ``worker_fn`` included —
+    becomes an ``err`` row (:class:`FailedRun`, with the traceback) for
+    *every* member config, so resume/retry treat them individually: results
+    are independent of shard composition, so a rerun of the survivors alone
+    is bit-identical.  This is the only place an exception turns into a row.
     """
-    configs = [ExperimentConfig.from_dict(d) for d in config_dicts]
     try:
-        from repro.fluid.batched import run_fluid_batch
+        if kind == "one" and worker_fn is not None:
+            return [worker_fn((d, telemetry_dict)) for d in config_dicts]
+        configs = [ExperimentConfig.from_dict(d) for d in config_dicts]
+        if kind == "shard":
+            from repro.fluid.batched import run_fluid_batch
 
-        results = run_fluid_batch(configs)
-        return {"many": [{"ok": r.to_dict()} for r in results]}
+            results = run_fluid_batch(configs)
+        else:
+            telemetry = TelemetryOptions.from_dict(telemetry_dict) if telemetry_dict else None
+            results = [run_experiment(cfg, telemetry) for cfg in configs]
+        return [{"ok": r.to_dict()} for r in results]
     except Exception as exc:
-        tb = _traceback.format_exc()
-        return {
-            "many": [
-                {
-                    "err": FailedRun(
-                        config=d,
-                        label=c.label(),
-                        error=repr(exc),
-                        traceback=tb,
-                    ).to_dict()
-                }
-                for d, c in zip(config_dicts, configs)
-            ]
-        }
-
-
-def _pool_entry_mixed(payload: tuple) -> dict:
-    """Pool worker dispatching per-config runs and batched-fluid shards."""
-    kind = payload[0]
-    if kind == "one":
-        return _run_one_safe((payload[1], payload[2]))
-    return _run_batched_shard_safe(payload[1])
-
-
-def _split_batched(
-    configs: Sequence[ExperimentConfig], enabled: bool
-) -> tuple:
-    """Partition configs into batched-fluid shards and per-config rest.
-
-    With ``enabled`` False (telemetry or hardened mode, which want one
-    run/process per config) everything stays per-config — correct either
-    way, because a one-config shard reproduces the shard member's rows
-    bit-for-bit (batch-composition invariance).
-    """
-    batched = [c for c in configs if c.engine == "fluid_batched"] if enabled else []
-    if not batched:
-        return [], list(configs)
-    from repro.fluid.state import plan_shards
-
-    shards = [[batched[i] for i in s] for s in plan_shards(batched)]
-    singles = [c for c in configs if c.engine != "fluid_batched"]
-    return shards, singles
-
-
-def _proc_entry(worker_fn: Callable[[tuple], dict], payload: tuple, conn) -> None:
-    """Hardened-mode process body: run one config, ship the tagged dict back.
-
-    Catches exceptions a *custom* ``worker_fn`` lets escape (the default
-    :func:`_run_one_safe` already captures its own) so the parent always
-    distinguishes "raised" from "died silently".
-    """
-    try:
-        tagged = worker_fn(payload)
-    except Exception:
-        tagged = {
-            "err": FailedRun(
-                config=payload[0],
-                label=ExperimentConfig.from_dict(payload[0]).label(),
-                error=repr(sys.exc_info()[1]),
-                traceback=_traceback.format_exc(),
-            ).to_dict()
-        }
-    try:
-        conn.send(tagged)
-    finally:
-        conn.close()
+        return _err_rows(config_dicts, repr(exc), _traceback.format_exc())
 
 
 def _backoff_delay(label: str, attempt: int, backoff_s: float) -> float:
@@ -282,7 +285,11 @@ def _recorder(done: CampaignResult, total: int, *, store: Optional[ResultStore],
               progress=None, on_failure=None, spans=NULL_SPAN_TRACER) -> tuple:
     """The record path of :func:`run_campaign` and the queue worker.
 
-    Returns ``(record, record_failure)``, sharing one ``finished`` count.
+    Returns ``(record, record_outcomes)``, sharing one ``finished`` count.
+    ``record_outcomes(rows)`` is the one outcome loop: every transport
+    hands it the tagged rows :func:`run_task` produced, an ``ok`` row is
+    recorded as a result and an ``err`` row as a :class:`FailedRun`.
+
     What ``record(result, row)`` passes on is the JSON-ready *row*, at
     most one per result: the one the caller already holds (a worker
     shipped the result as a dict; the cache or the store served it),
@@ -303,7 +310,12 @@ def _recorder(done: CampaignResult, total: int, *, store: Optional[ResultStore],
         if row is None and (to_store or to_cache):
             row = result.to_dict()
         if to_store:
-            with spans.span("store", label=ExperimentConfig.from_dict(result.config).label()):
+            # The label is only for the timeline: not computed when nobody traces.
+            labels = (
+                {"label": ExperimentConfig.from_dict(result.config).label()}
+                if spans.enabled else {}
+            )
+            with spans.span("store", **labels):
                 store.append_dict(row)
         if to_cache:
             cache.put(result, row)
@@ -311,15 +323,20 @@ def _recorder(done: CampaignResult, total: int, *, store: Optional[ResultStore],
         if progress is not None:
             progress(finished, total, result)
 
-    def record_failure(failure: FailedRun) -> None:
+    def record_outcomes(rows: Sequence[dict]) -> None:
         nonlocal finished
-        finished += 1
-        done.failures.append(failure)
-        _append_failure(store, failure)
-        if on_failure is not None:
-            on_failure(finished, total, failure)
+        for tagged in rows:
+            if "ok" in tagged:
+                record(ExperimentResult.from_dict(tagged["ok"]), tagged["ok"])
+            else:
+                failure = FailedRun.from_dict(tagged["err"])
+                finished += 1
+                done.failures.append(failure)
+                _append_failure(store, failure)
+                if on_failure is not None:
+                    on_failure(finished, total, failure)
 
-    return record, record_failure
+    return record, record_outcomes
 
 
 def run_campaign(
@@ -358,14 +375,14 @@ def run_campaign(
     ``timeout_s`` arms the per-run watchdog, ``retries``/``backoff_s``
     bound the retry-with-backoff loop, and ``on_retry(label, attempt,
     delay_s, failure)`` fires per re-queue.  Any of these (or a custom
-    ``worker_fn``, the chaos-test seam) switches execution to the
-    hardened one-process-per-config mode; without them the original
-    serial / ``mp.Pool`` paths run unchanged.
+    ``worker_fn``, the chaos-test seam) selects the watchdog transport,
+    one process per config; without them tasks run inline (``jobs == 1``)
+    or over a process pool.
 
     ``span_tracer`` (usually :attr:`CampaignProgress.spans`, streaming
     into ``campaign.jsonl``) records the campaign-side timeline: one
-    ``campaign`` root span, per-attempt ``worker`` spans with stable lane
-    numbers in the serial/hardened modes, ``store`` spans around result
+    ``campaign`` root span, per-task ``worker`` spans with stable lane
+    numbers inline and under the watchdog, ``store`` spans around result
     persistence, and ``retry`` instant markers.  See docs/TRACING.md.
     """
     if jobs < 1:
@@ -395,7 +412,7 @@ def run_campaign(
     total = len(todo) + len(cached_results)
     done.engine_runs = len(todo)
     spans = span_tracer if span_tracer is not None else NULL_SPAN_TRACER
-    _record, _record_failure = _recorder(
+    record, record_outcomes = _recorder(
         done, total, store=store, cache=cache if telemetry is None else None,
         progress=progress, on_failure=on_failure, spans=spans,
     )
@@ -405,6 +422,7 @@ def run_campaign(
     hardened = timeout_s is not None or retries > 0 or worker_fn is not None
     serial = jobs == 1 or total <= 1
     mode = "hardened" if hardened else ("serial" if serial else "pool")
+    tasks = plan_tasks(todo, batch=telemetry is None and not hardened)
     root = spans.start(
         "campaign",
         CAT_CAMPAIGN,
@@ -413,74 +431,18 @@ def run_campaign(
     )
     try:
         for cached, row in cached_results:
-            _record(cached, row, from_cache=True)
+            record(cached, row, from_cache=True)
         if hardened:
-            _run_hardened(
-                todo,
-                telemetry_dict,
-                jobs=jobs,
-                timeout_s=timeout_s,
-                retries=retries,
-                backoff_s=backoff_s,
-                worker_fn=worker_fn or _run_one_safe,
-                record=_record,
-                record_failure=_record_failure,
-                on_retry=on_retry,
-                result=done,
-                spans=spans,
-                root=root,
+            _run_watchdog(
+                tasks, telemetry_dict, record_outcomes, done, jobs=jobs,
+                timeout_s=timeout_s, retries=retries, backoff_s=backoff_s,
+                worker_fn=worker_fn, on_retry=on_retry, spans=spans, root=root,
             )
         elif serial:
-            shards, singles = _split_batched(todo, telemetry is None)
-            for shard_cfgs in shards:
-                wspan = spans.start(
-                    f"fluid-batched[{len(shard_cfgs)}]", CAT_WORKER, lane=0
-                )
-                for tagged in _run_batched_shard_safe(
-                    [c.to_dict() for c in shard_cfgs]
-                )["many"]:
-                    if "ok" in tagged:
-                        _record(ExperimentResult.from_dict(tagged["ok"]), tagged["ok"])
-                    else:
-                        _record_failure(FailedRun.from_dict(tagged["err"]))
-                wspan.close()
-            for cfg in singles:
-                wspan = spans.start(cfg.label(), CAT_WORKER, lane=0)
-                try:
-                    result = run_experiment(cfg, telemetry)
-                except Exception as exc:
-                    wspan.annotate(status="error").close()
-                    _record_failure(
-                        FailedRun(
-                            config=cfg.to_dict(),
-                            label=cfg.label(),
-                            error=repr(exc),
-                            traceback=_traceback.format_exc(),
-                        )
-                    )
-                    continue
-                wspan.close()
-                _record(result)
+            _run_inline(tasks, telemetry_dict, record_outcomes, spans)
         else:
-            # Pool mode observes completions only (the workers' own run
-            # logs carry their run/phase spans), so the campaign timeline
-            # records root + store spans and leaves worker lanes to the
-            # Chrome-trace exporter's per-pid stitching.  Batched-fluid
-            # configs ship as whole shards, one stacked integration per
-            # worker invocation.
-            ctx = mp.get_context("spawn" if sys.platform == "win32" else "fork")
-            shards, singles = _split_batched(todo, telemetry is None)
-            payloads = [("one", c.to_dict(), telemetry_dict) for c in singles]
-            payloads += [
-                ("shard", [c.to_dict() for c in shard]) for shard in shards
-            ]
-            with ctx.Pool(processes=jobs) as pool:
-                for tagged in pool.imap_unordered(_pool_entry_mixed, payloads):
-                    for row in tagged.get("many", [tagged]):
-                        if "ok" in row:
-                            _record(ExperimentResult.from_dict(row["ok"]), row["ok"])
-                        else:
-                            _record_failure(FailedRun.from_dict(row["err"]))
+            _run_pool(tasks, telemetry_dict, record_outcomes, done,
+                      jobs=jobs, spans=spans, root=root)
         return done
     finally:
         counts = done.summary()
@@ -489,29 +451,102 @@ def run_campaign(
         spans.close_open()  # root + anything an exception left open
 
 
-def _run_hardened(
-    todo: Sequence[ExperimentConfig],
+def _worker_span(spans, task: QueueTask, **kwargs):
+    """Open a task's ``worker`` span, named by the config's label or the
+    shard's width (a name nobody computes when nobody traces)."""
+    name = ""
+    if spans.enabled and task.kind == "shard":
+        name = f"fluid-batched[{len(task.configs)}]"
+    elif spans.enabled:
+        name = ExperimentConfig.from_dict(task.configs[0]).label()
+    return spans.start(name, CAT_WORKER, **kwargs)
+
+
+def _run_inline(tasks, telemetry_dict, emit, spans) -> None:
+    """Inline transport: every task in this process, one ``worker`` span
+    each on lane 0."""
+    for task in tasks:
+        wspan = _worker_span(spans, task, lane=0)
+        rows = run_task(task.kind, task.configs, telemetry_dict)
+        if "err" in rows[0]:
+            wspan.annotate(status="error")
+        wspan.close()
+        emit(rows)
+
+
+def _run_pool(tasks, telemetry_dict, emit, result, *, jobs, spans, root) -> None:
+    """Pool transport: tasks fan over ``jobs`` long-lived worker processes.
+
+    It observes completions only (the workers' own run logs carry their
+    run/phase spans), so the campaign timeline records root + store spans
+    and leaves worker lanes to the Chrome-trace exporter's per-pid
+    stitching.  Batched-fluid shards ship whole, one stacked integration
+    per worker invocation.
+
+    A worker that dies (segfault, ``os._exit``, OOM-kill) breaks the pool:
+    every task without a result by then goes, one config per process, to
+    the watchdog transport, which tells the config that kills its worker
+    (a ``crash`` row) from the ones that merely shared a pool with it.
+    """
+    # Imported here: 2 MB and 20 ms that only a ``jobs > 1`` sweep should pay.
+    from concurrent.futures import ProcessPoolExecutor, as_completed
+    from concurrent.futures.process import BrokenProcessPool
+
+    ctx = mp.get_context("spawn" if sys.platform == "win32" else "fork")
+    futures: Dict[Any, QueueTask] = {}
+    orphaned: List[QueueTask] = []
+    pool = ProcessPoolExecutor(max_workers=jobs, mp_context=ctx)
+    try:
+        for task in tasks:
+            try:
+                futures[pool.submit(run_task, task.kind, task.configs, telemetry_dict)] = task
+            except BrokenProcessPool:
+                orphaned.append(task)
+        for future in as_completed(futures):
+            try:
+                rows = future.result()
+            except BrokenProcessPool:
+                orphaned.append(futures[future])
+                continue
+            emit(rows)
+    finally:
+        pool.shutdown(cancel_futures=True)
+    if orphaned:
+        configs = [ExperimentConfig.from_dict(d) for task in orphaned for d in task.configs]
+        _run_watchdog(plan_tasks(configs, batch=False), telemetry_dict, emit, result,
+                      jobs=jobs, spans=spans, root=root)
+
+
+def _proc_entry(worker_fn, task: QueueTask, telemetry_dict, conn) -> None:
+    """Watchdog process body: run one task, ship its tagged rows back."""
+    try:
+        conn.send(run_task(task.kind, task.configs, telemetry_dict, worker_fn))
+    finally:
+        conn.close()
+
+
+def _run_watchdog(
+    tasks: Sequence[QueueTask],
     telemetry_dict: Optional[dict],
+    emit: Callable[[Sequence[dict]], None],
+    result: CampaignResult,
     *,
     jobs: int,
-    timeout_s: Optional[float],
-    retries: int,
-    backoff_s: float,
-    worker_fn: Callable[[tuple], dict],
-    record: Callable[[ExperimentResult, Dict[str, Any]], None],
-    record_failure: Callable[[FailedRun], None],
-    on_retry: Optional[Callable[[str, int, float, FailedRun], None]],
-    result: CampaignResult,
-    spans=NULL_SPAN_TRACER,
-    root=None,
+    timeout_s: Optional[float] = None,
+    retries: int = 0,
+    backoff_s: float = 0.5,
+    worker_fn: Optional[Callable[[tuple], dict]] = None,
+    on_retry: Optional[Callable[[str, int, float, FailedRun], None]] = None,
+    spans,
+    root,
 ) -> None:
-    """Watchdogged one-process-per-config executor (hardened mode).
+    """Watchdog transport: one watched process per task (hardened mode).
 
-    Each config gets a fresh process and a pipe; the parent polls for a
-    tagged result, a silent death (``crash``), or a blown wall-clock
+    Each task gets a fresh process and a pipe; the parent polls for its
+    tagged rows, a silent death (``crash``), or a blown wall-clock
     deadline (``timeout`` — the process is killed).  Failures re-queue
     with exponential backoff until ``retries`` is exhausted, then become
-    the :class:`FailedRun` row the campaign carries forward.
+    the :class:`FailedRun` rows the campaign carries forward.
 
     Each launch opens a detached ``worker`` span on a stable worker-slot
     lane (slot indices are reused as they free up, so the Chrome trace
@@ -519,70 +554,53 @@ def _run_hardened(
     outcome; each re-queue drops a ``retry`` instant marker.
     """
     ctx = mp.get_context("spawn" if sys.platform == "win32" else "fork")
-    pending: deque = deque((cfg, 1) for cfg in todo)  # (config, attempt#)
-    delayed: List[tuple] = []  # (ready_at_monotonic, config, attempt#)
+    pending: deque = deque((task, 1) for task in tasks)  # (task, attempt#)
+    delayed: List[tuple] = []  # (ready_at_monotonic, task, attempt#)
     running: List[dict] = []
-    free_lanes: List[int] = []  # released worker-slot indices, reused smallest-first
-    next_lane = 0
 
-    def _launch(cfg: ExperimentConfig, attempt: int) -> None:
-        nonlocal next_lane
+    def _launch(task: QueueTask, attempt: int) -> None:
         parent_conn, child_conn = ctx.Pipe(duplex=False)
         proc = ctx.Process(
             target=_proc_entry,
-            args=(worker_fn, (cfg.to_dict(), telemetry_dict), child_conn),
+            args=(worker_fn, task, telemetry_dict, child_conn),
             daemon=True,
         )
         proc.start()
         child_conn.close()
-        if free_lanes:
-            lane = free_lanes.pop(0)
-        else:
-            lane = next_lane
-            next_lane += 1
+        busy = {entry["lane"] for entry in running}
+        lane = next(slot for slot in range(jobs) if slot not in busy)  # smallest free slot
         running.append(
             {
                 "proc": proc,
                 "conn": parent_conn,
-                "cfg": cfg,
+                "task": task,
                 "attempt": attempt,
                 "deadline": (time.monotonic() + timeout_s) if timeout_s else None,
                 "lane": lane,
-                "span": spans.start(
-                    cfg.label(), CAT_WORKER, parent=root, detached=True,
-                    lane=lane, labels={"attempt": attempt},
-                ),
+                "span": _worker_span(spans, task, parent=root, detached=True, lane=lane,
+                                     labels={"attempt": attempt}),
             }
         )
 
-    def _finish_span(entry: dict, outcome: str) -> None:
-        entry["span"].annotate(outcome=outcome).close()
-        free_lanes.append(entry["lane"])
-        free_lanes.sort()
-
-    def _resolve_failure(entry: dict, failure: FailedRun) -> None:
+    def _settle(entry: dict, rows: List[dict]) -> None:
+        """Free the slot, then pass the rows on — or re-queue a failed task."""
+        running.remove(entry)
+        failed = [row["err"] for row in rows if "err" in row]
+        entry["span"].annotate(outcome=failed[0]["kind"] if failed else "ok").close()
         attempt = entry["attempt"]
-        failure.attempts = attempt
-        if attempt <= retries:
+        for err in failed:
+            err["attempts"] = attempt
+        if failed and attempt <= retries:
+            failure = FailedRun.from_dict(failed[0])
             delay = _backoff_delay(failure.label, attempt, backoff_s)
             result.retried += 1
             if on_retry is not None:
                 on_retry(failure.label, attempt, delay, failure)
             spans.instant("retry", CAT_WORKER, label=failure.label,
                           attempt=attempt, delay_s=delay, kind=failure.kind)
-            delayed.append((time.monotonic() + delay, entry["cfg"], attempt + 1))
+            delayed.append((time.monotonic() + delay, entry["task"], attempt + 1))
         else:
-            record_failure(failure)
-
-    def _failure(entry: dict, kind: str, error: str, traceback: str = "") -> FailedRun:
-        cfg = entry["cfg"]
-        return FailedRun(
-            config=cfg.to_dict(),
-            label=cfg.label(),
-            error=error,
-            traceback=traceback,
-            kind=kind,
-        )
+            emit(rows)
 
     while pending or delayed or running:
         now = time.monotonic()
@@ -592,12 +610,11 @@ def _run_hardened(
                 delayed.remove(item)
                 pending.append((item[1], item[2]))
         while pending and len(running) < jobs:
-            cfg, attempt = pending.popleft()
-            _launch(cfg, attempt)
+            _launch(*pending.popleft())
         progressed = False
         for entry in list(running):
             proc, conn = entry["proc"], entry["conn"]
-            tagged = None
+            rows = None
             ready = conn.poll()
             dead = not ready and not proc.is_alive()
             if dead:
@@ -606,48 +623,29 @@ def _run_hardened(
                 ready = conn.poll()
             if ready:
                 try:
-                    tagged = conn.recv()
+                    rows = conn.recv()
                 except EOFError:
-                    tagged = None  # died between connecting and sending
+                    rows = None  # died between connecting and sending
             elif not dead:
-                if entry["deadline"] is not None and now >= entry["deadline"]:
-                    proc.terminate()
-                    proc.join()
-                    conn.close()
-                    running.remove(entry)
-                    progressed = True
-                    _finish_span(entry, "timeout")
-                    _resolve_failure(
-                        entry,
-                        _failure(
-                            entry,
-                            "timeout",
-                            f"run exceeded the {timeout_s:g}s wall-clock timeout "
-                            "and was killed by the watchdog",
-                        ),
-                    )
-                continue
+                if entry["deadline"] is None or now < entry["deadline"]:
+                    continue
+                proc.terminate()
+                rows = _err_rows(
+                    entry["task"].configs,
+                    f"run exceeded the {timeout_s:g}s wall-clock timeout "
+                    "and was killed by the watchdog",
+                    kind="timeout",
+                )
             proc.join()
             conn.close()
-            running.remove(entry)
             progressed = True
-            if tagged is None:
-                _finish_span(entry, "crash")
-                _resolve_failure(
-                    entry,
-                    _failure(
-                        entry,
-                        "crash",
-                        f"worker died without reporting (exitcode {proc.exitcode})",
-                    ),
+            if rows is None:
+                rows = _err_rows(
+                    entry["task"].configs,
+                    f"worker died without reporting (exitcode {proc.exitcode})",
+                    kind="crash",
                 )
-            elif "ok" in tagged:
-                _finish_span(entry, "ok")
-                record(ExperimentResult.from_dict(tagged["ok"]), tagged["ok"])
-            else:
-                failure = FailedRun.from_dict(tagged["err"])
-                _finish_span(entry, failure.kind)
-                _resolve_failure(entry, failure)
+            _settle(entry, rows)
         if not progressed and (running or delayed):
             time.sleep(WATCHDOG_POLL_S)
 

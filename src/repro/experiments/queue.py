@@ -9,12 +9,12 @@ drain concurrently without coordination beyond atomic file creation:
         claims/<id>.json   # O_CREAT|O_EXCL claim marker: exactly one winner
         done/<id>.json     # completion marker, written after results persist
 
-A *task* is either one config (``kind="one"``) or a whole batched-fluid
-lock-step shard (``kind="shard"``, planned by
-:func:`repro.fluid.state.plan_shards`) that advances as one stacked
-integration.  Task ids are content addresses of the member configs, so
-re-creating a queue from the same config list resumes it instead of
-duplicating work.
+A *task* is the unit every campaign transport carries
+(:func:`repro.experiments.campaign.plan_tasks`): one config
+(``kind="one"``) or a whole batched-fluid lock-step shard
+(``kind="shard"``) that advances as one stacked integration.  Task ids
+are content addresses of the member configs, so re-creating a queue from
+the same config list resumes it instead of duplicating work.
 
 Claim protocol
 --------------
@@ -32,81 +32,33 @@ Claim protocol
 
 Workers stream results into a shared :class:`ResultStore` (line-atomic
 O_APPEND) and their own :class:`~repro.experiments.cache.ResultCache`
-shard.  On reclaim, a worker consults the store for the task's already-
-persisted labels and re-runs **only the incomplete configs** — together
-with the store's torn-write repair this makes SIGKILL-at-any-instant
-resumable.
+shard.  On reclaim, a worker recovers the rows the task's dead owner
+already persisted from the store and re-runs **only the incomplete
+configs** — together with the store's torn-write repair this makes
+SIGKILL-at-any-instant resumable.
 """
 
 from __future__ import annotations
 
-import hashlib
 import json
 import os
 import socket
-import traceback as _traceback
-from dataclasses import dataclass, field
 from pathlib import Path
-from typing import Any, Dict, Iterator, List, Optional, Sequence, Union
+from typing import Dict, Iterator, List, Optional, Sequence, Union
 
 from repro.experiments.cache import ResultCache
 from repro.experiments.campaign import (
     CampaignResult,
-    FailedRun,
+    QueueTask,
     _recorder,
-    _run_batched_shard_safe,
+    plan_tasks,
+    run_task,
 )
 from repro.experiments.config import ExperimentConfig
 from repro.experiments.runner import run_experiment
 from repro.experiments.storage import ResultStore
-from repro.metrics.summary import ExperimentResult
 
 PathLike = Union[str, Path]
-
-
-@dataclass
-class QueueTask:
-    """One durable unit of work: a config, or a batched-fluid shard."""
-
-    task_id: str
-    kind: str  # "one" | "shard"
-    configs: List[Dict[str, Any]] = field(default_factory=list)
-
-    def to_dict(self) -> Dict[str, Any]:
-        """Plain-dict form, one ``tasks.jsonl`` line."""
-        return {"task_id": self.task_id, "kind": self.kind, "configs": self.configs}
-
-    @classmethod
-    def from_dict(cls, d: Dict[str, Any]) -> "QueueTask":
-        """Rebuild a task from its :meth:`to_dict` form."""
-        return cls(task_id=d["task_id"], kind=d["kind"], configs=d["configs"])
-
-
-def task_id_for(config_dicts: Sequence[Dict[str, Any]]) -> str:
-    """Content address of a task: hash of its member config dicts."""
-    blob = json.dumps(list(config_dicts), sort_keys=True)
-    return hashlib.sha256(blob.encode("utf-8")).hexdigest()[:20]
-
-
-def plan_tasks(configs: Sequence[ExperimentConfig]) -> List[QueueTask]:
-    """Shard a config list into queue tasks.
-
-    ``fluid_batched`` configs group into lock-step shards (one stacked
-    integration per task); everything else becomes one task per config.
-    """
-    batched = [c for c in configs if c.engine == "fluid_batched"]
-    singles = [c for c in configs if c.engine != "fluid_batched"]
-    tasks: List[QueueTask] = []
-    if batched:
-        from repro.fluid.state import plan_shards
-
-        for shard in plan_shards(batched):
-            dicts = [batched[i].to_dict() for i in shard]
-            tasks.append(QueueTask(task_id_for(dicts), "shard", dicts))
-    for cfg in singles:
-        dicts = [cfg.to_dict()]
-        tasks.append(QueueTask(task_id_for(dicts), "one", dicts))
-    return tasks
 
 
 class WorkQueue:
@@ -308,87 +260,52 @@ def run_queue_worker(
     on_failure=None,
     run_fn=None,
 ) -> CampaignResult:
-    """Drain tasks from ``queue`` until none are claimable.
+    """Queue transport: drain tasks from ``queue`` until none are claimable.
 
     The existing campaign pool becomes "one consumer": any number of
     processes may run this against the same queue/store/cache root and
-    the claim protocol keeps their work disjoint.  Per config: a cache
-    hit skips the engine entirely; otherwise the engine runs (``run_fn``
-    seam for tests), the result streams into the shared store and this
-    worker's cache shard, and only then is the task marked done.
-
-    On a *reclaimed* task (previous owner SIGKILLed mid-shard) the store
-    is consulted first and configs whose labels already persisted are
-    not re-appended — re-run covers only the incomplete configs.
+    the claim protocol keeps their work disjoint.  Every task, ``one`` or
+    ``shard``, takes the same sequence: rows the dead owner of a
+    *reclaimed* task (SIGKILLed mid-task) already persisted are recovered
+    from the store — returned and counted as hits, not re-appended; of
+    the rest, a cache hit skips the engine; what is left runs through
+    :func:`~repro.experiments.campaign.run_task` (``run_fn`` standing in
+    for the engine of ``one`` tasks, a seam for tests), each result
+    streaming into the shared store and this worker's cache shard; and
+    only then is the task marked done.
     """
-    run_fn = run_fn or run_experiment
     done = CampaignResult()
-    record, record_failure = _recorder(
+    record, record_outcomes = _recorder(
         done, queue.counts()["configs"], store=store, cache=cache,
         progress=progress, on_failure=on_failure,
     )
 
-    while True:
-        task = queue.claim()
-        if task is None:
-            break
-        configs = [ExperimentConfig.from_dict(d) for d in task.configs]
-        #: label -> (result, row) the dead owner of a reclaimed task persisted.
-        stored: Dict[str, tuple] = {}
+    def engine(payload: tuple) -> dict:
+        return {"ok": (run_fn or run_experiment)(ExperimentConfig.from_dict(payload[0])).to_dict()}
+
+    while (task := queue.claim()) is not None:
+        ok_before, failed_before = len(done), len(done.failures)
+        left = [ExperimentConfig.from_dict(d) for d in task.configs]
         if task.task_id in queue.reclaimed and store is not None:
             found: List[tuple] = []
-            store.completed_labels({c.label() for c in configs}, found)
+            store.completed_labels({c.label() for c in left}, found)
             stored = {label: (result, row) for label, result, row in found}
-        results = 0
-        failures = 0
-        if task.kind == "shard":
-            fresh = [c for c in configs if c.label() not in stored]
-            cached, fresh = cache.split(fresh) if cache is not None else ([], fresh)
-            for hit, row in cached:
-                done.cache_hits += 1
+            for result, row in stored.values():
+                # Absent from the cache if the owner died between the two
+                # appends, so this is put there (a no-op when it is not).
+                record(result, row, in_store=True)
+            left = [c for c in left if c.label() not in stored]
+        if cache is not None:
+            hits, left = cache.split(left)
+            for hit, row in hits:
                 record(hit, row, from_cache=True)
-                results += 1
-            if fresh:
-                for tagged in _run_batched_shard_safe([c.to_dict() for c in fresh])["many"]:
-                    done.engine_runs += 1
-                    if "ok" in tagged:
-                        record(ExperimentResult.from_dict(tagged["ok"]), tagged["ok"])
-                        results += 1
-                    else:
-                        record_failure(FailedRun.from_dict(tagged["err"]))
-                        failures += 1
-        else:
-            for cfg, config_dict in zip(configs, task.configs):
-                label = cfg.label()
-                in_store = label in stored
-                served = cache.split([cfg])[0] if cache is not None else []
-                if served or in_store:
-                    done.cache_hits += 1
-                    if served:
-                        record(*served[0], from_cache=True, in_store=in_store)
-                    else:
-                        # Persisted by the dead owner but absent from the
-                        # cache (crash between the two appends): recover
-                        # the stored row instead of recomputing.
-                        record(*stored[label], in_store=True)
-                    results += 1
-                    continue
-                try:
-                    result = run_fn(cfg)
-                except Exception as exc:
-                    done.engine_runs += 1
-                    record_failure(
-                        FailedRun(
-                            config=config_dict,
-                            label=label,
-                            error=repr(exc),
-                            traceback=_traceback.format_exc(),
-                        )
-                    )
-                    failures += 1
-                    continue
-                done.engine_runs += 1
-                record(result)
-                results += 1
-        queue.complete(task.task_id, results=results, failures=failures)
+        done.cache_hits += len(done) - ok_before
+        done.engine_runs += len(left)
+        if left:
+            record_outcomes(run_task(task.kind, [c.to_dict() for c in left], worker_fn=engine))
+        queue.complete(
+            task.task_id,
+            results=len(done) - ok_before,
+            failures=len(done.failures) - failed_before,
+        )
     return done

@@ -26,11 +26,18 @@ it on both sides:
   forensics) and truncated from the store, so the next append cannot
   glue a fresh record onto the fragment and turn a recoverable torn tail
   into unrecoverable mid-file corruption.
+
+A *live* sibling's append in flight also looks like a newline-less tail,
+so repair and appends exclude each other with a POSIX advisory lock on
+the store: exclusive for check-and-truncate, shared around each append's
+write + flush.  A SIGKILLed writer's lock dies with it, so a genuinely
+torn tail is still repaired.  Where ``fcntl`` is missing there is no lock.
 """
 
 from __future__ import annotations
 
 import json
+import os
 import warnings
 from pathlib import Path
 from typing import IO, Any, Container, Dict, Iterator, List, Optional, Set, Tuple, Union
@@ -38,7 +45,18 @@ from typing import IO, Any, Container, Dict, Iterator, List, Optional, Set, Tupl
 from repro.experiments.config import ExperimentConfig
 from repro.metrics.summary import ExperimentResult
 
+try:
+    import fcntl
+except ImportError:  # pragma: no cover - no POSIX advisory locks on this platform
+    fcntl = None
+
 PathLike = Union[str, Path]
+
+
+def _flock(fh: IO, op: str) -> None:
+    """``fcntl.flock(fh, fcntl.<op>)``, where the platform has it."""
+    if fcntl is not None:
+        fcntl.flock(fh, getattr(fcntl, op))
 
 
 class TornWriteWarning(UserWarning):
@@ -63,8 +81,13 @@ class ResultStore:
         if fh is None:
             self._repair_torn_tail()
             fh = self._fh = self.path.open("a", encoding="utf-8")
-        fh.write(json.dumps(d, sort_keys=True) + "\n")
-        fh.flush()
+        line = json.dumps(d, sort_keys=True) + "\n"
+        _flock(fh, "LOCK_SH")
+        try:
+            fh.write(line)
+            fh.flush()
+        finally:
+            _flock(fh, "LOCK_UN")
 
     def _repair_torn_tail(self) -> None:
         """Truncate a partial (newline-less) final line before appending.
@@ -75,12 +98,16 @@ class ResultStore:
         torn-tail skip.
         """
         try:
-            size = self.path.stat().st_size
+            fh = self.path.open("r+b")
         except OSError:
             return
-        if size == 0:
-            return
-        with self.path.open("r+b") as fh:
+        with fh:
+            # Held until close: no append is in flight while we look, and
+            # none lands between the read and the truncate.
+            _flock(fh, "LOCK_EX")
+            size = os.fstat(fh.fileno()).st_size
+            if size == 0:
+                return
             fh.seek(size - 1)
             if fh.read(1) == b"\n":
                 return

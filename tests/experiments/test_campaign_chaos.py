@@ -17,8 +17,8 @@ from repro.experiments.campaign import (
     _backoff_delay,
     load_failures,
     run_campaign,
+    run_task,
 )
-from repro.experiments.campaign import _run_one_safe
 from repro.experiments.config import ExperimentConfig
 from repro.experiments.storage import ResultStore
 from repro.units import mbps
@@ -43,9 +43,14 @@ def _configs(n=1, base_seed=100):
 # -- module-level worker functions (must survive the process boundary) ------------
 
 
+def _plain_worker(payload):
+    """The default worker body, in ``worker_fn`` terms."""
+    return run_task("one", [payload[0]])[0]
+
+
 def _hang_worker(payload):
     time.sleep(60)
-    return _run_one_safe(payload)
+    return _plain_worker(payload)
 
 
 def _crash_worker(payload):
@@ -65,7 +70,7 @@ def _fail_once_worker(payload):
         with open(flag, "w") as fh:
             fh.write("1")
         raise RuntimeError("transient failure")
-    return _run_one_safe((config_dict, None))
+    return _plain_worker(payload)
 
 
 def _chaos_worker(payload):
@@ -75,7 +80,7 @@ def _chaos_worker(payload):
         time.sleep(60)
     if config_dict["seed"] == CRASH_SEED:
         os._exit(13)
-    return _run_one_safe((config_dict, None))
+    return _plain_worker(payload)
 
 
 def _counting_worker(payload):
@@ -84,7 +89,7 @@ def _counting_worker(payload):
     label = ExperimentConfig.from_dict(config_dict).label()
     with open(os.path.join(scratch["dir"], "ran.log"), "a") as fh:
         fh.write(label + "\n")
-    return _run_one_safe((config_dict, None))
+    return _plain_worker(payload)
 
 
 class _Scratch(dict):
@@ -140,7 +145,7 @@ def test_result_sent_just_before_exit_is_not_a_crash(tmp_path, monkeypatch):
 
     monkeypatch.setattr(Connection, "poll", poll_missing_once)
     store = ResultStore(tmp_path / "r.jsonl")
-    results = run_campaign(_configs(2), store=store, worker_fn=_run_one_safe)
+    results = run_campaign(_configs(2), store=store, worker_fn=_plain_worker)
     assert results.summary() == {"ok": 2, "failed": 0, "retried": 0, "total": 2}
     assert len(missed) == 2 and len(store) == 2
     assert load_failures(store) == []

@@ -8,8 +8,7 @@ numbers, ``store`` spans, and ``retry`` instant markers.
 
 import os
 
-from repro.experiments.campaign import CampaignProgress, run_campaign
-from repro.experiments.campaign import _run_one_safe
+from repro.experiments.campaign import CampaignProgress, run_campaign, run_task
 from repro.experiments.config import ExperimentConfig
 from repro.experiments.storage import ResultStore
 from repro.obs.runlog import read_run_log, validate_spans
@@ -39,7 +38,7 @@ def _fail_once_worker(payload):
         with open(flag, "w") as fh:
             fh.write("1")
         raise RuntimeError("transient failure")
-    return _run_one_safe((config_dict, None))
+    return run_task("one", [config_dict])[0]
 
 
 class _Scratch(dict):

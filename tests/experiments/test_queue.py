@@ -7,12 +7,12 @@ import pytest
 
 from repro.experiments.cache import ResultCache
 from repro.experiments.config import ExperimentConfig
+from repro.experiments.campaign import task_id_for
 from repro.experiments.queue import (
     QueueTask,
     WorkQueue,
     plan_tasks,
     run_queue_worker,
-    task_id_for,
 )
 from repro.experiments.storage import ResultStore
 from repro.metrics.summary import ExperimentResult, SenderStats

@@ -1,8 +1,8 @@
 """The record path serialises each result once and reads the store once.
 
-Every execution path — serial single-config, serial batched shard, pool,
-hardened, queue worker — hands results to one record function
-(``campaign._recorder``).  Spies count, in the recording process, the rows
+Every transport — inline (single configs and batched shards), pool,
+watchdog ("hardened"), queue worker — hands the rows ``campaign.run_task``
+built to one record function (``campaign._recorder``).  Spies count, in the recording process, the rows
 built (``ExperimentResult.to_dict``), the ``ResultCache.put`` calls and the
 reads of the store (``ResultStore.iter_dicts``).
 """
@@ -14,7 +14,7 @@ import time
 import pytest
 
 from repro.experiments.cache import CacheConflictError, ResultCache
-from repro.experiments.campaign import _run_one_safe, load_failures, run_campaign
+from repro.experiments.campaign import load_failures, run_campaign, run_task
 from repro.experiments.config import ExperimentConfig
 from repro.experiments.queue import WorkQueue, run_queue_worker
 from repro.experiments.storage import ResultStore, TornWriteWarning
@@ -126,7 +126,7 @@ def test_resumed_sweep_reads_the_store_once(tmp_path, spy, path):
 def _drifting_worker(payload):
     """A nondeterministic engine: the Jain index moves from run to run."""
     config_dict, _ = payload
-    row = _run_one_safe((config_dict, None))["ok"]
+    row = run_task("one", [config_dict])[0]["ok"]
     return {"ok": dict(row, jain_index=time.time())}
 
 

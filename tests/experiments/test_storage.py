@@ -216,6 +216,48 @@ def test_schema_violation_raises_even_as_final_line(tmp_path):
         ResultStore(store.path).load()
 
 
+def _stalled_append(path, half_written):
+    """A sibling's append caught mid-line: the first half is on disk, the
+    store's lock is held, the rest and the newline follow 0.5 s later."""
+    import fcntl
+    import json
+    import time
+
+    line = json.dumps(_result(1).to_dict(), sort_keys=True) + "\n"
+    with open(path, "a", encoding="utf-8") as fh:
+        fcntl.flock(fh, fcntl.LOCK_SH)
+        fh.write(line[:60])
+        fh.flush()
+        half_written.set()
+        time.sleep(0.5)
+        fh.write(line[60:])
+        fh.flush()
+        fcntl.flock(fh, fcntl.LOCK_UN)
+
+
+def test_opening_the_store_does_not_truncate_a_live_siblings_append(tmp_path):
+    """A newline-less tail is torn only if its writer is gone: the repair
+    waits for the store's lock, so an append in flight is left to finish."""
+    pytest.importorskip("fcntl")
+    import multiprocessing
+
+    path = tmp_path / "shared.jsonl"
+    ctx = multiprocessing.get_context("fork")
+    half_written = ctx.Event()
+    sibling = ctx.Process(target=_stalled_append, args=(path, half_written))
+    sibling.start()
+    assert half_written.wait(30)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with ResultStore(path) as store:
+            store.append(_result(2))  # opens, so checks the tail, mid-append
+        sibling.join(30)
+        assert sibling.exitcode == 0
+        loaded = ResultStore(path).load()
+    assert [r.config["seed"] for r in loaded] == [1, 2]
+    assert not path.with_suffix(".torn.jsonl").exists()
+
+
 def _append_worker(path, seed_base, count):
     store = ResultStore(path)
     for i in range(count):
