@@ -266,8 +266,7 @@ def fluid_batched_shard(duration_s: float, n_seeds: int = 3, flows_per_node: int
     sim = BatchedFluidSimulation(configs)
     sim.run(duration_s)
     steps = int(round(duration_s / sim.dt))
-    n_configs, width = sim.delivered_total.shape
-    return steps * n_configs * width, int(sim.delivered_total.sum())
+    return steps * sim.delivered_total.size, int(sim.delivered_total.sum())
 
 
 #: The harness registry.  Order is the execution/report order.

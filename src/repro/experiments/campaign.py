@@ -193,11 +193,15 @@ def task_id_for(config_dicts: Sequence[Dict[str, Any]]) -> str:
     return hashlib.sha256(blob.encode("utf-8")).hexdigest()[:20]
 
 
-def plan_tasks(configs: Sequence[ExperimentConfig], *, batch: bool = True) -> List[QueueTask]:
+def plan_tasks(
+    configs: Sequence[ExperimentConfig], *, batch: bool = True, jobs: int = 1
+) -> List[QueueTask]:
     """Shard a config list into tasks, shards first.
 
-    ``fluid_batched`` configs group into lock-step shards (one stacked
-    integration per task); everything else becomes one task per config.
+    ``fluid_batched`` configs group into lock-step shards of bounded lane
+    count (one flat-table integration per task;
+    :func:`repro.fluid.state.plan_shards`, which ``jobs`` tells how many
+    workers want a task); everything else becomes one task per config.
     With ``batch`` False (telemetry or the watchdog, which want one run /
     process per config) everything stays per-config — correct either way,
     because a one-config run reproduces the shard member's rows bit-for-bit
@@ -208,7 +212,7 @@ def plan_tasks(configs: Sequence[ExperimentConfig], *, batch: bool = True) -> Li
     if batched:
         from repro.fluid.state import plan_shards
 
-        for shard in plan_shards(batched):
+        for shard in plan_shards(batched, jobs=jobs):
             dicts = [batched[i].to_dict() for i in shard]
             tasks.append(QueueTask(task_id_for(dicts), "shard", dicts))
     for cfg in configs:
@@ -422,7 +426,9 @@ def run_campaign(
     hardened = timeout_s is not None or retries > 0 or worker_fn is not None
     serial = jobs == 1 or total <= 1
     mode = "hardened" if hardened else ("serial" if serial else "pool")
-    tasks = plan_tasks(todo, batch=telemetry is None and not hardened)
+    tasks = plan_tasks(
+        todo, batch=telemetry is None and not hardened, jobs=1 if serial else jobs
+    )
     root = spans.start(
         "campaign",
         CAT_CAMPAIGN,

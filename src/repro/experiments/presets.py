@@ -45,8 +45,8 @@ def _paper_fluid_batched() -> List[ExperimentConfig]:
 
     Bit-identical results to ``paper-fluid`` (the cross-validation suite
     in ``tests/fluid/test_batched_vs_scalar.py`` enforces it); the
-    campaign driver advances each lock-step shard of 270 configs as one
-    stacked integration instead of 270 separate runs.
+    campaign driver advances each lane-budgeted lock-step shard as one
+    integration instead of one run per config.
     """
     return full_matrix(engine="fluid_batched", repetitions=5)
 

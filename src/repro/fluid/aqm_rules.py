@@ -21,9 +21,8 @@ from repro.fluid.noise import UniformTable, poisson_from_uniform
 #
 # Rows-form (one row per config) element-wise laws shared by the scalar
 # classes below (which pass a single row) and the batched backend in
-# repro.fluid.batched (which passes a whole (n_configs, n_flows) block).
-# Padded columns carry zero backlog/arrivals and provably do not change
-# any real column's result (see docs/FLUID.md).
+# repro.fluid.batched (which passes a whole (n_configs, n_flows) block of
+# configs of that one flow count, so a row reduces the same either way).
 
 
 def waterfill_rows(supply: np.ndarray, cap: np.ndarray) -> np.ndarray:
@@ -223,7 +222,7 @@ class FluidRed(FluidAqm):
         self.rng = rng
         # Drop-lottery uniforms: one row per step, consumed positionally
         # whether or not the ramp is active (see repro.fluid.noise).
-        self._lottery = UniformTable(rng, n_flows)
+        self._lottery = UniformTable([rng], [n_flows])
         # Fixed classic-tc thresholds (30/90 packets), clamped to the buffer
         # — matching repro.aqm.red.RedQueue (see the note there).
         if min_th is not None:
@@ -352,7 +351,7 @@ class FluidPie(FluidAqm):
         if rng is None:
             raise ValueError("fluid PIE needs an rng")
         self.rng = rng
-        self._lottery = UniformTable(rng, n_flows)
+        self._lottery = UniformTable([rng], [n_flows])
         self.drop_prob = 0.0
         self.qdelay_old_s = 0.0
         self._since_update_s = 0.0

@@ -1,8 +1,13 @@
 """Batched fluid backend: advance a whole shard of configs in lock-step.
 
-Every per-flow quantity of the scalar integrator becomes a
-``(n_configs, n_flows)`` matrix; the CCA round updates and AQM drop laws
-become masked element-wise array ops over those blocks.  The scalar path
+Every per-flow quantity of the scalar integrator becomes one flat *lane
+table*: a 1-D array over the flows of every config in the shard, config
+``c`` owning the lanes ``[offsets[c], offsets[c + 1])``.  Rates, arrival
+noise, accumulators and the CCA round updates run once per step over the
+whole table; only the AQM drop laws run per *block* — a run of configs
+of one (AQM family, flow count), whose lanes a queue law sees as a
+C-contiguous ``(n_configs, n_flows)`` view, so every row reduction has
+the shape and contiguity the scalar oracle's has.  The scalar path
 (:mod:`repro.fluid.model` + the rule classes) remains the **oracle**:
 for every CCA x AQM cell the batched backend reproduces its per-flow
 results bit-for-bit (``tests/fluid/test_batched_vs_scalar.py``), which
@@ -25,7 +30,9 @@ The bitwise contract rests on three properties:
 from __future__ import annotations
 
 import time
-from typing import List, Optional, Sequence, Tuple
+from bisect import bisect_right
+from itertools import accumulate, groupby
+from typing import Dict, List, Optional, Sequence, Tuple
 
 import numpy as np
 
@@ -65,7 +72,7 @@ from repro.fluid.cca_rules import (
     slow_start_next,
 )
 from repro.fluid.model import DEFAULT_STEPS_PER_RTT
-from repro.fluid.noise import BatchUniformTable, poisson_from_uniform
+from repro.fluid.noise import UniformTable, chunk_steps_for, poisson_from_uniform
 from repro.fluid.runner import (
     FluidGeometry,
     build_fluid_result,
@@ -75,10 +82,9 @@ from repro.fluid.runner import (
 from repro.fluid.state import (
     CCA_CODE,
     RATE_BASED_CODES,
-    canonical_aqm_family,
+    block_key,
     plan_shards,
     shard_key,
-    shard_widths,
 )
 from repro.metrics.summary import ExperimentResult
 from repro.sim.rng import RngStreams
@@ -90,31 +96,45 @@ _CYCLE_ARR = np.asarray(BBR_CYCLE)
 
 _RENO_BETA = 0.5
 
+#: AQM families that draw a per-flow drop lottery every step.
+_LOTTERY_FAMILIES = frozenset({"red", "pie"})
+
 
 # --- batched AQMs ------------------------------------------------------------
 
 
 class _BatchAqm:
-    """Per-shard AQM state: one row of flow backlogs per config."""
+    """Queue law of one block: one row of flow backlogs per config.
 
-    def __init__(self, limit: np.ndarray, capacity: np.ndarray, n_configs: int, width: int):
+    ``lanes`` is the block's range of the integrator's lane table;
+    ``backlog`` (``(n_configs, n_flows)``) and ``total_dropped`` are views
+    into the integrator's arrays, updated in place.
+    """
+
+    def __init__(self, lanes: slice, limit, capacity, backlog, total_dropped):
+        self.lanes = lanes
         self.limit = limit
         self.capacity = capacity
-        self.backlog = np.zeros((n_configs, width))
-        self.total_dropped = np.zeros(n_configs)
+        self.backlog = backlog
+        self.total_dropped = total_dropped
+
+    def rows(self, table: np.ndarray) -> np.ndarray:
+        """This block's ``(n_configs, n_flows)`` view of a flat lane array."""
+        return table[self.lanes].reshape(self.backlog.shape)
 
     def step(self, arrivals: np.ndarray, dt: float, now_s: float) -> Tuple[np.ndarray, np.ndarray]:
         raise NotImplementedError
 
     def flow_delay_s(self) -> np.ndarray:
+        """Queueing delay per flow, broadcastable to the block's shape."""
         delay = self.backlog.sum(axis=1) / self.capacity
-        return np.broadcast_to(delay[:, None], self.backlog.shape)
+        return delay[:, None]
 
     def _serve(self, accepted: np.ndarray, dt: float) -> Tuple[np.ndarray, np.ndarray]:
         served, backlog, tail = shared_queue_serve(
             self.backlog, accepted, self.capacity * dt, self.limit
         )
-        self.backlog = backlog
+        self.backlog[...] = backlog
         self.total_dropped += tail.sum(axis=1)
         return served, tail
 
@@ -125,12 +145,11 @@ class _BatchFifo(_BatchAqm):
 
 
 class _BatchRed(_BatchAqm):
-    def __init__(self, limit, capacity, n_configs, width, lottery, params: Sequence[dict]):
-        super().__init__(limit, capacity, n_configs, width)
+    def __init__(self, *views, lottery: UniformTable, params: Sequence[dict]):
+        super().__init__(*views)
         self.lottery = lottery
         min_th, max_th, max_p, weight, gentle = [], [], [], [], []
-        for c, p in enumerate(params):
-            lim = float(limit[c])
+        for lim, p in zip(self.limit.tolist(), params):
             mn = p.get("min_th")
             mn = float(mn) if mn is not None else max(1.0, min(30.0, lim / 3.0))
             mx = p.get("max_th")
@@ -145,10 +164,10 @@ class _BatchRed(_BatchAqm):
         self.max_p = np.asarray(max_p)
         self.weight = np.asarray(weight)
         self.gentle = np.asarray(gentle)
-        self.avg = np.zeros(n_configs)
+        self.avg = np.zeros(len(params))
 
     def step(self, arrivals, dt, now_s):
-        u = self.lottery.next_block()
+        u = self.lottery.next_row().reshape(arrivals.shape)
         n_arr = arrivals.sum(axis=1)
         exponent = np.where(n_arr > 0, n_arr, self.capacity * dt)
         w_eff = red_ewma_gain(self.weight, exponent)
@@ -168,15 +187,15 @@ class _BatchPie(_BatchAqm):
     ALPHA = 0.125
     BETA = 1.25
 
-    def __init__(self, limit, capacity, n_configs, width, lottery):
-        super().__init__(limit, capacity, n_configs, width)
+    def __init__(self, *views, lottery: UniformTable):
+        super().__init__(*views)
         self.lottery = lottery
-        self.drop_prob = np.zeros(n_configs)
-        self.qdelay_old_s = np.zeros(n_configs)
+        self.drop_prob = np.zeros(len(self.limit))
+        self.qdelay_old_s = np.zeros(len(self.limit))
         self._since_update_s = 0.0
 
     def step(self, arrivals, dt, now_s):
-        u = self.lottery.next_block()
+        u = self.lottery.next_row().reshape(arrivals.shape)
         self._since_update_s += dt
         while self._since_update_s >= self.T_UPDATE_S:
             self._since_update_s -= self.T_UPDATE_S
@@ -198,12 +217,11 @@ class _BatchFqCodel(_BatchAqm):
     TARGET_S = 0.005
     INTERVAL_S = 0.100
 
-    def __init__(self, limit, capacity, n_configs, width, n_real: Sequence[int]):
-        super().__init__(limit, capacity, n_configs, width)
-        self.n_real = [int(n) for n in n_real]
-        self.above_since = np.full((n_configs, width), -1.0)
-        self.count = np.zeros((n_configs, width))
-        self.drop_credit = np.zeros((n_configs, width))
+    def __init__(self, *views):
+        super().__init__(*views)
+        self.above_since = np.full(self.backlog.shape, -1.0)
+        self.count = np.zeros(self.backlog.shape)
+        self.drop_credit = np.zeros(self.backlog.shape)
 
     def step(self, arrivals, dt, now_s):
         supply = self.backlog + arrivals
@@ -231,17 +249,15 @@ class _BatchFqCodel(_BatchAqm):
         count = count + drops
         backlog = backlog - drops
 
-        # Shared memory limit: evict from the fattest flows.  Eviction is
-        # done over each config's real columns so the argsort permutation
-        # matches the scalar oracle's.
+        # Shared memory limit: evict from the fattest flows, one config's
+        # row at a time so the argsort permutation matches the scalar
+        # oracle's.
         excess = backlog.sum(axis=1) - self.limit
+        width = backlog.shape[1]
         for c in np.nonzero(excess > 1e-12)[0]:
-            n = self.n_real[c]
-            evict_fattest(
-                backlog[c, :n], drops[c, :n], float(self.limit[c]), float(excess[c]), n
-            )
+            evict_fattest(backlog[c], drops[c], float(self.limit[c]), float(excess[c]), width)
 
-        self.backlog = backlog
+        self.backlog[...] = backlog
         self.above_since = above_since
         self.count = count
         self.drop_credit = credit
@@ -261,27 +277,27 @@ class _BatchFqCodel(_BatchAqm):
 class BatchedFluidSimulation:
     """Lock-step integrator over one shard of compatible configs.
 
-    All configs must share the shard key (AQM family, base RTT, duration,
-    warmup — and flow count unless ``pad=True``); see
-    :func:`repro.fluid.state.plan_shards`.
+    All configs must share the lock-step key (base RTT, duration, warmup,
+    fairness cadence); AQM and flow count may differ.  Blocks are the
+    consecutive runs of one (AQM family, flow count) in the order given:
+    any order is correct, :func:`repro.fluid.state.plan_shards` hands over
+    the one with fewest blocks.
     """
 
-    def __init__(self, configs: Sequence[ExperimentConfig], *, pad: bool = False):
+    def __init__(self, configs: Sequence[ExperimentConfig]):
         if not configs:
             raise ValueError("need at least one config")
-        keys = {shard_key(c, pad=pad) for c in configs}
+        keys = {shard_key(c) for c in configs}
         if len(keys) > 1:
             raise ValueError(f"configs are not shard-compatible: {sorted(map(str, keys))}")
         self.configs = list(configs)
-        self.pad = pad
         self.geoms: List[FluidGeometry] = [fluid_geometry(c) for c in configs]
-        widths, width = shard_widths(configs, range(len(configs)))
-        self.widths = widths
-        C, W = len(configs), width
-        self.C, self.W = C, W
+        self.widths = [g.n_flows for g in self.geoms]
+        #: Config ``c`` owns lanes ``[offsets[c], offsets[c + 1])``.
+        self.offsets = [0, *accumulate(self.widths)]
+        L = self.offsets[-1]
 
-        geom0 = self.geoms[0]
-        self.base_rtt = geom0.base_rtt_s
+        self.base_rtt = self.geoms[0].base_rtt_s
         self.steps_per_rtt = DEFAULT_STEPS_PER_RTT
         self.dt = self.base_rtt / self.steps_per_rtt
         self.burst_pkts = 4
@@ -292,80 +308,108 @@ class BatchedFluidSimulation:
         if (self.capacity <= 0).any() or (limit <= 0).any():
             raise ValueError("limit and capacity must be positive")
 
-        # Per-config streams; same names the scalar runner uses.
+        # Per-config streams; same names the scalar runner uses.  Per-lane
+        # draw streams (BBR lotteries) are created lazily on first use.
         self._rngs = [RngStreams(c.seed) for c in configs]
+        self._lane_gens: Dict[int, np.random.Generator] = {}
 
-        # Lane layout: CCA codes, active mask, start times (padded lanes
-        # never start), per-lane draw streams created lazily on first use.
         from repro.cca.registry import canonical_cca_name
 
-        self.cca_code = np.full((C, W), -1, dtype=np.int64)
-        self.active = np.zeros((C, W), dtype=bool)
-        starts = np.full((C, W), np.inf)
+        self.cca_code = np.empty(L, dtype=np.int64)
+        starts = np.empty(L)
         for c, config in enumerate(configs):
-            n = widths[c]
-            names = flow_cca_names(config, n)
-            self.cca_code[c, :n] = [CCA_CODE[canonical_cca_name(x)] for x in names]
-            self.active[c, :n] = True
-            starts[c, :n] = self._rngs[c].stream("flow-start").uniform(0.0, 0.1, size=n)
+            lanes = slice(self.offsets[c], self.offsets[c + 1])
+            names = flow_cca_names(config, self.widths[c])
+            self.cca_code[lanes] = [CCA_CODE[canonical_cca_name(x)] for x in names]
+            starts[lanes] = self._rngs[c].stream("flow-start").uniform(
+                0.0, 0.1, size=self.widths[c]
+            )
         self.start_times = starts
-        self._codes_present = sorted(set(self.cca_code[self.active].tolist()))
-
-        # Arrival noise: one positional uniform per (config, flow, step).
-        chunk = max(8, min(512, 4_000_000 // max(1, C * W)))
-        self._arrival_noise = BatchUniformTable(
-            [r.stream("arrivals") for r in self._rngs], widths, W, chunk_steps=chunk
+        # Lanes ordered by CCA code, and where each code's run starts: a
+        # step's due lanes, taken in this order, reach each kernel as one
+        # contiguous slice.
+        self._by_code = np.argsort(self.cca_code, kind="stable")
+        self._code_edges = np.searchsorted(
+            self.cca_code[self._by_code], np.arange(len(CCA_CODE) + 1)
         )
+        self._kernels = [
+            (CCA_CODE[name], kernel)
+            for name, kernel in (
+                ("reno", self._round_reno), ("cubic", self._round_cubic),
+                ("htcp", self._round_htcp), ("bbrv1", self._round_bbrv1),
+                ("bbrv2", self._round_bbrv2),
+            )
+        ]
+        present = set(np.unique(self.cca_code).tolist())
 
-        self.aqm = self._make_aqm(limit, chunk)
+        # Queue state: per-lane backlog and the delay it implies (refreshed
+        # after every queue step), per-config early+tail drop totals.
+        self.backlog = np.zeros(L)
+        self._delay = np.zeros(L)
+        self.aqm_dropped = np.zeros(len(configs))
+
+        # One positional uniform per (config, flow, step) for the arrival
+        # noise, one more per lottery lane; every table refills in chunks
+        # sized so that together they fit the table byte budget.
+        lottery_lanes = sum(
+            w for c, w in zip(configs, self.widths) if block_key(c)[0] in _LOTTERY_FAMILIES
+        )
+        chunk = chunk_steps_for(L + lottery_lanes)
+        self._arrival_noise = UniformTable(
+            [r.stream("arrivals") for r in self._rngs], self.widths, chunk
+        )
+        self._tables = [self._arrival_noise]
+        self.blocks: List[_BatchAqm] = []
+        for key, run in groupby(range(len(configs)), key=lambda c: block_key(configs[c])):
+            members = list(run)
+            self.blocks.append(
+                self._make_aqm(key, slice(members[0], members[-1] + 1), limit, chunk)
+            )
 
         # Shared CCA outputs.
-        self.cwnd = np.full((C, W), INIT_CWND)
-        self.ssthresh = np.full((C, W), np.inf)
-        self.pacing = np.full((C, W), np.nan)
-        self.cap = np.full((C, W), np.inf)
+        self.cwnd = np.full(L, INIT_CWND)
+        self.ssthresh = np.full(L, np.inf)
+        self.pacing = np.full(L, np.nan)
+        self.cap = np.full(L, np.inf)
 
         # Round bookkeeping.
         self.next_round = starts + self.base_rtt
-        self.round_delivered = np.zeros((C, W))
-        self.round_lost = np.zeros((C, W))
+        self.round_delivered = np.zeros(L)
+        self.round_lost = np.zeros(L)
         self.round_started_at = starts.copy()
-        self.delivered_total = np.zeros((C, W))
-        self.dropped_total = np.zeros((C, W))
+        self.delivered_total = np.zeros(L)
+        self.dropped_total = np.zeros(L)
 
-        # Per-family state blocks (allocated only for present families).
-        if CCA_CODE["cubic"] in self._codes_present:
-            self.cu_w_max = np.zeros((C, W))
-            self.cu_epoch = np.full((C, W), np.nan)
-            self.cu_k = np.zeros((C, W))
-            self.cu_origin = np.zeros((C, W))
-            self.cu_w_est = np.zeros((C, W))
-        if CCA_CODE["htcp"] in self._codes_present:
-            self.ht_last_cong = np.full((C, W), np.nan)
-            self.ht_rtt_min = np.full((C, W), np.inf)
-            self.ht_rtt_max = np.zeros((C, W))
-            self.ht_beta = np.full((C, W), 0.5)
-            self.ht_max_bw = np.zeros((C, W))
-            self.ht_old_max_bw = np.zeros((C, W))
-            self.ht_modeswitch = np.zeros((C, W), dtype=bool)
-        if RATE_BASED_CODES & set(self._codes_present):
-            self.bb_state = np.zeros((C, W), dtype=np.int64)
-            self.bb_ring = np.zeros((C, W, BBR_RING))
-            self.bb_pos = np.zeros((C, W), dtype=np.int64)
-            self.bb_min_rtt = np.full((C, W), np.inf)
-            self.bb_min_rtt_stamp = np.zeros((C, W))
-            self.bb_full_bw = np.zeros((C, W))
-            self.bb_full_bw_count = np.zeros((C, W), dtype=np.int64)
-            self.bb_cycle_index = np.full((C, W), 2, dtype=np.int64)
-            self.bb_cycle_stamp = np.zeros((C, W))
-            self.bb_probe_until = np.full((C, W), np.nan)
-        if CCA_CODE["bbrv2"] in self._codes_present:
-            self.b2_inflight_hi = np.full((C, W), np.inf)
-            self.b2_phase = np.zeros((C, W), dtype=np.int64)
-            self.b2_phase_stamp = np.zeros((C, W))
-
-        # Lazily created per-lane draw generators (BBR lotteries).
-        self._gen_cache: dict = {}
+        # Per-family state (allocated only for present families).
+        if CCA_CODE["cubic"] in present:
+            self.cu_w_max = np.zeros(L)
+            self.cu_epoch = np.full(L, np.nan)
+            self.cu_k = np.zeros(L)
+            self.cu_origin = np.zeros(L)
+            self.cu_w_est = np.zeros(L)
+        if CCA_CODE["htcp"] in present:
+            self.ht_last_cong = np.full(L, np.nan)
+            self.ht_rtt_min = np.full(L, np.inf)
+            self.ht_rtt_max = np.zeros(L)
+            self.ht_beta = np.full(L, 0.5)
+            self.ht_max_bw = np.zeros(L)
+            self.ht_old_max_bw = np.zeros(L)
+            self.ht_modeswitch = np.zeros(L, dtype=bool)
+        if RATE_BASED_CODES & present:
+            self.bb_state = np.zeros(L, dtype=np.int64)
+            self.bb_ring = np.zeros((L, BBR_RING))
+            self.bb_pos = np.zeros(L, dtype=np.int64)
+            self.bb_min_rtt = np.full(L, np.inf)
+            self.bb_min_rtt_stamp = np.zeros(L)
+            self.bb_full_bw = np.zeros(L)
+            self.bb_full_bw_count = np.zeros(L, dtype=np.int64)
+            self.bb_cycle_index = np.full(L, 2, dtype=np.int64)
+            self.bb_cycle_stamp = np.zeros(L)
+            self.bb_probe_until = np.full(L, np.nan)
+        if CCA_CODE["bbrv2"] in present:
+            self.b2_inflight_hi = np.full(L, np.inf)
+            self.b2_phase = np.zeros(L, dtype=np.int64)
+            self.b2_phase_stamp = np.zeros(L)
 
         # Measurement window.
         self._measure_delivered: Optional[np.ndarray] = None
@@ -377,29 +421,40 @@ class BatchedFluidSimulation:
 
     # -- construction helpers --------------------------------------------------
 
-    def _make_aqm(self, limit: np.ndarray, chunk: int) -> _BatchAqm:
-        family = canonical_aqm_family(self.configs[0].aqm)
-        C, W = self.C, self.W
-        if family == "fifo":
-            return _BatchFifo(limit, self.capacity, C, W)
-        if family == "fq_codel":
-            return _BatchFqCodel(limit, self.capacity, C, W, self.widths)
-        lottery = BatchUniformTable(
-            [r.stream("aqm") for r in self._rngs], self.widths, W, chunk_steps=chunk
+    def _make_aqm(self, key: Tuple[str, int], members: slice, limit: np.ndarray, chunk: int) -> _BatchAqm:
+        """The queue law of the block ``key`` spanning configs ``members``."""
+        family, width = key
+        lanes = slice(self.offsets[members.start], self.offsets[members.stop])
+        views = (
+            lanes, limit[members], self.capacity[members],
+            self.backlog[lanes].reshape(-1, width), self.aqm_dropped[members],
         )
+        if family == "fifo":
+            return _BatchFifo(*views)
+        if family == "fq_codel":
+            return _BatchFqCodel(*views)
+        if family not in _LOTTERY_FAMILIES:
+            raise ValueError(f"unknown AQM family {family!r}")
+        lottery = UniformTable(
+            [r.stream("aqm") for r in self._rngs[members]], self.widths[members], chunk
+        )
+        self._tables.append(lottery)
         if family == "red":
-            params = [c.aqm_params for c in self.configs]
-            return _BatchRed(limit, self.capacity, C, W, lottery, params)
-        if family == "pie":
-            return _BatchPie(limit, self.capacity, C, W, lottery)
-        raise ValueError(f"unknown AQM family {family!r}")
+            params = [c.aqm_params for c in self.configs[members]]
+            return _BatchRed(*views, lottery=lottery, params=params)
+        return _BatchPie(*views, lottery=lottery)
 
-    def _lane_gen(self, c: int, f: int) -> np.random.Generator:
-        key = (c, f)
-        gen = self._gen_cache.get(key)
+    @property
+    def table_bytes(self) -> int:
+        """Bytes held by the shard's uniform tables (arrivals + lotteries)."""
+        return sum(table.nbytes for table in self._tables)
+
+    def _lane_gen(self, lane: int) -> np.random.Generator:
+        gen = self._lane_gens.get(lane)
         if gen is None:
-            gen = self._rngs[c].stream(f"cca-flow{f}")
-            self._gen_cache[key] = gen
+            c = bisect_right(self.offsets, lane) - 1
+            gen = self._rngs[c].stream(f"cca-flow{lane - self.offsets[c]}")
+            self._lane_gens[lane] = gen
         return gen
 
     # -- stepping --------------------------------------------------------------
@@ -409,20 +464,23 @@ class BatchedFluidSimulation:
         x = np.where(np.isnan(self.pacing), window_rate, self.pacing)
         capped = np.isfinite(self.cap)
         if capped.any():
-            allowed = np.maximum(0.0, (self.cap - self.aqm.backlog) / self.base_rtt)
+            allowed = np.maximum(0.0, (self.cap - self.backlog) / self.base_rtt)
             x = np.where(capped, np.minimum(x, allowed), x)
         return np.where(started, x, 0.0)
 
     def step(self) -> None:
         """Advance every config in the shard by one ``dt`` tick."""
         started = self.start_times <= self.now
-        rtt_eff = self.base_rtt + self.aqm.flow_delay_s()
-        x = self._rates(rtt_eff, started)
-        arrivals = x * self.dt
+        x = self._rates(self.base_rtt + self._delay, started)
         b = self.burst_pkts
-        u = self._arrival_noise.next_block()
-        arrivals = poisson_from_uniform(arrivals / b, u) * b
-        delivered, dropped = self.aqm.step(arrivals, self.dt, self.now)
+        arrivals = poisson_from_uniform(x * self.dt / b, self._arrival_noise.next_row()) * b
+        delivered = np.empty_like(arrivals)
+        dropped = np.empty_like(arrivals)
+        for q in self.blocks:
+            served, lost = q.step(q.rows(arrivals), self.dt, self.now)
+            q.rows(delivered)[...] = served
+            q.rows(dropped)[...] = lost
+            q.rows(self._delay)[...] = q.flow_delay_s()
 
         self.delivered_total += delivered
         self.dropped_total += dropped
@@ -454,41 +512,31 @@ class BatchedFluidSimulation:
 
     def _round_updates(self, due: np.ndarray, x: np.ndarray) -> None:
         now = self.now
-        rtt_after = self.base_rtt + self.aqm.flow_delay_s()
-        ci, fi = np.nonzero(due)
-        span = np.maximum(now - self.round_started_at[ci, fi], self.dt)
-        delivered = self.round_delivered[ci, fi]
-        lost = self.round_lost[ci, fi]
+        # Due lanes in CCA-code order, and where each code's slice of them ends.
+        at = np.flatnonzero(due[self._by_code])
+        i = self._by_code[at]
+        cuts = np.searchsorted(at, self._code_edges).tolist()
+        span = np.maximum(now - self.round_started_at[i], self.dt)
+        delivered = self.round_delivered[i]
+        lost = self.round_lost[i]
         delivery_rate = delivered / span
-        inflight = x[ci, fi] * self.base_rtt + self.aqm.backlog[ci, fi]
+        inflight = x[i] * self.base_rtt + self.backlog[i]
         total = delivered + lost
         loss_rate = np.divide(lost, total, out=np.zeros_like(lost), where=total > 0)
-        rtt = rtt_after[ci, fi]
+        rtt = self.base_rtt + self._delay[i]
 
-        codes = self.cca_code[ci, fi]
-        for code in self._codes_present:
-            sel = codes == code
-            if not sel.any():
-                continue
-            args = (
-                ci[sel], fi[sel], now, rtt[sel], delivery_rate[sel],
-                inflight[sel], loss_rate[sel], delivered[sel], lost[sel],
-            )
-            if code == CCA_CODE["reno"]:
-                self._round_reno(*args)
-            elif code == CCA_CODE["cubic"]:
-                self._round_cubic(*args)
-            elif code == CCA_CODE["htcp"]:
-                self._round_htcp(*args)
-            elif code == CCA_CODE["bbrv1"]:
-                self._round_bbrv1(*args)
-            else:
-                self._round_bbrv2(*args)
+        for code, kernel in self._kernels:
+            sel = slice(cuts[code], cuts[code + 1])
+            if sel.start < sel.stop:
+                kernel(
+                    i[sel], now, rtt[sel], delivery_rate[sel],
+                    inflight[sel], loss_rate[sel], delivered[sel], lost[sel],
+                )
 
-        self.round_delivered[ci, fi] = 0.0
-        self.round_lost[ci, fi] = 0.0
-        self.round_started_at[ci, fi] = now
-        self.next_round[ci, fi] = now + rtt
+        self.round_delivered[i] = 0.0
+        self.round_lost[i] = 0.0
+        self.round_started_at[i] = now
+        self.next_round[i] = now + rtt
 
     # -- CCA kernels -----------------------------------------------------------
     #
@@ -497,9 +545,9 @@ class BatchedFluidSimulation:
     # wise), and scatters the results back — so per-step cost scales with
     # how many lanes actually finished a round, not with the shard size.
 
-    def _round_reno(self, ci, fi, now, rtt, rate, inflight, loss_rate, delivered, lost):
-        cwnd = self.cwnd[ci, fi]
-        ssth = self.ssthresh[ci, fi]
+    def _round_reno(self, i, now, rtt, rate, inflight, loss_rate, delivered, lost):
+        cwnd = self.cwnd[i]
+        ssth = self.ssthresh[i]
         loss = lost > 0
         slow = ~loss & (cwnd < ssth)
         ss_new = aimd_backoff(cwnd, _RENO_BETA)
@@ -507,17 +555,17 @@ class BatchedFluidSimulation:
         cwnd = np.where(
             loss, ss_new, np.where(slow, slow_start_next(cwnd, ssth), cwnd + 1.0)
         )
-        self.ssthresh[ci, fi] = ssth
-        self.cwnd[ci, fi] = cwnd
+        self.ssthresh[i] = ssth
+        self.cwnd[i] = cwnd
 
-    def _round_cubic(self, ci, fi, now, rtt, rate, inflight, loss_rate, delivered, lost):
-        cwnd = self.cwnd[ci, fi]
-        ssth = self.ssthresh[ci, fi]
-        w_max = self.cu_w_max[ci, fi]
-        epoch = self.cu_epoch[ci, fi]
-        k = self.cu_k[ci, fi]
-        origin = self.cu_origin[ci, fi]
-        w_est = self.cu_w_est[ci, fi]
+    def _round_cubic(self, i, now, rtt, rate, inflight, loss_rate, delivered, lost):
+        cwnd = self.cwnd[i]
+        ssth = self.ssthresh[i]
+        w_max = self.cu_w_max[i]
+        epoch = self.cu_epoch[i]
+        k = self.cu_k[i]
+        origin = self.cu_origin[i]
+        w_est = self.cu_w_est[i]
 
         loss = lost > 0
         w_max = np.where(loss, cubic_wmax_after_loss(cwnd, w_max), w_max)
@@ -548,24 +596,24 @@ class BatchedFluidSimulation:
         w_est = np.where(ca, w_est + CUBIC_FRIENDLY_INC, w_est)
         cwnd = np.where(ca & (w_est > cwnd), w_est, cwnd)
 
-        self.cwnd[ci, fi] = cwnd
-        self.ssthresh[ci, fi] = ssth
-        self.cu_w_max[ci, fi] = w_max
-        self.cu_epoch[ci, fi] = epoch
-        self.cu_k[ci, fi] = k
-        self.cu_origin[ci, fi] = origin
-        self.cu_w_est[ci, fi] = w_est
+        self.cwnd[i] = cwnd
+        self.ssthresh[i] = ssth
+        self.cu_w_max[i] = w_max
+        self.cu_epoch[i] = epoch
+        self.cu_k[i] = k
+        self.cu_origin[i] = origin
+        self.cu_w_est[i] = w_est
 
-    def _round_htcp(self, ci, fi, now, rtt, rate, inflight, loss_rate, delivered, lost):
-        cwnd = self.cwnd[ci, fi]
-        ssth = self.ssthresh[ci, fi]
-        last_cong = self.ht_last_cong[ci, fi]
-        rtt_min = np.minimum(self.ht_rtt_min[ci, fi], rtt)
-        rtt_max = np.maximum(self.ht_rtt_max[ci, fi], rtt)
-        beta = self.ht_beta[ci, fi]
-        max_bw = np.maximum(self.ht_max_bw[ci, fi], rate)
-        old_max_bw = self.ht_old_max_bw[ci, fi]
-        modeswitch = self.ht_modeswitch[ci, fi]
+    def _round_htcp(self, i, now, rtt, rate, inflight, loss_rate, delivered, lost):
+        cwnd = self.cwnd[i]
+        ssth = self.ssthresh[i]
+        last_cong = self.ht_last_cong[i]
+        rtt_min = np.minimum(self.ht_rtt_min[i], rtt)
+        rtt_max = np.maximum(self.ht_rtt_max[i], rtt)
+        beta = self.ht_beta[i]
+        max_bw = np.maximum(self.ht_max_bw[i], rate)
+        old_max_bw = self.ht_old_max_bw[i]
+        modeswitch = self.ht_modeswitch[i]
 
         loss = lost > 0
         slow = ~loss & (cwnd < ssth)
@@ -597,34 +645,34 @@ class BatchedFluidSimulation:
             alpha = htcp_alpha(now - last_cong, beta)
             cwnd = np.where(ca, cwnd + alpha, cwnd)
 
-        self.cwnd[ci, fi] = cwnd
-        self.ssthresh[ci, fi] = ssth
-        self.ht_last_cong[ci, fi] = last_cong
-        self.ht_rtt_min[ci, fi] = rtt_min
-        self.ht_rtt_max[ci, fi] = rtt_max
-        self.ht_beta[ci, fi] = beta
-        self.ht_max_bw[ci, fi] = max_bw
-        self.ht_old_max_bw[ci, fi] = old_max_bw
-        self.ht_modeswitch[ci, fi] = modeswitch
+        self.cwnd[i] = cwnd
+        self.ssthresh[i] = ssth
+        self.ht_last_cong[i] = last_cong
+        self.ht_rtt_min[i] = rtt_min
+        self.ht_rtt_max[i] = rtt_max
+        self.ht_beta[i] = beta
+        self.ht_max_bw[i] = max_bw
+        self.ht_old_max_bw[i] = old_max_bw
+        self.ht_modeswitch[i] = modeswitch
 
-    def _round_bbrv1(self, ci, fi, now, rtt, rate, inflight, loss_rate, delivered, lost):
-        cwnd = self.cwnd[ci, fi]
-        pacing = self.pacing[ci, fi]
-        cap = self.cap[ci, fi]
-        state = self.bb_state[ci, fi]
-        ring = self.bb_ring[ci, fi, :]
-        pos = self.bb_pos[ci, fi]
-        min_rtt = self.bb_min_rtt[ci, fi]
-        min_stamp = self.bb_min_rtt_stamp[ci, fi]
-        full_bw = self.bb_full_bw[ci, fi]
-        full_cnt = self.bb_full_bw_count[ci, fi]
-        cyc_idx = self.bb_cycle_index[ci, fi]
-        cyc_stamp = self.bb_cycle_stamp[ci, fi]
-        probe_until = self.bb_probe_until[ci, fi]
+    def _round_bbrv1(self, i, now, rtt, rate, inflight, loss_rate, delivered, lost):
+        cwnd = self.cwnd[i]
+        pacing = self.pacing[i]
+        cap = self.cap[i]
+        state = self.bb_state[i]
+        ring = self.bb_ring[i]
+        pos = self.bb_pos[i]
+        min_rtt = self.bb_min_rtt[i]
+        min_stamp = self.bb_min_rtt_stamp[i]
+        full_bw = self.bb_full_bw[i]
+        full_cnt = self.bb_full_bw_count[i]
+        cyc_idx = self.bb_cycle_index[i]
+        cyc_stamp = self.bb_cycle_stamp[i]
+        probe_until = self.bb_probe_until[i]
 
         # Rare RTO-like collapse lottery, drawn from each lane's own stream.
         for j in np.nonzero(loss_rate > 0.4)[0]:
-            if self._lane_gen(int(ci[j]), int(fi[j])).random() < 0.03:
+            if self._lane_gen(int(i[j])).random() < 0.03:
                 full_bw[j] = 0.0
                 full_cnt[j] = 0
                 ring[j, :] = 0.0
@@ -652,7 +700,7 @@ class BatchedFluidSimulation:
         exit_d = (state == S_DRAIN) & (inflight <= bdp)
         if exit_d.any():
             for j in np.nonzero(exit_d)[0]:
-                cyc_idx[j] = int(self._lane_gen(int(ci[j]), int(fi[j])).integers(2, 8))
+                cyc_idx[j] = int(self._lane_gen(int(i[j])).integers(2, 8))
             state = np.where(exit_d, S_PROBE_BW, state)
             cyc_stamp = np.where(exit_d, now, cyc_stamp)
 
@@ -685,34 +733,34 @@ class BatchedFluidSimulation:
         cap = np.where(have_bw, np.maximum(4.0, cap_gain * bdp), cap)
         cwnd = np.where(have_bw, cwnd, np.minimum(cwnd * 2.0, 1e9))
 
-        self.cwnd[ci, fi] = cwnd
-        self.pacing[ci, fi] = pacing
-        self.cap[ci, fi] = cap
-        self.bb_state[ci, fi] = state
-        self.bb_ring[ci, fi, :] = ring
-        self.bb_pos[ci, fi] = pos
-        self.bb_min_rtt[ci, fi] = min_rtt
-        self.bb_min_rtt_stamp[ci, fi] = min_stamp
-        self.bb_full_bw[ci, fi] = full_bw
-        self.bb_full_bw_count[ci, fi] = full_cnt
-        self.bb_cycle_index[ci, fi] = cyc_idx
-        self.bb_cycle_stamp[ci, fi] = cyc_stamp
-        self.bb_probe_until[ci, fi] = probe_until
+        self.cwnd[i] = cwnd
+        self.pacing[i] = pacing
+        self.cap[i] = cap
+        self.bb_state[i] = state
+        self.bb_ring[i] = ring
+        self.bb_pos[i] = pos
+        self.bb_min_rtt[i] = min_rtt
+        self.bb_min_rtt_stamp[i] = min_stamp
+        self.bb_full_bw[i] = full_bw
+        self.bb_full_bw_count[i] = full_cnt
+        self.bb_cycle_index[i] = cyc_idx
+        self.bb_cycle_stamp[i] = cyc_stamp
+        self.bb_probe_until[i] = probe_until
 
-    def _round_bbrv2(self, ci, fi, now, rtt, rate, inflight, loss_rate, delivered, lost):
-        cwnd = self.cwnd[ci, fi]
-        cap = self.cap[ci, fi]
-        state = self.bb_state[ci, fi]
-        ring = self.bb_ring[ci, fi, :]
-        pos = self.bb_pos[ci, fi]
-        min_rtt = self.bb_min_rtt[ci, fi]
-        min_stamp = self.bb_min_rtt_stamp[ci, fi]
-        full_bw = self.bb_full_bw[ci, fi]
-        full_cnt = self.bb_full_bw_count[ci, fi]
-        probe_until = self.bb_probe_until[ci, fi]
-        hi = self.b2_inflight_hi[ci, fi]
-        phase = self.b2_phase[ci, fi]
-        phase_stamp = self.b2_phase_stamp[ci, fi]
+    def _round_bbrv2(self, i, now, rtt, rate, inflight, loss_rate, delivered, lost):
+        cwnd = self.cwnd[i]
+        cap = self.cap[i]
+        state = self.bb_state[i]
+        ring = self.bb_ring[i]
+        pos = self.bb_pos[i]
+        min_rtt = self.bb_min_rtt[i]
+        min_stamp = self.bb_min_rtt_stamp[i]
+        full_bw = self.bb_full_bw[i]
+        full_cnt = self.bb_full_bw_count[i]
+        probe_until = self.bb_probe_until[i]
+        hi = self.b2_inflight_hi[i]
+        phase = self.b2_phase[i]
+        phase_stamp = self.b2_phase_stamp[i]
 
         upd = rtt < min_rtt
         min_rtt = np.where(upd, rtt, min_rtt)
@@ -756,7 +804,7 @@ class BatchedFluidSimulation:
         if to_cruise.any():
             for j in np.nonzero(to_cruise)[0]:
                 phase_stamp[j] = now + float(
-                    self._lane_gen(int(ci[j]), int(fi[j])).uniform(-0.5, 0.5)
+                    self._lane_gen(int(i[j])).uniform(-0.5, 0.5)
                 )
             phase = np.where(to_cruise, P_CRUISE, phase)
         cruise = pb & (ph0 == P_CRUISE)
@@ -803,20 +851,20 @@ class BatchedFluidSimulation:
         cap = np.where(have_bw, new_cap, cap)
         cwnd = np.where(have_bw, cwnd, np.minimum(cwnd * 2.0, 1e9))
 
-        self.cwnd[ci, fi] = cwnd
-        self.pacing[ci, fi] = pacing
-        self.cap[ci, fi] = cap
-        self.bb_state[ci, fi] = state
-        self.bb_ring[ci, fi, :] = ring
-        self.bb_pos[ci, fi] = pos
-        self.bb_min_rtt[ci, fi] = min_rtt
-        self.bb_min_rtt_stamp[ci, fi] = min_stamp
-        self.bb_full_bw[ci, fi] = full_bw
-        self.bb_full_bw_count[ci, fi] = full_cnt
-        self.bb_probe_until[ci, fi] = probe_until
-        self.b2_inflight_hi[ci, fi] = hi
-        self.b2_phase[ci, fi] = phase
-        self.b2_phase_stamp[ci, fi] = phase_stamp
+        self.cwnd[i] = cwnd
+        self.pacing[i] = pacing
+        self.cap[i] = cap
+        self.bb_state[i] = state
+        self.bb_ring[i] = ring
+        self.bb_pos[i] = pos
+        self.bb_min_rtt[i] = min_rtt
+        self.bb_min_rtt_stamp[i] = min_stamp
+        self.bb_full_bw[i] = full_bw
+        self.bb_full_bw_count[i] = full_cnt
+        self.bb_probe_until[i] = probe_until
+        self.b2_inflight_hi[i] = hi
+        self.b2_phase[i] = phase
+        self.b2_phase_stamp[i] = phase_stamp
 
     # -- driving / outputs -----------------------------------------------------
 
@@ -841,14 +889,14 @@ class BatchedFluidSimulation:
 # --- experiment-level entry points -------------------------------------------
 
 
-def _run_shard(configs: Sequence[ExperimentConfig], *, pad: bool) -> List[ExperimentResult]:
+def _run_shard(configs: Sequence[ExperimentConfig]) -> List[ExperimentResult]:
     wall_start = time.perf_counter()
-    sim = BatchedFluidSimulation(configs, pad=pad)
+    sim = BatchedFluidSimulation(configs)
     config0 = configs[0]
     probes = None
     if config0.fairness_interval_s:
         # Shard members share the cadence (it is part of the shard key),
-        # so one vectorized hook drives every row's probe.
+        # so one vectorized hook drives every config's probe.
         from repro.obs.fairness import attach_batched_fairness
 
         probes = attach_batched_fairness(sim)
@@ -859,43 +907,40 @@ def _run_shard(configs: Sequence[ExperimentConfig], *, pad: bool) -> List[Experi
     else:
         sim.begin_measurement()
         sim.run(config0.duration_s)
-    wall_each = (time.perf_counter() - wall_start) / len(configs)
+    # Engine time is booked by lane share, so the members' values still sum
+    # to the shard's wall time.
+    wall_per_lane = (time.perf_counter() - wall_start) / sim.offsets[-1]
 
     results: List[ExperimentResult] = []
     window = sim.measured_delivered
     for c, config in enumerate(configs):
-        n = sim.widths[c]
+        lanes = slice(sim.offsets[c], sim.offsets[c + 1])
         results.append(
             build_fluid_result(
                 config,
                 sim.geoms[c],
-                delivered_window=window[c, :n],
-                delivered_total=sim.delivered_total[c, :n],
-                dropped_total=sim.dropped_total[c, :n],
-                aqm_dropped=float(sim.aqm.total_dropped[c]),
+                delivered_window=window[lanes],
+                delivered_total=sim.delivered_total[lanes],
+                dropped_total=sim.dropped_total[lanes],
+                aqm_dropped=float(sim.aqm_dropped[c]),
                 engine="fluid_batched",
-                wallclock_s=wall_each,
+                wallclock_s=wall_per_lane * sim.widths[c],
                 fairness=probes[c].to_dict() if probes is not None else None,
             )
         )
     return results
 
 
-def run_fluid_batch(
-    configs: Sequence[ExperimentConfig],
-    *,
-    pad: bool = False,
-    max_shard: int = 0,
-) -> List[ExperimentResult]:
+def run_fluid_batch(configs: Sequence[ExperimentConfig]) -> List[ExperimentResult]:
     """Run many configs through the batched backend; results in input order.
 
     Configs are grouped into lock-step shards automatically; per-config
-    results are independent of the grouping (and, with ``pad=False``,
-    bit-identical to the scalar fluid engine).
+    results are independent of the grouping and bit-identical to the
+    scalar fluid engine.
     """
     results: List[Optional[ExperimentResult]] = [None] * len(configs)
-    for shard in plan_shards(configs, pad=pad, max_shard=max_shard):
-        shard_results = _run_shard([configs[i] for i in shard], pad=pad)
+    for shard in plan_shards(configs):
+        shard_results = _run_shard([configs[i] for i in shard])
         for i, res in zip(shard, shard_results):
             results[i] = res
     return [r for r in results if r is not None]
@@ -903,4 +948,4 @@ def run_fluid_batch(
 
 def run_fluid_single(config: ExperimentConfig) -> ExperimentResult:
     """Run one config on the batched backend (a shard of one)."""
-    return _run_shard([config], pad=False)[0]
+    return _run_shard([config])[0]

@@ -66,7 +66,7 @@ class FluidSimulation:
             raise ValueError(f"burst_pkts must be >= 1, got {burst_pkts}")
         self.burst_pkts = burst_pkts
         self._arrival_noise = (
-            UniformTable(arrival_rng, self.n) if arrival_rng is not None else None
+            UniformTable([arrival_rng], [self.n]) if arrival_rng is not None else None
         )
         # Measurement-window bookkeeping (begin_measurement()).
         self._measure_start_s: Optional[float] = None

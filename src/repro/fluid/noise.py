@@ -26,7 +26,8 @@ cross-validation suite):
 
 from __future__ import annotations
 
-from typing import List, Optional, Sequence
+from itertools import accumulate
+from typing import Sequence
 
 import numpy as np
 
@@ -196,67 +197,59 @@ def poisson_from_uniform(lam, u) -> np.ndarray:
     return _poisson_vector(lam, u)
 
 
+#: Bytes of uniform tables (arrival noise plus drop lotteries) one
+#: integration holds at a time.  A table refills every ``chunk`` steps;
+#: sizing the chunk from this budget keeps the tables small and of one
+#: size from shard to shard, instead of tens of MB reallocated per shard.
+TABLE_BYTE_BUDGET = 2_000_000
+
+#: Steps per refill when the budget allows (what one-config tables use).
+CHUNK_STEPS = 512
+
+
+def chunk_steps_for(lanes: int) -> int:
+    """Steps per refill so tables over ``lanes`` lanes in all fit the budget."""
+    return max(1, min(CHUNK_STEPS, TABLE_BYTE_BUDGET // (8 * lanes)))
+
+
 class UniformTable:
-    """Chunked per-step uniform rows for one config.
+    """Chunked per-step uniform rows over the flow lanes of one or more configs.
 
-    ``next_row()`` returns the ``(width,)`` row for the current step and
-    advances.  Values at (step, flow) depend only on the generator's
-    seed — the chunk size is a pure performance knob: refilling in
-    blocks of ``chunk`` steps yields the same row-major sequence as any
-    other chunking.
-    """
-
-    def __init__(self, rng: np.random.Generator, width: int, chunk_steps: int = 512):
-        if width <= 0 or chunk_steps <= 0:
-            raise ValueError("width and chunk_steps must be positive")
-        self.rng = rng
-        self.width = width
-        self.chunk = chunk_steps
-        self._buf: Optional[np.ndarray] = None
-        self._i = chunk_steps
-
-    def next_row(self) -> np.ndarray:
-        """The next step's ``(width,)`` row of uniforms, in table order."""
-        if self._i >= self.chunk:
-            self._buf = self.rng.random((self.chunk, self.width))
-            self._i = 0
-        row = self._buf[self._i]
-        self._i += 1
-        return row
-
-
-class BatchUniformTable:
-    """Stacked uniform tables for a shard of configs.
-
-    Lane ``c`` of the ``(n_configs, width)`` block returned by
-    :meth:`next_block` is filled from config ``c``'s own generator over
-    its own real flow count — bitwise the same rows
-    :class:`UniformTable` would hand the scalar path.  Padded columns
-    stay 0.0 and are only ever consumed against ``lam == 0``.
+    ``next_row()`` returns the ``(sum(widths),)`` row for the current step
+    and advances.  Config ``c``'s slice of the row is filled from
+    ``rngs[c]`` alone over its own flow count, so the value at (config,
+    step, flow) depends only on that generator's seed — the chunk size is
+    a pure performance knob: refilling in blocks of ``chunk`` steps yields
+    the same row-major sequence per config as any other chunking, and the
+    batched backend's table hands each config bitwise the rows the scalar
+    path's one-config table does.
     """
 
     def __init__(
         self,
         rngs: Sequence[np.random.Generator],
         widths: Sequence[int],
-        pad_width: int,
-        chunk_steps: int = 128,
+        chunk_steps: int = CHUNK_STEPS,
     ):
-        self.rngs: List[np.random.Generator] = list(rngs)
-        self.widths = [int(w) for w in widths]
-        if any(w <= 0 or w > pad_width for w in self.widths):
-            raise ValueError("flow widths must be in [1, pad_width]")
-        self.pad_width = int(pad_width)
+        if chunk_steps <= 0 or not widths or min(widths) <= 0:
+            raise ValueError("widths and chunk_steps must be positive")
+        edges = [0, *accumulate(widths)]
+        self._fills = list(zip(rngs, edges[:-1], edges[1:]))
         self.chunk = int(chunk_steps)
-        self._buf = np.zeros((len(self.rngs), self.chunk, self.pad_width))
+        self._buf = np.empty((self.chunk, edges[-1]))
         self._i = self.chunk
 
-    def next_block(self) -> np.ndarray:
-        """The next step's ``(n_configs, pad_width)`` block of uniforms."""
+    @property
+    def nbytes(self) -> int:
+        """Bytes the table holds between refills."""
+        return self._buf.nbytes
+
+    def next_row(self) -> np.ndarray:
+        """The next step's row of uniforms, in table order."""
         if self._i >= self.chunk:
-            for c, (rng, w) in enumerate(zip(self.rngs, self.widths)):
-                self._buf[c, :, :w] = rng.random((self.chunk, w))
+            for rng, lo, hi in self._fills:
+                self._buf[:, lo:hi] = rng.random((self.chunk, hi - lo))
             self._i = 0
-        block = self._buf[:, self._i, :]
+        row = self._buf[self._i]
         self._i += 1
-        return block
+        return row

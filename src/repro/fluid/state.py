@@ -1,22 +1,18 @@
-"""Shard planning and state-layout constants for the batched fluid backend.
+"""Batch planning and state-layout constants for the batched fluid backend.
 
-A *shard* is a set of configs the batched integrator can advance in
-lock-step: they must share the integration geometry (base RTT and
-therefore dt, duration, warmup) and the AQM family (so one vectorized
-drop law covers the whole block).  Everything else — bandwidth tier,
-buffer size, CCA pair, seed, RED knobs — varies per config and lives in
-per-config arrays.
+A *shard* is a set of configs the batched integrator advances in
+lock-step over one flat lane table: they must share the integration
+geometry (base RTT and therefore dt, duration, warmup) and the fairness
+cadence — the :class:`ShardKey`.  Everything else — AQM, flow count,
+bandwidth tier, buffer size, CCA pair, seed, RED knobs — varies per
+config.
 
-Two width policies:
-
-- ``pad=False`` (default): flow count is part of the shard key, every
-  row has the same width, and results are **bit-for-bit** identical to
-  the scalar oracle.
-- ``pad=True``: configs with different flow counts share a shard; rows
-  are padded to the widest config and masked.  Padding perturbs numpy's
-  pairwise row-sum grouping once a row exceeds ~8 elements, so this
-  mode is held to a documented tolerance instead of exact equality
-  (see docs/FLUID.md).
+Only a queue law's row reductions depend on the AQM family or the flow
+count, so inside a shard the configs of one (family, flow count) form a
+*block*: one contiguous lane range its queue law sees as a
+``(configs, flows)`` matrix of exactly the shape the scalar oracle's rows
+have.  :func:`plan_shards` orders a shard's members by block so each
+block is contiguous, and cuts the ordered list at :data:`LANE_BUDGET`.
 """
 
 from __future__ import annotations
@@ -38,6 +34,11 @@ CCA_CODE: Dict[str, int] = {
 #: Codes whose kernels pace (BBR family) and own a per-lane RNG stream.
 RATE_BASED_CODES = frozenset({CCA_CODE["bbrv1"], CCA_CODE["bbrv2"]})
 
+#: Most flow lanes one shard advances (a single wider config runs alone).
+#: Bounds a task's working set and how much work one failure loses;
+#: docs/FLUID.md has the measured wall time at each candidate value.
+LANE_BUDGET = 32_768
+
 
 def canonical_aqm_family(name: str) -> str:
     """AQM family implementing ``name`` (codel is served by fq_codel)."""
@@ -49,23 +50,19 @@ def canonical_aqm_family(name: str) -> str:
 class ShardKey:
     """Lock-step compatibility key: configs in one shard share these."""
 
-    aqm_family: str
-    n_flows: int  # 0 in pad mode (width handled by padding)
     base_rtt_ns: int
     duration_s: float
     warmup_s: float
-    #: Fairness-sampling cadence: one shard-wide hook drives every row's
+    #: Fairness-sampling cadence: one shard-wide hook drives every config's
     #: probe, so shard members must agree on it (None = not sampled).
     fairness_interval_s: Optional[float] = None
 
 
-def shard_key(config: ExperimentConfig, *, pad: bool = False) -> ShardKey:
+def shard_key(config: ExperimentConfig) -> ShardKey:
     """Compute the lock-step compatibility key for one config."""
     from repro.testbed.sites import PAPER_RTT_NS
 
     return ShardKey(
-        aqm_family=canonical_aqm_family(config.aqm),
-        n_flows=0 if pad else 2 * config.plan.flows_per_node,
         base_rtt_ns=int(PAPER_RTT_NS * config.delay_multiplier),
         duration_s=float(config.duration_s),
         warmup_s=float(config.warmup_s),
@@ -73,34 +70,44 @@ def shard_key(config: ExperimentConfig, *, pad: bool = False) -> ShardKey:
     )
 
 
-def plan_shards(
-    configs: Sequence[ExperimentConfig],
-    *,
-    pad: bool = False,
-    max_shard: int = 0,
-) -> List[List[int]]:
-    """Group config indices into lock-step shards (insertion-ordered).
+def block_key(config: ExperimentConfig) -> Tuple[str, int]:
+    """(AQM family, flow count): configs sharing it share a queue block."""
+    return canonical_aqm_family(config.aqm), config.plan.total_flows
 
-    ``max_shard > 0`` additionally splits each group into chunks of at
-    most that many configs — a memory knob only: per-config results do
-    not depend on shard composition.
+
+def plan_shards(configs: Sequence[ExperimentConfig], *, jobs: int = 1) -> List[List[int]]:
+    """Group config indices into lock-step shards of bounded lane count.
+
+    Each lock-step group is ordered by block (stably, so the plan is a
+    function of the list alone) and cut into consecutive runs of at most
+    :data:`LANE_BUDGET` lanes — in block order a cut splits at most one
+    block, where input order would leave every shard a sliver of every
+    block.  If that makes fewer than ``jobs`` shards, the cut is redone at
+    an even share of the lanes, so a pool of that many workers gets a task
+    each.  Per-config results do not depend on shard composition.
     """
+    lanes = [c.plan.total_flows for c in configs]
     groups: Dict[ShardKey, List[int]] = {}
     for i, config in enumerate(configs):
-        groups.setdefault(shard_key(config, pad=pad), []).append(i)
-    shards: List[List[int]] = []
+        groups.setdefault(shard_key(config), []).append(i)
     for members in groups.values():
-        if max_shard and len(members) > max_shard:
-            for lo in range(0, len(members), max_shard):
-                shards.append(members[lo : lo + max_shard])
-        else:
-            shards.append(members)
+        members.sort(key=lambda i: block_key(configs[i]))
+
+    def cut(budget: int) -> List[List[int]]:
+        shards: List[List[int]] = []
+        for members in groups.values():
+            shard: List[int] = []
+            used = 0
+            for i in members:
+                if shard and used + lanes[i] > budget:
+                    shards.append(shard)
+                    shard, used = [], 0
+                shard.append(i)
+                used += lanes[i]
+            shards.append(shard)
+        return shards
+
+    shards = cut(LANE_BUDGET)
+    if len(shards) < jobs:
+        shards = cut(min(LANE_BUDGET, max(1, sum(lanes) // jobs)))
     return shards
-
-
-def shard_widths(
-    configs: Sequence[ExperimentConfig], shard: Sequence[int]
-) -> Tuple[List[int], int]:
-    """Per-config flow counts and the padded row width for one shard."""
-    widths = [2 * configs[i].plan.flows_per_node for i in shard]
-    return widths, max(widths)

@@ -342,12 +342,11 @@ def attach_fluid_fairness(sim, geom, config) -> FairnessProbe:
 def attach_batched_fairness(sim) -> List[FairnessProbe]:
     """Install the vectorized sampling hook on a :class:`BatchedFluidSimulation`.
 
-    One probe per config in the shard.  The hook computes the whole
-    ``(n_configs, n_flows)`` delivery-delta matrix once per sample, then
-    slices each config's real lanes — the same contiguous row views whose
-    sums the batched backend already guarantees bit-identical to the
-    scalar oracle — so per-config fairness series match the scalar
-    engine's exactly (``pad=False`` shards).
+    One probe per config in the shard.  The hook computes the whole lane
+    table's delivery delta once per sample, then slices each config's
+    lanes — contiguous 1-D ranges of the same values the scalar oracle
+    holds, summed the same way — so per-config fairness series match the
+    scalar engine's exactly.
     """
     probes: List[FairnessProbe] = []
     for c, config in enumerate(sim.configs):
@@ -365,13 +364,12 @@ def attach_batched_fairness(sim) -> List[FairnessProbe]:
     def hook(s) -> None:
         span = s.now - state["t"]
         delta = s.delivered_total - state["delivered"]
-        backlog = s.aqm.backlog
         for c, probe in enumerate(probes):
-            n = s.widths[c]
+            lanes = slice(s.offsets[c], s.offsets[c + 1])
             probe.sample(
                 s.now,
-                (delta[c, :n] * (bits_per_pkt[c] / span)).tolist(),
-                float(backlog[c, :n].sum()),
+                (delta[lanes] * (bits_per_pkt[c] / span)).tolist(),
+                float(s.backlog[lanes].sum()),
             )
         state["delivered"] = s.delivered_total.copy()
         state["t"] = s.now

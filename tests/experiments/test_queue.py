@@ -88,6 +88,57 @@ def test_join_with_different_configs_raises(tmp_path):
         WorkQueue.create(tmp_path / "q", [_config(99)])
 
 
+def _batched_grid():
+    """Mixed AQMs and flow counts, one lock-step key: a lane-budgeted sweep."""
+    return [
+        _config(seed, engine="fluid_batched", aqm=aqm, flows_per_node=w)
+        for seed, (aqm, w) in enumerate(
+            ((aqm, w) for aqm in ("fifo", "red", "fq_codel") for w in (1, 5)), start=1
+        )
+    ]
+
+
+def test_two_creators_plan_the_same_batched_task_list(tmp_path):
+    """``create`` plans from the lane-budget constant alone, so a second
+    creator joins instead of finding "a different task set"."""
+    configs = _batched_grid()
+    q1 = WorkQueue.create(tmp_path / "q", configs)
+    frozen = (tmp_path / "q" / "tasks.jsonl").read_bytes()
+    q2 = WorkQueue.create(tmp_path / "q", configs)
+    assert (tmp_path / "q" / "tasks.jsonl").read_bytes() == frozen
+    assert [t.task_id for t in q1.tasks] == [t.task_id for t in q2.tasks]
+    assert [t.kind for t in q1.tasks] == ["shard"]  # six blocks, one task
+
+
+def test_queue_planned_per_aqm_and_width_still_drains_to_the_same_store(tmp_path):
+    """A ``tasks.jsonl`` frozen before lane budgeting (one shard per AQM
+    family x flow count) is still a valid queue: it drains, to the bytes a
+    freshly planned queue stores — but ``create`` will not join it."""
+    configs = _batched_grid()
+    old_dir = tmp_path / "old"
+    old_dir.mkdir()
+    with (old_dir / "tasks.jsonl").open("w") as fh:
+        for config in configs:  # one (AQM, width) each: HEAD's plan for this list
+            dicts = [config.to_dict()]
+            task = QueueTask(task_id_for(dicts), "shard", dicts)
+            fh.write(json.dumps(task.to_dict(), sort_keys=True) + "\n")
+
+    def drained_lines(queue, store_path):
+        with ResultStore(store_path) as store:
+            outcome = run_queue_worker(queue, store=store)
+        assert queue.drained and len(outcome) == len(configs) and not outcome.failures
+        rows = [json.loads(line) for line in store_path.read_text().splitlines()]
+        for row in rows:
+            row.pop("wallclock_s")
+        return sorted(json.dumps(row, sort_keys=True) for row in rows)
+
+    old = drained_lines(WorkQueue.open(old_dir), tmp_path / "old.jsonl")
+    new = drained_lines(WorkQueue.create(tmp_path / "new", configs), tmp_path / "new.jsonl")
+    assert old == new
+    with pytest.raises(ValueError, match="frozen sweep"):
+        WorkQueue.create(old_dir, configs)
+
+
 def test_open_missing_queue_raises(tmp_path):
     with pytest.raises(FileNotFoundError):
         WorkQueue.open(tmp_path / "nope")

@@ -5,13 +5,13 @@ Four invariants the batched integrator promises:
 - **Batch-composition invariance** — a config's result is a function of
   the config alone, never of its shard-mates or its position in the
   batch (the campaign fast path reorders and regroups freely).
-- **Padding no-leak** — in ``pad=True`` mode, masked padding lanes never
-  perturb real lanes.  Below numpy's pairwise-sum regrouping threshold
-  (rows of < 8 elements stay sequential) the padded run is bit-identical
-  to the unpadded one, so the property is testable exactly.
+- **Ragged batches are exact** — configs of different flow counts and
+  AQM families share one lane table; each block's queue law reduces rows
+  of exactly its configs' width, so every member equals its solo run
+  bit-for-bit at any width.
 - **Conservation** — per integration step and per config, packets in =
   packets out: ``backlog_before + arrivals == served + dropped +
-  backlog_after`` for every batched AQM law.
+  backlog_after`` for every block of a mixed-AQM batch.
 - **Poisson transform equivalence** — the scalar reference loop
   ``_poisson_small`` and the vectorized ``_poisson_vector`` implement
   the same function, elementwise and bit-for-bit, across the
@@ -78,55 +78,65 @@ def test_batch_composition_invariance(picks, aqm, shuffle):
 
 @settings(max_examples=5, deadline=None)
 @given(
-    widths=st.lists(st.integers(min_value=1, max_value=3), min_size=2, max_size=5),
-    aqm=st.sampled_from(AQMS),
+    members=st.lists(
+        st.tuples(st.integers(min_value=1, max_value=12), st.sampled_from(AQMS)),
+        min_size=2, max_size=6,
+    ),
     seed=st.integers(min_value=1, max_value=10_000),
 )
-def test_padding_never_leaks(widths, aqm, seed):
-    """pad=True with heterogeneous widths == each config unpadded.
-
-    Widths are capped at 3 flows per node (rows of <= 6 lanes) so every
-    row sum stays below numpy's pairwise regrouping threshold and the
-    comparison can be exact — any difference is a genuine leak from a
-    padding lane into a real one, not float reassociation.
-    """
+def test_ragged_batch_is_exact(members, seed):
+    """Mixed flow counts and mixed AQM families in one batch == each run alone."""
     configs = [
         _config(CCAS[i % len(CCAS)], aqm, seed + i, flows_per_node=w)
-        for i, w in enumerate(widths)
+        for i, (w, aqm) in enumerate(members)
     ]
-    padded = run_fluid_batch(configs, pad=True)
-    for c, r in zip(configs, padded):
+    blocks = {(c.aqm, c.plan.flows_per_node) for c in configs}
+    batched = run_fluid_batch(configs)
+    assert len(batched) == len(configs)
+    for c, r in zip(configs, batched):
         assert _norm(r) == _norm(run_fluid_single(c)), (
-            f"padding leak: {c.cca_pair} over {aqm} at width {c.plan.flows_per_node}"
+            f"{c.cca_pair} over {c.aqm} at width {c.plan.flows_per_node} "
+            f"differs inside a batch of {len(blocks)} blocks"
         )
 
 
 @settings(max_examples=4, deadline=None)
-@given(
-    aqm=st.sampled_from(AQMS),
-    seed=st.integers(min_value=1, max_value=10_000),
-)
-def test_step_conservation(aqm, seed):
-    """Per step and per config: backlog_in + arrivals == served + dropped + backlog_out."""
-    configs = [_config(cca, aqm, seed + i) for i, cca in enumerate(("cubic", "bbrv1", "htcp"))]
+@given(seed=st.integers(min_value=1, max_value=10_000))
+def test_step_conservation(seed):
+    """Per step, per block and per config:
+    backlog_in + arrivals == served + dropped + backlog_out."""
+    configs = [
+        _config(cca, aqm, seed + i, flows_per_node=1 + i % 3)
+        for i, (aqm, cca) in enumerate(
+            (aqm, cca) for aqm in AQMS for cca in ("cubic", "bbrv1", "htcp")
+        )
+    ]
     sim = BatchedFluidSimulation(configs)
-    aqm_obj = sim.aqm
-    orig_step = aqm_obj.step
+    assert len(sim.blocks) > len(AQMS)
     worst = [0.0]
 
-    def checked_step(arrivals, dt, now_s):
-        before = aqm_obj.backlog.sum(axis=1).copy()
-        served, dropped = orig_step(arrivals, dt, now_s)
-        after = aqm_obj.backlog.sum(axis=1)
-        residual = before + arrivals.sum(axis=1) - served.sum(axis=1) - dropped.sum(axis=1) - after
-        worst[0] = max(worst[0], float(np.abs(residual).max()))
-        return served, dropped
+    def checked(block):
+        orig_step = block.step
 
-    aqm_obj.step = checked_step
+        def step(arrivals, dt, now_s):
+            before = block.backlog.sum(axis=1)
+            served, dropped = orig_step(arrivals, dt, now_s)
+            after = block.backlog.sum(axis=1)
+            residual = (
+                before + arrivals.sum(axis=1) - served.sum(axis=1)
+                - dropped.sum(axis=1) - after
+            )
+            worst[0] = max(worst[0], float(np.abs(residual).max()))
+            return served, dropped
+
+        return step
+
+    for block in sim.blocks:
+        block.step = checked(block)
     sim.run(1.0)
     # Residual is pure float reassociation noise; scale tolerance to the
     # largest per-step packet volume involved.
-    scale = max(1.0, float(np.max(aqm_obj.capacity)) * sim.dt)
+    scale = max(1.0, float(np.max(sim.capacity)) * sim.dt)
     assert worst[0] <= 1e-9 * scale, f"conservation violated by {worst[0]} pkts"
 
 
