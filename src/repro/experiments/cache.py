@@ -178,14 +178,24 @@ class ResultCache:
 
     # -- get / put / stats --------------------------------------------------------
 
-    def get(self, config: ExperimentConfig) -> Optional[ExperimentResult]:
-        """Cached result for ``config``, or None (counted as hit/miss)."""
-        d = self._index.get(self.key_for(config))
-        if d is None:
+    def row(self, key: str) -> Optional[Dict[str, Any]]:
+        """The stored row under ``key`` (:meth:`key_for`), or None: the one
+        counted lookup (hit/miss).  ``repro serve`` answers from the row as
+        is, :meth:`get` decodes it; it is the index's own dict, not a copy."""
+        row = self._index.get(key)
+        if row is None:
             self.misses += 1
-            return None
-        self.hits += 1
-        return ExperimentResult.from_dict(d)
+        else:
+            self.hits += 1
+        return row
+
+    def get(
+        self, config: ExperimentConfig, key: Optional[str] = None
+    ) -> Optional[ExperimentResult]:
+        """Cached result for ``config``, or None (counted as hit/miss);
+        ``key`` is ``key_for(config)`` where the caller already computed it."""
+        row = self.row(self.key_for(config) if key is None else key)
+        return None if row is None else ExperimentResult.from_dict(row)
 
     def split(self, configs: Sequence[ExperimentConfig]) -> Tuple[list, list]:
         """Partition ``configs`` into ``(hits, misses)``, one counted :meth:`get` each.
@@ -197,11 +207,12 @@ class ResultCache:
         hits: List[tuple] = []
         misses: List[ExperimentConfig] = []
         for config in configs:
-            result = self.get(config)
+            key = self.key_for(config)
+            result = self.get(config, key)
             if result is None:
                 misses.append(config)
             else:
-                hits.append((result, self._index[self.key_for(config)]))
+                hits.append((result, self._index[key]))
         return hits, misses
 
     def put(self, result: ExperimentResult, row: Optional[Dict[str, Any]] = None) -> bool:
@@ -263,8 +274,10 @@ class ResultCache:
         """
         merged: Dict[str, Dict[str, Any]] = {}
         duplicates = 0
+        held = self._index.get  # an equal row already in memory is kept, not held twice
         for _lineno, d in self.canonical.iter_dicts():
-            merged[self._key_of_dict(d["config"])] = d
+            key = self._key_of_dict(d["config"])
+            merged[key] = d if held(key) != d else held(key)
         shard_files = self.shard_paths()
         for path in shard_files:
             for _lineno, d in ResultStore(path).iter_dicts():
@@ -274,7 +287,7 @@ class ResultCache:
                     if not results_equivalent(have, d):
                         raise CacheConflictError(self._conflict_message(key, have, d))
                     duplicates += 1
-                merged[key] = d  # last write wins
+                merged[key] = d if held(key) != d else held(key)  # last write wins
         tmp = self.canonical.path.with_suffix(".tmp")
         with tmp.open("w", encoding="utf-8") as fh:
             for key in sorted(merged):
@@ -284,9 +297,7 @@ class ResultCache:
         os.replace(tmp, self.canonical.path)
         for path in shard_files:
             path.unlink()
-        if self._shard is not None:
-            self._shard.close()
-            self._shard = None
+        self.close()
         self._index = merged
         return {
             "entries": len(merged),

@@ -15,10 +15,12 @@ paper studies is preserved).
 from __future__ import annotations
 
 import contextlib
+import copy
+import math
 import threading
 import warnings
-from dataclasses import asdict, dataclass, field
-from typing import Any, Callable, Dict, Iterator, Optional, Tuple
+from dataclasses import dataclass, field
+from typing import Any, Callable, Dict, Iterator, List, Optional, Tuple
 
 from repro.cca.registry import canonical_cca_name
 from repro.units import gbps, mbps
@@ -89,14 +91,6 @@ _IR_SUPERSEDED_KNOBS: Tuple[Tuple[str, Callable[[Any], bool], str], ...] = (
     ("faults", lambda v: bool(v), "Scenario.faults"),
 )
 
-#: Fields omitted from the canonical dict when at their legacy-default
-#: values, keeping config hashes, cache keys, stored results, and golden
-#: fixtures byte-identical to the era before each field existed.
-_CANONICAL_OMIT: Tuple[Tuple[str, Callable[[Any], bool]], ...] = (
-    ("faults", lambda v: not v),
-    ("fairness_interval_s", lambda v: v is None),
-)
-
 _legacy_depth = threading.local()
 
 
@@ -159,8 +153,9 @@ class ExperimentConfig:
             raise ValueError(f"unknown AQM {self.aqm!r}")
         if self.engine not in ("packet", "fluid", "fluid_batched"):
             raise ValueError(f"unknown engine {self.engine!r}")
-        if self.duration_s <= 0:
-            raise ValueError("duration must be positive")
+        for name in ("duration_s", "bottleneck_bw_bps", "scale"):
+            if not 0 < getattr(self, name) < math.inf:  # NaN fails too
+                raise ValueError(f"{name} must be positive and finite: {getattr(self, name)!r}")
         if self.warmup_s < 0 or self.warmup_s >= self.duration_s:
             raise ValueError("warmup must be in [0, duration)")
         if self.flows_per_node is not None and self.flows_per_node < 1:
@@ -221,17 +216,36 @@ class ExperimentConfig:
 
         Every identity consumer — the content-addressed cache key, stored
         results, golden fixtures, and the scenario IR façade — derives
-        from this dict.  Tuples become lists, and fields still at their
-        legacy-default values (see ``_CANONICAL_OMIT``) are dropped so the
-        serialized form stays byte-identical across releases that added
-        those fields.
+        from this dict.  Tuples become lists, and ``fairness_interval_s``
+        and ``faults`` are dropped while at their legacy defaults, so the
+        form stays byte-identical to the era before each field existed.
+        Spelled out instead of ``dataclasses.asdict`` (every cache key pays
+        for it); ``tests/experiments/test_config.py`` pins it to both.
         """
-        d = asdict(self)
-        d["cca_pair"] = list(self.cca_pair)
-        d["client_delay_multipliers"] = list(self.client_delay_multipliers)
-        for key, at_default in _CANONICAL_OMIT:
-            if key in d and at_default(d[key]):
-                d.pop(key)
+        d: Dict[str, Any] = {
+            "cca_pair": list(self.cca_pair),
+            "aqm": self.aqm,
+            "buffer_bdp": self.buffer_bdp,
+            "bottleneck_bw_bps": self.bottleneck_bw_bps,
+            "duration_s": self.duration_s,
+            "mss_bytes": self.mss_bytes,
+            "seed": self.seed,
+            "engine": self.engine,
+            "scale": self.scale,
+            "flows_per_node": self.flows_per_node,
+            "warmup_s": self.warmup_s,
+            "ecn_mode": self.ecn_mode,
+            "aqm_params": copy.deepcopy(self.aqm_params) if self.aqm_params else {},
+            "delay_multiplier": self.delay_multiplier,
+            "client_delay_multipliers": list(self.client_delay_multipliers),
+            "trunk_loss_rate": self.trunk_loss_rate,
+            "sample_interval_s": self.sample_interval_s,
+            "queue_monitor_interval_s": self.queue_monitor_interval_s,
+        }
+        if self.fairness_interval_s is not None:
+            d["fairness_interval_s"] = self.fairness_interval_s
+        if self.faults:
+            d["faults"] = copy.deepcopy(self.faults)
         return d
 
     def to_dict(self) -> Dict[str, Any]:

@@ -182,67 +182,66 @@ class SweepService:
             raise BadRequest(f"invalid experiment config: {exc}") from None
 
     async def answer(self, config: ExperimentConfig, *, full: bool = False) -> Dict[str, Any]:
-        """Fairness answer for one config: cache hit, or schedule the run."""
-        cached = self.cache.get(config)
-        if cached is not None:
-            return self._render(config, cached, cached=True, full=full)
-        result = await self._compute(config)
-        return self._render(config, result, cached=False, full=full)
-
-    async def _compute(self, config: ExperimentConfig) -> ExperimentResult:
-        """Run the engine once per key, however many askers are waiting."""
+        """Fairness answer for one config: rendered from the cache's stored
+        row on a hit, else from the one row the scheduled run is put as."""
         key = self.cache.key_for(config)
+        row = self.cache.row(key)
+        if row is not None:
+            return self._render(config, key, row, cached=True, full=full)
+        row = await self._compute(config, key)
+        return self._render(config, key, row, cached=False, full=full)
+
+    async def _compute(self, config: ExperimentConfig, key: str) -> Dict[str, Any]:
+        """Run the engine once per key, however many askers are waiting:
+        all get the one row the engine thread built and the first asker put."""
         future = self._inflight.get(key)
-        if future is None:
-            loop = asyncio.get_running_loop()
-            self._scheduled += 1
-            self.inflight.set(len(self._inflight) + 1)
-            future = loop.run_in_executor(self._executor, run_experiment, config)
-            self._inflight[key] = future
-            try:
-                result = await future
-            finally:
-                self._inflight.pop(key, None)
-                self.inflight.set(len(self._inflight))
-            self.cache.put(result)
-            if self._progress is not None:
-                n = self._scheduled
-                self._progress(n, n, result)
-            return result
-        return await asyncio.shield(future)
+        if future is not None:
+            return (await asyncio.shield(future))[1]
+        loop = asyncio.get_running_loop()
+        self._scheduled += 1
+        self.inflight.set(len(self._inflight) + 1)
+        future = loop.run_in_executor(self._executor, _run_to_row, config)
+        self._inflight[key] = future
+        try:
+            result, row = await future
+        finally:
+            self._inflight.pop(key, None)
+            self.inflight.set(len(self._inflight))
+        self.cache.put(result, row)
+        if self._progress is not None:
+            n = self._scheduled
+            self._progress(n, n, result)
+        return row
 
     def _render(
         self,
         config: ExperimentConfig,
-        result: ExperimentResult,
+        key: str,
+        row: Dict[str, Any],
         *,
         cached: bool,
         full: bool,
     ) -> Dict[str, Any]:
-        fairness = (
-            result.extra.get("fairness") if isinstance(result.extra, dict) else None
-        )
+        """The answer, read off a result row (a missing headline field is
+        a ``KeyError``, i.e. a 500: never a partial answer)."""
+        extra = row.get("extra")
+        extra = extra if isinstance(extra, dict) else {}
+        fairness = extra.get("fairness")
         payload: Dict[str, Any] = {
             "label": config.label(),
-            "key": self.cache.key_for(config),
+            "key": key,
             "cached": cached,
-            "engine": result.engine,
-            "jain_index": result.jain_index,
-            "flow_jain_index": (
-                result.extra.get("flow_jain_index")
-                if isinstance(result.extra, dict)
-                else None
-            ),
-            "link_utilization": result.link_utilization,
-            "total_retransmits": result.total_retransmits,
-            "total_throughput_bps": result.total_throughput_bps,
+            "engine": row["engine"],
+            "jain_index": row["jain_index"],
+            "flow_jain_index": extra.get("flow_jain_index"),
+            "link_utilization": row["link_utilization"],
+            "total_retransmits": row["total_retransmits"],
+            "total_throughput_bps": row["total_throughput_bps"],
             "fairness": fairness,
-            "convergence_time_s": (
-                fairness.get("convergence_time_s") if fairness else None
-            ),
+            "convergence_time_s": fairness.get("convergence_time_s") if fairness else None,
         }
         if full:
-            payload["result"] = result.to_dict()
+            payload["result"] = row
         return payload
 
     # -- HTTP plumbing ------------------------------------------------------------
@@ -290,7 +289,9 @@ class SweepService:
             return 200, "text/plain; version=0.0.4", to_prometheus(self.registry)
         if method == "POST" and route == "/query":
             try:
-                parsed = json.loads(body.decode("utf-8") or "null")
+                parsed = json.loads(
+                    body.decode("utf-8") or "null", parse_constant=_refuse_constant
+                )
             except (json.JSONDecodeError, UnicodeDecodeError) as exc:
                 raise BadRequest(f"request body is not valid JSON: {exc}") from None
             config = self._parse_config(parsed)
@@ -317,6 +318,17 @@ class SweepService:
             self._progress = None
 
 
+def _refuse_constant(name: str) -> None:
+    """``json.loads`` hook: NaN and ±Infinity are not JSON (and would poison the cache)."""
+    raise BadRequest(f"request body is not valid JSON: {name} is not a JSON value")
+
+
+def _run_to_row(config: ExperimentConfig) -> Tuple[ExperimentResult, Dict[str, Any]]:
+    """Engine-thread body of a cold query: the result and its one row."""
+    result = run_experiment(config)
+    return result, result.to_dict()
+
+
 async def _read_request(reader: asyncio.StreamReader) -> Tuple[str, str, bytes]:
     """Parse one HTTP/1.1 request: (method, target, body)."""
     try:
@@ -336,9 +348,12 @@ async def _read_request(reader: asyncio.StreamReader) -> Tuple[str, str, bytes]:
                 length = int(value.strip())
             except ValueError:
                 raise BadRequest(f"bad Content-Length: {value.strip()!r}") from None
-    if length > MAX_BODY_BYTES:
-        raise BadRequest(f"request body over {MAX_BODY_BYTES} bytes")
-    body = await reader.readexactly(length) if length else b""
+    if not 0 <= length <= MAX_BODY_BYTES:
+        raise BadRequest(f"Content-Length {length} not in 0..{MAX_BODY_BYTES} bytes")
+    try:
+        body = await reader.readexactly(length) if length else b""
+    except asyncio.IncompleteReadError as exc:
+        raise BadRequest(f"body ended after {len(exc.partial)} of {length} bytes") from None
     return method, target, body
 
 

@@ -241,6 +241,30 @@ def test_merge_preserves_canonical_entries(tmp_path):
     assert summary["entries"] == 2
 
 
+def test_merge_keeps_the_row_in_memory_where_the_reread_one_equals_it(tmp_path):
+    """merge() re-reads every row from disk.  Where the re-read row equals
+    the one the index holds, the index keeps that object, so a merge never
+    holds every row twice (``grid_cold``'s peak RSS, docs/BENCHMARKING.md
+    "PR 18"); where a later write wins, it is the re-read row as before."""
+    cache = ResultCache(tmp_path, worker="w1")
+    rows = {seed: _result(seed).to_dict() for seed in (1, 2)}
+    for seed, row in rows.items():
+        cache.put(_result(seed), row)
+    # A worker that sorts after w1 left an equivalent seed-2 row: it wins.
+    ResultStore(ResultCache(tmp_path, worker="w2").shard_path).append(_result(2, wallclock=7.0))
+    assert cache.merge() == {"entries": 2, "shards_folded": 2, "duplicates": 1}
+    assert cache.row(cache.key_for(_config(1))) is rows[1]
+    late = cache.row(cache.key_for(_config(2)))
+    assert late is not rows[2] and late["wallclock_s"] == 7.0
+    assert [r.wallclock_s for r in ResultStore(cache.canonical.path).load()] in ([0.5, 7.0], [7.0, 0.5])
+    # Rows re-read from the canonical file are treated alike.
+    first = cache.canonical.path.read_bytes()
+    cache.merge()
+    assert cache.row(cache.key_for(_config(1))) is rows[1]
+    assert cache.row(cache.key_for(_config(2))) is late
+    assert cache.canonical.path.read_bytes() == first
+
+
 # -- the sharding property ----------------------------------------------------------
 
 

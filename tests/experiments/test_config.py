@@ -1,6 +1,12 @@
 """Unit tests for experiment configuration (Tables 1 & 2)."""
 
+import dataclasses
+import json
+import typing
+
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from repro.experiments.config import (
     PAPER_BANDWIDTHS_BPS,
@@ -77,6 +83,13 @@ def test_roundtrip_through_dict():
     {"warmup_s": -1},
     {"warmup_s": 300},
     {"flows_per_node": 0},
+    {"duration_s": float("nan")},
+    {"duration_s": float("inf")},
+    {"bottleneck_bw_bps": 0},
+    {"bottleneck_bw_bps": float("nan")},
+    {"scale": 0},
+    {"scale": -1.0},
+    {"scale": float("inf")},
 ])
 def test_validation(kwargs):
     base = dict(cca_pair=("cubic", "cubic"))
@@ -111,8 +124,6 @@ def test_canonical_dict_is_the_single_identity_form():
 
 
 def test_canonical_dict_roundtrips_every_preset():
-    import json
-
     from repro.experiments.presets import PRESETS
 
     for preset in PRESETS.values():
@@ -120,3 +131,115 @@ def test_canonical_dict_roundtrips_every_preset():
             blob = json.dumps(cfg.canonical_dict(), sort_keys=True)
             again = ExperimentConfig.from_dict(json.loads(blob))
             assert json.dumps(again.canonical_dict(), sort_keys=True) == blob
+
+
+def test_type_hints_resolve():
+    assert typing.get_type_hints(ExperimentConfig)["faults"] == typing.List[
+        typing.Dict[str, typing.Any]
+    ]
+
+
+# -- schema guard for the hand-written canonical_dict --------------------------------
+#
+# ``canonical_dict`` spells its keys out instead of calling
+# ``dataclasses.asdict`` (every cache key, queue task id and stored row
+# pays for it).  Keys and stored bytes must not move, so pin it to the
+# asdict-based form it replaced and to the field list.
+
+
+def _asdict_reference(config):
+    d = dataclasses.asdict(config)
+    d["cca_pair"] = list(config.cca_pair)
+    d["client_delay_multipliers"] = list(config.client_delay_multipliers)
+    if not d["faults"]:
+        d.pop("faults")
+    if d["fairness_interval_s"] is None:
+        d.pop("fairness_interval_s")
+    return d
+
+
+def _same_bytes(config):
+    # Unsorted dumps: equal keys in equal order at every nesting level.
+    return json.dumps(config.canonical_dict()) == json.dumps(_asdict_reference(config))
+
+
+def test_canonical_dict_equals_the_asdict_form_on_every_preset_config():
+    from repro.experiments.presets import PRESETS
+
+    configs = [cfg for preset in PRESETS.values() for cfg in preset.build()]
+    assert len(configs) > 9000
+    assert all(_same_bytes(cfg) for cfg in configs)
+
+
+_real = st.floats(min_value=0.01, max_value=100.0, allow_nan=False)
+_json = st.recursive(
+    st.one_of(st.none(), st.booleans(), st.integers(-5, 5), _real, st.text(max_size=4)),
+    lambda inner: st.one_of(
+        st.lists(inner, max_size=3), st.dictionaries(st.text(max_size=4), inner, max_size=3)
+    ),
+    max_leaves=8,
+)
+_faults = st.lists(
+    st.one_of(
+        st.builds(
+            lambda at, dur: {"kind": "link_flap", "at_s": at, "duration_s": dur, "flush": True},
+            _real, _real,
+        ),
+        st.builds(
+            lambda at, dur: {"kind": "rate_drop", "at_s": at, "duration_s": dur,
+                             "rate_factor": 0.5, "target": "reverse"},
+            _real, _real,
+        ),
+        st.builds(lambda at: {"kind": "queue_flush", "at_s": at}, _real),
+    ),
+    max_size=3,
+)
+_configs = st.builds(
+    lambda **kw: ExperimentConfig.from_dict(kw),
+    cca_pair=st.lists(st.sampled_from(["cubic", "bbr", "reno", "htcp"]), min_size=2, max_size=2),
+    aqm=st.sampled_from(["fifo", "red", "fq_codel", "codel", "pie"]),
+    buffer_bdp=_real,
+    bottleneck_bw_bps=st.sampled_from([1e8, 5e8, 1e9, 2.5e10]),
+    duration_s=st.floats(min_value=1.0, max_value=300.0),
+    seed=st.integers(0, 2**31),
+    scale=_real,
+    flows_per_node=st.one_of(st.none(), st.integers(1, 50)),
+    ecn_mode=st.booleans(),
+    aqm_params=st.dictionaries(st.text(max_size=6), _json, max_size=3),
+    client_delay_multipliers=st.lists(_real, min_size=2, max_size=2),
+    sample_interval_s=st.one_of(st.none(), _real),
+    fairness_interval_s=st.one_of(st.none(), _real),
+    faults=_faults,
+)
+
+
+@settings(max_examples=100, deadline=None)
+@given(_configs)
+def test_canonical_dict_equals_the_asdict_form_on_nested_configs(config):
+    assert _same_bytes(config)
+    d = config.canonical_dict()
+    assert ExperimentConfig.from_dict(json.loads(json.dumps(d))) == config
+    # The dict is the caller's: nothing in it aliases the config.
+    before = _asdict_reference(config)
+    d["cca_pair"].reverse()
+    d["client_delay_multipliers"].append(9.0)
+    d["aqm_params"]["added"] = {"x": 1}
+    for value in d["aqm_params"].values():
+        if isinstance(value, (dict, list)):
+            value.clear()
+    for fault in d.get("faults", []):
+        fault["at_s"] = -1.0
+    d.get("faults", []).clear()
+    assert _asdict_reference(config) == before
+
+
+def test_canonical_dict_lists_every_dataclass_field():
+    """Adding a field without adding it to ``canonical_dict`` must fail here."""
+    loud = ExperimentConfig.from_dict(
+        {
+            "cca_pair": ["cubic", "cubic"],
+            "fairness_interval_s": 1.0,
+            "faults": [{"kind": "link_flap", "at_s": 1.0, "duration_s": 0.5}],
+        }
+    )
+    assert list(loud.canonical_dict()) == [f.name for f in dataclasses.fields(loud)]

@@ -5,20 +5,28 @@ watchdog ("hardened"), queue worker — hands the rows ``campaign.run_task``
 built to one record function (``campaign._recorder``).  Spies count, in the recording process, the rows
 built (``ExperimentResult.to_dict``), the ``ResultCache.put`` calls and the
 reads of the store (``ResultStore.iter_dicts``).
+
+``repro serve`` is held to the same budget per query: a hit costs one cache
+key and decodes nothing (``ExperimentResult.from_dict``,
+``FlowStats.from_dict``), a miss builds one row and puts it once.
 """
 
+import asyncio
 import collections
 import json
 import time
 
 import pytest
 
+import repro.experiments.cache as cache_mod
+import repro.service as service_mod
 from repro.experiments.cache import CacheConflictError, ResultCache
 from repro.experiments.campaign import load_failures, run_campaign, run_task
 from repro.experiments.config import ExperimentConfig
 from repro.experiments.queue import WorkQueue, run_queue_worker
 from repro.experiments.storage import ResultStore, TornWriteWarning
-from repro.metrics.summary import ExperimentResult
+from repro.metrics.summary import ExperimentResult, FlowStats
+from repro.service import SweepService
 from repro.units import mbps
 
 N = 3
@@ -40,21 +48,27 @@ def _configs(engine="fluid", n=N, **kw):
 
 @pytest.fixture
 def spy(monkeypatch):
-    """Call counts of the record path's three costs, in this process."""
+    """Call counts of the record path's costs, in this process."""
     counts = collections.Counter()
 
-    def counting(owner, name):
-        real = getattr(owner, name)
+    def counting(owner, name, count_as=None):
+        raw = vars(owner)[name]
+        real = raw.__func__ if isinstance(raw, classmethod) else raw
 
-        def wrapper(self, *args, **kwargs):
-            counts[name] += 1
-            return real(self, *args, **kwargs)
+        def wrapper(*args, **kwargs):
+            counts[count_as or name] += 1
+            return real(*args, **kwargs)
 
-        monkeypatch.setattr(owner, name, wrapper)
+        monkeypatch.setattr(
+            owner, name, classmethod(wrapper) if isinstance(raw, classmethod) else wrapper
+        )
 
     counting(ExperimentResult, "to_dict")
+    counting(ExperimentResult, "from_dict")
+    counting(FlowStats, "from_dict", "flow_from_dict")
     counting(ResultCache, "put")
     counting(ResultStore, "iter_dicts")
+    counting(cache_mod, "config_key")
     return counts
 
 
@@ -121,6 +135,78 @@ def test_resumed_sweep_reads_the_store_once(tmp_path, spy, path):
     assert [r.to_dict() for r in resumed] == [
         r.to_dict() for r in ResultStore(store.path).load()
     ]
+
+
+def test_split_computes_one_key_per_config(tmp_path, spy):
+    configs = _configs("fluid_batched")
+    with ResultCache(tmp_path / "cache", worker="w") as cache:
+        run_campaign(configs[:2], cache=cache)
+    with ResultCache(tmp_path / "cache", worker="w") as cache:
+        rows = [cache._index.get(cache.key_for(c)) for c in configs]
+        spy.clear()
+        hits, misses = cache.split(configs)
+    assert spy["config_key"] == N
+    assert spy["from_dict"] == 2  # only hits are decoded
+    assert (cache.hits, cache.misses) == (2, 1)
+    assert misses == configs[2:] and len(hits) == 2
+    assert all(row is stored for (_, row), stored in zip(hits, rows))
+
+
+# -- repro serve: one key per query, no decode on a hit, one row per miss ------------
+
+
+def _answers(cache, *asks):
+    """``asks`` are lists of (config, full) answered concurrently, list after list."""
+    async def run():
+        service = SweepService(cache)
+        try:
+            return [
+                await asyncio.gather(*(service.answer(c, full=full) for c, full in ask))
+                for ask in asks
+            ]
+        finally:
+            service.close()
+
+    return asyncio.run(run())
+
+
+def test_serve_hit_costs_one_key_and_decodes_nothing(tmp_path, spy):
+    (config,) = _configs("fluid_batched", 1)
+    with ResultCache(tmp_path / "cache", worker="w") as cache:
+        run_campaign([config], cache=cache)
+        key = cache.key_for(config)
+        for full in (False, True):
+            spy.clear()
+            ((answer,),) = _answers(cache, [(config, full)])
+            assert spy["config_key"] == 1
+            assert spy["from_dict"] == spy["flow_from_dict"] == 0
+            assert spy["to_dict"] == spy["put"] == 0
+            assert answer["cached"] is True and answer["key"] == key
+            if full:
+                assert answer["result"] is cache._index[key]
+
+
+def test_serve_miss_builds_one_row_however_many_askers_wait(tmp_path, spy, monkeypatch):
+    (config,) = _configs("fluid", 1)
+    real, runs = service_mod.run_experiment, []
+
+    def engine(cfg):
+        runs.append(cfg.label())
+        return real(cfg)
+
+    monkeypatch.setattr(service_mod, "run_experiment", engine)
+    with ResultCache(tmp_path / "cache", worker="w") as cache:
+        (first, second), (again,) = _answers(
+            cache, [(config, True), (config, True)], [(config, True)]
+        )
+        assert len(runs) == 1 and (cache.misses, cache.hits, cache.puts) == (2, 1, 1)
+        assert (spy["to_dict"], spy["put"]) == (1, 1)
+        assert spy["from_dict"] == spy["flow_from_dict"] == 0
+        assert spy["config_key"] == 3 + 1  # one per query, one by put
+        assert first["cached"] is second["cached"] is False and again["cached"] is True
+        assert first["result"] is second["result"] is again["result"]
+        assert json.dumps(first, sort_keys=True) == json.dumps(second, sort_keys=True)
+        assert cache.shard_path.read_text() == json.dumps(first["result"], sort_keys=True) + "\n"
 
 
 def _drifting_worker(payload):

@@ -46,22 +46,34 @@ def _fake_result(cfg):
     )
 
 
-async def _request(port, method, path, body=None):
-    """One raw HTTP/1.1 exchange; returns (status, parsed-or-text body)."""
+async def _raw_request(port, request, *, half_close=False):
+    """Send ``request`` bytes as is; returns (status, response body bytes)."""
     reader, writer = await asyncio.open_connection("127.0.0.1", port)
-    payload = b"" if body is None else json.dumps(body).encode()
+    writer.write(request)
+    await writer.drain()
+    if half_close:
+        writer.write_eof()
+    raw = await reader.read()
+    writer.close()
+    await writer.wait_closed()
+    head, _, body = raw.partition(b"\r\n\r\n")
+    return int(head.split(b" ")[1]), body
+
+
+async def _post_bytes(port, payload, method="POST", path="/query"):
+    """One well-framed exchange carrying ``payload`` bytes as is."""
     head = (
         f"{method} {path} HTTP/1.1\r\n"
         f"Host: localhost\r\nContent-Length: {len(payload)}\r\n\r\n"
     )
-    writer.write(head.encode() + payload)
-    await writer.drain()
-    raw = await reader.read()
-    writer.close()
-    await writer.wait_closed()
-    head_part, _, body_part = raw.partition(b"\r\n\r\n")
-    status = int(head_part.split(b" ")[1])
-    text = body_part.decode()
+    return await _raw_request(port, head.encode() + payload)
+
+
+async def _request(port, method, path, body=None):
+    """One raw HTTP/1.1 exchange; returns (status, parsed-or-text body)."""
+    payload = b"" if body is None else json.dumps(body).encode()
+    status, raw = await _post_bytes(port, payload, method, path)
+    text = raw.decode()
     try:
         return status, json.loads(text)
     except json.JSONDecodeError:
@@ -131,14 +143,8 @@ def test_malformed_configs_get_clean_400s(tmp_path, monkeypatch):
             port, "POST", "/query", {**CONFIG, "cca_pair": ["cubic", "not-a-cca"]}
         )
         responses["missing"] = await _request(port, "POST", "/query", {"full": True})
-        reader, writer = await asyncio.open_connection("127.0.0.1", port)
-        writer.write(b"POST /query HTTP/1.1\r\nContent-Length: 9\r\n\r\nnot json!")
-        await writer.drain()
-        raw = await reader.read()
-        writer.close()
-        await writer.wait_closed()
-        head, _, body = raw.partition(b"\r\n\r\n")
-        responses["not_json"] = (int(head.split(b" ")[1]), json.loads(body))
+        status, body = await _post_bytes(port, b"not json!")
+        responses["not_json"] = (status, json.loads(body))
         return responses
 
     r = _serve(tmp_path, monkeypatch, scenario, engine_calls=calls)
@@ -333,3 +339,160 @@ def test_real_engine_end_to_end(tmp_path):
     assert cold["engine"] == "fluid"
     assert warm["fairness"]["samples"], "fairness series served from cache"
     assert cold["jain_index"] == warm["jain_index"]
+
+
+# -- client-side framing and non-JSON literals: 400, never 500 ------------------------
+
+
+def test_bad_content_length_and_short_body_are_400s(tmp_path, monkeypatch):
+    async def scenario(port, service):
+        negative = await _raw_request(
+            port, b"POST /query HTTP/1.1\r\nContent-Length: -5\r\n\r\n{}"
+        )
+        short = await _raw_request(
+            port, b'POST /query HTTP/1.1\r\nContent-Length: 64\r\n\r\n{"cca_pair"',
+            half_close=True,
+        )
+        return negative, short, int(service.errors.value)
+
+    (neg_status, neg_body), (short_status, short_body), errors = _serve(
+        tmp_path, monkeypatch, scenario, engine_calls=[]
+    )
+    assert neg_status == 400 and "Content-Length -5" in json.loads(neg_body)["error"]
+    assert short_status == 400
+    assert "ended after 11 of 64 bytes" in json.loads(short_body)["error"]
+    assert errors == 2
+
+
+@pytest.mark.parametrize(
+    "body",
+    [
+        b'{"cca_pair":["cubic","cubic"],"engine":"fluid","duration_s":NaN}',
+        b'{"cca_pair":["cubic","cubic"],"engine":"fluid","duration_s":Infinity}',
+        b'{"cca_pair":["cubic","cubic"],"engine":"fluid","scale":-Infinity}',
+        b'{"cca_pair":["cubic","cubic"],"engine":"fluid","duration_s":1e999}',
+        b'{"cca_pair":["cubic","cubic"],"engine":"fluid","bottleneck_bw_bps":0}',
+        b'{"cca_pair":["cubic","cubic"],"engine":"fluid","scale":0}',
+        b'{"scenario":{"topology":{"bottleneck_bw_bps":1e8},"flows":[{"cca":"cubic","node":0},'
+        b'{"cca":"cubic","node":1}],"duration_s":NaN},"engine":"fluid"}',
+    ],
+    ids=["nan", "inf", "neg-inf", "overflow", "zero-bw", "zero-scale", "ir-nan"],
+)
+def test_non_finite_and_non_positive_knobs_are_400s(tmp_path, monkeypatch, body):
+    """None of them may reach the engine, let alone the cache."""
+    calls = []
+
+    async def scenario(port, service):
+        status, answer = await _post_bytes(port, body)
+        _, metrics = await _request(port, "GET", "/metrics")
+        return status, json.loads(answer), len(service.cache), metrics
+
+    status, answer, entries, metrics = _serve(
+        tmp_path, monkeypatch, scenario, engine_calls=calls
+    )
+    assert status == 400 and answer["error"]
+    assert calls == [] and entries == 0
+    assert "repro_service_engine_runs_total 0" in metrics
+
+
+# -- the hit path answers from the stored row -----------------------------------------
+
+
+def _populate(root):
+    """Three fluid_batched cells; returns [(legacy body, IR body, config)]."""
+    from repro import api
+
+    docs = [
+        {
+            "topology": {"bottleneck_bw_bps": bw, "buffer_bdp": 2.0},
+            "flows": [
+                {"cca": a, "node": 0, "count": per_node},
+                {"cca": b, "node": 1, "count": per_node},
+            ],
+            "aqm": {"name": aqm},
+            "duration_s": 2.0,
+            "seed": 70 + i,
+            **({"sampling": {"fairness_interval_s": 0.5}} if i else {}),
+        }
+        for i, (a, b, aqm, bw, per_node) in enumerate(
+            [
+                ("cubic", "cubic", "fifo", mbps(100), 1),
+                ("bbrv1", "cubic", "red", mbps(500), 5),
+                ("reno", "cubic", "fq_codel", mbps(1000), 10),
+            ]
+        )
+    ]
+    scenarios = [api.Scenario.from_dict(d) for d in docs]
+    with ResultCache(root, worker="populate") as cache:
+        api.sweep(scenarios, engine="fluid_batched", cache=cache, jobs=1)
+    cells = []
+    for doc, scenario in zip(docs, scenarios):
+        config = api.compile_scenario(scenario, "fluid_batched")
+        cells.append(
+            (config.to_dict(), {"scenario": doc, "engine": "fluid_batched"}, config)
+        )
+    return cells
+
+
+def _reference_body(key, config, row, full):
+    """The answer as rendered before the hit path read the row: decode the
+    row, read the fields off the result, re-serialise for ``full``."""
+    result = ExperimentResult.from_dict(row)
+    fairness = result.extra.get("fairness") if isinstance(result.extra, dict) else None
+    payload = {
+        "label": config.label(),
+        "key": key,
+        "cached": True,
+        "engine": result.engine,
+        "jain_index": result.jain_index,
+        "flow_jain_index": (
+            result.extra.get("flow_jain_index") if isinstance(result.extra, dict) else None
+        ),
+        "link_utilization": result.link_utilization,
+        "total_retransmits": result.total_retransmits,
+        "total_throughput_bps": result.total_throughput_bps,
+        "fairness": fairness,
+        "convergence_time_s": fairness.get("convergence_time_s") if fairness else None,
+    }
+    if full:
+        payload["result"] = result.to_dict()
+    return json.dumps(payload, sort_keys=True).encode()
+
+
+def test_hit_bodies_equal_the_decoded_reference_byte_for_byte(tmp_path, monkeypatch):
+    cells = _populate(tmp_path / "cache")
+    calls = []
+
+    async def scenario(port, service):
+        bodies = []
+        for legacy, ir, config in cells:
+            key = service.cache.key_for(config)
+            row = service.cache._index[key]
+            for full in (False, True):
+                want = _reference_body(key, config, row, full)
+                for dialect in (legacy, ir):
+                    sent = json.dumps({**dialect, "full": full}).encode()
+                    bodies.append((want, await _post_bytes(port, sent)))
+        return bodies, service.cache.hits, service.cache.misses
+
+    bodies, hits, misses = _serve(tmp_path, monkeypatch, scenario, engine_calls=calls)
+    assert len(bodies) == 12 and (hits, misses, calls) == (12, 0, [])
+    for want, (status, got) in bodies:
+        assert status == 200
+        assert got == want
+    # The fixture covers what the renderer branches on: a fairness series
+    # and a row wide enough that decoding it would show.
+    answers = [json.loads(got) for _, (_, got) in bodies]
+    assert any(a["fairness"] for a in answers)
+    assert max(len(a["result"]["flows"]) for a in answers if "result" in a) == 20
+
+
+def test_row_missing_a_headline_field_is_a_500_not_a_partial_answer(tmp_path, monkeypatch):
+    ((legacy, _ir, config), *_rest) = _populate(tmp_path / "cache")
+
+    async def scenario(port, service):
+        del service.cache._index[service.cache.key_for(config)]["jain_index"]
+        return await _request(port, "POST", "/query", legacy)
+
+    status, body = _serve(tmp_path, monkeypatch, scenario, engine_calls=[])
+    assert status == 500 and "jain_index" in body["error"]
