@@ -4,40 +4,90 @@ These are the only benches where pytest-benchmark's repeated-rounds
 timing is the point: they track the simulator's raw speed, which bounds
 how much of the paper's grid the packet engine can cover.
 
-The workload bodies live in :mod:`repro.bench.workloads` so the
-regression harness (``benchmarks/harness.py``) times exactly the same
-code — see docs/BENCHMARKING.md.
+The two bare-engine kernels (event loop, timer churn) have no counterpart
+in the perf ledger; the datapath and fluid cases are also reported there
+as ``sim.events_per_s.fifo`` and ``fluid.scalar.steps_per_s`` — see
+docs/BENCHMARKING.md.
 """
 
-from repro.bench.workloads import (
-    event_loop,
-    fluid_steps,
-    single_flow_datapath,
-    timer_churn,
-)
+import numpy as np
+
+from repro.cca.registry import make_cca
+from repro.fluid.aqm_rules import FluidFifo
+from repro.fluid.cca_rules import make_fluid_cca
+from repro.fluid.model import FluidSimulation
+from repro.sim.engine import Simulator
+from repro.tcp.connection import open_connection
+from repro.testbed.dumbbell import DumbbellConfig, build_dumbbell
+from repro.units import mbps, seconds
 
 
 def test_event_loop_throughput(benchmark):
     """Schedule+dispatch cost of the bare event loop (100k events)."""
-    events, _ = benchmark(event_loop, 100_000)
-    assert events == 100_000
+
+    def event_loop(count):
+        sim = Simulator()
+
+        def noop():
+            pass
+
+        for i in range(count):
+            sim.schedule(i, noop)
+        sim.run()
+        return sim.events_processed
+
+    assert benchmark(event_loop, 100_000) == 100_000
 
 
 def test_timer_churn(benchmark):
     """Cancel/reschedule pattern of TCP retransmission timers."""
-    events, fired = benchmark(timer_churn, 20_000)
-    assert fired == 20_001
+
+    def timer_churn(count):
+        sim = Simulator()
+        state = {"handle": None, "fired": 0}
+
+        def tick(i):
+            state["fired"] += 1
+            if state["handle"] is not None:
+                state["handle"].cancel()
+            if i < count:
+                state["handle"] = sim.schedule(1000, tick, i + 1)
+
+        sim.schedule(0, tick, 0)
+        sim.run()
+        return state["fired"]
+
+    assert benchmark(timer_churn, 20_000) == 20_001
 
 
 def test_single_flow_datapath(benchmark):
     """Full-stack packets/second: one CUBIC flow over the dumbbell."""
-    events, _ = benchmark.pedantic(
-        single_flow_datapath, args=(5.0,), rounds=3, iterations=1
-    )
+
+    def single_flow_datapath(duration_s):
+        db = build_dumbbell(
+            DumbbellConfig(bottleneck_bw_bps=mbps(20.0), buffer_bdp=2.0, mss_bytes=1500, seed=1)
+        )
+        conn = open_connection(db.clients[0], db.servers[0], make_cca("cubic"), mss=1500, flow_id=1)
+        conn.start()
+        db.network.run(seconds(duration_s))
+        return db.sim.events_processed
+
+    events = benchmark.pedantic(single_flow_datapath, args=(5.0,), rounds=3, iterations=1)
     assert events > 10_000
 
 
 def test_fluid_step_throughput(benchmark):
     """Fluid-engine steps/second with a 500-flow population (the 25G tier)."""
-    _, delivered = benchmark.pedantic(fluid_steps, args=(5.0,), rounds=3, iterations=1)
+
+    def fluid_steps(duration_s, n_flows=500):
+        rng = np.random.default_rng(1)
+        flows = [make_fluid_cca("cubic", rng) for _ in range(n_flows)]
+        aqm = FluidFifo(limit_pkts=43_000, capacity_pps=350_000, n_flows=n_flows)
+        sim = FluidSimulation(
+            capacity_pps=350_000, base_rtt_s=0.062, aqm=aqm, flows=flows, arrival_rng=rng
+        )
+        sim.run(duration_s)
+        return int(sim.delivered_total.sum())
+
+    delivered = benchmark.pedantic(fluid_steps, args=(5.0,), rounds=3, iterations=1)
     assert delivered > 0

@@ -704,21 +704,7 @@ def build_parser() -> argparse.ArgumentParser:
     p_serve.set_defaults(func=_cmd_serve)
 
     add_obs_parser(sub)
-
-    p_bench = sub.add_parser(
-        "bench",
-        help="run the pinned-seed benchmark suite and gate on regressions",
-        add_help=False,  # repro.bench.harness owns the full flag set
-    )
-    p_bench.add_argument("bench_args", nargs=argparse.REMAINDER)
-    p_bench.set_defaults(func=_cmd_bench)
     return parser
-
-
-def _cmd_bench(args: argparse.Namespace) -> int:
-    from repro.bench.harness import main as bench_main
-
-    return bench_main(args.bench_args)
 
 
 def _cmd_serve(args: argparse.Namespace) -> int:
@@ -732,6 +718,10 @@ def _cmd_cache_stats(args: argparse.Namespace) -> int:
 
     from repro.experiments.cache import ResultCache
 
+    # Inspecting a cache must not create one (ResultCache() would).
+    if not Path(args.cache_dir).is_dir():
+        print(f"error: no cache directory at {args.cache_dir}", file=sys.stderr)
+        return 2
     cache = ResultCache(args.cache_dir)
     print(json.dumps(cache.stats(), indent=2, sort_keys=True))
     return 0
@@ -742,6 +732,9 @@ def _cmd_cache_merge(args: argparse.Namespace) -> int:
 
     from repro.experiments.cache import ResultCache
 
+    if not Path(args.cache_dir).is_dir():
+        print(f"error: no cache directory at {args.cache_dir}", file=sys.stderr)
+        return 2
     cache = ResultCache(args.cache_dir)
     summary = cache.merge()
     print(json.dumps(summary, indent=2, sort_keys=True))
@@ -751,14 +744,9 @@ def _cmd_cache_merge(args: argparse.Namespace) -> int:
 def main(argv: Optional[List[str]] = None) -> int:
     """CLI entry point; returns the process exit code."""
     argv = list(sys.argv[1:]) if argv is None else list(argv)
-    # Dispatch ``bench`` before argparse: REMAINDER refuses a leading
+    # Dispatch ``serve`` before argparse: REMAINDER refuses a leading
     # option-like token (python/cpython#61252), which would reject
-    # ``repro bench --list``.  The harness owns the whole flag set.
-    if argv and argv[0] == "bench":
-        from repro.bench.harness import main as bench_main
-
-        return bench_main(argv[1:])
-    # Same REMAINDER workaround for ``serve`` (repro.service owns its flags).
+    # ``repro serve --port 0``.  repro.service owns the whole flag set.
     if argv and argv[0] == "serve":
         from repro.service import main as serve_main
 

@@ -153,9 +153,15 @@ class ExperimentConfig:
             raise ValueError(f"unknown AQM {self.aqm!r}")
         if self.engine not in ("packet", "fluid", "fluid_batched"):
             raise ValueError(f"unknown engine {self.engine!r}")
-        for name in ("duration_s", "bottleneck_bw_bps", "scale"):
+        for name in ("duration_s", "bottleneck_bw_bps", "scale", "buffer_bdp",
+                     "mss_bytes", "delay_multiplier"):
             if not 0 < getattr(self, name) < math.inf:  # NaN fails too
                 raise ValueError(f"{name} must be positive and finite: {getattr(self, name)!r}")
+        cdm = self.client_delay_multipliers
+        if len(cdm) != 2 or not (0 < cdm[0] < math.inf and 0 < cdm[1] < math.inf):
+            raise ValueError(f"client_delay_multipliers must be two positive finite numbers: {cdm!r}")
+        if not 0.0 <= self.trunk_loss_rate < 1.0:
+            raise ValueError(f"trunk_loss_rate must be in [0, 1): {self.trunk_loss_rate!r}")
         if self.warmup_s < 0 or self.warmup_s >= self.duration_s:
             raise ValueError("warmup must be in [0, duration)")
         if self.flows_per_node is not None and self.flows_per_node < 1:

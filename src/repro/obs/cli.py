@@ -106,15 +106,6 @@ def render_summary(records: List[Dict[str, Any]], *, source: str = "") -> str:
         if count:
             mean = hist.get("sum", 0.0) / count
             lines.append(f"  {key:<22s} n={count} mean={mean:.1f}")
-    benches = grouped.get("bench") or []
-    if benches:
-        lines.append("bench       :")
-        for b in benches:
-            lines.append(
-                f"  {b.get('name', '?'):<28s} {float(b.get('wall_s', 0.0)):>8.3f}s "
-                f"{_fmt_count(b.get('events', 0)):>10s} ev "
-                f"{_fmt_count(b.get('events_per_sec', 0.0)):>10s} ev/s"
-            )
     spans = grouped.get("span") or []
     if spans:
         phases = _phase_durations(spans)
@@ -178,10 +169,14 @@ def cmd_summary(args: argparse.Namespace) -> int:
         print(f"no run logs under {args.log}", file=sys.stderr)
         return 1
     blocks = []
-    for p in paths:
-        if p.name == "campaign.jsonl":
-            continue
-        blocks.append(render_summary(read_run_log(p), source=str(p)))
+    try:
+        for p in paths:
+            if p.name == "campaign.jsonl":
+                continue
+            blocks.append(render_summary(read_run_log(p), source=str(p)))
+    except (OSError, ValueError) as exc:
+        print(f"{args.log}: {exc}", file=sys.stderr)
+        return 1
     print("\n\n".join(blocks))
     return 0
 
@@ -220,7 +215,11 @@ def cmd_prom(args: argparse.Namespace) -> int:
             print(f"no run logs under {args.log}", file=sys.stderr)
             return 1
         path = max(logs, key=lambda p: p.stat().st_mtime)
-    records = read_run_log(path)
+    try:
+        records = read_run_log(path)
+    except (OSError, ValueError) as exc:
+        print(f"{args.log}: {exc}", file=sys.stderr)
+        return 1
     metrics = [r for r in records if r.get("record") == "metrics"]
     if not metrics:
         print(f"no metrics record in {args.log}", file=sys.stderr)
@@ -237,27 +236,30 @@ def cmd_prom(args: argparse.Namespace) -> int:
 def _tail_render(path: Path) -> Tuple[int, str]:
     """One tail snapshot: (exit code, rendered text)."""
     campaign = path / "campaign.jsonl" if path.is_dir() else path
-    if campaign.exists():
-        return 0, render_campaign_tail(read_run_log(campaign))
-    # No campaign log: fall back to one-line-per-run-log status.
-    paths = _resolve_logs(path)
-    if not paths:
-        return 1, f"nothing to tail under {path}"
-    lines = []
-    for p in paths:
-        try:
-            records = read_run_log(p)
-        except ValueError as exc:
-            lines.append(f"{p.name}: unreadable ({exc})")
-            continue
-        summaries = [r for r in records if r.get("record") == "summary"]
-        if summaries:
-            s = summaries[-1]
-            lines.append(f"{p.name}: {s.get('status')} "
-                         f"({_fmt_count(s.get('events_per_sec', 0.0))} ev/s)")
-        else:
-            lines.append(f"{p.name}: running ({len(records)} records)")
-    return 0, "\n".join(lines)
+    try:
+        if campaign.exists():
+            return 0, render_campaign_tail(read_run_log(campaign))
+        # No campaign log: fall back to one-line-per-run-log status.
+        paths = _resolve_logs(path)
+        if not paths:
+            return 1, f"nothing to tail under {path}"
+        lines = []
+        for p in paths:
+            try:
+                records = read_run_log(p)
+            except ValueError as exc:
+                lines.append(f"{p.name}: unreadable ({exc})")
+                continue
+            summaries = [r for r in records if r.get("record") == "summary"]
+            if summaries:
+                s = summaries[-1]
+                lines.append(f"{p.name}: {s.get('status')} "
+                             f"({_fmt_count(s.get('events_per_sec', 0.0))} ev/s)")
+            else:
+                lines.append(f"{p.name}: running ({len(records)} records)")
+        return 0, "\n".join(lines)
+    except (OSError, ValueError) as exc:
+        return 1, f"{path}: {exc}"
 
 
 def _tail_fingerprint(path: Path) -> Tuple:

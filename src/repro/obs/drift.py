@@ -1,6 +1,6 @@
 """Campaign-level fairness drift detection.
 
-``repro bench`` gates *speed* regressions; this module gates the
+The perf ledger gates *speed* regressions; this module gates the
 *science*: it diffs the per-cell Jain / φ (link utilization) / RR
 (retransmission) distributions between two result sets — two campaign
 stores, a store versus golden fixtures, or a store versus itself — and

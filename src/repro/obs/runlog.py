@@ -23,8 +23,6 @@ first line is always the ``manifest``.  Record types (schema
 - ``profile`` — the event-loop self-profiler's per-kind wall-time
   attribution for the run (kinds, loop wall seconds, coverage, sim/wall
   skew; see docs/TRACING.md).
-- ``bench`` — one benchmark workload's timing row (the bench harness
-  writes run logs too, so ``repro obs summary`` can digest bench runs).
 - ``fairness`` — one fairness-dynamics sample (simulated-time stamp,
   per-sender Jain index, per-flow Jain index, link utilization φ,
   bottleneck queue, per-sender rates; see docs/OBSERVABILITY.md).
@@ -59,7 +57,6 @@ REQUIRED_FIELDS: Dict[str, tuple] = {
     "fault_manifest": ("specs", "events"),
     "span": ("span_id", "name", "cat", "t_start", "dur_s"),
     "profile": ("kinds", "loop_wall_s", "events"),
-    "bench": ("name", "wall_s", "events", "events_per_sec"),
     "fairness": ("t_sim_s", "jain", "phi"),
 }
 

@@ -17,6 +17,8 @@ workers can carry it across process boundaries.
 
 from __future__ import annotations
 
+import hashlib
+import json
 import time
 import traceback as _traceback
 from dataclasses import dataclass, field
@@ -40,17 +42,19 @@ DEFAULT_SAMPLE_INTERVAL_S = 0.1
 
 
 def config_hash(config: Dict[str, Any]) -> str:
-    """Short stable hash of a config dict (same scheme as the bench harness)."""
-    from repro.bench.harness import config_hash as _hash
-
-    return _hash(config)
+    """Short stable hash of a config dict (12 hex of sha-256 over sorted JSON)."""
+    blob = json.dumps(config, sort_keys=True, default=str).encode()
+    return hashlib.sha256(blob).hexdigest()[:12]
 
 
 def peak_rss_kb() -> int:
     """Process high-water RSS in KiB (0 where unavailable)."""
-    from repro.bench.harness import peak_rss_kb as _rss
+    try:
+        import resource
 
-    return _rss()
+        return int(resource.getrusage(resource.RUSAGE_SELF).ru_maxrss)
+    except Exception:  # pragma: no cover - non-POSIX fallback
+        return 0
 
 
 @dataclass

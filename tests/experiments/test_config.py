@@ -76,6 +76,25 @@ def test_roundtrip_through_dict():
     assert cfg2 == cfg
 
 
+#: What TopologySpec refuses, the legacy dialect refuses too.
+_TOPOLOGY_REFUSALS = [
+    {"buffer_bdp": -1},
+    {"buffer_bdp": 0},
+    {"buffer_bdp": float("nan")},
+    {"mss_bytes": 0},
+    {"mss_bytes": -1500},
+    {"trunk_loss_rate": 2.0},
+    {"trunk_loss_rate": 1.0},
+    {"trunk_loss_rate": -0.1},
+    {"trunk_loss_rate": float("nan")},
+    {"delay_multiplier": 0},
+    {"delay_multiplier": float("nan")},
+    {"client_delay_multipliers": (1.0, 0.0)},
+    {"client_delay_multipliers": (float("nan"), 1.0)},
+    {"client_delay_multipliers": (1.0,)},
+]
+
+
 @pytest.mark.parametrize("kwargs", [
     {"aqm": "wred"},
     {"engine": "ns3"},
@@ -90,12 +109,20 @@ def test_roundtrip_through_dict():
     {"scale": 0},
     {"scale": -1.0},
     {"scale": float("inf")},
-])
+] + _TOPOLOGY_REFUSALS)
 def test_validation(kwargs):
     base = dict(cca_pair=("cubic", "cubic"))
     base.update(kwargs)
     with pytest.raises(ValueError):
         ExperimentConfig(**base)
+
+
+def test_scenario_ir_refuses_the_same_topology_inputs():
+    from repro.scenario import ScenarioError, TopologySpec
+
+    for kwargs in _TOPOLOGY_REFUSALS:
+        with pytest.raises(ScenarioError):
+            TopologySpec(**kwargs)
 
 
 def test_paper_constants():

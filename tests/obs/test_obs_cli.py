@@ -1,5 +1,7 @@
 """Unit tests for the `repro obs` subcommand tree."""
 
+import pytest
+
 from repro.cli import main
 from repro.obs.cli import render_campaign_tail, render_summary
 from repro.obs.runlog import RUN_LOG_SCHEMA
@@ -98,13 +100,39 @@ def test_obs_prom_writes_file(tmp_path, capsys):
     assert "repro_x_total 5" in capsys.readouterr().out
 
 
+@pytest.mark.parametrize("damage", ["missing", "corrupt"])
+@pytest.mark.parametrize(
+    "subcommand", ["summary", "validate", "prom", "tail", "trace", "profile"]
+)
+def test_obs_commands_report_unreadable_logs_in_one_line(tmp_path, capsys, subcommand, damage):
+    """A missing file or a corrupt middle line is `<path>: <error>` on
+    stderr and exit 1 on every subcommand, never a traceback."""
+    from repro.obs.runlog import RunLogWriter
+
+    log = tmp_path / "cell.jsonl"
+    if damage == "corrupt":
+        with RunLogWriter(log) as w:
+            w.manifest(label="cell", config={}, config_hash="h",
+                       repro_version="1", seed=1, engine="packet")
+            w.metrics({"counters": {}, "gauges": {}, "histograms": {}})
+            w.summary(status="ok", wall_s=1.0, events=10, events_per_sec=10.0, peak_rss_kb=5)
+        lines = log.read_text().splitlines()
+        lines[1] = lines[1][: len(lines[1]) // 2]
+        log.write_text("\n".join(lines) + "\n")
+    assert main(["obs", subcommand, str(log)]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith(f"{log}: ") and err.count("\n") == 1
+    assert "Traceback" not in err
+    assert ("No such file" in err) if damage == "missing" else ("cell.jsonl:2" in err)
+
+
 def test_obs_empty_dir(tmp_path, capsys):
     empty = tmp_path / "empty"
     empty.mkdir()
     assert main(["obs", "summary", str(empty)]) == 1
 
 
-# -- trace / profile / diff / tail --follow / bench summary -----------------------
+# -- trace / profile / diff / tail --follow ---------------------------------------
 
 
 def _write_traced_log(path, label="cell", seed=1, base=100.0):
@@ -204,25 +232,6 @@ def test_obs_tail_follow_renders_and_exits(tmp_path, capsys):
                  "--interval", "0.05", "--max-updates", "1"]) == 0
     out = capsys.readouterr().out
     assert "2/4 done" in out
-
-
-def test_obs_summary_renders_bench_records(tmp_path, capsys):
-    from repro.obs.runlog import RunLogWriter
-
-    log = tmp_path / "bench.jsonl"
-    with RunLogWriter(log) as w:
-        w.manifest(label="bench_2026-08-06", config={}, config_hash="h",
-                   repro_version="1", seed=0, engine="bench")
-        w.write("bench", name="single_flow_datapath", wall_s=1.25,
-                events=50_000, events_per_sec=40_000.0)
-        w.summary(status="ok", wall_s=1.25, events=50_000,
-                  events_per_sec=40_000.0, peak_rss_kb=1)
-    assert main(["obs", "summary", str(log)]) == 0
-    out = capsys.readouterr().out
-    assert "single_flow_datapath" in out
-    assert "bench" in out
-    # A bench log has no fairness outcome — no J=nan junk line.
-    assert "J=" not in out
 
 
 def test_obs_validate_covers_campaign_log(tmp_path, capsys):

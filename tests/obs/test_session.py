@@ -81,6 +81,82 @@ def test_telemetry_does_not_perturb_outcomes(tmp_path):
     assert plain.total_retransmits == observed.total_retransmits
 
 
+def _single_flow():
+    """One CUBIC flow over the 20 Mbps dumbbell, built but not started."""
+    from repro.cca.registry import make_cca
+    from repro.tcp.connection import open_connection
+    from repro.testbed.dumbbell import DumbbellConfig, build_dumbbell
+
+    db = build_dumbbell(
+        DumbbellConfig(bottleneck_bw_bps=mbps(20), buffer_bdp=2.0, mss_bytes=1500, seed=1)
+    )
+    conn = open_connection(db.clients[0], db.servers[0], make_cca("cubic"), mss=1500, flow_id=1)
+    return db, conn
+
+
+def _transfer(db, conn):
+    from repro.units import seconds
+
+    conn.start()
+    db.network.run(seconds(0.625))
+    return db.sim.events_processed, conn.receiver.bytes_received
+
+
+def test_disabled_telemetry_is_free_on_the_datapath():
+    """Wiring *disabled* telemetry in schedules no event and moves no byte:
+    a disabled registry, NULL-tracer phase spans with no profiler, and a
+    fairness probe with no cadence all end where the bare datapath ends."""
+    from repro.obs.fairness import instrument_packet_fairness
+    from repro.obs.instrument import instrument_experiment
+    from repro.obs.metrics import MetricsRegistry
+    from repro.obs.spans import CAT_RUN, NULL_SPAN_TRACER
+
+    bare = _transfer(*_single_flow())
+    assert bare[0] > 1000 and bare[1] > 0
+
+    db, conn = _single_flow()
+    instrument_experiment(MetricsRegistry(enabled=False), db, [conn.sender], cwnd_interval_ns=None)
+    assert _transfer(db, conn) == bare
+
+    # The way the experiment runner wraps a run when tracing is off.
+    spans = NULL_SPAN_TRACER
+    run_span = spans.start("run", CAT_RUN, labels={})
+    with spans.span("setup"):
+        db, conn = _single_flow()
+    assert db.sim.profiler is None  # the plain (unprofiled) loop must run
+    with spans.span("transfer"):
+        outcome = _transfer(db, conn)
+    run_span.close()
+    assert outcome == bare
+
+    db, conn = _single_flow()
+    sampler = instrument_packet_fairness(
+        db.sim,
+        db.bottleneck_qdisc,
+        db.config.scaled_bottleneck_bps,
+        [(1, 0, lambda: conn.receiver.bytes_received)],
+        None,
+    )
+    assert sampler is None  # a disabled probe must not touch the event loop
+    assert _transfer(db, conn) == bare
+
+
+def test_config_hash_is_the_parent_commits_scheme(tmp_path):
+    """12 hex of sha-256 over sorted-key JSON; literals computed before
+    ``config_hash`` moved here from the deleted bench harness."""
+    from repro.obs.session import config_hash
+
+    cfg = {"seed": 1, "cca_pair": ("bbrv1", "cubic"), "bottleneck_bw_bps": 1e9}
+    assert config_hash(cfg) == "8e5995519de8"
+    assert config_hash(dict(reversed(list(cfg.items())))) == "8e5995519de8"
+    assert config_hash({**cfg, "seed": 2}) != "8e5995519de8"
+
+    session = TelemetrySession.start(_cfg(), TelemetryOptions(dir=str(tmp_path)))
+    session.record_failure(RuntimeError("stop"))
+    manifest = read_run_log(session.run_log_path)[0]
+    assert manifest["config_hash"] == "f153a41f58bf"
+
+
 def test_fluid_run_writes_manifest_and_summary(tmp_path):
     cfg = _cfg(engine="fluid", duration_s=5.0)
     run_experiment(cfg, TelemetryOptions(dir=str(tmp_path)))

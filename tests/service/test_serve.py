@@ -375,8 +375,14 @@ def test_bad_content_length_and_short_body_are_400s(tmp_path, monkeypatch):
         b'{"cca_pair":["cubic","cubic"],"engine":"fluid","scale":0}',
         b'{"scenario":{"topology":{"bottleneck_bw_bps":1e8},"flows":[{"cca":"cubic","node":0},'
         b'{"cca":"cubic","node":1}],"duration_s":NaN},"engine":"fluid"}',
+        b'{"cca_pair":["cubic","cubic"],"engine":"fluid","buffer_bdp":-1}',
+        b'{"cca_pair":["cubic","cubic"],"engine":"fluid","mss_bytes":0}',
+        b'{"cca_pair":["cubic","cubic"],"engine":"fluid","trunk_loss_rate":2.0}',
+        b'{"cca_pair":["cubic","cubic"],"engine":"fluid","delay_multiplier":0}',
+        b'{"cca_pair":["cubic","cubic"],"engine":"packet","client_delay_multipliers":[1,-1]}',
     ],
-    ids=["nan", "inf", "neg-inf", "overflow", "zero-bw", "zero-scale", "ir-nan"],
+    ids=["nan", "inf", "neg-inf", "overflow", "zero-bw", "zero-scale", "ir-nan",
+         "neg-buffer", "zero-mss", "loss-2", "zero-delay", "neg-client-delay"],
 )
 def test_non_finite_and_non_positive_knobs_are_400s(tmp_path, monkeypatch, body):
     """None of them may reach the engine, let alone the cache."""

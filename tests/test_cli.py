@@ -189,6 +189,15 @@ def test_cache_stats_and_merge_commands(tmp_path, capsys):
     assert stats["shards"] == 0 and stats["canonical_exists"] is True
 
 
+@pytest.mark.parametrize("command", ["stats", "merge"])
+def test_cache_commands_refuse_a_missing_root_and_create_nothing(tmp_path, capsys, command):
+    typo = tmp_path / "cahce"
+    assert main(["cache", command, str(typo)]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == "" and str(typo) in captured.err
+    assert not typo.exists()
+
+
 def test_sweep_queue_mode(tmp_path, capsys):
     queue_dir = str(tmp_path / "queue")
     cache_dir = str(tmp_path / "cache")
@@ -210,12 +219,25 @@ def test_sweep_queue_mode(tmp_path, capsys):
 
 def test_serve_help_via_predispatch(capsys):
     """``repro serve --help`` must reach repro.service despite REMAINDER
-    (python/cpython#61252 pre-dispatch, same as bench)."""
+    (python/cpython#61252 pre-dispatch)."""
     with pytest.raises(SystemExit) as exc:
         main(["serve", "--help"])
     assert exc.value.code == 0
     out = capsys.readouterr().out
     assert "--cache" in out and "fairness" in out
+
+
+def test_bench_subcommand_is_gone(capsys):
+    """The perf ledger (BENCHMARK.json) is the repo's one benchmark."""
+    with pytest.raises(SystemExit) as exc:
+        main(["bench"])
+    assert exc.value.code == 2
+    assert "invalid choice: 'bench'" in capsys.readouterr().err
+    with pytest.raises(SystemExit) as exc:
+        main(["--help"])
+    assert exc.value.code == 0
+    out = capsys.readouterr().out
+    assert "serve" in out and "bench" not in out
 
 
 # -- scenario IR surface (docs/SCENARIO.md) -----------------------------------------
