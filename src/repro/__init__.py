@@ -13,8 +13,9 @@ Quickstart (the stable API — :mod:`repro.api`, docs/SCENARIO.md)::
     result = run(Scenario(), engine="fluid")
     print(result.jain_index, result.link_utilization)
 
-The legacy entry points (:class:`ExperimentConfig` + ``run_experiment``)
-remain supported; the scenario IR lowers to them byte-identically.
+A :class:`Scenario` lowers to the engines' config,
+:class:`ExperimentConfig`, which ``run_experiment`` runs directly; both
+spellings of one experiment share one cache key.
 """
 
 from repro._version import __version__

@@ -9,11 +9,9 @@ One import surface for programmatic users, pinned to the scenario IR
     result = run(scenario, engine="fluid")
     report = validate(scenario, engines=("packet", "fluid"))
 
-Everything here is covered by the deprecation policy: names in
-``__all__`` keep working across releases, while engine-specific
-knobs reached through other modules may move behind the IR (with a
-``DeprecationWarning`` first — see ``ExperimentConfig``'s superseded
-constructor arguments).
+Names in ``__all__`` keep working across releases.  A scenario lowers
+to the engines' :class:`~repro.experiments.config.ExperimentConfig`
+through :func:`compile_scenario` and nowhere else.
 """
 
 from __future__ import annotations

@@ -12,8 +12,7 @@ from repro.aqm.fifo import FifoQueue
 from repro.aqm.fq_codel import FqCoDelQueue
 from repro.aqm.pie import PieQueue
 from repro.aqm.red import RedQueue
-
-AQM_NAMES = ("fifo", "red", "fq_codel", "codel", "pie")
+from repro.experiments.config import AQM_NAMES
 
 
 def make_aqm(

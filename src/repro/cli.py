@@ -40,7 +40,12 @@ from repro.analysis.report import (
 from repro.analysis.table3 import build_table3, render_table3
 from repro.analysis.validate import render_claims, validate_claims
 from repro.experiments.campaign import CampaignProgress, run_campaign
-from repro.experiments.config import ExperimentConfig
+from repro.experiments.config import (
+    AQM_NAMES,
+    ENGINES,
+    ExperimentConfig,
+    canonical_engine_name,
+)
 from repro.experiments.matrix import full_matrix
 from repro.experiments.presets import PRESETS, get_preset
 from repro.experiments.runner import run_experiment
@@ -174,7 +179,7 @@ def _scenario_from_args(args: argparse.Namespace) -> Scenario:
 def _cmd_run(args: argparse.Namespace) -> int:
     scenario = _scenario_from_args(args)
     try:
-        cfg = compile_scenario(scenario, args.engine.replace("-", "_"))
+        cfg = compile_scenario(scenario, args.engine)
     except ScenarioError as exc:
         raise SystemExit(f"repro: {exc}")
     telemetry = _telemetry_options(args)
@@ -226,7 +231,7 @@ def _sweep_scenario_configs(args: argparse.Namespace) -> List[ExperimentConfig]:
     import dataclasses
 
     scenario = _load_scenario_file(args.scenario)
-    engine = (args.engine or "packet").replace("-", "_")
+    engine = args.engine or "packet"
     seeds = _parse_seeds(args.seeds) if args.seeds else [scenario.seed]
     try:
         return [
@@ -238,38 +243,25 @@ def _sweep_scenario_configs(args: argparse.Namespace) -> List[ExperimentConfig]:
 
 
 def _cmd_sweep(args: argparse.Namespace) -> int:
-    from repro.experiments.config import legacy_construction
+    import dataclasses
 
+    overrides = {}
     if args.scenario:
         configs = _sweep_scenario_configs(args)
-        if args.limit:
-            configs = configs[: args.limit]
     else:
         configs = get_preset(args.preset)
-        if args.limit:
-            configs = configs[: args.limit]
         if args.engine:
-            import dataclasses
-
-            engine = args.engine.replace("-", "_")
-            with legacy_construction():
-                configs = [dataclasses.replace(cfg, engine=engine) for cfg in configs]
+            overrides["engine"] = args.engine
+    if args.limit:
+        configs = configs[: args.limit]
     if args.fault_profile:
-        import dataclasses
-
         from repro.faults.profiles import get_profile
 
-        profile = get_profile(args.fault_profile)
-        with legacy_construction():
-            configs = [dataclasses.replace(cfg, faults=list(profile)) for cfg in configs]
+        overrides["faults"] = list(get_profile(args.fault_profile))
     if args.fairness is not None:
-        import dataclasses
-
-        with legacy_construction():
-            configs = [
-                dataclasses.replace(cfg, fairness_interval_s=args.fairness)
-                for cfg in configs
-            ]
+        overrides["fairness_interval_s"] = args.fairness
+    if overrides:
+        configs = [dataclasses.replace(cfg, **overrides) for cfg in configs]
     store = ResultStore(args.out) if args.out else None
     telemetry = _telemetry_options(args)
     cache = None
@@ -320,7 +312,7 @@ def _finish_cache(cache, results, *, merge: bool) -> None:
     """Report (and optionally compact) the sweep's cache interaction.
 
     The ``cache: ... engine runs`` line is machine-checked by the CI
-    cache-smoke job: a warm-cache sweep must print ``0 engine runs``.
+    smoke job: a warm-cache sweep must print ``0 engine runs``.
     """
     if merge:
         cache.merge()
@@ -433,7 +425,7 @@ def _cmd_matrix(args: argparse.Namespace) -> int:
 def _cmd_validate(args: argparse.Namespace) -> int:
     scenario = _scenario_from_args(args)
     engines = tuple(
-        part.strip().replace("-", "_")
+        canonical_engine_name(part.strip())
         for part in args.engines.split(",")
         if part.strip()
     )
@@ -447,12 +439,11 @@ def _cmd_validate(args: argparse.Namespace) -> int:
 
 def _cmd_scenario_show(args: argparse.Namespace) -> int:
     scenario = _load_scenario_file(args.scenario_file)
-    engine = args.engine.replace("-", "_")
     print(scenario.canonical_json(indent=2))
     try:
-        print(f"label     : {scenario.label(engine=engine)}")
-        print(f"cache key : {scenario.cache_key(engine=engine, salt=args.salt)} "
-              f"(engine={engine})")
+        print(f"label     : {scenario.label(engine=args.engine)}")
+        print(f"cache key : {scenario.cache_key(engine=args.engine, salt=args.salt)} "
+              f"(engine={args.engine})")
     except ScenarioError as exc:
         print(f"cache key : n/a ({exc})")
     return 0
@@ -504,7 +495,7 @@ def _add_cell_flags(parser: argparse.ArgumentParser) -> None:
     )
     parser.add_argument("--cca1", default="bbrv1")
     parser.add_argument("--cca2", default="cubic")
-    parser.add_argument("--aqm", default="fifo", choices=["fifo", "red", "fq_codel", "codel", "pie"])
+    parser.add_argument("--aqm", default="fifo", choices=AQM_NAMES)
     parser.add_argument("--buffer", type=float, default=2.0, help="queue length in BDP multiples")
     parser.add_argument("--bw", type=parse_rate, default=100e6, help="bottleneck rate, e.g. 100M, 25G")
     parser.add_argument("--duration", type=float, default=30.0)
@@ -526,7 +517,7 @@ def build_parser() -> argparse.ArgumentParser:
     p_run = sub.add_parser("run", help="run a single experiment cell")
     _add_cell_flags(p_run)
     p_run.add_argument(
-        "--engine", default="packet", choices=["packet", "fluid", "fluid-batched"]
+        "--engine", default="packet", type=canonical_engine_name, choices=ENGINES
     )
     p_run.add_argument("--telemetry", action="store_true", help="write a JSONL run log + manifest")
     p_run.add_argument("--telemetry-dir", default=DEFAULT_TELEMETRY_DIR, help="run log directory")
@@ -565,7 +556,8 @@ def build_parser() -> argparse.ArgumentParser:
     p_sweep.add_argument(
         "--engine",
         default=None,
-        choices=["packet", "fluid", "fluid-batched"],
+        type=canonical_engine_name,
+        choices=ENGINES,
         help="override the preset's engine on every config "
         "(fluid-batched runs whole shards as one stacked integration)",
     )
@@ -674,7 +666,8 @@ def build_parser() -> argparse.ArgumentParser:
     p_show.add_argument(
         "--engine",
         default="packet",
-        choices=["packet", "fluid", "fluid-batched"],
+        type=canonical_engine_name,
+        choices=ENGINES,
         help="engine the cache key is computed for (keys are per-engine)",
     )
     p_show.add_argument(
@@ -698,9 +691,20 @@ def build_parser() -> argparse.ArgumentParser:
     p_serve = sub.add_parser(
         "serve",
         help="serve fairness queries from the result cache over HTTP",
-        add_help=False,  # repro.service owns the full flag set
+        description="Serve fairness queries from the content-addressed result cache",
     )
-    p_serve.add_argument("serve_args", nargs=argparse.REMAINDER)
+    p_serve.add_argument("--cache", required=True, help="result cache root directory")
+    p_serve.add_argument("--host", default="127.0.0.1")
+    p_serve.add_argument("--port", type=int, default=8351)
+    p_serve.add_argument(
+        "--jobs", type=int, default=1, help="concurrent engine runs for cold queries"
+    )
+    p_serve.add_argument(
+        "--telemetry-dir",
+        default=None,
+        help="append campaign_progress records for scheduled runs to "
+        "DIR/campaign.jsonl (repro obs tail compatible)",
+    )
     p_serve.set_defaults(func=_cmd_serve)
 
     add_obs_parser(sub)
@@ -708,9 +712,9 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def _cmd_serve(args: argparse.Namespace) -> int:
-    from repro.service import main as serve_main
+    from repro.service import serve
 
-    return serve_main(args.serve_args)
+    return serve(args)
 
 
 def _cmd_cache_stats(args: argparse.Namespace) -> int:
@@ -743,16 +747,10 @@ def _cmd_cache_merge(args: argparse.Namespace) -> int:
 
 def main(argv: Optional[List[str]] = None) -> int:
     """CLI entry point; returns the process exit code."""
-    argv = list(sys.argv[1:]) if argv is None else list(argv)
-    # Dispatch ``serve`` before argparse: REMAINDER refuses a leading
-    # option-like token (python/cpython#61252), which would reject
-    # ``repro serve --port 0``.  repro.service owns the whole flag set.
-    if argv and argv[0] == "serve":
-        from repro.service import main as serve_main
-
-        return serve_main(argv[1:])
     parser = build_parser()
     args = parser.parse_args(argv)
+    if getattr(args, "seeds", None) and not args.scenario:
+        parser.error("sweep --seeds replicates a --scenario document; pass --scenario FILE")
     return args.func(args)
 
 

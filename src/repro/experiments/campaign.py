@@ -124,7 +124,7 @@ class CampaignResult(List[ExperimentResult]):
         #: Results taken from the resume store (no engine run).
         self.resumed = 0
         #: Configs actually handed to an engine this invocation (the number
-        #: the CI cache-smoke job requires to be zero on a warm cache).
+        #: the CI smoke job requires to be zero on a warm cache).
         self.engine_runs = 0
 
     def summary(self) -> Dict[str, int]:

@@ -14,13 +14,10 @@ paper studies is preserved).
 
 from __future__ import annotations
 
-import contextlib
 import copy
 import math
-import threading
-import warnings
 from dataclasses import dataclass, field
-from typing import Any, Callable, Dict, Iterator, List, Optional, Tuple
+from typing import Any, Dict, List, Optional, Tuple
 
 from repro.cca.registry import canonical_cca_name
 from repro.units import gbps, mbps
@@ -81,38 +78,26 @@ def flow_plan(bottleneck_bw_bps: float) -> FlowPlan:
     return PAPER_FLOW_PLANS[nearest]
 
 
-#: Knobs whose *direct* construction is deprecated in favor of the typed
-#: scenario IR sub-specs (repro.scenario; see docs/SCENARIO.md).  Maps
-#: field name -> (is-set predicate, IR equivalent named in the warning).
-_IR_SUPERSEDED_KNOBS: Tuple[Tuple[str, Callable[[Any], bool], str], ...] = (
-    ("sample_interval_s", lambda v: v is not None, "Scenario.sampling.throughput_interval_s"),
-    ("queue_monitor_interval_s", lambda v: v is not None, "Scenario.sampling.queue_interval_s"),
-    ("fairness_interval_s", lambda v: v is not None, "Scenario.sampling.fairness_interval_s"),
-    ("faults", lambda v: bool(v), "Scenario.faults"),
-)
+#: Every engine a config can run on, in canonical order.
+ENGINES: Tuple[str, ...] = ("packet", "fluid", "fluid_batched")
 
-_legacy_depth = threading.local()
+#: Every queue discipline the engines implement (paper Table 1 plus PIE).
+AQM_NAMES: Tuple[str, ...] = ("fifo", "red", "fq_codel", "codel", "pie")
 
 
-@contextlib.contextmanager
-def legacy_construction() -> Iterator[None]:
-    """Suppress IR-supersession warnings for one construction site.
-
-    Internal paths that *re-materialize* configs — ``from_dict`` on stored
-    results, the scenario compilers, campaign workers — are not the
-    deprecated pattern; they wrap construction in this context so only
-    user code building engine-specific knobs directly gets warned.
-    """
-    _legacy_depth.value = getattr(_legacy_depth, "value", 0) + 1
-    try:
-        yield
-    finally:
-        _legacy_depth.value -= 1
+def canonical_engine_name(name: str) -> str:
+    """Map the CLI spelling ``fluid-batched`` to its :data:`ENGINES` name."""
+    return name.replace("-", "_")
 
 
 @dataclass
 class ExperimentConfig:
-    """One cell of the study grid (x one repetition via ``seed``)."""
+    """One cell of the study grid (x one repetition via ``seed``).
+
+    The engines' one input: a :class:`~repro.scenario.Scenario` lowers to
+    it, stored results and cache entries re-materialize it via
+    :meth:`from_dict`.
+    """
 
     cca_pair: Tuple[str, str]
     aqm: str = "fifo"
@@ -121,7 +106,7 @@ class ExperimentConfig:
     duration_s: float = PAPER_DURATION_S
     mss_bytes: int = 8900
     seed: int = 0
-    engine: str = "packet"  # "packet" | "fluid" | "fluid_batched"
+    engine: str = "packet"  # one of ENGINES
     scale: float = 1.0
     #: Override Table 2 (None = derive from the *unscaled* bandwidth).
     flows_per_node: Optional[int] = None
@@ -149,9 +134,9 @@ class ExperimentConfig:
             canonical_cca_name(self.cca_pair[0]),
             canonical_cca_name(self.cca_pair[1]),
         )
-        if self.aqm not in ("fifo", "red", "fq_codel", "codel", "pie"):
+        if self.aqm not in AQM_NAMES:
             raise ValueError(f"unknown AQM {self.aqm!r}")
-        if self.engine not in ("packet", "fluid", "fluid_batched"):
+        if self.engine not in ENGINES:
             raise ValueError(f"unknown engine {self.engine!r}")
         for name in ("duration_s", "bottleneck_bw_bps", "scale", "buffer_bdp",
                      "mss_bytes", "delay_multiplier"):
@@ -166,8 +151,10 @@ class ExperimentConfig:
             raise ValueError("warmup must be in [0, duration)")
         if self.flows_per_node is not None and self.flows_per_node < 1:
             raise ValueError("flows_per_node must be >= 1")
-        if self.fairness_interval_s is not None and self.fairness_interval_s <= 0:
-            raise ValueError("fairness_interval_s must be positive")
+        for name in ("sample_interval_s", "queue_monitor_interval_s", "fairness_interval_s"):
+            value = getattr(self, name)
+            if value is not None and not 0 < value < math.inf:  # NaN fails too
+                raise ValueError(f"{name} must be None or positive and finite: {value!r}")
         if self.faults:
             from repro.faults.spec import normalize_faults
 
@@ -176,16 +163,6 @@ class ExperimentConfig:
             # Validate every spec up front and pin the stable full-dict
             # form (what label() hashes and workers unpickle).
             self.faults = normalize_faults(self.faults)
-        if not getattr(_legacy_depth, "value", 0):
-            for knob, is_set, ir_equivalent in _IR_SUPERSEDED_KNOBS:
-                if is_set(getattr(self, knob)):
-                    warnings.warn(
-                        f"ExperimentConfig.{knob} as a direct constructor "
-                        f"argument is deprecated; declare it on the scenario "
-                        f"IR instead ({ir_equivalent} — see docs/SCENARIO.md)",
-                        DeprecationWarning,
-                        stacklevel=3,
-                    )
 
     @property
     def is_intra_cca(self) -> bool:
@@ -221,7 +198,7 @@ class ExperimentConfig:
         """The one canonical JSON-ready form of this configuration.
 
         Every identity consumer — the content-addressed cache key, stored
-        results, golden fixtures, and the scenario IR façade — derives
+        results, golden fixtures, and the scenario IR's lowering — derives
         from this dict.  Tuples become lists, and ``fairness_interval_s``
         and ``faults`` are dropped while at their legacy defaults, so the
         form stays byte-identical to the era before each field existed.
@@ -264,5 +241,4 @@ class ExperimentConfig:
         d["cca_pair"] = tuple(d["cca_pair"])
         if "client_delay_multipliers" in d:
             d["client_delay_multipliers"] = tuple(d["client_delay_multipliers"])
-        with legacy_construction():
-            return cls(**d)
+        return cls(**d)

@@ -98,15 +98,13 @@ def _smoke() -> List[ExperimentConfig]:
 def _chaos_smoke() -> List[ExperimentConfig]:
     """The smoke grid with the ``chaos`` fault profile layered on every
     cell: a mid-run link flap, a loss burst, and a bandwidth dip.  Used by
-    the CI ``chaos-smoke`` job to exercise the fault path end to end."""
+    the CI ``smoke`` job to exercise the fault path end to end."""
     import dataclasses
 
-    from repro.experiments.config import legacy_construction
     from repro.faults.profiles import get_profile
 
     profile = get_profile("chaos-smoke")
-    with legacy_construction():
-        return [dataclasses.replace(cfg, faults=list(profile)) for cfg in _smoke()]
+    return [dataclasses.replace(cfg, faults=list(profile)) for cfg in _smoke()]
 
 
 PRESETS: Dict[str, Preset] = {

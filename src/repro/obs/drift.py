@@ -16,7 +16,7 @@ tolerances — absolute for Jain and φ (both live in [0, 1]-ish ranges),
 hybrid absolute/relative for retransmit counts (which span orders of
 magnitude across the grid).
 
-Invariant the CI fairness-smoke job pins: a store diffed against itself
+Invariant the CI smoke job's fairness step pins: a store diffed against itself
 reports exactly zero drift — every comparison is ``0.0 > tol`` with the
 same floats on both sides, so there is no tolerance tuning that can make
 self-comparison flap.

@@ -1,20 +1,13 @@
-"""The declarative scenario IR and its per-backend compilers.
+"""The declarative scenario IR and its lowering to the engines.
 
 One scenario language (:class:`Scenario` and its typed sub-specs),
-compiled to every engine (:mod:`repro.scenario.compile`), with a
+lowered for any engine by :func:`compile_scenario`, with a
 cross-engine validation harness (:mod:`repro.scenario.validate`).
 See docs/SCENARIO.md.
 """
 
-from repro.scenario.compile import (
-    COMPILERS,
-    ENGINES,
-    compile_fluid,
-    compile_fluid_batched,
-    compile_packet,
-    compile_scenario,
-    run_scenario,
-)
+from repro.experiments.config import ENGINES
+from repro.scenario.compile import compile_scenario, run_scenario
 from repro.scenario.ir import (
     SCENARIO_VERSION,
     AqmSpec,
@@ -43,10 +36,6 @@ __all__ = [
     "AqmSpec",
     "SamplingSpec",
     "ENGINES",
-    "COMPILERS",
-    "compile_packet",
-    "compile_fluid",
-    "compile_fluid_batched",
     "compile_scenario",
     "run_scenario",
     "EXACT",

@@ -1,61 +1,30 @@
-"""Per-backend compilers: lower one :class:`Scenario` to each engine.
+"""Lower one :class:`Scenario` to the config an engine runs.
 
-The IR describes *what* to simulate; a compiler lowers it to the config
-the chosen backend executes.  All three engines currently share the
-legacy :class:`~repro.experiments.config.ExperimentConfig` as their
-native input, so each compiler is a thin lowering through
-:meth:`Scenario.to_experiment_config` — but the per-engine entry points
-are the contract: a future backend with its own native config plugs in
-here without touching the IR, and engine-specific capability checks
-(e.g. faults are packet-only) surface as :class:`ScenarioError` at
-compile time, not mid-run.
+The IR describes *what* to simulate; :func:`compile_scenario` lowers it
+for the backend named at run time.  All three engines take one
+:class:`~repro.experiments.config.ExperimentConfig`, so lowering is
+:meth:`Scenario.to_experiment_config` behind an engine-name check, and
+whatever a backend cannot express (e.g. faults off the packet engine)
+surfaces as :class:`ScenarioError` at compile time, not mid-run.
 """
 
 from __future__ import annotations
 
-from typing import Any, Callable, Dict, Optional, Tuple
+from typing import Any, Optional
 
-from repro.experiments.config import ExperimentConfig
+from repro.experiments.config import ENGINES, ExperimentConfig
 from repro.metrics.summary import ExperimentResult
 from repro.scenario.ir import Scenario, ScenarioError
-
-#: Every backend a scenario can compile to, in canonical order.
-ENGINES: Tuple[str, ...] = ("packet", "fluid", "fluid_batched")
-
-
-def compile_packet(scenario: Scenario) -> ExperimentConfig:
-    """Lower to the packet-level DES backend."""
-    return scenario.to_experiment_config(engine="packet")
-
-
-def compile_fluid(scenario: Scenario) -> ExperimentConfig:
-    """Lower to the scalar fluid-ODE backend."""
-    return scenario.to_experiment_config(engine="fluid")
-
-
-def compile_fluid_batched(scenario: Scenario) -> ExperimentConfig:
-    """Lower to the vectorized (numpy) fluid backend."""
-    return scenario.to_experiment_config(engine="fluid_batched")
-
-
-#: Engine name -> compiler.
-COMPILERS: Dict[str, Callable[[Scenario], ExperimentConfig]] = {
-    "packet": compile_packet,
-    "fluid": compile_fluid,
-    "fluid_batched": compile_fluid_batched,
-}
 
 
 def compile_scenario(scenario: Scenario, engine: str = "packet") -> ExperimentConfig:
     """Lower ``scenario`` for ``engine``; :class:`ScenarioError` on an
     unknown engine or a scenario the backend cannot express."""
-    try:
-        compiler = COMPILERS[engine]
-    except KeyError:
+    if engine not in ENGINES:
         raise ScenarioError(
             f"engine: unknown backend {engine!r}; choose from {list(ENGINES)}"
-        ) from None
-    return compiler(scenario)
+        )
+    return scenario.to_experiment_config(engine=engine)
 
 
 def run_scenario(

@@ -2,8 +2,8 @@
 
 A :class:`Scenario` is the single, engine-agnostic description of one
 experiment: *what* is simulated (topology, flows, AQM, faults, duration,
-sampling), never *how* (the backend is a runtime flag passed to the
-compilers in :mod:`repro.scenario.compile`).  The IR is:
+sampling), never *how* (the backend is a runtime flag passed to
+:func:`~repro.scenario.compile.compile_scenario`).  The IR is:
 
 - **declarative** — plain frozen dataclasses of typed sub-specs
   (:class:`TopologySpec`, :class:`FlowSpec`, :class:`AqmSpec`,
@@ -13,36 +13,37 @@ compilers in :mod:`repro.scenario.compile`).  The IR is:
   can migrate old files;
 - **canonical** — :meth:`Scenario.canonical_json` is byte-stable under
   field reordering, and :meth:`Scenario.cache_key` is *the same* content
-  address the result cache computes for the equivalent legacy
-  :class:`~repro.experiments.config.ExperimentConfig`, so IR and legacy
-  submissions of one experiment collide on one cache entry;
+  address the result cache computes for the equivalent
+  :class:`~repro.experiments.config.ExperimentConfig`, so a scenario and
+  a config dict of one experiment collide on one cache entry;
 - **a strict superset hook** — ``FlowSpec.start_s`` / ``size_bytes`` and
   ``TopologySpec.kind`` are extension points (mice, finite transfers,
   parking-lot topologies).  Setting them beyond today's engine support
   fails *at compile time* with a clear :class:`ScenarioError`, not midway
   through a run.
 
-The legacy façade: :meth:`Scenario.from_experiment_config` /
-:meth:`Scenario.to_experiment_config` translate losslessly in both
-directions — ``to_experiment_config`` reproduces a byte-identical
-``canonical_dict()``, which is what keeps every golden fixture, cache
-key, and stored result unchanged.  See docs/SCENARIO.md.
+Lowering: :meth:`Scenario.to_experiment_config` lowers the IR to the
+engines' config and :meth:`Scenario.from_experiment_config` lifts one
+back, losslessly in both directions — lowering reproduces a
+byte-identical ``canonical_dict()``, which is what keeps every golden
+fixture, cache key, and stored result unchanged.  See docs/SCENARIO.md.
 """
 
 from __future__ import annotations
 
 import json
+import math
 from dataclasses import dataclass, field, fields
 from typing import Any, Dict, Mapping, Optional, Sequence, Tuple
 
 from repro.cca.registry import canonical_cca_name
-from repro.experiments.config import ExperimentConfig, legacy_construction
+from repro.experiments.config import AQM_NAMES, ExperimentConfig
 from repro.units import mbps
 
 #: Current IR document version.
 SCENARIO_VERSION = 1
 
-#: Topology kinds the compilers can lower today.  "parking_lot" and
+#: Topology kinds the engines can lower today.  "parking_lot" and
 #: friends are reserved extension points: they parse as *names* nowhere —
 #: an unknown kind is rejected at validation with a pointer here.
 TOPOLOGY_KINDS: Tuple[str, ...] = ("dumbbell",)
@@ -103,11 +104,12 @@ class TopologySpec:
             "(parking-lot and asymmetric topologies are planned extension "
             "points — see docs/SCENARIO.md)",
         )
-        _require(self.bottleneck_bw_bps > 0, "topology.bottleneck_bw_bps", "must be positive")
-        _require(self.buffer_bdp > 0, "topology.buffer_bdp", "must be positive")
-        _require(self.mss_bytes > 0, "topology.mss_bytes", "must be positive")
-        _require(self.scale > 0, "topology.scale", "must be positive")
-        _require(self.delay_multiplier > 0, "topology.delay_multiplier", "must be positive")
+        for name in ("bottleneck_bw_bps", "buffer_bdp", "mss_bytes", "scale", "delay_multiplier"):
+            _require(
+                0 < getattr(self, name) < math.inf,
+                f"topology.{name}",
+                "must be positive and finite",
+            )
         _require(
             0.0 <= self.trunk_loss_rate < 1.0,
             "topology.trunk_loss_rate",
@@ -118,9 +120,9 @@ class TopologySpec:
         )
         _require(
             len(self.client_delay_multipliers) == 2
-            and all(m > 0 for m in self.client_delay_multipliers),
+            and all(0 < m < math.inf for m in self.client_delay_multipliers),
             "topology.client_delay_multipliers",
-            "must be two positive per-sender multipliers",
+            "must be two positive finite per-sender multipliers",
         )
 
     def to_dict(self) -> Dict[str, Any]:
@@ -175,8 +177,8 @@ class FlowSpec:
     ``count=None`` means "derive from the paper's Table 2 plan for the
     (unscaled) bottleneck tier".  ``start_s`` and ``size_bytes`` are
     extension points for short-flow (mice) workloads: today the engines
-    only run long-lived elephants starting at t=0, and the compilers
-    refuse anything else rather than silently ignoring it.
+    only run long-lived elephants starting at t=0, and lowering
+    refuses anything else rather than silently ignoring it.
     """
 
     cca: str
@@ -244,7 +246,7 @@ class AqmSpec:
 
     def __post_init__(self) -> None:
         _require(
-            self.name in ("fifo", "red", "fq_codel", "codel", "pie"),
+            self.name in AQM_NAMES,
             "aqm.name",
             f"unknown AQM {self.name!r}",
         )
@@ -284,9 +286,9 @@ class SamplingSpec:
         for name in ("throughput_interval_s", "queue_interval_s", "fairness_interval_s"):
             value = getattr(self, name)
             _require(
-                value is None or (isinstance(value, (int, float)) and value > 0),
+                value is None or (isinstance(value, (int, float)) and 0 < value < math.inf),
                 f"sampling.{name}",
-                f"expected a positive cadence in seconds or null, got {value!r}",
+                f"expected a positive finite cadence in seconds or null, got {value!r}",
             )
 
     def to_dict(self) -> Dict[str, Any]:
@@ -307,7 +309,7 @@ class SamplingSpec:
 class Scenario:
     """One declarative experiment: topology + flows + AQM + faults +
     duration + sampling.  Engine choice is *not* part of the scenario —
-    it is the runtime flag the compilers take."""
+    it is the runtime flag ``compile_scenario`` takes."""
 
     topology: TopologySpec = field(default_factory=TopologySpec)
     flows: Tuple[FlowSpec, ...] = (
@@ -343,7 +345,7 @@ class Scenario:
                     f"flows[{i}].node",
                     "the dumbbell has two sender nodes (0 and 1)",
                 )
-        _require(self.duration_s > 0, "duration_s", "must be positive")
+        _require(0 < self.duration_s < math.inf, "duration_s", "must be positive and finite")
         _require(
             0 <= self.warmup_s < self.duration_s,
             "warmup_s",
@@ -453,7 +455,7 @@ class Scenario:
     def cache_key(self, engine: str = "packet", salt: Optional[str] = None) -> str:
         """The content address a result cache uses for this scenario.
 
-        Delegates to the legacy config's key derivation, so an IR
+        Delegates to the engine config's key derivation, so an IR
         submission and a hand-built :class:`ExperimentConfig` of the same
         experiment are *the same* cache entry.  ``salt=None`` uses the
         release-default salt (see :func:`repro.experiments.cache.default_salt`).
@@ -465,17 +467,17 @@ class Scenario:
         return config_key(self.to_experiment_config(engine=engine), salt)
 
     def label(self, engine: str = "packet") -> str:
-        """Compact id (the legacy config label) for stores and reports."""
+        """Compact id (the engine config label) for stores and reports."""
         return self.to_experiment_config(engine=engine).label()
 
-    # -- legacy façade ------------------------------------------------------------
+    # -- lowering -----------------------------------------------------------------
 
     @classmethod
     def from_experiment_config(cls, config: ExperimentConfig) -> "Scenario":
-        """Lift a legacy config into the IR (lossless; engine dropped).
+        """Lift an engine config into the IR (lossless; engine dropped).
 
         The engine is deliberately *not* captured — pass it back to
-        :meth:`to_experiment_config` (or the compilers) as the runtime
+        :meth:`to_experiment_config` (or ``compile_scenario``) as the runtime
         backend flag.
         """
         return cls(
@@ -511,7 +513,7 @@ class Scenario:
         """Lower the IR to the engines' native config for ``engine``.
 
         Refuses (with a precise :class:`ScenarioError`) any scenario the
-        legacy config cannot express — extension-point fields in use, or
+        engine config cannot express — extension-point fields in use, or
         flow layouts beyond one spec per dumbbell sender node.
         """
         _require(
@@ -552,29 +554,28 @@ class Scenario:
             "per-node flow counts must match (flows_per_node is one knob "
             f"on the engines), got {by_node[0].count} vs {by_node[1].count}",
         )
-        with legacy_construction():
-            try:
-                return ExperimentConfig(
-                    cca_pair=(by_node[0].cca, by_node[1].cca),
-                    aqm=self.aqm.name,
-                    buffer_bdp=self.topology.buffer_bdp,
-                    bottleneck_bw_bps=self.topology.bottleneck_bw_bps,
-                    duration_s=self.duration_s,
-                    mss_bytes=self.topology.mss_bytes,
-                    seed=self.seed,
-                    engine=engine,
-                    scale=self.topology.scale,
-                    flows_per_node=by_node[0].count,
-                    warmup_s=self.warmup_s,
-                    ecn_mode=self.aqm.ecn,
-                    aqm_params=dict(self.aqm.params),
-                    delay_multiplier=self.topology.delay_multiplier,
-                    client_delay_multipliers=tuple(self.topology.client_delay_multipliers),
-                    trunk_loss_rate=self.topology.trunk_loss_rate,
-                    sample_interval_s=self.sampling.throughput_interval_s,
-                    queue_monitor_interval_s=self.sampling.queue_interval_s,
-                    fairness_interval_s=self.sampling.fairness_interval_s,
-                    faults=list(self.faults),
-                )
-            except ValueError as exc:
-                raise ScenarioError(f"engine {engine!r} rejected the scenario: {exc}") from None
+        try:
+            return ExperimentConfig(
+                cca_pair=(by_node[0].cca, by_node[1].cca),
+                aqm=self.aqm.name,
+                buffer_bdp=self.topology.buffer_bdp,
+                bottleneck_bw_bps=self.topology.bottleneck_bw_bps,
+                duration_s=self.duration_s,
+                mss_bytes=self.topology.mss_bytes,
+                seed=self.seed,
+                engine=engine,
+                scale=self.topology.scale,
+                flows_per_node=by_node[0].count,
+                warmup_s=self.warmup_s,
+                ecn_mode=self.aqm.ecn,
+                aqm_params=dict(self.aqm.params),
+                delay_multiplier=self.topology.delay_multiplier,
+                client_delay_multipliers=tuple(self.topology.client_delay_multipliers),
+                trunk_loss_rate=self.topology.trunk_loss_rate,
+                sample_interval_s=self.sampling.throughput_interval_s,
+                queue_monitor_interval_s=self.sampling.queue_interval_s,
+                fairness_interval_s=self.sampling.fairness_interval_s,
+                faults=list(self.faults),
+            )
+        except ValueError as exc:
+            raise ScenarioError(f"engine {engine!r} rejected the scenario: {exc}") from None

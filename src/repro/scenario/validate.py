@@ -31,6 +31,7 @@ import math
 from dataclasses import dataclass, field
 from typing import Any, Callable, Dict, List, Mapping, Optional, Sequence, Tuple
 
+from repro.experiments.config import ENGINES
 from repro.metrics.summary import ExperimentResult
 from repro.obs.drift import (
     DriftReport,
@@ -38,7 +39,7 @@ from repro.obs.drift import (
     detect_drift_cells,
     distributions_from_rows,
 )
-from repro.scenario.compile import ENGINES, run_scenario
+from repro.scenario.compile import run_scenario
 from repro.scenario.ir import Scenario, ScenarioError
 
 #: Engine -> model family.  Same-family pairs must agree bit-for-bit.

@@ -16,7 +16,7 @@ schedules the run when the config has never been computed:
                     the full dynamics series from ``extra["fairness"]``
                     when the config samples them) and ``"cached"`` telling
                     whether an engine ran.  ``{"full": true}`` inlines the
-                    complete result dict.  Both dialects compile to one
+                    complete result dict.  Both shapes compile to one
                     canonical config, so they share cache entries.
 
 Concurrency: identical in-flight queries are *single-flighted* — the
@@ -34,21 +34,22 @@ so ``repro obs tail`` works unchanged.  See docs/SERVICE.md.
 
 from __future__ import annotations
 
-import argparse
 import asyncio
 import json
 import os
 import time
 from pathlib import Path
-from typing import Any, Dict, List, Optional, Tuple
+from typing import Any, Dict, Optional, Tuple
 
 from repro.experiments.cache import ResultCache
 from repro.experiments.campaign import CampaignProgress
-from repro.experiments.config import ExperimentConfig
+from repro.experiments.config import ExperimentConfig, canonical_engine_name
 from repro.experiments.runner import run_experiment
 from repro.metrics.summary import ExperimentResult
 from repro.obs.export import to_prometheus
 from repro.obs.metrics import MetricsRegistry
+from repro.scenario.compile import compile_scenario
+from repro.scenario.ir import Scenario, ScenarioError
 
 #: Request body size cap (a config dict is a few hundred bytes).
 MAX_BODY_BYTES = 1 << 20
@@ -125,57 +126,38 @@ class SweepService:
 
     # -- query path ---------------------------------------------------------------
 
-    #: Request-envelope keys that are not part of a config/scenario body.
-    _ENVELOPE_KEYS = ("full", "engine", "scenario", "config")
-
     def _parse_config(self, body: Dict[str, Any]) -> ExperimentConfig:
-        """Accept either config dialect and lower both to one key space.
+        """Lower either request shape to one key space.
 
-        Legacy: an ``ExperimentConfig`` dict (recognized by ``cca_pair``),
-        bare or under ``"config"``.  IR: a scenario document
-        (docs/SCENARIO.md) under ``"scenario"`` — or bare/under
-        ``"config"``, recognized by its ``topology``/``flows`` fields —
-        with the backend named by a sibling ``"engine"`` (default
-        ``packet``).  Both dialects compile to the same canonical config,
-        so they hit the same cache entries; schema violations surface as
-        HTTP 400s carrying the IR's dotted field path.
+        A bare ``ExperimentConfig`` dict (recognized by ``cca_pair``), or
+        ``{"scenario": <IR document>, "engine": ...}`` (docs/SCENARIO.md;
+        ``engine`` defaults to ``packet``).  Both compile to the same
+        canonical config, so they hit the same cache entries; schema
+        violations surface as HTTP 400s carrying the IR's dotted field path.
         """
         if not isinstance(body, dict):
             raise BadRequest("request body must be a JSON object")
-        engine = body.get("engine", "packet")
-        if not isinstance(engine, str):
-            raise BadRequest(f"'engine' must be a string, got {engine!r}")
-        scenario_doc = body.get("scenario")
-        if scenario_doc is None:
-            candidate = body.get("config", body)
-            if isinstance(candidate, dict) and (
-                "topology" in candidate or "flows" in candidate
-            ):
-                scenario_doc = {
-                    k: v for k, v in candidate.items() if k not in self._ENVELOPE_KEYS
-                }
-        if scenario_doc is not None:
-            from repro.scenario import Scenario, ScenarioError
-
-            if not isinstance(scenario_doc, dict):
+        if "scenario" in body:
+            doc, engine = body["scenario"], body.get("engine", "packet")
+            if not isinstance(doc, dict):
                 raise BadRequest(
                     "'scenario' must be a scenario IR object (docs/SCENARIO.md)"
                 )
+            if not isinstance(engine, str):
+                raise BadRequest(f"'engine' must be a string, got {engine!r}")
             try:
-                scenario = Scenario.from_dict(scenario_doc)
-                return scenario.to_experiment_config(
-                    engine=engine.replace("-", "_")
+                return compile_scenario(
+                    Scenario.from_dict(doc), canonical_engine_name(engine)
                 )
             except ScenarioError as exc:
                 raise BadRequest(f"invalid scenario: {exc}") from None
-        config_dict = body.get("config", body)
-        if not isinstance(config_dict, dict) or "cca_pair" not in config_dict:
+        if "cca_pair" not in body:
             raise BadRequest(
-                "missing experiment config (need at least 'cca_pair'); send "
-                "an ExperimentConfig dict or a scenario IR document under "
-                "'scenario', optionally with 'engine'"
+                "missing experiment config: send an ExperimentConfig dict "
+                "(with at least 'cca_pair'), or a scenario IR document as "
+                '{"scenario": {...}, "engine": "..."}'
             )
-        config_dict = {k: v for k, v in config_dict.items() if k != "full"}
+        config_dict = {k: v for k, v in body.items() if k != "full"}
         try:
             return ExperimentConfig.from_dict(config_dict)
         except (TypeError, ValueError, KeyError, IndexError) as exc:
@@ -380,25 +362,9 @@ async def _serve_forever(service: SweepService, host: str, port: int) -> None:
         await server.serve_forever()
 
 
-def main(argv: Optional[List[str]] = None) -> int:
-    """Entry point for ``repro serve``."""
-    parser = argparse.ArgumentParser(
-        prog="repro serve",
-        description="Serve fairness queries from the content-addressed result cache",
-    )
-    parser.add_argument("--cache", required=True, help="result cache root directory")
-    parser.add_argument("--host", default="127.0.0.1")
-    parser.add_argument("--port", type=int, default=8351)
-    parser.add_argument(
-        "--jobs", type=int, default=1, help="concurrent engine runs for cold queries"
-    )
-    parser.add_argument(
-        "--telemetry-dir",
-        default=None,
-        help="append campaign_progress records for scheduled runs to "
-        "DIR/campaign.jsonl (repro obs tail compatible)",
-    )
-    args = parser.parse_args(argv)
+def serve(args: Any) -> int:
+    """``repro serve``: bind ``args.host:args.port`` and answer queries
+    from the cache at ``args.cache`` until interrupted."""
     cache = ResultCache(args.cache, worker=f"serve{os.getpid()}")
     service = SweepService(
         cache, jobs=args.jobs, telemetry_dir=args.telemetry_dir

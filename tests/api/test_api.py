@@ -1,9 +1,9 @@
-"""The stable top-level API (``repro.api``) and the deprecation policy.
+"""The stable top-level API (``repro.api``).
 
-Pins three things: the advertised surface exists under ``__all__``; the
-IR-superseded ``ExperimentConfig`` knobs warn on *direct* construction
-(pointing at the IR equivalent) while internal re-materialization paths
-stay silent; and the convenience entry points actually run experiments.
+Pins three things: the advertised surface exists under ``__all__``;
+``ExperimentConfig``, the engines' config, constructs with every knob and
+through every re-materialization path without a warning; and the
+convenience entry points actually run experiments.
 """
 
 import warnings
@@ -12,7 +12,7 @@ import pytest
 
 import repro
 import repro.api as api
-from repro.experiments.config import ExperimentConfig, legacy_construction
+from repro.experiments.config import ExperimentConfig
 from repro.scenario import FlowSpec, Scenario, TopologySpec
 from repro.units import mbps
 
@@ -64,21 +64,22 @@ def test_validate_diffs_engines():
     assert report.clean
 
 
-# -- deprecation policy -------------------------------------------------------------
+# -- one config model, no warnings ---------------------------------------------------
 
 
 @pytest.mark.parametrize(
-    "kwargs, ir_equivalent",
+    "kwargs",
     [
-        (dict(faults=[{"kind": "link_flap", "at_s": 1.0, "duration_s": 0.5}]),
-         "Scenario.faults"),
-        (dict(fairness_interval_s=1.0), "Scenario.sampling.fairness_interval_s"),
-        (dict(sample_interval_s=1.0), "Scenario.sampling.throughput_interval_s"),
-        (dict(queue_monitor_interval_s=1.0), "Scenario.sampling.queue_interval_s"),
+        dict(faults=[{"kind": "link_flap", "at_s": 1.0, "duration_s": 0.5}]),
+        dict(fairness_interval_s=1.0),
+        dict(sample_interval_s=1.0),
+        dict(queue_monitor_interval_s=1.0),
     ],
+    ids=["faults", "fairness", "sample", "queue-monitor"],
 )
-def test_direct_engine_knobs_warn_and_point_at_the_ir(kwargs, ir_equivalent):
-    with pytest.warns(DeprecationWarning, match=ir_equivalent.replace(".", r"\.")):
+def test_engine_knobs_construct_without_warnings(kwargs):
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
         ExperimentConfig(cca_pair=("cubic", "cubic"), **kwargs)
 
 
@@ -95,19 +96,8 @@ def test_internal_rematerialization_paths_do_not_warn():
         faults=[{"kind": "link_flap", "at_s": 1.0, "duration_s": 0.5}],
     )
     with warnings.catch_warnings():
-        warnings.simplefilter("error", DeprecationWarning)
+        warnings.simplefilter("error")
         # from_dict (stored results, cache index, campaign workers)...
-        ExperimentConfig.from_dict(cfg.to_dict())
-        # ...the IR compilers...
-        Scenario.from_experiment_config(cfg).to_experiment_config()
-        # ...and explicit legacy_construction sites.
-        with legacy_construction():
-            ExperimentConfig(cca_pair=("cubic", "cubic"), fairness_interval_s=1.0)
-
-
-def test_legacy_construction_nesting_restores_warnings():
-    with legacy_construction():
-        with legacy_construction():
-            pass
-    with pytest.warns(DeprecationWarning):
-        ExperimentConfig(cca_pair=("cubic", "cubic"), fairness_interval_s=1.0)
+        assert ExperimentConfig.from_dict(cfg.to_dict()) == cfg
+        # ...and the scenario lowering.
+        assert Scenario.from_experiment_config(cfg).to_experiment_config() == cfg

@@ -109,7 +109,17 @@ _TOPOLOGY_REFUSALS = [
     {"scale": 0},
     {"scale": -1.0},
     {"scale": float("inf")},
-] + _TOPOLOGY_REFUSALS)
+] + _TOPOLOGY_REFUSALS + [
+    # Sampling cadences: None, or positive and finite (SamplingSpec's rule).
+    {"fairness_interval_s": float("inf")},
+    {"fairness_interval_s": float("nan")},
+    {"sample_interval_s": -1},
+    {"sample_interval_s": 0},
+    {"sample_interval_s": float("inf")},
+    {"queue_monitor_interval_s": float("nan")},
+    {"queue_monitor_interval_s": 0},
+    {"queue_monitor_interval_s": -0.5},
+])
 def test_validation(kwargs):
     base = dict(cca_pair=("cubic", "cubic"))
     base.update(kwargs)

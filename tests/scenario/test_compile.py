@@ -1,9 +1,9 @@
-"""Per-backend compilers and the run entry point."""
+"""The one lowering (``compile_scenario``) and the run entry point."""
 
 import pytest
 
+import repro.scenario
 from repro.scenario import (
-    COMPILERS,
     ENGINES,
     FlowSpec,
     Scenario,
@@ -30,7 +30,24 @@ def _cell(**overrides):
 
 
 def test_every_engine_has_a_compiler():
-    assert set(COMPILERS) == set(ENGINES) == {"packet", "fluid", "fluid_batched"}
+    """One engine vocabulary, defined once in the config module; no
+    per-engine compiler wrappers."""
+    import re
+    from pathlib import Path
+
+    from repro.experiments import config
+
+    assert ENGINES is config.ENGINES == ("packet", "fluid", "fluid_batched")
+    # The submodule and its one lowering; no per-engine compiler or table.
+    exported = {n for n in dir(repro.scenario) if n.lower().startswith("compil")}
+    assert exported == {"compile", "compile_scenario"}
+    src = Path(config.__file__).parents[1]
+    definitions = [
+        (path.name, name)
+        for path in sorted(src.rglob("*.py"))
+        for name in re.findall(r"^(ENGINES|AQM_NAMES)\b[^=\n]*=", path.read_text(), re.M)
+    ]
+    assert definitions == [("config.py", "ENGINES"), ("config.py", "AQM_NAMES")]
 
 
 @pytest.mark.parametrize("engine", ENGINES)

@@ -100,6 +100,31 @@ def test_document_type_errors_are_scenario_errors():
         Scenario.from_dict({"flows": "cubic"})
 
 
+@pytest.mark.parametrize(
+    "text, path",
+    [
+        ('{"topology": {"bottleneck_bw_bps": 1e999}, "duration_s": 1e999}',
+         "topology.bottleneck_bw_bps"),
+        ('{"duration_s": Infinity}', "duration_s"),
+        ('{"topology": {"buffer_bdp": 1e999}}', "topology.buffer_bdp"),
+        ('{"topology": {"scale": Infinity}}', "topology.scale"),
+        ('{"topology": {"client_delay_multipliers": [1, 1e999]}}',
+         "topology.client_delay_multipliers"),
+        ('{"sampling": {"queue_interval_s": 1e999}}', "sampling.queue_interval_s"),
+    ],
+    ids=["bw-and-duration", "duration", "buffer", "scale", "client-delay", "sampling"],
+)
+def test_non_finite_values_are_refused_with_their_path(text, path):
+    """A scenario that could never lower is refused where it is built."""
+    with pytest.raises(ScenarioError, match=path.replace(".", r"\.")):
+        Scenario.from_dict(json.loads(text))
+
+
+def test_non_finite_topology_refused_on_direct_construction():
+    with pytest.raises(ScenarioError, match=r"topology\.bottleneck_bw_bps"):
+        Scenario(topology=TopologySpec(bottleneck_bw_bps=float("inf")))
+
+
 # -- canonical form -----------------------------------------------------------------
 
 

@@ -191,18 +191,28 @@ def test_legacy_and_ir_queries_share_one_cache_entry(tmp_path, monkeypatch):
     assert legacy["key"] == ir["key"]
 
 
-def test_bare_ir_document_is_recognized(tmp_path, monkeypatch):
-    """An IR body without the 'scenario' envelope still parses (detected
-    by its topology/flows fields), with 'full'/'engine' as siblings."""
-    body = {**SCENARIO_BODY["scenario"], "engine": "fluid", "full": True}
+@pytest.mark.parametrize(
+    "body",
+    [
+        {**SCENARIO_BODY["scenario"], "engine": "fluid", "full": True},
+        {"config": CONFIG},
+        {"config": SCENARIO_BODY["scenario"], "engine": "fluid"},
+    ],
+    ids=["bare-ir", "config-envelope", "config-envelope-ir"],
+)
+def test_only_the_two_request_shapes_are_accepted(tmp_path, monkeypatch, body):
+    """A bare ExperimentConfig dict or {"scenario": ..., "engine": ...};
+    anything else is a 400 naming both, and never runs an engine."""
+    calls = []
 
     async def scenario(port, service):
-        return await _request(port, "POST", "/query", body)
+        status, answer = await _request(port, "POST", "/query", body)
+        return status, answer, len(service.cache)
 
-    status, resp = _serve(tmp_path, monkeypatch, scenario, engine_calls=[])
-    assert status == 200
-    assert resp["engine"] == "fluid"
-    assert resp["result"]["config"]["seed"] == 3
+    status, answer, entries = _serve(tmp_path, monkeypatch, scenario, engine_calls=calls)
+    assert status == 400
+    assert "cca_pair" in answer["error"] and '"scenario"' in answer["error"]
+    assert calls == [] and entries == 0
 
 
 def test_ir_schema_errors_get_clean_400s(tmp_path, monkeypatch):
@@ -380,9 +390,14 @@ def test_bad_content_length_and_short_body_are_400s(tmp_path, monkeypatch):
         b'{"cca_pair":["cubic","cubic"],"engine":"fluid","trunk_loss_rate":2.0}',
         b'{"cca_pair":["cubic","cubic"],"engine":"fluid","delay_multiplier":0}',
         b'{"cca_pair":["cubic","cubic"],"engine":"packet","client_delay_multipliers":[1,-1]}',
+        b'{"cca_pair":["cubic","cubic"],"engine":"fluid","duration_s":2,"fairness_interval_s":1e999}',
+        b'{"cca_pair":["cubic","cubic"],"engine":"packet","duration_s":2,"sample_interval_s":-1}',
+        b'{"cca_pair":["cubic","cubic"],"engine":"packet","queue_monitor_interval_s":0}',
+        b'{"scenario":{"topology":{"bottleneck_bw_bps":1e999}},"engine":"fluid"}',
     ],
     ids=["nan", "inf", "neg-inf", "overflow", "zero-bw", "zero-scale", "ir-nan",
-         "neg-buffer", "zero-mss", "loss-2", "zero-delay", "neg-client-delay"],
+         "neg-buffer", "zero-mss", "loss-2", "zero-delay", "neg-client-delay",
+         "fairness-overflow", "neg-sample", "zero-queue-monitor", "ir-overflow-bw"],
 )
 def test_non_finite_and_non_positive_knobs_are_400s(tmp_path, monkeypatch, body):
     """None of them may reach the engine, let alone the cache."""

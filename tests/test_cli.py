@@ -146,7 +146,7 @@ def test_parser_rejects_unknown_choices():
 
 
 def test_sweep_with_cache_warm_second_pass(tmp_path, capsys):
-    """The cache: line is the CI cache-smoke contract — a second sweep
+    """The cache: line is the CI smoke job's contract — a second sweep
     against the same cache (fresh store, so resume can't mask it) must
     report zero engine runs."""
     cache_dir = str(tmp_path / "cache")
@@ -217,14 +217,48 @@ def test_sweep_queue_mode(tmp_path, capsys):
     assert "completed 0 runs" in capsys.readouterr().out
 
 
-def test_serve_help_via_predispatch(capsys):
-    """``repro serve --help`` must reach repro.service despite REMAINDER
-    (python/cpython#61252 pre-dispatch)."""
+def test_serve_help_lists_its_flags(capsys):
+    """``repro serve`` is an ordinary subcommand of the one command tree."""
     with pytest.raises(SystemExit) as exc:
         main(["serve", "--help"])
     assert exc.value.code == 0
     out = capsys.readouterr().out
-    assert "--cache" in out and "fairness" in out
+    for flag in ("--cache", "--port", "--jobs", "--telemetry-dir"):
+        assert flag in out
+    assert "fairness" in out
+
+
+def test_serve_flags_parse_in_the_command_tree(tmp_path):
+    args = build_parser().parse_args(["serve", "--cache", str(tmp_path), "--port", "0"])
+    assert (args.cache, args.port, args.host, args.jobs) == (str(tmp_path), 0, "127.0.0.1", 1)
+    assert args.telemetry_dir is None
+
+
+@pytest.mark.parametrize("spelling", ["fluid-batched", "fluid_batched"])
+def test_engine_flag_accepts_both_spellings(tmp_path, capsys, spelling):
+    parser = build_parser()
+    assert parser.parse_args(["run", "--engine", spelling]).engine == "fluid_batched"
+    assert parser.parse_args(["sweep", "--engine", spelling]).engine == "fluid_batched"
+    cell = _write_cell(tmp_path)
+    assert main(["scenario", "show", cell, "--engine", spelling]) == 0
+    assert "(engine=fluid_batched)" in capsys.readouterr().out
+
+
+@pytest.mark.parametrize("command", [["run"], ["sweep"], ["scenario", "show", "cell.json"]])
+def test_unknown_engine_is_an_argparse_error(capsys, command):
+    with pytest.raises(SystemExit) as exc:
+        main(command + ["--engine", "ns3"])
+    assert exc.value.code == 2
+    assert "ns3" in capsys.readouterr().err
+
+
+def test_sweep_seeds_without_scenario_is_an_argparse_error(tmp_path, capsys):
+    with pytest.raises(SystemExit) as exc:
+        main(["sweep", "--preset", "smoke", "--engine", "fluid", "--seeds", "7,8",
+              "--limit", "1", "--out", str(tmp_path / "r.jsonl")])
+    assert exc.value.code == 2
+    assert "--scenario" in capsys.readouterr().err
+    assert not (tmp_path / "r.jsonl").exists()
 
 
 def test_bench_subcommand_is_gone(capsys):
@@ -316,6 +350,17 @@ def test_scenario_show_prints_canonical_form_and_cache_key(tmp_path, capsys):
         flows_per_node=1, duration_s=5.0, seed=3, engine="fluid",
     )
     assert key.group(1) == config_key(cfg, default_salt())
+
+
+def test_scenario_show_refuses_non_finite_documents(tmp_path, capsys):
+    path = tmp_path / "inf.json"
+    path.write_text('{"topology": {"bottleneck_bw_bps": 1e999}, "duration_s": 1e999}')
+    with pytest.raises(SystemExit) as exc:
+        main(["scenario", "show", str(path)])
+    assert exc.value.code != 0
+    assert "topology.bottleneck_bw_bps" in str(exc.value)
+    out = capsys.readouterr().out
+    assert "Infinity" not in out and "Infinity" not in str(exc.value)
 
 
 def test_validate_command_fluid_pair(tmp_path, capsys):
