@@ -10,16 +10,13 @@ as ``sim.events_per_s.fifo`` and ``fluid.scalar.steps_per_s`` — see
 docs/BENCHMARKING.md.
 """
 
-import numpy as np
-
 from repro.cca.registry import make_cca
-from repro.fluid.aqm_rules import FluidFifo
-from repro.fluid.cca_rules import make_fluid_cca
-from repro.fluid.model import FluidSimulation
+from repro.experiments.config import ExperimentConfig
+from repro.fluid.batched import PerFlowFluidSimulation
 from repro.sim.engine import Simulator
 from repro.tcp.connection import open_connection
 from repro.testbed.dumbbell import DumbbellConfig, build_dumbbell
-from repro.units import mbps, seconds
+from repro.units import gbps, mbps, seconds
 
 
 def test_event_loop_throughput(benchmark):
@@ -77,15 +74,15 @@ def test_single_flow_datapath(benchmark):
 
 
 def test_fluid_step_throughput(benchmark):
-    """Fluid-engine steps/second with a 500-flow population (the 25G tier)."""
+    """``engine="fluid"`` steps/second with a 500-flow population (the 25G tier)."""
 
-    def fluid_steps(duration_s, n_flows=500):
-        rng = np.random.default_rng(1)
-        flows = [make_fluid_cca("cubic", rng) for _ in range(n_flows)]
-        aqm = FluidFifo(limit_pkts=43_000, capacity_pps=350_000, n_flows=n_flows)
-        sim = FluidSimulation(
-            capacity_pps=350_000, base_rtt_s=0.062, aqm=aqm, flows=flows, arrival_rng=rng
+    def fluid_steps(duration_s):
+        config = ExperimentConfig(
+            cca_pair=("cubic", "cubic"), aqm="fifo", buffer_bdp=2.0,
+            bottleneck_bw_bps=gbps(25), duration_s=duration_s, engine="fluid", seed=1,
         )
+        sim = PerFlowFluidSimulation([config])
+        assert sim.offsets[-1] == 500
         sim.run(duration_s)
         return int(sim.delivered_total.sum())
 

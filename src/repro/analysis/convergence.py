@@ -11,8 +11,8 @@ Two API levels:
 
 - the ``series_*`` functions operate on raw ``(times, values)`` series
   and are **engine-agnostic** — the fairness probe
-  (:mod:`repro.obs.fairness`) feeds them samples from the packet DES,
-  the scalar fluid integrator, and the batched fluid backend alike;
+  (:mod:`repro.obs.fairness`) feeds them samples from the packet DES
+  and both fluid engines alike;
 - the result-level wrappers (:func:`jain_series`,
   :func:`convergence_time_s`, :func:`fairness_half_life_s`) keep the
   original packet-sampled ``ExperimentResult`` workflow working on top

@@ -132,6 +132,8 @@ class ResultCache:
         self.hits = 0
         self.misses = 0
         self.puts = 0
+        #: Stale rows the last :meth:`refresh`/:meth:`merge` skipped.
+        self.stale = 0
         self.refresh()
 
     # -- identity -----------------------------------------------------------------
@@ -140,8 +142,13 @@ class ResultCache:
         """This cache's content address for ``config`` (salt included)."""
         return config_key(config, self.salt)
 
-    def _key_of_dict(self, config_dict: Dict[str, Any]) -> str:
-        return config_key(ExperimentConfig.from_dict(config_dict), self.salt)
+    def _key_of_dict(self, config_dict: Dict[str, Any]) -> Optional[str]:
+        """The key of a stored config, or None where this release refuses it
+        (an older one answered inputs it did not model): a *stale* row."""
+        try:
+            return config_key(ExperimentConfig.from_dict(config_dict), self.salt)
+        except ValueError:
+            return None
 
     # -- layout -------------------------------------------------------------------
 
@@ -161,13 +168,20 @@ class ResultCache:
 
         Within the scan, later occurrences of a key overwrite earlier
         ones (canonical first, then shards in sorted order) — the same
-        last-write-wins rule :meth:`merge` applies durably.
+        last-write-wins rule :meth:`merge` applies durably.  Stale rows
+        are skipped and counted in :attr:`stale`, so their configs miss.
         """
         index: Dict[str, Dict[str, Any]] = {}
+        stale = 0
         for store in [self.canonical] + [ResultStore(p) for p in self.shard_paths()]:
             for _lineno, d in store.iter_dicts():
-                index[self._key_of_dict(d["config"])] = d
+                key = self._key_of_dict(d["config"])
+                if key is None:
+                    stale += 1
+                else:
+                    index[key] = d
         self._index = index
+        self.stale = stale
         return len(index)
 
     def __len__(self) -> int:
@@ -252,6 +266,7 @@ class ResultCache:
             "hits": self.hits,
             "misses": self.misses,
             "puts": self.puts,
+            "stale": self.stale,
             "shards": len(self.shard_paths()),
             "canonical_exists": self.canonical.path.exists(),
         }
@@ -267,21 +282,28 @@ class ResultCache:
         raises :class:`CacheConflictError`.  The canonical store is
         rewritten atomically (temp file + rename), sorted by key so the
         merged file is deterministic regardless of shard arrival order.
+        Stale rows (see :meth:`refresh`) are counted and not written back.
 
         Call this from a single owner while shard writers are quiescent
         (end of a sweep, a cron compaction); concurrent appenders to a
         shard being folded would lose their tail.
         """
         merged: Dict[str, Dict[str, Any]] = {}
-        duplicates = 0
+        duplicates = stale = 0
         held = self._index.get  # an equal row already in memory is kept, not held twice
         for _lineno, d in self.canonical.iter_dicts():
             key = self._key_of_dict(d["config"])
+            if key is None:
+                stale += 1
+                continue
             merged[key] = d if held(key) != d else held(key)
         shard_files = self.shard_paths()
         for path in shard_files:
             for _lineno, d in ResultStore(path).iter_dicts():
                 key = self._key_of_dict(d["config"])
+                if key is None:
+                    stale += 1
+                    continue
                 have = merged.get(key)
                 if have is not None:
                     if not results_equivalent(have, d):
@@ -299,10 +321,12 @@ class ResultCache:
             path.unlink()
         self.close()
         self._index = merged
+        self.stale = stale
         return {
             "entries": len(merged),
             "shards_folded": len(shard_files),
             "duplicates": duplicates,
+            "stale": stale,
         }
 
     def close(self) -> None:

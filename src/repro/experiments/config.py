@@ -114,7 +114,7 @@ class ExperimentConfig:
     ecn_mode: bool = False
     aqm_params: Dict[str, Any] = field(default_factory=dict)
     delay_multiplier: float = 1.0
-    #: Per-sender access-delay stretch (packet engine; RTT unfairness).
+    #: Per-sender access-delay stretch (packet engine only; RTT unfairness).
     client_delay_multipliers: Tuple[float, float] = (1.0, 1.0)
     trunk_loss_rate: float = 0.0
     sample_interval_s: Optional[float] = None
@@ -155,6 +155,8 @@ class ExperimentConfig:
             value = getattr(self, name)
             if value is not None and not 0 < value < math.inf:  # NaN fails too
                 raise ValueError(f"{name} must be None or positive and finite: {value!r}")
+        if self.engine != "packet":
+            self._refuse_unmodelled_knobs()
         if self.faults:
             from repro.faults.spec import normalize_faults
 
@@ -163,6 +165,33 @@ class ExperimentConfig:
             # Validate every spec up front and pin the stable full-dict
             # form (what label() hashes and workers unpickle).
             self.faults = normalize_faults(self.faults)
+
+    def _refuse_unmodelled_knobs(self) -> None:
+        """Refuse what the fluid engines would silently ignore.
+
+        They model one base RTT for every flow, a lossless trunk and
+        drop-only AQMs, and read RED's knobs only; an answer without the
+        knob would be cached under the knob's key.
+        """
+        unmodelled = []
+        if self.ecn_mode:
+            unmodelled.append("ecn_mode")
+        if self.aqm == "codel":
+            unmodelled.append("aqm='codel'")
+        if self.client_delay_multipliers[0] != 1.0 or self.client_delay_multipliers[1] != 1.0:
+            unmodelled.append("client_delay_multipliers")
+        if self.trunk_loss_rate > 0:
+            unmodelled.append("trunk_loss_rate")
+        if self.aqm_params:
+            from repro.fluid.batched import RED_KNOBS
+
+            read = RED_KNOBS if self.aqm == "red" else ()
+            unmodelled += [f"aqm_params[{k!r}]" for k in self.aqm_params if k not in read]
+        if unmodelled:
+            raise ValueError(
+                f"the {self.engine} engine does not model {', '.join(unmodelled)}; "
+                "use the packet engine"
+            )
 
     @property
     def is_intra_cca(self) -> bool:

@@ -4,8 +4,8 @@ The packet engine builds the paper's dumbbell, opens the Table 2 flow
 complement (client1 -> server1 with ``cca_pair[0]``, client2 -> server2
 with ``cca_pair[1]``), runs the clock for ``duration_s`` of simulated
 time, and aggregates per-flow counters into per-sender statistics, Jain's
-index, link utilization, and retransmission totals.  The fluid engine is
-dispatched to :mod:`repro.fluid.runner`.
+index, link utilization, and retransmission totals.  The fluid engines
+are dispatched to :mod:`repro.fluid.batched`.
 """
 
 from __future__ import annotations
@@ -49,22 +49,18 @@ def run_experiment(
     (every flow/queue statistic is bit-identical with it on or off; only
     ``events_processed`` additionally counts the sampler's timer events).
     """
-    if config.engine in ("fluid", "fluid_batched"):
-        if config.engine == "fluid":
-            from repro.fluid.runner import run_fluid_experiment as fluid_run
-        else:
-            # One-config shard of the batched integrator — bit-identical
-            # to the scalar path (see repro.fluid.batched), so campaign
-            # fallbacks that run batched configs one at a time are exact.
-            from repro.fluid.batched import run_fluid_single as fluid_run
+    if config.engine != "packet":
+        # A one-config shard of the fluid integrator, with the round rule
+        # the engine names (see repro.fluid.batched).
+        from repro.fluid.batched import run_fluid_single
 
         session = TelemetrySession.start(config, telemetry)
         if session is None:
-            return fluid_run(config)
+            return run_fluid_single(config)
         try:
             with session.spans.span("run", CAT_RUN, label=config.label(),
                                     engine=config.engine, seed=config.seed):
-                result = fluid_run(config)
+                result = run_fluid_single(config)
         except Exception as exc:
             session.record_failure(exc)
             raise

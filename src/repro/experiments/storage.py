@@ -208,11 +208,16 @@ class ResultStore:
         passes a list as ``found``: each matching row is appended to it as
         ``(label, result, row)`` in store order, so resuming reads the
         file once rather than once for the labels and again to load.
+        A row whose config this release refuses (an older one answered
+        inputs it did not model) is skipped, so resume recomputes it.
         """
         labels: Set[str] = set()
         for lineno, d in self.iter_dicts():
             result = self._result_of(lineno, d)
-            label = ExperimentConfig.from_dict(result.config).label()
+            try:
+                label = ExperimentConfig.from_dict(result.config).label()
+            except ValueError:
+                continue
             labels.add(label)
             if found is not None and label in wanted:
                 found.append((label, result, d))

@@ -9,21 +9,30 @@ packet engine, but at mean-field granularity — which makes the paper's
 10/25 Gbps tiers (tens of millions of packets per run) tractable in pure
 Python/NumPy.
 
+One integrator (:mod:`repro.fluid.batched`) runs both fluid engines:
+``fluid`` updates each flow's round with its own rule object,
+``fluid_batched`` with vector kernels over a whole shard of configs.
+Both model one base RTT for every flow, a lossless trunk and drop-only
+AQMs; :class:`~repro.experiments.config.ExperimentConfig` refuses a fluid
+config that asks for more.
+
 Cross-validated against the packet engine on the low-bandwidth tiers in
 ``tests/integration/test_engine_agreement.py``.
 """
 
-from repro.fluid.batched import BatchedFluidSimulation, run_fluid_batch, run_fluid_single
-from repro.fluid.model import FluidSimulation
-from repro.fluid.runner import run_fluid_experiment
+from repro.fluid.batched import (
+    BatchedFluidSimulation,
+    PerFlowFluidSimulation,
+    run_fluid_batch,
+    run_fluid_single,
+)
 from repro.fluid.state import plan_shards, shard_key
 
 __all__ = [
     "BatchedFluidSimulation",
-    "FluidSimulation",
+    "PerFlowFluidSimulation",
     "plan_shards",
     "run_fluid_batch",
-    "run_fluid_experiment",
     "run_fluid_single",
     "shard_key",
 ]

@@ -1,25 +1,38 @@
-"""Batched fluid backend: advance a whole shard of configs in lock-step.
+"""The fluid integrator: advance a whole shard of configs in lock-step.
 
-Every per-flow quantity of the scalar integrator becomes one flat *lane
-table*: a 1-D array over the flows of every config in the shard, config
-``c`` owning the lanes ``[offsets[c], offsets[c + 1])``.  Rates, arrival
-noise, accumulators and the CCA round updates run once per step over the
-whole table; only the AQM drop laws run per *block* — a run of configs
-of one (AQM family, flow count), whose lanes a queue law sees as a
-C-contiguous ``(n_configs, n_flows)`` view, so every row reduction has
-the shape and contiguity the scalar oracle's has.  The scalar path
-(:mod:`repro.fluid.model` + the rule classes) remains the **oracle**:
-for every CCA x AQM cell the batched backend reproduces its per-flow
-results bit-for-bit (``tests/fluid/test_batched_vs_scalar.py``), which
-is what licenses using the fast path for the paper's 810 x 5 grid.
+Time advances in fixed steps of ``base_rtt / DEFAULT_STEPS_PER_RTT``.
+Every per-flow quantity is one flat *lane table*: a 1-D array over the
+flows of every config in the shard, config ``c`` owning the lanes
+``[offsets[c], offsets[c + 1])``.  Each step:
 
-The bitwise contract rests on three properties:
+1. every lane's send rate comes from its window (``cwnd/RTT_eff``) or its
+   pacing rate, clipped by the BBR inflight cap, and Poisson burst
+   arrivals are drawn around it;
+2. the AQM drop laws run per *block* — a run of configs of one (AQM,
+   flow count), whose lanes a queue law sees as a C-contiguous
+   ``(n_configs, n_flows)`` view — and serve up to ``capacity * dt``;
+3. round accumulators collect delivered/lost segments, and lanes whose
+   round timer (one effective RTT) expired get a round update.
+
+Rates and queues are in **segments**; results convert with the MSS.
+
+One integrator, two round-update rules.  :class:`BatchedFluidSimulation`
+(``engine="fluid_batched"``) updates the due lanes with the vector
+kernels below, one call per CCA per step.  :class:`PerFlowFluidSimulation`
+(``engine="fluid"``) hands each due lane to its own
+:class:`~repro.fluid.cca_rules.FluidCca` object.  The per-flow rules are
+the **oracle**: for every CCA x AQM cell the vector kernels reproduce
+their results bit-for-bit (``tests/fluid/test_batched_vs_scalar.py``),
+which is what licenses the fast path for the paper's 810 x 5 grid.
+
+The bitwise contract, and a config's independence from its shard-mates,
+rest on three properties:
 
 1. all randomness is positionally consumed from per-config streams
    (:mod:`repro.fluid.noise`), so draws do not depend on batch
    composition;
 2. every arithmetic expression is either IEEE-exact (``+ - * /``,
-   comparisons) or routed through the same numpy kernel in both paths
+   comparisons) or routed through the same numpy kernel in both rules
    (``exp/log/sqrt/cbrt/power``) — the shared laws live in
    :mod:`repro.fluid.cca_rules` / :mod:`repro.fluid.aqm_rules`;
 3. the rare per-lane draws of the BBR state machines (collapse lottery,
@@ -40,7 +53,6 @@ from repro.experiments.config import ExperimentConfig
 from repro.fluid.aqm_rules import (
     evict_fattest,
     red_drop_probability,
-    red_ewma_gain,
     pie_probability_step,
     shared_queue_serve,
     waterfill_rows,
@@ -59,6 +71,8 @@ from repro.fluid.cca_rules import (
     CUBIC_FRIENDLY_INC,
     INIT_CWND,
     RATE_FLOOR_PPS,
+    FluidCca,
+    RoundInfo,
     aimd_backoff,
     bbr_bdp,
     cubic_epoch_k,
@@ -71,16 +85,17 @@ from repro.fluid.cca_rules import (
     hystart_exit_eta,
     slow_start_next,
 )
-from repro.fluid.model import DEFAULT_STEPS_PER_RTT
 from repro.fluid.noise import UniformTable, chunk_steps_for, poisson_from_uniform
 from repro.fluid.runner import (
     FluidGeometry,
     build_fluid_result,
     flow_cca_names,
     fluid_geometry,
+    make_fluid_flows,
 )
 from repro.fluid.state import (
     CCA_CODE,
+    DEFAULT_STEPS_PER_RTT,
     RATE_BASED_CODES,
     block_key,
     plan_shards,
@@ -96,26 +111,28 @@ _CYCLE_ARR = np.asarray(BBR_CYCLE)
 
 _RENO_BETA = 0.5
 
-#: AQM families that draw a per-flow drop lottery every step.
+#: AQMs that draw a per-flow drop lottery every step.
 _LOTTERY_FAMILIES = frozenset({"red", "pie"})
 
 
-# --- batched AQMs ------------------------------------------------------------
+# --- queue laws --------------------------------------------------------------
 
 
 class _BatchAqm:
     """Queue law of one block: one row of flow backlogs per config.
 
     ``lanes`` is the block's range of the integrator's lane table;
-    ``backlog`` (``(n_configs, n_flows)``) and ``total_dropped`` are views
-    into the integrator's arrays, updated in place.
+    ``backlog`` and ``delay`` (``(n_configs, n_flows)``) and
+    ``total_dropped`` are views into the integrator's arrays, updated in
+    place.
     """
 
-    def __init__(self, lanes: slice, limit, capacity, backlog, total_dropped):
+    def __init__(self, lanes: slice, limit, capacity, backlog, delay, total_dropped):
         self.lanes = lanes
         self.limit = limit
         self.capacity = capacity
         self.backlog = backlog
+        self.delay = delay
         self.total_dropped = total_dropped
 
     def rows(self, table: np.ndarray) -> np.ndarray:
@@ -138,13 +155,41 @@ class _BatchAqm:
         self.total_dropped += tail.sum(axis=1)
         return served, tail
 
+    def _early_drop(self, arrivals, p_eff, u, dt):
+        """Poisson early drops at per-row rate ``p_eff``, then serve.
+
+        A row whose rate is 0 draws 0 drops, so when every row's is 0 the
+        transform is skipped: the lottery row ``u`` was consumed all the
+        same.
+        """
+        if not p_eff.any():
+            return self._serve(arrivals, dt)
+        u = u.reshape(arrivals.shape)
+        early = np.minimum(arrivals, poisson_from_uniform(arrivals * p_eff[:, None], u))
+        self.total_dropped += early.sum(axis=1)
+        served, tail = self._serve(arrivals - early, dt)
+        return served, early + tail
+
 
 class _BatchFifo(_BatchAqm):
+    """Drop-tail: no early drops; overflow is tail-dropped."""
+
     def step(self, arrivals, dt, now_s):
         return self._serve(arrivals, dt)
 
 
+#: The ``aqm_params`` keys :class:`_BatchRed` reads.  A fluid config with
+#: any other key is refused (``ExperimentConfig.__post_init__``).
+RED_KNOBS = ("min_th", "max_th", "max_p", "weight", "gentle")
+
+
 class _BatchRed(_BatchAqm):
+    """RED's EWMA ramp applied to (Poisson-sampled) early drops.
+
+    Thresholds default to the classic 30/90 packets, clamped to the buffer,
+    as in :class:`repro.aqm.red.RedQueue`.
+    """
+
     def __init__(self, *views, lottery: UniformTable, params: Sequence[dict]):
         super().__init__(*views)
         self.lottery = lottery
@@ -162,26 +207,35 @@ class _BatchRed(_BatchAqm):
         self.min_th = np.asarray(min_th)
         self.max_th = np.asarray(max_th)
         self.max_p = np.asarray(max_p)
-        self.weight = np.asarray(weight)
+        #: Per-packet EWMA retention, ``1 - weight``.
+        self.keep = 1.0 - np.asarray(weight)
         self.gentle = np.asarray(gentle)
         self.avg = np.zeros(len(params))
 
     def step(self, arrivals, dt, now_s):
-        u = self.lottery.next_row().reshape(arrivals.shape)
+        u = self.lottery.next_row()
+        # Per-packet EWMA folded over this step's arrivals; when idle the
+        # average decays toward the instantaneous queue instead.
         n_arr = arrivals.sum(axis=1)
-        exponent = np.where(n_arr > 0, n_arr, self.capacity * dt)
-        w_eff = red_ewma_gain(self.weight, exponent)
+        exponent = n_arr if n_arr.all() else np.where(n_arr > 0, n_arr, self.capacity * dt)
+        w_eff = 1.0 - np.power(self.keep, exponent)
         self.avg += w_eff * (self.backlog.sum(axis=1) - self.avg)
+        if (self.avg < self.min_th).all():  # below the ramp: p is 0 everywhere
+            return self._serve(arrivals, dt)
         p = red_drop_probability(self.avg, self.min_th, self.max_th, self.max_p, self.gentle)
-        p_eff = np.minimum(1.0, 2.0 * p)
-        # lam == 0 maps to 0 drops, so inactive-ramp rows need no gating.
-        early = np.minimum(arrivals, poisson_from_uniform(arrivals * p_eff[:, None], u))
-        self.total_dropped += early.sum(axis=1)
-        served, tail = self._serve(arrivals - early, dt)
-        return served, early + tail
+        # Floyd/Jacobson count-uniformization spaces drops uniformly over
+        # [1, 1/p_b] packets, i.e. an effective rate of ~2*p_b.
+        return self._early_drop(arrivals, np.minimum(1.0, 2.0 * p), u, dt)
 
 
 class _BatchPie(_BatchAqm):
+    """PIE's PI controller over the shared queue (mean-field form).
+
+    The drop probability integrates the queueing-delay error at the RFC's
+    15 ms cadence with the same magnitude-scaled gains as
+    :class:`repro.aqm.pie.PieQueue`.
+    """
+
     TARGET_S = 0.015
     T_UPDATE_S = 0.015
     ALPHA = 0.125
@@ -195,7 +249,7 @@ class _BatchPie(_BatchAqm):
         self._since_update_s = 0.0
 
     def step(self, arrivals, dt, now_s):
-        u = self.lottery.next_row().reshape(arrivals.shape)
+        u = self.lottery.next_row()
         self._since_update_s += dt
         while self._since_update_s >= self.T_UPDATE_S:
             self._since_update_s -= self.T_UPDATE_S
@@ -205,15 +259,18 @@ class _BatchPie(_BatchAqm):
                 self.TARGET_S, self.ALPHA, self.BETA,
             )
             self.qdelay_old_s = qdelay
-        early = np.minimum(
-            arrivals, poisson_from_uniform(arrivals * self.drop_prob[:, None], u)
-        )
-        self.total_dropped += early.sum(axis=1)
-        served, tail = self._serve(arrivals - early, dt)
-        return served, early + tail
+        return self._early_drop(arrivals, self.drop_prob, u, dt)
 
 
 class _BatchFqCodel(_BatchAqm):
+    """Per-flow fair queueing with an approximate CoDel controller per flow.
+
+    Service is max-min fair (the DRR fluid limit).  Each flow's sojourn is
+    its backlog over its fair-share rate; once it has exceeded ``TARGET_S``
+    for ``INTERVAL_S``, the flow sheds packets at the CoDel control-law
+    rate sqrt(count)/interval, escalating while the sojourn stays high.
+    """
+
     TARGET_S = 0.005
     INTERVAL_S = 0.100
 
@@ -234,31 +291,33 @@ class _BatchFqCodel(_BatchAqm):
         sojourn = backlog / share_pps[:, None]
 
         above = (sojourn > self.TARGET_S) & (backlog > 1.0)
-        fresh = above & (self.above_since < 0)
-        above_since = np.where(fresh, now_s, self.above_since)
-        above_since = np.where(above, above_since, -1.0)
+        since = self.above_since
+        since = np.where(above, np.where(since < 0, now_s, since), -1.0)
         count = np.where(above, self.count, np.floor(self.count / 2.0))
         credit = np.where(above, self.drop_credit, 0.0)
 
-        dropping = above & (now_s - above_since >= self.INTERVAL_S)
-        rate = np.sqrt(count + 1.0) / self.INTERVAL_S
-        credit = np.where(dropping, credit + rate * dt, credit)
-        drops = np.where(dropping, np.floor(credit), 0.0)
-        credit = credit - drops
-        drops = np.minimum(drops, backlog)
-        count = count + drops
-        backlog = backlog - drops
+        dropping = above & (now_s - since >= self.INTERVAL_S)
+        drops = np.zeros(backlog.shape)
+        if dropping.any():
+            rate = np.sqrt(count + 1.0) / self.INTERVAL_S
+            credit = np.where(dropping, credit + rate * dt, credit)
+            drops = np.where(dropping, np.floor(credit), 0.0)
+            credit = credit - drops
+            drops = np.minimum(drops, backlog)
+            count = count + drops
+            backlog = backlog - drops
 
         # Shared memory limit: evict from the fattest flows, one config's
-        # row at a time so the argsort permutation matches the scalar
-        # oracle's.
+        # row at a time so the argsort permutation does not depend on the
+        # block's other rows.
         excess = backlog.sum(axis=1) - self.limit
-        width = backlog.shape[1]
-        for c in np.nonzero(excess > 1e-12)[0]:
-            evict_fattest(backlog[c], drops[c], float(self.limit[c]), float(excess[c]), width)
+        if excess.max() > 1e-12:
+            width = backlog.shape[1]
+            for c in np.flatnonzero(excess > 1e-12):
+                evict_fattest(backlog[c], drops[c], float(self.limit[c]), float(excess[c]), width)
 
         self.backlog[...] = backlog
-        self.above_since = above_since
+        self.above_since = since
         self.count = count
         self.drop_credit = credit
         self.total_dropped += drops.sum(axis=1)
@@ -271,7 +330,7 @@ class _BatchFqCodel(_BatchAqm):
         return self.backlog / share_pps[:, None]
 
 
-# --- the batched integrator --------------------------------------------------
+# --- the integrator ----------------------------------------------------------
 
 
 class BatchedFluidSimulation:
@@ -279,9 +338,9 @@ class BatchedFluidSimulation:
 
     All configs must share the lock-step key (base RTT, duration, warmup,
     fairness cadence); AQM and flow count may differ.  Blocks are the
-    consecutive runs of one (AQM family, flow count) in the order given:
-    any order is correct, :func:`repro.fluid.state.plan_shards` hands over
-    the one with fewest blocks.
+    consecutive runs of one (AQM, flow count) in the order given: any
+    order is correct, :func:`repro.fluid.state.plan_shards` hands over the
+    one with fewest blocks.  Round updates run the vector CCA kernels.
     """
 
     def __init__(self, configs: Sequence[ExperimentConfig]):
@@ -308,8 +367,8 @@ class BatchedFluidSimulation:
         if (self.capacity <= 0).any() or (limit <= 0).any():
             raise ValueError("limit and capacity must be positive")
 
-        # Per-config streams; same names the scalar runner uses.  Per-lane
-        # draw streams (BBR lotteries) are created lazily on first use.
+        # Per-config streams, one per named consumer.  Per-lane draw
+        # streams (BBR lotteries) are created lazily on first use.
         self._rngs = [RngStreams(c.seed) for c in configs]
         self._lane_gens: Dict[int, np.random.Generator] = {}
 
@@ -325,22 +384,6 @@ class BatchedFluidSimulation:
                 0.0, 0.1, size=self.widths[c]
             )
         self.start_times = starts
-        # Lanes ordered by CCA code, and where each code's run starts: a
-        # step's due lanes, taken in this order, reach each kernel as one
-        # contiguous slice.
-        self._by_code = np.argsort(self.cca_code, kind="stable")
-        self._code_edges = np.searchsorted(
-            self.cca_code[self._by_code], np.arange(len(CCA_CODE) + 1)
-        )
-        self._kernels = [
-            (CCA_CODE[name], kernel)
-            for name, kernel in (
-                ("reno", self._round_reno), ("cubic", self._round_cubic),
-                ("htcp", self._round_htcp), ("bbrv1", self._round_bbrv1),
-                ("bbrv2", self._round_bbrv2),
-            )
-        ]
-        present = set(np.unique(self.cca_code).tolist())
 
         # Queue state: per-lane backlog and the delay it implies (refreshed
         # after every queue step), per-config early+tail drop totals.
@@ -379,6 +422,36 @@ class BatchedFluidSimulation:
         self.round_started_at = starts.copy()
         self.delivered_total = np.zeros(L)
         self.dropped_total = np.zeros(L)
+        self._init_kernels(L)
+
+        # Measurement window.
+        self._measure_delivered: Optional[np.ndarray] = None
+
+        # Passive per-step sampling seam (see set_sample_hook).
+        self._sample_hook = None
+        self._sample_every = 1
+        self._sample_count = 0
+
+    # -- construction helpers --------------------------------------------------
+
+    def _init_kernels(self, L: int) -> None:
+        """The vector kernels' lane order and per-family state."""
+        # Lanes ordered by CCA code, and where each code's run starts: a
+        # step's due lanes, taken in this order, reach each kernel as one
+        # contiguous slice.
+        self._by_code = np.argsort(self.cca_code, kind="stable")
+        self._code_edges = np.searchsorted(
+            self.cca_code[self._by_code], np.arange(len(CCA_CODE) + 1)
+        )
+        self._kernels = [
+            (CCA_CODE[name], kernel)
+            for name, kernel in (
+                ("reno", self._round_reno), ("cubic", self._round_cubic),
+                ("htcp", self._round_htcp), ("bbrv1", self._round_bbrv1),
+                ("bbrv2", self._round_bbrv2),
+            )
+        ]
+        present = set(np.unique(self.cca_code).tolist())
 
         # Per-family state (allocated only for present families).
         if CCA_CODE["cubic"] in present:
@@ -411,35 +484,26 @@ class BatchedFluidSimulation:
             self.b2_phase = np.zeros(L, dtype=np.int64)
             self.b2_phase_stamp = np.zeros(L)
 
-        # Measurement window.
-        self._measure_delivered: Optional[np.ndarray] = None
-
-        # Passive per-step sampling seam (see set_sample_hook).
-        self._sample_hook = None
-        self._sample_every = 1
-        self._sample_count = 0
-
-    # -- construction helpers --------------------------------------------------
-
     def _make_aqm(self, key: Tuple[str, int], members: slice, limit: np.ndarray, chunk: int) -> _BatchAqm:
         """The queue law of the block ``key`` spanning configs ``members``."""
-        family, width = key
+        aqm, width = key
         lanes = slice(self.offsets[members.start], self.offsets[members.stop])
         views = (
             lanes, limit[members], self.capacity[members],
-            self.backlog[lanes].reshape(-1, width), self.aqm_dropped[members],
+            self.backlog[lanes].reshape(-1, width), self._delay[lanes].reshape(-1, width),
+            self.aqm_dropped[members],
         )
-        if family == "fifo":
+        if aqm == "fifo":
             return _BatchFifo(*views)
-        if family == "fq_codel":
+        if aqm == "fq_codel":
             return _BatchFqCodel(*views)
-        if family not in _LOTTERY_FAMILIES:
-            raise ValueError(f"unknown AQM family {family!r}")
+        if aqm not in _LOTTERY_FAMILIES:
+            raise ValueError(f"the fluid engines do not model AQM {aqm!r}")
         lottery = UniformTable(
             [r.stream("aqm") for r in self._rngs[members]], self.widths[members], chunk
         )
         self._tables.append(lottery)
-        if family == "red":
+        if aqm == "red":
             params = [c.aqm_params for c in self.configs[members]]
             return _BatchRed(*views, lottery=lottery, params=params)
         return _BatchPie(*views, lottery=lottery)
@@ -480,7 +544,7 @@ class BatchedFluidSimulation:
             served, lost = q.step(q.rows(arrivals), self.dt, self.now)
             q.rows(delivered)[...] = served
             q.rows(dropped)[...] = lost
-            q.rows(self._delay)[...] = q.flow_delay_s()
+            q.delay[...] = q.flow_delay_s()
 
         self.delivered_total += delivered
         self.dropped_total += dropped
@@ -500,9 +564,9 @@ class BatchedFluidSimulation:
     def set_sample_hook(self, hook, every_steps: int) -> None:
         """Install a read-only observer called every ``every_steps`` steps.
 
-        Same contract as the scalar integrator's hook: the observer runs
-        after the step completes and must not mutate state or consume
-        randomness, so sampled and unsampled shards stay bit-identical.
+        The observer runs after the step completes (time advanced, round
+        updates applied) and must not mutate state or consume randomness,
+        so sampled and unsampled shards stay bit-identical.
         """
         if every_steps < 1:
             raise ValueError(f"every_steps must be >= 1, got {every_steps}")
@@ -541,7 +605,7 @@ class BatchedFluidSimulation:
     # -- CCA kernels -----------------------------------------------------------
     #
     # Each kernel gathers the due lanes of its CCA into compact 1D arrays,
-    # applies the scalar rule class's update (same expressions, element-
+    # applies the per-flow rule class's update (same expressions, element-
     # wise), and scatters the results back — so per-step cost scales with
     # how many lanes actually finished a round, not with the shard size.
 
@@ -628,7 +692,7 @@ class BatchedFluidSimulation:
                 0.5,
             )
             beta = np.where(loss, beta_new, beta)
-            # Scalar rule: unstable resets the switch; stable arms (or
+            # Per-flow rule: unstable resets the switch; stable arms (or
             # keeps) it whether or not the adaptive branch fired.
             modeswitch = np.where(loss, stable, modeswitch)
             old_max_bw = np.where(loss, max_bw, old_max_bw)
@@ -795,7 +859,7 @@ class BatchedFluidSimulation:
 
         pb = state == S_PROBE_BW
         # Snapshot the phase so the DOWN/CRUISE/UP arms stay elif-exclusive
-        # within one round, like the scalar state machine.
+        # within one round, like the per-flow state machine.
         ph0 = phase.copy()
         fin = np.isfinite(hi)
         bound = np.where(fin, hi * (1 - BBR2_HEADROOM), np.inf)
@@ -886,13 +950,61 @@ class BatchedFluidSimulation:
         return self.delivered_total - self._measure_delivered
 
 
+class PerFlowFluidSimulation(BatchedFluidSimulation):
+    """The integrator with per-flow round rules (``engine="fluid"``).
+
+    Rates, arrivals, queue laws and accumulators are the base class's;
+    only the round update differs: each due lane's round goes to its own
+    :class:`~repro.fluid.cca_rules.FluidCca` object, one plain state
+    machine per flow — the reference the vector kernels must match.
+    """
+
+    def __init__(self, configs: Sequence[ExperimentConfig]):
+        super().__init__(configs)
+        self.flows: List[FluidCca] = [
+            flow
+            for c, config in enumerate(self.configs)
+            for flow in make_fluid_flows(config, self._rngs[c], self.widths[c])
+        ]
+
+    def _init_kernels(self, L: int) -> None:
+        """No vector kernels: each flow's state lives in its rule object."""
+
+    def _round_updates(self, due: np.ndarray, x: np.ndarray) -> None:
+        now, base = self.now, self.base_rtt
+        for i in np.flatnonzero(due).tolist():
+            flow = self.flows[i]
+            rtt = base + float(self._delay[i])
+            delivered = float(self.round_delivered[i])
+            span = max(now - float(self.round_started_at[i]), self.dt)
+            flow.round_update(RoundInfo(
+                now_s=now,
+                rtt_s=rtt,
+                base_rtt_s=base,
+                delivered=delivered,
+                lost=float(self.round_lost[i]),
+                delivery_rate_pps=delivered / span,
+                inflight=float(x[i]) * base + float(self.backlog[i]),
+            ))
+            self.cwnd[i] = flow.cwnd
+            self.pacing[i] = np.nan if flow.pacing_pps is None else flow.pacing_pps
+            self.cap[i] = flow.inflight_cap
+            self.round_delivered[i] = 0.0
+            self.round_lost[i] = 0.0
+            self.round_started_at[i] = now
+            self.next_round[i] = now + rtt
+
+
 # --- experiment-level entry points -------------------------------------------
 
 
 def _run_shard(configs: Sequence[ExperimentConfig]) -> List[ExperimentResult]:
+    """Warm up, measure, and assemble one result per config of a shard
+    (on the per-flow rules when the shard's engine is ``fluid``)."""
     wall_start = time.perf_counter()
-    sim = BatchedFluidSimulation(configs)
     config0 = configs[0]
+    integrator = PerFlowFluidSimulation if config0.engine == "fluid" else BatchedFluidSimulation
+    sim = integrator(configs)
     probes = None
     if config0.fairness_interval_s:
         # Shard members share the cadence (it is part of the shard key),
@@ -923,7 +1035,6 @@ def _run_shard(configs: Sequence[ExperimentConfig]) -> List[ExperimentResult]:
                 delivered_total=sim.delivered_total[lanes],
                 dropped_total=sim.dropped_total[lanes],
                 aqm_dropped=float(sim.aqm_dropped[c]),
-                engine="fluid_batched",
                 wallclock_s=wall_per_lane * sim.widths[c],
                 fairness=probes[c].to_dict() if probes is not None else None,
             )
@@ -932,11 +1043,11 @@ def _run_shard(configs: Sequence[ExperimentConfig]) -> List[ExperimentResult]:
 
 
 def run_fluid_batch(configs: Sequence[ExperimentConfig]) -> List[ExperimentResult]:
-    """Run many configs through the batched backend; results in input order.
+    """Run many configs on the vector kernels; results in input order.
 
     Configs are grouped into lock-step shards automatically; per-config
     results are independent of the grouping and bit-identical to the
-    scalar fluid engine.
+    per-flow rules.
     """
     results: List[Optional[ExperimentResult]] = [None] * len(configs)
     for shard in plan_shards(configs):
@@ -947,5 +1058,6 @@ def run_fluid_batch(configs: Sequence[ExperimentConfig]) -> List[ExperimentResul
 
 
 def run_fluid_single(config: ExperimentConfig) -> ExperimentResult:
-    """Run one config on the batched backend (a shard of one)."""
+    """Run one config as a shard of one: ``engine="fluid"`` on the per-flow
+    rules, ``"fluid_batched"`` on the vector kernels."""
     return _run_shard([config])[0]

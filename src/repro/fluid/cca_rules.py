@@ -46,9 +46,9 @@ BBR2_HEADROOM = 0.15
 
 # --- pure per-round laws -----------------------------------------------------
 #
-# Element-wise numpy functions shared by the scalar rule objects (cold
-# paths) and the batched kernels (whole (config, flow) blocks).  Hot
-# scalar paths that cannot afford a numpy call keep a literal python
+# Element-wise numpy functions shared by the per-flow rule objects (cold
+# paths) and the vector kernels (every due lane of a shard).  Hot
+# per-flow paths that cannot afford a numpy call keep a literal python
 # mirror of the same expression — `+ - * /` and comparisons are IEEE-
 # exact, so mirrors stay bit-identical; anything transcendental must go
 # through the numpy kernel in BOTH paths (python `**` is not

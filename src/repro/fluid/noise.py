@@ -1,17 +1,17 @@
-"""Shared stochastic machinery for the scalar and batched fluid paths.
+"""Shared stochastic machinery of the fluid integrator.
 
-Both fluid backends draw their packet-level randomness — Poisson burst
+Both fluid engines draw their packet-level randomness — Poisson burst
 arrivals and the RED/PIE drop lotteries — from **positionally consumed
 uniform tables**: each simulation step consumes exactly one uniform per
 flow from a per-config stream, whether or not the value ends up used.
 The uniform is turned into a Poisson variate by the inverse-CDF
 transform in :func:`poisson_from_uniform`.
 
-This layout is what makes the batched backend bit-for-bit reproducible
-against the scalar oracle *and* independent of batch composition: a
-config's uniform sequence depends only on its own seed and the step
-index, never on which other configs share the batch, how wide the batch
-is, or how the table is chunked in memory.
+This layout is what makes a config's results independent of batch
+composition — and so the vector kernels bit-for-bit reproducible
+against the per-flow rules: a config's uniform sequence depends only on
+its own seed and the step index, never on which other configs share the
+batch, how wide the batch is, or how the table is chunked in memory.
 
 Bitwise ground rules (verified on this numpy build, enforced by the
 cross-validation suite):
@@ -21,7 +21,7 @@ cross-validation suite):
 - ``np.exp/np.log/np.sqrt/np.cbrt/np.power`` are positionally
   consistent between scalar and array calls;
 - python ``**`` is NOT bit-identical to numpy array ``**`` — neither
-  path may use it where cross-path equality matters.
+  round rule may use it where cross-rule equality matters.
 """
 
 from __future__ import annotations
@@ -220,9 +220,9 @@ class UniformTable:
     ``rngs[c]`` alone over its own flow count, so the value at (config,
     step, flow) depends only on that generator's seed — the chunk size is
     a pure performance knob: refilling in blocks of ``chunk`` steps yields
-    the same row-major sequence per config as any other chunking, and the
-    batched backend's table hands each config bitwise the rows the scalar
-    path's one-config table does.
+    the same row-major sequence per config as any other chunking, and a
+    shard's table hands each config bitwise the rows a one-config table
+    does.
     """
 
     def __init__(

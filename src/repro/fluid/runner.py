@@ -1,25 +1,22 @@
-"""Run an :class:`~repro.experiments.config.ExperimentConfig` on the fluid engine.
+"""From an :class:`~repro.experiments.config.ExperimentConfig` to fluid
+inputs, and from fluid outputs to an ExperimentResult.
 
-Produces the same :class:`~repro.metrics.summary.ExperimentResult` record
-as the packet runner, so the analysis layer is engine-agnostic.
-
-The geometry/flow/result helpers here are shared with the batched
-backend (:mod:`repro.fluid.batched`), which must assemble bit-identical
-inputs and outputs for every config in a shard.
+The integrator (:mod:`repro.fluid.batched`) takes its bottleneck
+geometry and per-flow rule objects from here and hands its per-flow
+totals back to :func:`build_fluid_result`, which produces the same
+:class:`~repro.metrics.summary.ExperimentResult` record as the packet
+runner, so the analysis layer is engine-agnostic.
 """
 
 from __future__ import annotations
 
-import time
 from dataclasses import dataclass
 from typing import Any, Dict, List, Optional
 
 import numpy as np
 
 from repro.experiments.config import ExperimentConfig
-from repro.fluid.aqm_rules import make_fluid_aqm
 from repro.fluid.cca_rules import FLUID_CCAS, FluidCca, make_fluid_cca
-from repro.fluid.model import FluidSimulation
 from repro.metrics.fairness import jain_index
 from repro.metrics.summary import ExperimentResult, FlowStats, SenderStats
 from repro.metrics.utilization import link_utilization
@@ -30,7 +27,7 @@ from repro.units import bdp_bytes
 
 @dataclass(frozen=True)
 class FluidGeometry:
-    """Bottleneck numbers both fluid backends derive from a config."""
+    """Bottleneck numbers the fluid integrator derives from a config."""
 
     base_rtt_s: float
     capacity_bps: float
@@ -69,8 +66,9 @@ def make_fluid_flows(config: ExperimentConfig, rngs: RngStreams, n_flows: int) -
     Only rate-based (BBR-family) rules draw randomness, and each gets
     its **own** named stream — so a flow's draw sequence depends only on
     the config seed and its flow index, never on what other flows did.
-    That is what lets the batched backend interleave round updates from
-    many configs and still reproduce the scalar oracle bit-for-bit.
+    The vector kernels draw from the same streams, which is what lets them
+    interleave round updates from many configs and still reproduce these
+    rules bit-for-bit.
     """
     from repro.cca.registry import canonical_cca_name
 
@@ -82,11 +80,6 @@ def make_fluid_flows(config: ExperimentConfig, rngs: RngStreams, n_flows: int) -
     return flows
 
 
-def flow_start_times(rngs: RngStreams, n_flows: int) -> np.ndarray:
-    """Staggered flow start times from the config's flow-start stream."""
-    return rngs.stream("flow-start").uniform(0.0, 0.1, size=n_flows)
-
-
 def build_fluid_result(
     config: ExperimentConfig,
     geom: FluidGeometry,
@@ -95,11 +88,10 @@ def build_fluid_result(
     delivered_total: np.ndarray,
     dropped_total: np.ndarray,
     aqm_dropped: float,
-    engine: str,
     wallclock_s: float,
     fairness: Optional[Dict[str, Any]] = None,
 ) -> ExperimentResult:
-    """Assemble the ExperimentResult record (shared by both fluid backends)."""
+    """Assemble the ExperimentResult record, tagged with ``config.engine``."""
     measured_s = config.duration_s - config.warmup_s
     thr_pps = delivered_window / measured_s
     thr_bps = thr_pps * 8 * config.mss_bytes
@@ -160,58 +152,8 @@ def build_fluid_result(
         total_throughput_bps=sum(throughputs),
         bottleneck_drops=int(round(aqm_dropped)),
         duration_s=measured_s,
-        engine=engine,
+        engine=config.engine,
         events_processed=0,
         wallclock_s=wallclock_s,
         extra=extra,
-    )
-
-
-def run_fluid_experiment(config: ExperimentConfig) -> ExperimentResult:
-    """Execute one configuration on the (scalar) fluid engine."""
-    wall_start = time.perf_counter()
-    rngs = RngStreams(config.seed)
-    geom = fluid_geometry(config)
-
-    flows = make_fluid_flows(config, rngs, geom.n_flows)
-    starts = flow_start_times(rngs, geom.n_flows)
-    aqm = make_fluid_aqm(
-        config.aqm,
-        geom.limit_pkts,
-        geom.capacity_pps,
-        geom.n_flows,
-        rng=rngs.stream("aqm"),
-        **config.aqm_params,
-    )
-    sim = FluidSimulation(
-        capacity_pps=geom.capacity_pps,
-        base_rtt_s=geom.base_rtt_s,
-        aqm=aqm,
-        flows=flows,
-        start_times_s=starts,
-        arrival_rng=rngs.stream("arrivals"),
-    )
-    probe = None
-    if config.fairness_interval_s:
-        from repro.obs.fairness import attach_fluid_fairness
-
-        probe = attach_fluid_fairness(sim, geom, config)
-    if config.warmup_s > 0:
-        sim.run(config.warmup_s)
-        sim.begin_measurement()
-        sim.run(config.duration_s - config.warmup_s)
-    else:
-        sim.begin_measurement()
-        sim.run(config.duration_s)
-
-    return build_fluid_result(
-        config,
-        geom,
-        delivered_window=sim.measured_delivered,
-        delivered_total=sim.delivered_total,
-        dropped_total=sim.dropped_total,
-        aqm_dropped=aqm.total_dropped,
-        engine="fluid",
-        wallclock_s=time.perf_counter() - wall_start,
-        fairness=probe.to_dict() if probe is not None else None,
     )

@@ -1,17 +1,16 @@
-"""Batch planning and state-layout constants for the batched fluid backend.
+"""Batch planning and state-layout constants for the fluid integrator.
 
-A *shard* is a set of configs the batched integrator advances in
-lock-step over one flat lane table: they must share the integration
-geometry (base RTT and therefore dt, duration, warmup) and the fairness
-cadence — the :class:`ShardKey`.  Everything else — AQM, flow count,
-bandwidth tier, buffer size, CCA pair, seed, RED knobs — varies per
-config.
+A *shard* is a set of configs the integrator advances in lock-step over
+one flat lane table: they must share the integration geometry (base RTT
+and therefore dt, duration, warmup) and the fairness cadence — the
+:class:`ShardKey`.  Everything else — AQM, flow count, bandwidth tier,
+buffer size, CCA pair, seed, RED knobs — varies per config.
 
-Only a queue law's row reductions depend on the AQM family or the flow
-count, so inside a shard the configs of one (family, flow count) form a
-*block*: one contiguous lane range its queue law sees as a
-``(configs, flows)`` matrix of exactly the shape the scalar oracle's rows
-have.  :func:`plan_shards` orders a shard's members by block so each
+Only a queue law's row reductions depend on the AQM or the flow count,
+so inside a shard the configs of one (AQM, flow count) form a *block*:
+one contiguous lane range its queue law sees as a ``(configs, flows)``
+matrix whose every row has the shape and contiguity of a one-config
+block's.  :func:`plan_shards` orders a shard's members by block so each
 block is contiguous, and cuts the ordered list at :data:`LANE_BUDGET`.
 """
 
@@ -21,6 +20,10 @@ from dataclasses import dataclass
 from typing import Dict, List, Optional, Sequence, Tuple
 
 from repro.experiments.config import ExperimentConfig
+
+#: Integration steps per base RTT: every fluid run advances by
+#: ``base_rtt / DEFAULT_STEPS_PER_RTT``.
+DEFAULT_STEPS_PER_RTT = 5
 
 #: Integer lane codes for the vectorized CCA kernels.
 CCA_CODE: Dict[str, int] = {
@@ -38,12 +41,6 @@ RATE_BASED_CODES = frozenset({CCA_CODE["bbrv1"], CCA_CODE["bbrv2"]})
 #: Bounds a task's working set and how much work one failure loses;
 #: docs/FLUID.md has the measured wall time at each candidate value.
 LANE_BUDGET = 32_768
-
-
-def canonical_aqm_family(name: str) -> str:
-    """AQM family implementing ``name`` (codel is served by fq_codel)."""
-    key = name.lower()
-    return "fq_codel" if key == "codel" else key
 
 
 @dataclass(frozen=True)
@@ -71,8 +68,8 @@ def shard_key(config: ExperimentConfig) -> ShardKey:
 
 
 def block_key(config: ExperimentConfig) -> Tuple[str, int]:
-    """(AQM family, flow count): configs sharing it share a queue block."""
-    return canonical_aqm_family(config.aqm), config.plan.total_flows
+    """(AQM, flow count): configs sharing it share a queue block."""
+    return config.aqm, config.plan.total_flows
 
 
 def plan_shards(configs: Sequence[ExperimentConfig], *, jobs: int = 1) -> List[List[int]]:

@@ -15,12 +15,11 @@ engine through one shared recorder:
 - :func:`instrument_packet_fairness` drives a probe from the DES via a
   :class:`~repro.metrics.timeseries.ThroughputSampler` ``on_sample``
   hook (timer events only — outcomes are bit-identical with it on/off).
-- :func:`attach_fluid_fairness` / :func:`attach_batched_fairness`
-  install a passive per-step sampling hook on the scalar and batched
-  fluid integrators.  Both compute the per-flow rate deltas with the
-  same elementwise numpy expression over bit-identical state and hand
-  plain Python floats to the probe, so the scalar and batched Jain/φ
-  series agree **bit-for-bit** (enforced by
+- :func:`attach_batched_fairness` installs a passive per-step sampling
+  hook on the fluid integrator (both fluid engines).  It computes the
+  per-flow rate deltas with one elementwise numpy expression and hands
+  plain Python floats to the probe, so the two fluid engines' Jain/φ
+  series agree **bit-for-bit** whenever their state does (enforced by
   ``tests/fluid/test_batched_vs_scalar.py``).
 
 Sampling is opt-in via ``ExperimentConfig.fairness_interval_s``; the
@@ -303,50 +302,15 @@ def fluid_sample_stride(interval_s: float, dt: float) -> int:
     return max(1, int(round(float(interval_s) / dt)))
 
 
-def attach_fluid_fairness(sim, geom, config) -> FairnessProbe:
-    """Install a per-step sampling hook on a scalar :class:`FluidSimulation`.
-
-    The hook reads ``delivered_total`` deltas and the AQM backlog — never
-    writes, never draws randomness — so integration outcomes are
-    unchanged.  The per-flow rate expression
-    ``delta * ((8 * mss) / span)`` is elementwise over the same arrays
-    the batched backend reproduces bit-for-bit, which is what makes the
-    two engines' fairness series exactly equal.
-    """
-    probe = FairnessProbe(
-        capacity_bps=geom.capacity_bps,
-        node_of=geom.node_of.tolist(),
-        interval_s=float(config.fairness_interval_s),
-        engine=config.engine,
-    )
-    state = {"delivered": sim.delivered_total.copy(), "t": sim.now}
-    bits_per_pkt = 8.0 * config.mss_bytes
-
-    def hook(s) -> None:
-        span = s.now - state["t"]
-        delta = s.delivered_total - state["delivered"]
-        probe.sample(
-            s.now,
-            (delta * (bits_per_pkt / span)).tolist(),
-            float(s.aqm.backlog.sum()),
-        )
-        state["delivered"] = s.delivered_total.copy()
-        state["t"] = s.now
-
-    sim.set_sample_hook(
-        hook, fluid_sample_stride(config.fairness_interval_s, sim.dt)
-    )
-    return probe
-
-
 def attach_batched_fairness(sim) -> List[FairnessProbe]:
     """Install the vectorized sampling hook on a :class:`BatchedFluidSimulation`.
 
-    One probe per config in the shard.  The hook computes the whole lane
+    One probe per config in the shard.  The hook reads ``delivered_total``
+    deltas and the backlog — never writes, never draws randomness — so
+    integration outcomes are unchanged.  It computes the whole lane
     table's delivery delta once per sample, then slices each config's
-    lanes — contiguous 1-D ranges of the same values the scalar oracle
-    holds, summed the same way — so per-config fairness series match the
-    scalar engine's exactly.
+    lanes, contiguous 1-D ranges summed the same way whatever the shard,
+    so a config's fairness series does not depend on its shard-mates.
     """
     probes: List[FairnessProbe] = []
     for c, config in enumerate(sim.configs):

@@ -48,33 +48,38 @@ def test_red_defaults_consistent():
     import numpy as np
 
     from repro.aqm.red import RedQueue
-    from repro.fluid.aqm_rules import FluidRed
+    from repro.fluid.batched import _BatchRed
+    from repro.fluid.noise import UniformTable
 
     pkt = RedQueue(10**9, np.random.default_rng(0), avpkt=1500)
     assert pkt.min_th == 30 * 1500
     assert pkt.max_th == 90 * 1500
-    fl = FluidRed(10**6, 1000.0, 1, np.random.default_rng(0))
-    assert fl.min_th == 30.0
-    assert fl.max_th == 90.0
-    assert pkt.max_p == fl.max_p == 0.02
+    fl = _BatchRed(
+        slice(0, 1), np.array([1e6]), np.array([1000.0]), np.zeros((1, 1)),
+        np.zeros((1, 1)), np.zeros(1),
+        lottery=UniformTable([np.random.default_rng(0)], [1]), params=[{}],
+    )
+    assert fl.min_th[0] == 30.0
+    assert fl.max_th[0] == 90.0
+    assert pkt.max_p == fl.max_p[0] == 0.02
 
 
 def test_codel_parameters_consistent():
     from repro.aqm.codel import DEFAULT_INTERVAL_NS, DEFAULT_TARGET_NS
-    from repro.fluid.aqm_rules import FluidFqCodel
+    from repro.fluid.batched import _BatchFqCodel
 
-    assert DEFAULT_TARGET_NS / 1e9 == FluidFqCodel.TARGET_S == 0.005
-    assert DEFAULT_INTERVAL_NS / 1e9 == FluidFqCodel.INTERVAL_S == 0.100
+    assert DEFAULT_TARGET_NS / 1e9 == _BatchFqCodel.TARGET_S == 0.005
+    assert DEFAULT_INTERVAL_NS / 1e9 == _BatchFqCodel.INTERVAL_S == 0.100
 
 
 def test_pie_parameters_consistent():
     from repro.aqm import pie as pkt_pie
-    from repro.fluid.aqm_rules import FluidPie
+    from repro.fluid.batched import _BatchPie
 
-    assert pkt_pie.DEFAULT_TARGET_NS / 1e9 == FluidPie.TARGET_S
-    assert pkt_pie.DEFAULT_T_UPDATE_NS / 1e9 == FluidPie.T_UPDATE_S
-    assert pkt_pie.ALPHA == FluidPie.ALPHA
-    assert pkt_pie.BETA == FluidPie.BETA
+    assert pkt_pie.DEFAULT_TARGET_NS / 1e9 == _BatchPie.TARGET_S
+    assert pkt_pie.DEFAULT_T_UPDATE_NS / 1e9 == _BatchPie.T_UPDATE_S
+    assert pkt_pie.ALPHA == _BatchPie.ALPHA
+    assert pkt_pie.BETA == _BatchPie.BETA
 
 
 def test_cross_engine_jain_cubic_pair_100mbps():

@@ -1,5 +1,6 @@
 """Unit + property tests for the content-addressed result cache."""
 
+import hashlib
 import json
 
 import pytest
@@ -185,7 +186,7 @@ def test_merge_folds_shards_into_canonical(tmp_path):
     ResultStore(w3.shard_path).append(_result(2))
     merger = ResultCache(tmp_path, worker="merger")
     summary = merger.merge()
-    assert summary == {"entries": 3, "shards_folded": 3, "duplicates": 1}
+    assert summary == {"entries": 3, "shards_folded": 3, "duplicates": 1, "stale": 0}
     assert merger.shard_paths() == []  # shards deleted
     rows = ResultStore(merger.canonical.path).load()
     assert sorted(r.config["seed"] for r in rows) == [1, 2, 3]
@@ -252,7 +253,7 @@ def test_merge_keeps_the_row_in_memory_where_the_reread_one_equals_it(tmp_path):
         cache.put(_result(seed), row)
     # A worker that sorts after w1 left an equivalent seed-2 row: it wins.
     ResultStore(ResultCache(tmp_path, worker="w2").shard_path).append(_result(2, wallclock=7.0))
-    assert cache.merge() == {"entries": 2, "shards_folded": 2, "duplicates": 1}
+    assert cache.merge() == {"entries": 2, "shards_folded": 2, "duplicates": 1, "stale": 0}
     assert cache.row(cache.key_for(_config(1))) is rows[1]
     late = cache.row(cache.key_for(_config(2)))
     assert late is not rows[2] and late["wallclock_s"] == 7.0
@@ -263,6 +264,48 @@ def test_merge_keeps_the_row_in_memory_where_the_reread_one_equals_it(tmp_path):
     assert cache.row(cache.key_for(_config(1))) is rows[1]
     assert cache.row(cache.key_for(_config(2))) is late
     assert cache.canonical.path.read_bytes() == first
+
+
+def _stale_row(seed=1):
+    """A ``fluid_batched`` row for a RED knob the fluid engines do not read,
+    as a release that answered such configs knob-less stored it."""
+    row = _result(seed, engine="fluid_batched").to_dict()
+    row["config"]["aqm_params"] = {"bogus": 1}
+    with pytest.raises(ValueError, match="does not model"):
+        ExperimentConfig.from_dict(row["config"])
+    return row
+
+
+def _key_of_row(row, salt):
+    """The key such a release filed the row under (``config_key`` by hand)."""
+    blob = json.dumps(row["config"], sort_keys=True)
+    return hashlib.sha256(f"{salt}\n{blob}".encode("utf-8")).hexdigest()
+
+
+def test_a_cache_holding_a_stale_row_opens_and_misses_it(tmp_path):
+    with ResultStore(ResultCache(tmp_path, worker="old").shard_path) as shard:
+        shard.append_dict(_stale_row())
+        shard.append(_result(2))
+    cache = ResultCache(tmp_path, worker="w1")
+    assert (len(cache), cache.stale, cache.stats()["stale"]) == (1, 1, 1)
+    assert _key_of_row(_result(2).to_dict(), cache.salt) == cache.key_for(_config(2))
+    assert cache.row(_key_of_row(_stale_row(), cache.salt)) is None
+    assert (cache.hits, cache.misses) == (0, 1)
+    assert cache.get(_config(2)) is not None
+    # merge drops it for good: counted, not written back.
+    assert cache.merge() == {"entries": 1, "shards_folded": 1, "duplicates": 0, "stale": 1}
+    assert [r.config["seed"] for r in ResultStore(cache.canonical.path).load()] == [2]
+    assert ResultCache(tmp_path).stale == 0
+
+
+def test_a_stale_row_in_the_canonical_store_is_dropped_by_merge(tmp_path):
+    cache = ResultCache(tmp_path, worker="w1")
+    with ResultStore(cache.canonical.path) as canonical:
+        canonical.append_dict(_stale_row())
+    cache.refresh()
+    assert (len(cache), cache.stale) == (0, 1)
+    assert cache.merge()["stale"] == 1
+    assert ResultStore(cache.canonical.path).load() == []
 
 
 # -- the sharding property ----------------------------------------------------------

@@ -49,6 +49,28 @@ def test_resume_skips_completed(tmp_path):
     assert len(store) == 3
 
 
+def test_resume_recomputes_what_a_stale_row_answered(tmp_path):
+    """A stored row whose config this release refuses (a fluid run filed
+    under a RED knob it never read) is skipped by resume, not fatal: its
+    label is recomputed from the config actually asked for."""
+    store = ResultStore(tmp_path / "r.jsonl")
+    configs = _configs(2)
+    run_campaign(configs[:1], store=store, jobs=1)
+    (row,) = store.load()
+    stale = row.to_dict()
+    stale["config"].update(seed=configs[1].seed, aqm_params={"bogus": 1})
+    store.append_dict(stale)
+    progress_calls = []
+    results = run_campaign(
+        configs, store=store, jobs=1,
+        progress=lambda done, total, r: progress_calls.append((done, total)),
+    )
+    assert progress_calls == [(1, 1)]
+    assert sorted((r.config["seed"], r.config["aqm_params"]) for r in results) == [
+        (100, {}), (101, {}),
+    ]
+
+
 def test_no_resume_reruns(tmp_path):
     store = ResultStore(tmp_path / "r.jsonl")
     configs = _configs(2)
@@ -76,15 +98,15 @@ def test_campaign_without_store():
 
 
 def _poisoned_config(seed=999):
-    # aqm_params are forwarded to the AQM constructor inside the worker,
-    # not validated at config construction — a bogus knob makes the run
-    # itself raise (TypeError) without failing up front.
+    # The packet engine forwards aqm_params to the AQM constructor inside
+    # the worker, not validated at config construction — a bogus knob
+    # makes the run itself raise (TypeError) without failing up front.
     return ExperimentConfig(
         cca_pair=("cubic", "cubic"),
         aqm="red",
         bottleneck_bw_bps=mbps(100),
         duration_s=5.0,
-        engine="fluid",
+        engine="packet",
         seed=seed,
         aqm_params={"bogus_knob": 1},
     )

@@ -95,6 +95,23 @@ _TOPOLOGY_REFUSALS = [
 ]
 
 
+#: What the fluid engines do not model, they refuse instead of ignoring.
+_FLUID_REFUSALS = [
+    {"engine": "fluid", "ecn_mode": True},
+    {"engine": "fluid_batched", "ecn_mode": True},
+    {"engine": "fluid", "aqm": "codel"},
+    {"engine": "fluid_batched", "aqm": "codel"},
+    {"engine": "fluid", "client_delay_multipliers": (1.0, 3.0)},
+    {"engine": "fluid_batched", "client_delay_multipliers": (0.5, 1.0)},
+    {"engine": "fluid", "trunk_loss_rate": 0.01},
+    {"engine": "fluid_batched", "trunk_loss_rate": 1e-9},
+    {"engine": "fluid", "aqm": "red", "aqm_params": {"bogus": 1}},
+    {"engine": "fluid_batched", "aqm": "red", "aqm_params": {"min_th": 5, "avpkt": 1500}},
+    {"engine": "fluid", "aqm": "fifo", "aqm_params": {"min_th": 5}},
+    {"engine": "fluid_batched", "aqm": "pie", "aqm_params": {"target_ms": 5}},
+]
+
+
 @pytest.mark.parametrize("kwargs", [
     {"aqm": "wred"},
     {"engine": "ns3"},
@@ -119,12 +136,27 @@ _TOPOLOGY_REFUSALS = [
     {"queue_monitor_interval_s": float("nan")},
     {"queue_monitor_interval_s": 0},
     {"queue_monitor_interval_s": -0.5},
-])
+] + _FLUID_REFUSALS)
 def test_validation(kwargs):
     base = dict(cca_pair=("cubic", "cubic"))
     base.update(kwargs)
     with pytest.raises(ValueError):
         ExperimentConfig(**base)
+
+
+def test_fluid_engines_read_red_knobs_and_the_packet_engine_reads_everything():
+    from repro.fluid.batched import RED_KNOBS
+
+    knobs = {"min_th": 5.0, "max_th": 15.0, "max_p": 0.1, "weight": 0.01, "gentle": False}
+    assert set(knobs) == set(RED_KNOBS)
+    for engine in ("fluid", "fluid_batched"):
+        ExperimentConfig(cca_pair=("cubic", "cubic"), engine=engine, aqm="red",
+                         aqm_params=knobs)
+    for kwargs in _FLUID_REFUSALS:
+        ExperimentConfig(cca_pair=("cubic", "cubic"), **{**kwargs, "engine": "packet"})
+    with pytest.raises(ValueError, match=r"ecn_mode, aqm='codel', trunk_loss_rate"):
+        ExperimentConfig(cca_pair=("cubic", "cubic"), engine="fluid", ecn_mode=True,
+                         aqm="codel", trunk_loss_rate=0.1)
 
 
 def test_scenario_ir_refuses_the_same_topology_inputs():

@@ -70,6 +70,20 @@ def test_completed_labels_hands_back_wanted_rows_from_the_same_pass(tmp_path):
         assert result.to_dict() == row
 
 
+def test_completed_labels_skips_a_row_whose_config_is_refused(tmp_path):
+    """An older release stored fluid answers for knobs the fluid engines do
+    not model; resume must neither abort on such a row nor count it done."""
+    store = ResultStore(tmp_path / "r.jsonl")
+    stale = _result(7).to_dict()
+    stale["config"].update(engine="fluid_batched", ecn_mode=True)
+    store.append_dict(stale)
+    store.append(_result(8))
+    label = {seed: ExperimentConfig.from_dict(_result(seed).config).label() for seed in (7, 8)}
+    found = []
+    assert store.completed_labels({label[7]}, found) == {label[8]}
+    assert found == []
+
+
 def test_corrupt_line_raises(tmp_path):
     path = tmp_path / "r.jsonl"
     path.write_text('{"not": "a result"}\n')

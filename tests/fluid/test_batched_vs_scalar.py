@@ -1,23 +1,26 @@
-"""Cross-validation: the batched fluid backend against the scalar oracle.
+"""Cross-validation: the vector CCA kernels against the per-flow rules.
 
-The batched integrator (:mod:`repro.fluid.batched`) is a performance
-backend, not a second model: in unpadded mode it must reproduce the
-scalar :class:`repro.fluid.model.FluidSimulation` results *bit for bit* —
-every float in the result dict, not approximately.  These tests sweep
-every CCA x AQM pair through both paths and compare the full normalized
-``ExperimentResult`` dicts with ``==``; any divergence (a different drop
-round, one ulp in a throughput) is a failure.
+Both fluid engines run on one integrator (:mod:`repro.fluid.batched`);
+they differ only in the round update.  ``fluid_batched``'s vector
+kernels are a performance path, not a second model: they must
+reproduce ``fluid``'s per-flow :class:`~repro.fluid.cca_rules.FluidCca`
+rules *bit for bit* — every float in the result dict, not
+approximately.  These tests sweep every CCA x AQM pair through both
+rules and compare the full normalized ``ExperimentResult`` dicts with
+``==``; any divergence (a different drop round, one ulp in a
+throughput) is a failure.
 
 Normalization removes only fields that legitimately differ between the
-two paths: ``wallclock_s`` (host timing) and the ``engine`` tag (the
+two engines: ``wallclock_s`` (host timing) and the ``engine`` tag (the
 whole point is running the same config on both engines).
 """
+
+import dataclasses
 
 import pytest
 
 from repro.experiments.config import ExperimentConfig
 from repro.fluid.batched import run_fluid_batch, run_fluid_single
-from repro.fluid.runner import run_fluid_experiment
 
 CCAS = ("reno", "cubic", "htcp", "bbrv1", "bbrv2")
 AQMS = ("fifo", "red", "fq_codel", "pie")
@@ -40,6 +43,11 @@ def _config(cca: str, aqm: str, **overrides) -> ExperimentConfig:
     return ExperimentConfig(**params)
 
 
+def _per_flow(config: ExperimentConfig):
+    """The same config on the per-flow rules (``engine="fluid"``)."""
+    return run_fluid_single(dataclasses.replace(config, engine="fluid"))
+
+
 def _norm(result) -> dict:
     d = result.to_dict()
     d.pop("wallclock_s", None)
@@ -50,15 +58,16 @@ def _norm(result) -> dict:
 
 @pytest.mark.parametrize("aqm", AQMS)
 def test_batched_matches_scalar_oracle(aqm):
-    """One shard of all five CCAs vs the scalar oracle, bitwise, per AQM."""
+    """One shard of all five CCAs vs the per-flow rules, bitwise, per AQM."""
     configs = [_config(cca, aqm) for cca in CCAS]
     batched = run_fluid_batch(configs)
     assert len(batched) == len(configs)
     for config, batch_result in zip(configs, batched):
-        scalar = run_fluid_experiment(config)
+        per_flow = _per_flow(config)
         assert batch_result.engine == "fluid_batched"
-        assert _norm(batch_result) == _norm(scalar), (
-            f"batched != scalar for {config.cca_pair} over {aqm}"
+        assert per_flow.engine == "fluid"
+        assert _norm(batch_result) == _norm(per_flow), (
+            f"vector kernels != per-flow rules for {config.cca_pair} over {aqm}"
         )
 
 
@@ -68,7 +77,7 @@ def test_whole_grid_single_batch():
     Exercises the shard planner (four shards, one per AQM family) and the
     result re-ordering: each member must be bit-identical to the same
     config run as a one-config shard.  Together with the per-AQM oracle
-    tests above this closes the loop grid -> shard -> single -> scalar.
+    tests above this closes the loop grid -> shard -> single -> per-flow.
     """
     configs = [_config(cca, aqm) for cca in CCAS for aqm in AQMS]
     batched = run_fluid_batch(configs)
@@ -81,7 +90,7 @@ def test_whole_grid_single_batch():
 
 
 def test_batched_result_is_tagged():
-    """The engine tag distinguishes the backend; everything else matches."""
+    """The engine tag distinguishes the round rule; everything else matches."""
     config = _config("cubic", "fifo", duration_s=4.0, warmup_s=1.0)
     result = run_fluid_single(config)
     assert result.engine == "fluid_batched"
@@ -99,21 +108,20 @@ FAIRNESS_SERIES_KEYS = (
 
 @pytest.mark.parametrize("cca", ("cubic", "bbrv1"))
 def test_fairness_series_bitwise_scalar_vs_batched(cca):
-    """The fairness probe's series are bit-for-bit equal across backends.
+    """The fairness probe's series are bit-for-bit equal across the rules.
 
-    The batched hook samples row slices of the stacked delivery/backlog
-    arrays; the scalar hook samples the oracle's ``(n_flows,)`` arrays.
+    One hook samples the lane table under either round rule.
     Bit-identity of the underlying state plus the shared pure-Python
     probe math means every recorded float must match exactly — ``==`` on
     the raw lists, no tolerance.
     """
-    scalar_cfg = _config(cca, "fifo", engine="fluid", fairness_interval_s=1.0)
     batched_cfg = _config(cca, "fifo", fairness_interval_s=1.0)
-    scalar = run_fluid_experiment(scalar_cfg).extra["fairness"]
+    per_flow = _per_flow(batched_cfg).extra["fairness"]
     single = run_fluid_single(batched_cfg).extra["fairness"]
-    assert scalar["samples"] > 0
+    assert per_flow["samples"] > 0
+    assert (per_flow["engine"], single["engine"]) == ("fluid", "fluid_batched")
     for key in FAIRNESS_SERIES_KEYS:
-        assert scalar[key] == single[key], f"fairness[{key}] diverges"
+        assert per_flow[key] == single[key], f"fairness[{key}] diverges"
 
 
 def test_fairness_series_survive_shared_shard():

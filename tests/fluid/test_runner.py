@@ -1,9 +1,9 @@
-"""Unit tests for the fluid experiment runner."""
+"""End-to-end tests of ``engine="fluid"`` through ``run_experiment``."""
 
 import pytest
 
 from repro.experiments.config import ExperimentConfig
-from repro.fluid.runner import run_fluid_experiment
+from repro.experiments.runner import run_experiment
 from repro.units import mbps
 
 
@@ -22,7 +22,7 @@ def _cfg(**kw):
 
 
 def test_result_structure():
-    r = run_fluid_experiment(_cfg())
+    r = run_experiment(_cfg())
     assert r.engine == "fluid"
     assert len(r.senders) == 2
     assert r.senders[0].node == "client1"
@@ -33,34 +33,34 @@ def test_result_structure():
 
 
 def test_flow_plan_scales_with_bandwidth():
-    r = run_fluid_experiment(_cfg(bottleneck_bw_bps=mbps(500), duration_s=10.0))
+    r = run_experiment(_cfg(bottleneck_bw_bps=mbps(500), duration_s=10.0))
     assert len(r.flows) == 10  # 5 processes/node x 1 stream
 
 
 def test_deterministic_given_seed():
-    a = run_fluid_experiment(_cfg())
-    b = run_fluid_experiment(_cfg())
+    a = run_experiment(_cfg())
+    b = run_experiment(_cfg())
     assert a.jain_index == b.jain_index
     assert a.total_retransmits == b.total_retransmits
 
 
 def test_different_seeds_differ():
-    a = run_fluid_experiment(_cfg(seed=1, aqm="red"))
-    b = run_fluid_experiment(_cfg(seed=2, aqm="red"))
+    a = run_experiment(_cfg(seed=1, aqm="red"))
+    b = run_experiment(_cfg(seed=2, aqm="red"))
     # Start jitter, arrival noise, and the RED lottery all differ.
     assert (a.total_throughput_bps, a.jain_index) != (b.total_throughput_bps, b.jain_index)
 
 
 def test_intra_cca_roughly_fair():
-    r = run_fluid_experiment(_cfg(duration_s=30.0))
+    r = run_experiment(_cfg(duration_s=30.0))
     assert r.jain_index > 0.9
 
 
 def test_utilization_high_with_fifo():
-    r = run_fluid_experiment(_cfg(duration_s=30.0))
+    r = run_experiment(_cfg(duration_s=30.0))
     assert r.link_utilization > 0.85
 
 
 def test_flows_per_node_override():
-    r = run_fluid_experiment(_cfg(flows_per_node=3, duration_s=5.0))
+    r = run_experiment(_cfg(flows_per_node=3, duration_s=5.0))
     assert len(r.flows) == 6

@@ -22,7 +22,7 @@ from repro.fluid.batched import BatchedFluidSimulation, run_fluid_batch
 from repro.fluid.noise import TABLE_BYTE_BUDGET
 from repro.fluid.state import block_key, plan_shards, shard_key
 
-AQMS = ("fifo", "red", "fq_codel", "codel", "pie")
+AQMS = ("fifo", "red", "fq_codel", "pie")
 SMALL_BUDGET = 40
 
 
@@ -97,7 +97,7 @@ def test_plan_shards_orders_members_by_block_not_by_input():
 def test_shard_key_ignores_aqm_and_width():
     assert shard_key(_config("fifo", 1)) == shard_key(_config("red", 12))
     assert shard_key(_config(duration_s=1.0)) != shard_key(_config(duration_s=2.0))
-    assert block_key(_config("codel", 3)) == ("fq_codel", 6)
+    assert block_key(_config("fq_codel", 3)) == ("fq_codel", 6)
 
 
 def _mini_grid():

@@ -3,8 +3,8 @@
 Covers the pure-Python :class:`FairnessProbe` math, the run-log /
 registry / Chrome-trace integration, and the end-to-end contract on the
 packet and fluid engines: sampling is opt-in and never perturbs
-outcomes.  (Scalar-vs-batched bit-identity of the series lives in
-``tests/fluid/test_batched_vs_scalar.py``.)
+outcomes.  (Bit-identity of the series between the two fluid engines
+lives in ``tests/fluid/test_batched_vs_scalar.py``.)
 """
 
 import dataclasses
@@ -185,11 +185,11 @@ def test_unsampled_config_dict_omits_fairness_key():
 
 
 def test_fluid_run_records_fairness_without_perturbing():
-    from repro.fluid.runner import run_fluid_experiment
+    from repro.experiments.runner import run_experiment
 
     cfg = _cfg(engine="fluid", bottleneck_bw_bps=mbps(100), seed=3)
-    plain = run_fluid_experiment(cfg)
-    sampled = run_fluid_experiment(dataclasses.replace(cfg, fairness_interval_s=0.5))
+    plain = run_experiment(cfg)
+    sampled = run_experiment(dataclasses.replace(cfg, fairness_interval_s=0.5))
     f = sampled.extra["fairness"]
     assert f["engine"] == "fluid"
     assert f["samples"] >= 3

@@ -34,6 +34,8 @@ from repro.units import mbps, milliseconds, seconds
 
 CCA_NAMES = ("reno", "cubic", "bbrv1", "bbrv2", "htcp")
 AQM_NAMES = ("fifo", "red", "codel", "fq_codel", "pie")
+#: The fluid engines refuse codel (docs/SCENARIO.md).
+FLUID_AQM_NAMES = ("fifo", "red", "fq_codel", "pie")
 
 
 @given(
@@ -71,7 +73,7 @@ def test_result_invariants_across_config_space(cca_a, cca_b, aqm, buffer_bdp, se
 
 
 @given(
-    aqm=st.sampled_from(AQM_NAMES),
+    aqm=st.sampled_from(FLUID_AQM_NAMES),
     seed=st.integers(min_value=0, max_value=2**31),
 )
 @settings(max_examples=5, deadline=None)

@@ -14,7 +14,7 @@ from repro.sim.engine import Simulator
 from repro.tcp.intervals import IntervalSet
 from repro.tcp.rate_sample import SegmentSendState
 from repro.tcp.rtt import MAX_RTO_NS, MIN_RTO_NS, RttEstimator
-from repro.fluid.aqm_rules import waterfill
+from repro.fluid.aqm_rules import waterfill_rows
 
 
 # --- Jain index -------------------------------------------------------------------
@@ -185,7 +185,7 @@ def test_simulator_global_order(delays):
 )
 def test_waterfill_properties(supply, cap):
     supply_arr = np.array(supply)
-    out = waterfill(supply_arr, cap)
+    out = waterfill_rows(supply_arr[None, :], np.array([cap]))[0]
     assert np.all(out >= -1e-9)
     assert np.all(out <= supply_arr + 1e-6)
     total = float(out.sum())

@@ -248,6 +248,21 @@ def test_lowering_surfaces_engine_capability_errors():
     assert chaotic.to_experiment_config(engine="packet").faults
 
 
+@pytest.mark.parametrize("overrides, knob", [
+    (dict(aqm=AqmSpec(name="red", ecn=True)), "ecn_mode"),
+    (dict(aqm=AqmSpec(name="codel")), "codel"),
+    (dict(aqm=AqmSpec(name="red", params={"min_th_frac": 0.2})), "min_th_frac"),
+    (dict(topology=TopologySpec(client_delay_multipliers=(1.0, 3.0))), "client_delay_multipliers"),
+    (dict(topology=TopologySpec(trunk_loss_rate=0.01)), "trunk_loss_rate"),
+])
+def test_fluid_engines_refuse_what_they_do_not_model(overrides, knob):
+    sc = _cell(**overrides)
+    for engine in ("fluid", "fluid_batched"):
+        with pytest.raises(ScenarioError, match=knob):
+            sc.to_experiment_config(engine=engine)
+    assert sc.to_experiment_config(engine="packet").engine == "packet"
+
+
 def test_facade_construction_emits_no_deprecation_warnings(recwarn):
     import warnings
 

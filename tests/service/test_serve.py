@@ -394,10 +394,21 @@ def test_bad_content_length_and_short_body_are_400s(tmp_path, monkeypatch):
         b'{"cca_pair":["cubic","cubic"],"engine":"packet","duration_s":2,"sample_interval_s":-1}',
         b'{"cca_pair":["cubic","cubic"],"engine":"packet","queue_monitor_interval_s":0}',
         b'{"scenario":{"topology":{"bottleneck_bw_bps":1e999}},"engine":"fluid"}',
+        # Knobs the fluid engines do not model: refused, never answered
+        # (and cached) as if they were not there.
+        b'{"cca_pair":["cubic","cubic"],"engine":"fluid","ecn_mode":true}',
+        b'{"cca_pair":["cubic","cubic"],"engine":"fluid_batched","aqm":"codel"}',
+        b'{"cca_pair":["cubic","cubic"],"engine":"fluid","client_delay_multipliers":[1,3]}',
+        b'{"cca_pair":["cubic","cubic"],"engine":"fluid","trunk_loss_rate":0.01}',
+        b'{"cca_pair":["cubic","cubic"],"engine":"fluid","aqm":"red","aqm_params":{"bogus":1}}',
+        b'{"scenario":{"topology":{"bottleneck_bw_bps":1e8},"flows":[{"cca":"cubic","node":0},'
+        b'{"cca":"cubic","node":1}],"aqm":{"name":"red","ecn":true}},"engine":"fluid_batched"}',
     ],
     ids=["nan", "inf", "neg-inf", "overflow", "zero-bw", "zero-scale", "ir-nan",
          "neg-buffer", "zero-mss", "loss-2", "zero-delay", "neg-client-delay",
-         "fairness-overflow", "neg-sample", "zero-queue-monitor", "ir-overflow-bw"],
+         "fairness-overflow", "neg-sample", "zero-queue-monitor", "ir-overflow-bw",
+         "fluid-ecn", "fluid-codel", "fluid-rtt-stretch", "fluid-trunk-loss",
+         "fluid-bogus-red-knob", "ir-fluid-ecn"],
 )
 def test_non_finite_and_non_positive_knobs_are_400s(tmp_path, monkeypatch, body):
     """None of them may reach the engine, let alone the cache."""

@@ -182,7 +182,7 @@ def test_cache_stats_and_merge_commands(tmp_path, capsys):
 
     assert main(["cache", "merge", cache_dir]) == 0
     summary = json.loads(capsys.readouterr().out)
-    assert summary == {"entries": 2, "shards_folded": 1, "duplicates": 0}
+    assert summary == {"entries": 2, "shards_folded": 1, "duplicates": 0, "stale": 0}
 
     assert main(["cache", "stats", cache_dir]) == 0
     stats = json.loads(capsys.readouterr().out)
