@@ -229,12 +229,18 @@ class ResultCache:
                 hits.append((result, self._index[key]))
         return hits, misses
 
-    def put(self, result: ExperimentResult, row: Optional[Dict[str, Any]] = None) -> bool:
+    def put(
+        self,
+        result: ExperimentResult,
+        row: Optional[Dict[str, Any]] = None,
+        line: Optional[str] = None,
+    ) -> bool:
         """Record a computed result in this worker's shard.
 
         ``row`` is ``result.to_dict()`` where the caller already built it
         (the record path shares one row with the store); it is indexed
-        and appended as is.
+        and appended as is.  ``line`` is the row's stored line where the
+        caller already encoded it (the one the store wrote).
 
         Returns True if the result was appended, False if the key was
         already present with an equivalent result (dedup) or the result
@@ -252,7 +258,7 @@ class ResultCache:
             return False
         if self._shard is None:
             self._shard = ResultStore(self.shard_path)
-        self._shard.append_dict(d)
+        self._shard.append_dict(d, line)
         self._index[key] = d
         self.puts += 1
         return True
@@ -282,6 +288,8 @@ class ResultCache:
         raises :class:`CacheConflictError`.  The canonical store is
         rewritten atomically (temp file + rename), sorted by key so the
         merged file is deterministic regardless of shard arrival order.
+        Each surviving line is written as it was read (its one decode is
+        for the key and the conflict check), so nothing is re-encoded.
         Stale rows (see :meth:`refresh`) are counted and not written back.
 
         Call this from a single owner while shard writers are quiescent
@@ -289,31 +297,27 @@ class ResultCache:
         shard being folded would lose their tail.
         """
         merged: Dict[str, Dict[str, Any]] = {}
+        lines: Dict[str, str] = {}
         duplicates = stale = 0
         held = self._index.get  # an equal row already in memory is kept, not held twice
-        for _lineno, d in self.canonical.iter_dicts():
-            key = self._key_of_dict(d["config"])
-            if key is None:
-                stale += 1
-                continue
-            merged[key] = d if held(key) != d else held(key)
         shard_files = self.shard_paths()
-        for path in shard_files:
-            for _lineno, d in ResultStore(path).iter_dicts():
+        for store in [self.canonical] + [ResultStore(p) for p in shard_files]:
+            for _lineno, line, d in store.iter_lines():
                 key = self._key_of_dict(d["config"])
                 if key is None:
                     stale += 1
                     continue
                 have = merged.get(key)
-                if have is not None:
+                if have is not None and store is not self.canonical:
                     if not results_equivalent(have, d):
                         raise CacheConflictError(self._conflict_message(key, have, d))
                     duplicates += 1
                 merged[key] = d if held(key) != d else held(key)  # last write wins
+                lines[key] = line
         tmp = self.canonical.path.with_suffix(".tmp")
         with tmp.open("w", encoding="utf-8") as fh:
-            for key in sorted(merged):
-                fh.write(json.dumps(merged[key], sort_keys=True) + "\n")
+            for key in sorted(lines):
+                fh.write(lines[key] + "\n")
             fh.flush()
             os.fsync(fh.fileno())
         os.replace(tmp, self.canonical.path)

@@ -298,7 +298,8 @@ def _recorder(done: CampaignResult, total: int, *, store: Optional[ResultStore],
     most one per result: the one the caller already holds (a worker
     shipped the result as a dict; the cache or the store served it),
     else one ``result.to_dict()``, built only if there is somewhere to
-    write it.  That row goes to ``store.append_dict`` and ``cache.put``.
+    write it.  That row goes to ``store.append_dict`` and ``cache.put``,
+    encoded once: the cache shard gets the very line the store wrote.
     ``from_cache`` marks a replayed hit: stored, but not put back into
     the cache that served it (a *recomputed* result still is, and meets
     the conflict check there).  ``in_store``: the store already holds it.
@@ -313,6 +314,7 @@ def _recorder(done: CampaignResult, total: int, *, store: Optional[ResultStore],
         to_cache = cache is not None and not from_cache
         if row is None and (to_store or to_cache):
             row = result.to_dict()
+        line = None
         if to_store:
             # The label is only for the timeline: not computed when nobody traces.
             labels = (
@@ -320,9 +322,9 @@ def _recorder(done: CampaignResult, total: int, *, store: Optional[ResultStore],
                 if spans.enabled else {}
             )
             with spans.span("store", **labels):
-                store.append_dict(row)
+                line = store.append_dict(row)
         if to_cache:
-            cache.put(result, row)
+            cache.put(result, row, line)
         done.append(result)
         if progress is not None:
             progress(finished, total, result)

@@ -75,19 +75,29 @@ class ResultStore:
         """Append one result as a JSON line (flushed immediately)."""
         self.append_dict(result.to_dict())
 
-    def append_dict(self, d: Dict[str, Any]) -> None:
-        """Append one pre-serialized result dict (same line format)."""
+    @staticmethod
+    def encode(d: Dict[str, Any]) -> str:
+        """The stored line of one result dict: sorted-key JSON and a newline."""
+        return json.dumps(d, sort_keys=True) + "\n"
+
+    def append_dict(self, d: Dict[str, Any], line: Optional[str] = None) -> str:
+        """Append one pre-serialized result dict (same line format) and
+        return the line written.  ``line`` is ``encode(d)`` where the
+        caller already holds it: the record path encodes a row once for
+        the store and the cache shard."""
         fh = self._fh
         if fh is None:
             self._repair_torn_tail()
             fh = self._fh = self.path.open("a", encoding="utf-8")
-        line = json.dumps(d, sort_keys=True) + "\n"
+        if line is None:
+            line = self.encode(d)
         _flock(fh, "LOCK_SH")
         try:
             fh.write(line)
             fh.flush()
         finally:
             _flock(fh, "LOCK_UN")
+        return line
 
     def _repair_torn_tail(self) -> None:
         """Truncate a partial (newline-less) final line before appending.
@@ -147,7 +157,14 @@ class ResultStore:
             pass
 
     def iter_dicts(self) -> Iterator[Tuple[int, Dict[str, Any]]]:
-        """Yield ``(lineno, result_dict)`` pairs with torn-tail tolerance.
+        """Yield ``(lineno, result_dict)`` pairs with torn-tail tolerance
+        (see :meth:`iter_lines`)."""
+        for lineno, _line, d in self.iter_lines():
+            yield lineno, d
+
+    def iter_lines(self) -> Iterator[Tuple[int, str, Dict[str, Any]]]:
+        """Yield ``(lineno, line, result_dict)``: each stored line as read
+        (stripped) beside its one decode.
 
         A JSON-undecodable line followed only by blank lines is the torn
         tail of a crashed append: it is skipped with a
@@ -170,7 +187,7 @@ class ResultStore:
                         "trailing write"
                     )
                 try:
-                    yield lineno, json.loads(line)
+                    yield lineno, line, json.loads(line)
                 except json.JSONDecodeError as exc:
                     torn = (lineno, str(exc))
         if torn is not None:
@@ -195,8 +212,8 @@ class ResultStore:
             yield self._result_of(lineno, d)
 
     def load(self) -> List[ExperimentResult]:
-        """Read every stored result into memory."""
-        return list(self)
+        """Read every stored result into memory, in one pass."""
+        return [self._result_of(lineno, d) for lineno, d in self.iter_dicts()]
 
     def completed_labels(
         self, wanted: Container[str] = (), found: Optional[list] = None

@@ -43,7 +43,6 @@ rest on three properties:
 from __future__ import annotations
 
 import time
-from bisect import bisect_right
 from itertools import accumulate, groupby
 from typing import Dict, List, Optional, Sequence, Tuple
 
@@ -102,7 +101,7 @@ from repro.fluid.state import (
     shard_key,
 )
 from repro.metrics.summary import ExperimentResult
-from repro.sim.rng import RngStreams
+from repro.sim.rng import RngStreams, batch_streams
 
 # BBR state machine lane codes.
 S_STARTUP, S_DRAIN, S_PROBE_BW, S_PROBE_RTT = 0, 1, 2, 3
@@ -367,10 +366,8 @@ class BatchedFluidSimulation:
         if (self.capacity <= 0).any() or (limit <= 0).any():
             raise ValueError("limit and capacity must be positive")
 
-        # Per-config streams, one per named consumer.  Per-lane draw
-        # streams (BBR lotteries) are created lazily on first use.
+        # Per-config streams, one per named consumer.
         self._rngs = [RngStreams(c.seed) for c in configs]
-        self._lane_gens: Dict[int, np.random.Generator] = {}
 
         from repro.cca.registry import canonical_cca_name
 
@@ -479,6 +476,15 @@ class BatchedFluidSimulation:
             self.bb_cycle_index = np.full(L, 2, dtype=np.int64)
             self.bb_cycle_stamp = np.zeros(L)
             self.bb_probe_until = np.full(L, np.nan)
+            # The BBR lotteries draw from per-flow streams (the per-flow
+            # rules' own), seeded for the whole shard in one pass.
+            lanes = np.flatnonzero(np.isin(self.cca_code, sorted(RATE_BASED_CODES))).tolist()
+            owners = (np.searchsorted(self.offsets, lanes, side="right") - 1).tolist()
+            gens = batch_streams([
+                (self._rngs[c], f"cca-flow{lane - self.offsets[c]}")
+                for lane, c in zip(lanes, owners)
+            ])
+            self._lane_gens: Dict[int, np.random.Generator] = dict(zip(lanes, gens))
         if CCA_CODE["bbrv2"] in present:
             self.b2_inflight_hi = np.full(L, np.inf)
             self.b2_phase = np.zeros(L, dtype=np.int64)
@@ -512,14 +518,6 @@ class BatchedFluidSimulation:
     def table_bytes(self) -> int:
         """Bytes held by the shard's uniform tables (arrivals + lotteries)."""
         return sum(table.nbytes for table in self._tables)
-
-    def _lane_gen(self, lane: int) -> np.random.Generator:
-        gen = self._lane_gens.get(lane)
-        if gen is None:
-            c = bisect_right(self.offsets, lane) - 1
-            gen = self._rngs[c].stream(f"cca-flow{lane - self.offsets[c]}")
-            self._lane_gens[lane] = gen
-        return gen
 
     # -- stepping --------------------------------------------------------------
 
@@ -736,7 +734,7 @@ class BatchedFluidSimulation:
 
         # Rare RTO-like collapse lottery, drawn from each lane's own stream.
         for j in np.nonzero(loss_rate > 0.4)[0]:
-            if self._lane_gen(int(i[j])).random() < 0.03:
+            if self._lane_gens[int(i[j])].random() < 0.03:
                 full_bw[j] = 0.0
                 full_cnt[j] = 0
                 ring[j, :] = 0.0
@@ -764,7 +762,7 @@ class BatchedFluidSimulation:
         exit_d = (state == S_DRAIN) & (inflight <= bdp)
         if exit_d.any():
             for j in np.nonzero(exit_d)[0]:
-                cyc_idx[j] = int(self._lane_gen(int(i[j])).integers(2, 8))
+                cyc_idx[j] = int(self._lane_gens[int(i[j])].integers(2, 8))
             state = np.where(exit_d, S_PROBE_BW, state)
             cyc_stamp = np.where(exit_d, now, cyc_stamp)
 
@@ -868,7 +866,7 @@ class BatchedFluidSimulation:
         if to_cruise.any():
             for j in np.nonzero(to_cruise)[0]:
                 phase_stamp[j] = now + float(
-                    self._lane_gen(int(i[j])).uniform(-0.5, 0.5)
+                    self._lane_gens[int(i[j])].uniform(-0.5, 0.5)
                 )
             phase = np.where(to_cruise, P_CRUISE, phase)
         cruise = pb & (ph0 == P_CRUISE)

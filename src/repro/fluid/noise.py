@@ -43,6 +43,9 @@ MAX_K = 1024.0
 
 _SMALL_N = 16
 
+#: Counts in the first tile of the counting loop's sparse tail.
+_TILE_COUNTS = 8
+
 # Acklam's rational approximation of the inverse normal CDF.
 _A = (-3.969683028665376e+01, 2.209460984245205e+02, -2.759285104469687e+02,
       1.383577518672690e+02, -3.066479806614716e+01, 2.506628277459239e+00)
@@ -98,35 +101,43 @@ def _count_loop(lam: np.ndarray, u: np.ndarray) -> np.ndarray:
         kk += 1.0
         p *= lam / kk
         cum += p
-    # Sparse tail: most lanes converged; finish the stragglers compacted.
-    # Each lane sees the identical p/cum/k update sequence it would in the
-    # dense loop, so results stay bit-for-bit the same.
+    # Sparse tail: most lanes converged; the stragglers (each still at
+    # k == kk) advance ``b`` counts per tile, ``b`` doubling from tile to
+    # tile.  Row j of the lane-contiguous (b + 1, m) tile holds
+    # lam / (kk + j), the dense loop's own division; accumulating down axis
+    # 0 repeats each lane's sequential p and cum updates, so every lane sees
+    # the identical IEEE sequence and stops at the same count.
     kf = k.ravel()
-    idx = np.nonzero((u >= cum).ravel())[0]
+    idx = np.flatnonzero(u >= cum)
     if idx.size == 0:
         return k
     lam_a = lam.ravel()[idx]
     u_a = u.ravel()[idx]
     p_a = p.ravel()[idx]
     cum_a = cum.ravel()[idx]
-    k_a = kf[idx]
+    b = _TILE_COUNTS
     while idx.size and kk < MAX_K:
-        k_a += 1.0
-        kk += 1.0
-        p_a *= lam_a / kk
-        cum_a += p_a
-        still = u_a >= cum_a
+        b = min(b, int(MAX_K - kk))
+        tile = np.empty((b + 1, idx.size))
+        tile[0] = p_a
+        np.divide(lam_a, kk + np.arange(1.0, b + 1.0)[:, None], out=tile[1:])
+        np.multiply.accumulate(tile, axis=0, out=tile)  # row j: p at count kk + j
+        p_a = tile[b].copy()
+        tile[0] = cum_a
+        np.add.accumulate(tile, axis=0, out=tile)  # row j: cum at count kk + j
+        going = u_a >= tile[1:]
+        still = going.all(axis=0)
         if not still.all():
             done = ~still
-            kf[idx[done]] = k_a[done]
+            kf[idx[done]] = kk + 1.0 + going[:, done].argmin(axis=0)
             idx = idx[still]
             lam_a = lam_a[still]
             u_a = u_a[still]
             p_a = p_a[still]
-            cum_a = cum_a[still]
-            k_a = k_a[still]
-    if idx.size:
-        kf[idx] = k_a
+        cum_a = tile[b][still]
+        kk += b
+        b *= 2
+    kf[idx] = kk
     return k
 
 

@@ -266,6 +266,22 @@ def test_merge_keeps_the_row_in_memory_where_the_reread_one_equals_it(tmp_path):
     assert cache.canonical.path.read_bytes() == first
 
 
+def test_merge_writes_each_line_as_it_was_read(tmp_path):
+    """merge() re-encodes nothing: a hand-edited line (its own key order and
+    separators) keeps its formatting; lines are only reordered by key."""
+    row = _result(1).to_dict()
+    edited = json.dumps(row, indent=None, separators=(", ", ":"))
+    assert edited != ResultStore.encode(row).rstrip("\n")
+    with ResultStore(ResultCache(tmp_path, worker="hand").shard_path) as shard:
+        shard.append_dict(row, edited + "\n")
+    cache = ResultCache(tmp_path, worker="w1")
+    cache.put(_result(2))
+    cache.merge()
+    lines = cache.canonical.path.read_text().splitlines()
+    assert edited in lines and ResultStore.encode(_result(2).to_dict()).rstrip("\n") in lines
+    assert ResultCache(tmp_path).row(cache.key_for(_config(1))) == row
+
+
 def _stale_row(seed=1):
     """A ``fluid_batched`` row for a RED knob the fluid engines do not read,
     as a release that answered such configs knob-less stored it."""

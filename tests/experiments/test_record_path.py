@@ -3,7 +3,8 @@
 Every transport — inline (single configs and batched shards), pool,
 watchdog ("hardened"), queue worker — hands the rows ``campaign.run_task``
 built to one record function (``campaign._recorder``).  Spies count, in the recording process, the rows
-built (``ExperimentResult.to_dict``), the ``ResultCache.put`` calls and the
+built (``ExperimentResult.to_dict``), the lines encoded (``ResultStore.encode``)
+and decoded (``json.loads``), the ``ResultCache.put`` calls and the
 reads of the store (``ResultStore.iter_dicts``).
 
 ``repro serve`` is held to the same budget per query: a hit costs one cache
@@ -53,21 +54,22 @@ def spy(monkeypatch):
 
     def counting(owner, name, count_as=None):
         raw = vars(owner)[name]
-        real = raw.__func__ if isinstance(raw, classmethod) else raw
+        kind = type(raw) if isinstance(raw, (classmethod, staticmethod)) else None
+        real = raw.__func__ if kind else raw
 
         def wrapper(*args, **kwargs):
             counts[count_as or name] += 1
             return real(*args, **kwargs)
 
-        monkeypatch.setattr(
-            owner, name, classmethod(wrapper) if isinstance(raw, classmethod) else wrapper
-        )
+        monkeypatch.setattr(owner, name, kind(wrapper) if kind else wrapper)
 
     counting(ExperimentResult, "to_dict")
     counting(ExperimentResult, "from_dict")
     counting(FlowStats, "from_dict", "flow_from_dict")
     counting(ResultCache, "put")
     counting(ResultStore, "iter_dicts")
+    counting(ResultStore, "encode")
+    counting(json, "loads", "decode")
     counting(cache_mod, "config_key")
     return counts
 
@@ -105,8 +107,10 @@ def test_one_row_per_fresh_result_and_none_for_a_replayed_hit(tmp_path, spy, pat
     assert (len(cold), cold.engine_runs, cache.puts) == (N, N, N)
     assert spy["to_dict"] == rows_built_here
     assert spy["put"] == N
+    assert spy["encode"] == N  # one line per result, for store and shard alike
     cold_lines = sorted(store.path.read_text().splitlines())
     assert len(cold_lines) == N
+    assert sorted(cache.shard_path.read_text().splitlines()) == cold_lines
 
     # The same sweep from the now-full cache: every result is a replayed
     # hit — stored again, but neither re-serialised nor re-put.
@@ -117,6 +121,7 @@ def test_one_row_per_fresh_result_and_none_for_a_replayed_hit(tmp_path, spy, pat
     assert (cache.hits, cache.misses, cache.puts) == (N, 0, 0)
     assert spy["to_dict"] == 0
     assert spy["put"] == 0
+    assert spy["encode"] == N  # the store's lines; nothing for the cache
     assert not cache.shard_path.exists()
     assert sorted(store.path.read_text().splitlines()) == cold_lines
 
@@ -135,6 +140,42 @@ def test_resumed_sweep_reads_the_store_once(tmp_path, spy, path):
     assert [r.to_dict() for r in resumed] == [
         r.to_dict() for r in ResultStore(store.path).load()
     ]
+
+
+def test_load_reads_the_store_once(tmp_path, spy):
+    store, _ = PATHS["serial"][0](tmp_path, "r", None)
+    spy.clear()
+    results = store.load()
+    assert len(results) == N
+    assert spy["iter_dicts"] == 1
+    assert (spy["decode"], spy["from_dict"]) == (N, N)
+
+
+def test_merge_copies_lines_and_decodes_each_once(tmp_path, spy):
+    """merge() encodes nothing: every surviving line is written as read."""
+    results = list(run_campaign(_configs("fluid_batched", 2 * N)))
+    with ResultCache(tmp_path / "cache", worker="a") as cache:
+        for result in results[:N]:
+            cache.put(result)
+        cache.merge()
+    # Two workers that do not see each other's shard: c's rows duplicate b's.
+    b = ResultCache(tmp_path / "cache", worker="b")
+    c = ResultCache(tmp_path / "cache", worker="c")
+    for cache, part in ((b, results[N:]), (c, results[N:N + 2])):
+        with cache:
+            for result in part:
+                cache.put(result)
+    merger = ResultCache(tmp_path / "cache", worker="m")
+    on_disk = [merger.canonical.path, *merger.shard_paths()]
+    read = sum(len(p.read_text().splitlines()) for p in on_disk)
+    lines = set().union(*(p.read_text().splitlines() for p in on_disk))
+    spy.clear()
+    summary = merger.merge()
+    assert summary == {"entries": 2 * N, "shards_folded": 2, "duplicates": 2, "stale": 0}
+    assert (spy["encode"], spy["to_dict"]) == (0, 0)
+    assert spy["decode"] == read
+    merged = merger.canonical.path.read_text().splitlines()
+    assert len(merged) == 2 * N and set(merged) <= lines
 
 
 def test_split_computes_one_key_per_config(tmp_path, spy):
