@@ -40,7 +40,7 @@ import json
 import os
 import re
 from pathlib import Path
-from typing import Any, Dict, List, Optional, Sequence, Tuple, Union
+from typing import IO, Any, Dict, List, Optional, Sequence, Tuple, Union
 
 from repro._version import __version__
 from repro.experiments.config import ExperimentConfig
@@ -48,6 +48,10 @@ from repro.experiments.storage import ResultStore
 from repro.metrics.summary import ExperimentResult
 
 PathLike = Union[str, Path]
+
+#: Read handles one cache holds for replaying stored lines: far below the
+#: usual limit of 1 024 open files, however many shards pile up unmerged.
+MAX_HELD_READERS = 64
 
 
 class CacheConflictError(ValueError):
@@ -109,7 +113,9 @@ class ResultCache:
     number of instances — across processes or hosts sharing the
     filesystem — may read concurrently.  The in-memory index is built at
     construction from the canonical store plus every shard, and can be
-    rebuilt with :meth:`refresh` to pick up other workers' appends.
+    rebuilt with :meth:`refresh` to pick up other workers' appends.  It
+    holds a read handle on those files (up to :data:`MAX_HELD_READERS`)
+    until :meth:`close`.
     """
 
     def __init__(
@@ -129,6 +135,10 @@ class ResultCache:
         self._shard: Optional[ResultStore] = None
         #: key -> full result dict (as stored, wallclock included).
         self._index: Dict[str, Dict[str, Any]] = {}
+        #: key -> (read handle, offset, length) of the row's stored line,
+        #: for rows read from disk; the handles are held in ``_readers``.
+        self._where: Dict[str, Tuple[IO[bytes], int, int]] = {}
+        self._readers: List[IO[bytes]] = []
         self.hits = 0
         self.misses = 0
         self.puts = 0
@@ -170,17 +180,30 @@ class ResultCache:
         ones (canonical first, then shards in sorted order) — the same
         last-write-wins rule :meth:`merge` applies durably.  Stale rows
         are skipped and counted in :attr:`stale`, so their configs miss.
+        The read handles of the first :data:`MAX_HELD_READERS` files stay
+        open, so a hit from them can later be replayed as the very line
+        read here (see :meth:`split`).
         """
         index: Dict[str, Dict[str, Any]] = {}
+        where: Dict[str, Tuple[IO[bytes], int, int]] = {}
+        readers: List[IO[bytes]] = []
         stale = 0
         for store in [self.canonical] + [ResultStore(p) for p in self.shard_paths()]:
-            for _lineno, d in store.iter_dicts():
+            fh = store.reader() if len(readers) < MAX_HELD_READERS else None
+            if fh is not None:
+                readers.append(fh)
+            for _lineno, offset, line, d in store.iter_lines(fh):
                 key = self._key_of_dict(d["config"])
                 if key is None:
                     stale += 1
+                    continue
+                index[key] = d
+                if fh is None or offset is None:
+                    where.pop(key, None)
                 else:
-                    index[key] = d
-        self._index = index
+                    where[key] = (fh, offset, len(line))
+        self._close_readers()
+        self._index, self._where, self._readers = index, where, readers
         self.stale = stale
         return len(index)
 
@@ -214,9 +237,12 @@ class ResultCache:
     def split(self, configs: Sequence[ExperimentConfig]) -> Tuple[list, list]:
         """Partition ``configs`` into ``(hits, misses)``, one counted :meth:`get` each.
 
-        A hit is ``(result, row)`` with ``row`` the stored row itself: the
-        record path writes it to the sweep's store as is, so a replayed
-        hit is neither re-serialised nor re-:meth:`put`.
+        A hit is ``(result, row, line)`` with ``row`` the stored row itself
+        and ``line`` its stored line as read from disk (None for a row this
+        instance put, a final line read before its newline, a file read
+        without a held handle, or once the cache is closed): the record
+        path writes that line to the sweep's store, so a replayed hit is
+        neither re-serialised nor re-:meth:`put`.
         """
         hits: List[tuple] = []
         misses: List[ExperimentConfig] = []
@@ -226,8 +252,22 @@ class ResultCache:
             if result is None:
                 misses.append(config)
             else:
-                hits.append((result, self._index[key]))
+                hits.append((result, self._index[key], self._line(key)))
         return hits, misses
+
+    def _line(self, key: str) -> Optional[str]:
+        """The stored line of ``key``'s row, newline included, fetched from
+        the handle it was read through: a stored file's newline-terminated
+        lines are never rewritten in place (see
+        :meth:`ResultStore.iter_lines`), so the bytes hold even after
+        another process's :meth:`merge` replaced ``canonical.jsonl`` or
+        deleted the shard."""
+        where = self._where.get(key)
+        if where is None:
+            return None
+        fh, offset, length = where
+        fh.seek(offset)
+        return fh.read(length).decode("utf-8") + "\n"
 
     def put(
         self,
@@ -291,18 +331,19 @@ class ResultCache:
         Each surviving line is written as it was read (its one decode is
         for the key and the conflict check), so nothing is re-encoded.
         Stale rows (see :meth:`refresh`) are counted and not written back.
+        Like :meth:`close`, it releases the read handles.
 
         Call this from a single owner while shard writers are quiescent
         (end of a sweep, a cron compaction); concurrent appenders to a
         shard being folded would lose their tail.
         """
         merged: Dict[str, Dict[str, Any]] = {}
-        lines: Dict[str, str] = {}
+        lines: Dict[str, bytes] = {}
         duplicates = stale = 0
         held = self._index.get  # an equal row already in memory is kept, not held twice
         shard_files = self.shard_paths()
         for store in [self.canonical] + [ResultStore(p) for p in shard_files]:
-            for _lineno, line, d in store.iter_lines():
+            for _lineno, _offset, line, d in store.iter_lines():
                 key = self._key_of_dict(d["config"])
                 if key is None:
                     stale += 1
@@ -315,9 +356,9 @@ class ResultCache:
                 merged[key] = d if held(key) != d else held(key)  # last write wins
                 lines[key] = line
         tmp = self.canonical.path.with_suffix(".tmp")
-        with tmp.open("w", encoding="utf-8") as fh:
+        with tmp.open("wb") as fh:
             for key in sorted(lines):
-                fh.write(lines[key] + "\n")
+                fh.write(lines[key] + b"\n")
             fh.flush()
             os.fsync(fh.fileno())
         os.replace(tmp, self.canonical.path)
@@ -334,10 +375,17 @@ class ResultCache:
         }
 
     def close(self) -> None:
-        """Release the shard write handle (idempotent)."""
+        """Release the shard write handle and the read handles (idempotent).
+        Rows stay indexed; a hit replayed after this is re-encoded."""
         if self._shard is not None:
             self._shard.close()
             self._shard = None
+        self._close_readers()
+
+    def _close_readers(self) -> None:
+        readers, self._readers, self._where = self._readers, [], {}
+        for fh in readers:
+            fh.close()
 
     def __enter__(self) -> "ResultCache":
         return self

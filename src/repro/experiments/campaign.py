@@ -300,13 +300,15 @@ def _recorder(done: CampaignResult, total: int, *, store: Optional[ResultStore],
     else one ``result.to_dict()``, built only if there is somewhere to
     write it.  That row goes to ``store.append_dict`` and ``cache.put``,
     encoded once: the cache shard gets the very line the store wrote.
-    ``from_cache`` marks a replayed hit: stored, but not put back into
-    the cache that served it (a *recomputed* result still is, and meets
-    the conflict check there).  ``in_store``: the store already holds it.
+    ``from_cache`` marks a replayed hit: stored as ``line``, the line the
+    cache read, but not put back into the cache that served it (a
+    *recomputed* result still is, and meets the conflict check there).
+    ``in_store``: the store already holds it.
     """
     finished = 0
 
-    def record(result: ExperimentResult, row: Optional[Dict[str, Any]] = None, *,
+    def record(result: ExperimentResult, row: Optional[Dict[str, Any]] = None,
+               line: Optional[str] = None, *,
                from_cache: bool = False, in_store: bool = False) -> None:
         nonlocal finished
         finished += 1
@@ -314,7 +316,6 @@ def _recorder(done: CampaignResult, total: int, *, store: Optional[ResultStore],
         to_cache = cache is not None and not from_cache
         if row is None and (to_store or to_cache):
             row = result.to_dict()
-        line = None
         if to_store:
             # The label is only for the timeline: not computed when nobody traces.
             labels = (
@@ -322,7 +323,7 @@ def _recorder(done: CampaignResult, total: int, *, store: Optional[ResultStore],
                 if spans.enabled else {}
             )
             with spans.span("store", **labels):
-                line = store.append_dict(row)
+                line = store.append_dict(row, line)
         if to_cache:
             cache.put(result, row, line)
         done.append(result)
@@ -410,7 +411,7 @@ def run_campaign(
     # Content-addressed cache layer: anything any store has seen skips
     # the engine.  Hits are replayed through the normal record path below
     # so store/progress/span accounting treat them like completions.
-    cached_results: List[tuple] = []  # (result, the cache's own row)
+    cached_results: List[tuple] = []  # (result, the cache's own row, its line)
     if cache is not None and telemetry is None:
         cached_results, todo = cache.split(todo)
         done.cache_hits = len(cached_results)
@@ -438,8 +439,8 @@ def run_campaign(
                 "resumed": done.resumed, "cache_hits": len(cached_results)},
     )
     try:
-        for cached, row in cached_results:
-            record(cached, row, from_cache=True)
+        for cached, row, line in cached_results:
+            record(cached, row, line, from_cache=True)
         if hardened:
             _run_watchdog(
                 tasks, telemetry_dict, record_outcomes, done, jobs=jobs,

@@ -15,7 +15,6 @@ paper studies is preserved).
 from __future__ import annotations
 
 import copy
-import math
 from dataclasses import dataclass, field
 from typing import Any, Dict, List, Optional, Tuple
 
@@ -85,6 +84,13 @@ ENGINES: Tuple[str, ...] = ("packet", "fluid", "fluid_batched")
 AQM_NAMES: Tuple[str, ...] = ("fifo", "red", "fq_codel", "codel", "pie")
 
 
+#: Every number a config holds lies below this, floats included (no knob
+#: comes near it).  The store's decoder (orjson) reads an integer of 2**64
+#: or more back as a float, which would file the stored row under another
+#: cache key.
+NUMBER_LIMIT = 2 ** 63
+
+
 def canonical_engine_name(name: str) -> str:
     """Map the CLI spelling ``fluid-batched`` to its :data:`ENGINES` name."""
     return name.replace("-", "_")
@@ -138,22 +144,27 @@ class ExperimentConfig:
             raise ValueError(f"unknown AQM {self.aqm!r}")
         if self.engine not in ENGINES:
             raise ValueError(f"unknown engine {self.engine!r}")
+        seed = self.seed
+        if isinstance(seed, bool) or not isinstance(seed, int) or not 0 <= seed < NUMBER_LIMIT:
+            raise ValueError(f"seed must be an integer in [0, 2**63): {seed!r}")
         for name in ("duration_s", "bottleneck_bw_bps", "scale", "buffer_bdp",
                      "mss_bytes", "delay_multiplier"):
-            if not 0 < getattr(self, name) < math.inf:  # NaN fails too
-                raise ValueError(f"{name} must be positive and finite: {getattr(self, name)!r}")
+            if not 0 < getattr(self, name) < NUMBER_LIMIT:  # NaN and inf fail too
+                raise ValueError(
+                    f"{name} must be positive and finite (below 2**63): {getattr(self, name)!r}"
+                )
         cdm = self.client_delay_multipliers
-        if len(cdm) != 2 or not (0 < cdm[0] < math.inf and 0 < cdm[1] < math.inf):
+        if len(cdm) != 2 or not (0 < cdm[0] < NUMBER_LIMIT and 0 < cdm[1] < NUMBER_LIMIT):
             raise ValueError(f"client_delay_multipliers must be two positive finite numbers: {cdm!r}")
         if not 0.0 <= self.trunk_loss_rate < 1.0:
             raise ValueError(f"trunk_loss_rate must be in [0, 1): {self.trunk_loss_rate!r}")
         if self.warmup_s < 0 or self.warmup_s >= self.duration_s:
             raise ValueError("warmup must be in [0, duration)")
-        if self.flows_per_node is not None and self.flows_per_node < 1:
-            raise ValueError("flows_per_node must be >= 1")
+        if self.flows_per_node is not None and not 1 <= self.flows_per_node < NUMBER_LIMIT:
+            raise ValueError("flows_per_node must be in [1, 2**63)")
         for name in ("sample_interval_s", "queue_monitor_interval_s", "fairness_interval_s"):
             value = getattr(self, name)
-            if value is not None and not 0 < value < math.inf:  # NaN fails too
+            if value is not None and not 0 < value < NUMBER_LIMIT:  # NaN and inf fail too
                 raise ValueError(f"{name} must be None or positive and finite: {value!r}")
         if self.engine != "packet":
             self._refuse_unmodelled_knobs()

@@ -297,8 +297,8 @@ def run_queue_worker(
             left = [c for c in left if c.label() not in stored]
         if cache is not None:
             hits, left = cache.split(left)
-            for hit, row in hits:
-                record(hit, row, from_cache=True)
+            for hit, row, line in hits:
+                record(hit, row, line, from_cache=True)
         done.cache_hits += len(done) - ok_before
         done.engine_runs += len(left)
         if left:

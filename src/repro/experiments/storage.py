@@ -32,6 +32,14 @@ so repair and appends exclude each other with a POSIX advisory lock on
 the store: exclusive for check-and-truncate, shared around each append's
 write + flush.  A SIGKILLed writer's lock dies with it, so a genuinely
 torn tail is still repaired.  Where ``fcntl`` is missing there is no lock.
+
+Reading
+-------
+
+:meth:`ResultStore.iter_lines` is the one place stored lines are decoded:
+the file is read in binary and each line is decoded once by
+:func:`_decode_line` (orjson's C parser, ``json.loads`` for the few lines
+orjson refuses).
 """
 
 from __future__ import annotations
@@ -63,6 +71,25 @@ class TornWriteWarning(UserWarning):
     """A partial trailing line (crash mid-append) was skipped or repaired."""
 
 
+def _decode_line(line: bytes) -> Any:
+    """The value of one stored line, decoded as ``json.loads`` would.
+
+    orjson decodes it where it can.  It refuses the ``NaN``/``Infinity``
+    tokens :meth:`ResultStore.encode` writes for non-finite floats, lone
+    surrogate escapes and torn or corrupt lines; those go to ``json.loads``,
+    whose values and error messages they had before.  orjson accepts one
+    thing differently: an integer outside ``[-2**63, 2**64)`` decodes to a
+    float, which is why configs refuse such values (see
+    :class:`~repro.experiments.config.ExperimentConfig`).
+    """
+    import orjson  # deferred: a process that never reads a row never loads it
+
+    try:
+        return orjson.loads(line)
+    except orjson.JSONDecodeError:
+        return json.loads(line.decode("utf-8"))
+
+
 class ResultStore:
     """Append/load experiment results on disk."""
 
@@ -84,7 +111,8 @@ class ResultStore:
         """Append one pre-serialized result dict (same line format) and
         return the line written.  ``line`` is ``encode(d)`` where the
         caller already holds it: the record path encodes a row once for
-        the store and the cache shard."""
+        the store and the cache shard, and replays a cache hit as the
+        line the cache read."""
         fh = self._fh
         if fh is None:
             self._repair_torn_tail()
@@ -159,24 +187,47 @@ class ResultStore:
     def iter_dicts(self) -> Iterator[Tuple[int, Dict[str, Any]]]:
         """Yield ``(lineno, result_dict)`` pairs with torn-tail tolerance
         (see :meth:`iter_lines`)."""
-        for lineno, _line, d in self.iter_lines():
+        for lineno, _offset, _line, d in self.iter_lines():
             yield lineno, d
 
-    def iter_lines(self) -> Iterator[Tuple[int, str, Dict[str, Any]]]:
-        """Yield ``(lineno, line, result_dict)``: each stored line as read
-        (stripped) beside its one decode.
+    def reader(self) -> Optional[IO[bytes]]:
+        """A binary read handle on the store, or None while it does not exist."""
+        try:
+            # A stored line is tens of KB: an 8 KB buffer takes several reads each.
+            return self.path.open("rb", buffering=1 << 16)
+        except FileNotFoundError:
+            return None
+
+    def iter_lines(
+        self, fh: Optional[IO[bytes]] = None
+    ) -> Iterator[Tuple[int, Optional[int], bytes, Dict[str, Any]]]:
+        """Yield ``(lineno, offset, line, result_dict)``: each stored line as
+        read (stripped bytes), the file offset it starts at, and its one
+        :func:`_decode_line`.  The offset is None for a final line with no
+        newline yet: the next append's torn-tail repair may still cut it,
+        while the bytes before the last newline are never rewritten.
+
+        ``fh`` is a :meth:`reader` the caller keeps open to fetch lines
+        again by offset (:class:`~repro.experiments.cache.ResultCache`);
+        without it the store is opened and closed here.
 
         A JSON-undecodable line followed only by blank lines is the torn
         tail of a crashed append: it is skipped with a
         :class:`TornWriteWarning`.  An undecodable line followed by more
         content is corruption and raises ``ValueError``.
         """
-        if not self.path.exists():
-            return
+        owned = fh is None
+        if owned:
+            fh = self.reader()
+            if fh is None:
+                return
         torn: Optional[Tuple[int, str]] = None
-        with self.path.open("r", encoding="utf-8") as fh:
-            for lineno, line in enumerate(fh, 1):
-                line = line.strip()
+        end = fh.tell()  # file offset just past the line read last
+        try:
+            for lineno, raw in enumerate(fh, 1):
+                end += len(raw)
+                body = raw.lstrip()
+                line = body.rstrip()
                 if not line:
                     continue
                 if torn is not None:
@@ -186,10 +237,14 @@ class ResultStore:
                         f"({bad_err}) followed by more content — not a torn "
                         "trailing write"
                     )
+                offset = end - len(body) if raw.endswith(b"\n") else None
                 try:
-                    yield lineno, line, json.loads(line)
+                    yield lineno, offset, line, _decode_line(line)
                 except json.JSONDecodeError as exc:
                     torn = (lineno, str(exc))
+        finally:
+            if owned:
+                fh.close()
         if torn is not None:
             warnings.warn(
                 f"{self.path}:{torn[0]}: skipping partial trailing line "

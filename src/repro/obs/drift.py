@@ -112,16 +112,12 @@ def result_rows(path: PathLike) -> Iterator[Dict[str, Any]]:
             raise ValueError(f"no .json/.jsonl result files under {p}")
         return
     if p.suffix == ".jsonl":
-        with p.open("r", encoding="utf-8") as fh:
-            for lineno, line in enumerate(fh, 1):
-                line = line.strip()
-                if not line:
-                    continue
-                try:
-                    row = json.loads(line)
-                except json.JSONDecodeError as exc:
-                    raise ValueError(f"{p}:{lineno}: corrupt result line ({exc})") from None
-                yield row
+        from repro.experiments.storage import ResultStore
+
+        # Resume's reader and rules: a torn tail warns and is skipped,
+        # corruption mid-file raises ValueError with the line number.
+        for _lineno, row in ResultStore(p).iter_dicts():
+            yield row
         return
     with p.open("r", encoding="utf-8") as fh:
         doc = json.load(fh)

@@ -32,12 +32,11 @@ fixture, cache key, and stored result unchanged.  See docs/SCENARIO.md.
 from __future__ import annotations
 
 import json
-import math
 from dataclasses import dataclass, field, fields
 from typing import Any, Dict, Mapping, Optional, Sequence, Tuple
 
 from repro.cca.registry import canonical_cca_name
-from repro.experiments.config import AQM_NAMES, ExperimentConfig
+from repro.experiments.config import AQM_NAMES, NUMBER_LIMIT, ExperimentConfig
 from repro.units import mbps
 
 #: Current IR document version.
@@ -106,9 +105,9 @@ class TopologySpec:
         )
         for name in ("bottleneck_bw_bps", "buffer_bdp", "mss_bytes", "scale", "delay_multiplier"):
             _require(
-                0 < getattr(self, name) < math.inf,
+                0 < getattr(self, name) < NUMBER_LIMIT,
                 f"topology.{name}",
-                "must be positive and finite",
+                "must be positive and finite (below 2**63)",
             )
         _require(
             0.0 <= self.trunk_loss_rate < 1.0,
@@ -120,7 +119,7 @@ class TopologySpec:
         )
         _require(
             len(self.client_delay_multipliers) == 2
-            and all(0 < m < math.inf for m in self.client_delay_multipliers),
+            and all(0 < m < NUMBER_LIMIT for m in self.client_delay_multipliers),
             "topology.client_delay_multipliers",
             "must be two positive finite per-sender multipliers",
         )
@@ -199,9 +198,10 @@ class FlowSpec:
         )
         _require(
             self.count is None
-            or (isinstance(self.count, int) and not isinstance(self.count, bool) and self.count >= 1),
+            or (isinstance(self.count, int) and not isinstance(self.count, bool)
+                and 1 <= self.count < NUMBER_LIMIT),
             "flows[].count",
-            f"expected a positive flow count or null (Table 2 plan), got {self.count!r}",
+            f"expected a positive flow count below 2**63 or null (Table 2 plan), got {self.count!r}",
         )
         _require(self.start_s >= 0, "flows[].start_s", "must be >= 0")
         _require(
@@ -286,7 +286,7 @@ class SamplingSpec:
         for name in ("throughput_interval_s", "queue_interval_s", "fairness_interval_s"):
             value = getattr(self, name)
             _require(
-                value is None or (isinstance(value, (int, float)) and 0 < value < math.inf),
+                value is None or (isinstance(value, (int, float)) and 0 < value < NUMBER_LIMIT),
                 f"sampling.{name}",
                 f"expected a positive finite cadence in seconds or null, got {value!r}",
             )
@@ -345,16 +345,21 @@ class Scenario:
                     f"flows[{i}].node",
                     "the dumbbell has two sender nodes (0 and 1)",
                 )
-        _require(0 < self.duration_s < math.inf, "duration_s", "must be positive and finite")
+        _require(
+            0 < self.duration_s < NUMBER_LIMIT,
+            "duration_s",
+            "must be positive and finite (below 2**63)",
+        )
         _require(
             0 <= self.warmup_s < self.duration_s,
             "warmup_s",
             "must be in [0, duration_s)",
         )
         _require(
-            isinstance(self.seed, int) and not isinstance(self.seed, bool),
+            isinstance(self.seed, int) and not isinstance(self.seed, bool)
+            and 0 <= self.seed < NUMBER_LIMIT,
             "seed",
-            f"expected an integer, got {self.seed!r}",
+            f"expected an integer in [0, 2**63), got {self.seed!r}",
         )
         try:
             from repro.faults.spec import normalize_faults

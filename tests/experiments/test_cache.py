@@ -7,6 +7,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import repro.experiments.cache as cache_mod
 from repro.experiments.cache import (
     CacheConflictError,
     ResultCache,
@@ -17,7 +18,7 @@ from repro.experiments.cache import (
     salt_slug,
 )
 from repro.experiments.config import ExperimentConfig
-from repro.experiments.storage import ResultStore
+from repro.experiments.storage import ResultStore, TornWriteWarning
 from repro.metrics.summary import ExperimentResult, SenderStats
 from repro.units import mbps
 
@@ -112,8 +113,9 @@ def test_put_takes_the_callers_row_and_split_hands_it_back(tmp_path):
     assert cache.put(result, row) is True
     hits, misses = cache.split([_config(2), _config(1)])
     assert misses == [_config(2)]
-    ((hit, hit_row),) = hits
+    ((hit, hit_row, line),) = hits
     assert hit_row is row and hit.to_dict() == row
+    assert line is None  # put here, not read from disk: the store encodes it
     assert (cache.hits, cache.misses, cache.puts) == (1, 1, 1)
     cache.close()
     assert cache.shard_path.read_text() == json.dumps(row, sort_keys=True) + "\n"
@@ -280,6 +282,67 @@ def test_merge_writes_each_line_as_it_was_read(tmp_path):
     lines = cache.canonical.path.read_text().splitlines()
     assert edited in lines and ResultStore.encode(_result(2).to_dict()).rstrip("\n") in lines
     assert ResultCache(tmp_path).row(cache.key_for(_config(1))) == row
+
+
+def test_a_hit_replays_the_line_the_cache_read_even_after_another_merge(tmp_path):
+    """split() hands over each hit's stored line as it was read, through the
+    handle the index was built from.  A second cache's merge() meanwhile
+    rewrites canonical.jsonl (new offsets, a later write winning) and
+    deletes the shards; the replayed bytes do not move."""
+    hand = json.dumps(_result(1).to_dict(), separators=(", ", ":"))  # not encode()'s form
+    with ResultStore(ResultCache(tmp_path, worker="a").shard_path) as shard:
+        shard.append_dict({}, hand + "\n")
+    ResultCache(tmp_path, worker="a").merge()
+    with ResultCache(tmp_path, worker="b") as b:
+        b.put(_result(2, wallclock=0.25))
+    reader = ResultCache(tmp_path, worker="r")  # canonical: seed 1; shard b: seed 2
+    cached = {1: hand + "\n", 2: ResultStore.encode(_result(2, wallclock=0.25).to_dict())}
+
+    other = ResultCache(tmp_path, worker="m")
+    for seed in (0, 3):
+        other.put(_result(seed))
+    ResultStore(ResultCache(tmp_path, worker="z").shard_path).append(_result(2, wallclock=9.0))
+    assert other.merge()["entries"] == 4
+    assert cached[2] not in other.canonical.path.read_text()  # the later write won
+
+    hits, misses = reader.split([_config(1), _config(2), _config(3)])
+    assert misses == [_config(3)]
+    assert [line for _, _, line in hits] == [cached[1], cached[2]]
+    assert [row for _, row, _ in hits] == [json.loads(cached[1]), json.loads(cached[2])]
+    reader.close()
+    hits, _ = reader.split([_config(1)])
+    assert hits[0][2] is None  # closed: no handle left, the store re-encodes
+
+
+def test_read_handles_are_capped_and_past_the_cap_hits_are_re_encoded(tmp_path, monkeypatch):
+    monkeypatch.setattr(cache_mod, "MAX_HELD_READERS", 2)
+    for seed in (1, 2, 3):
+        with ResultCache(tmp_path, worker=f"w{seed}") as cache:
+            cache.put(_result(seed))
+    with ResultCache(tmp_path, worker="r") as reader:  # no canonical: shards w1, w2 held
+        assert len(reader._readers) == 2
+        hits, _ = reader.split([_config(1), _config(2), _config(3)])
+    assert [line for _, _, line in hits] == [
+        ResultStore.encode(_result(1).to_dict()), ResultStore.encode(_result(2).to_dict()), None,
+    ]
+    assert hits[2][1] == _result(3).to_dict()
+
+
+def test_a_hit_whose_line_was_truncated_away_is_re_encoded(tmp_path):
+    """A complete row without its newline (a crash mid-append) is indexed,
+    then cut by the shard's torn-tail repair and its bytes overwritten by
+    the next append: the hit is handed over without a line, never with
+    the bytes that now sit where the row was."""
+    shard = ResultStore(ResultCache(tmp_path, worker="a").shard_path)
+    shard.path.write_text(json.dumps(_result(1).to_dict(), sort_keys=True))
+    reader = ResultCache(tmp_path, worker="r")
+    with pytest.warns(TornWriteWarning):
+        shard.append(_result(2))
+    shard.close()
+    hits, misses = reader.split([_config(1)])
+    assert misses == [] and hits[0][2] is None
+    assert hits[0][1] == _result(1).to_dict()
+    reader.close()
 
 
 def _stale_row(seed=1):

@@ -136,12 +136,32 @@ _FLUID_REFUSALS = [
     {"queue_monitor_interval_s": float("nan")},
     {"queue_monitor_interval_s": 0},
     {"queue_monitor_interval_s": -0.5},
-] + _FLUID_REFUSALS)
+] + _FLUID_REFUSALS + [
+    # Seeds: an integer in [0, 2**63).  Every other number stays below 2**63
+    # too: a stored row's decoder (orjson) reads 2**64 and above as a float.
+    {"seed": -1},
+    {"seed": 2**63},
+    {"seed": 2**64},
+    {"seed": 1.0},
+    {"seed": True},
+    {"mss_bytes": 2**63},
+    {"flows_per_node": 2**63},
+    {"bottleneck_bw_bps": 2**64},
+    {"sample_interval_s": 2**64},
+    {"duration_s": 1e19},
+])
 def test_validation(kwargs):
     base = dict(cca_pair=("cubic", "cubic"))
     base.update(kwargs)
     with pytest.raises(ValueError):
         ExperimentConfig(**base)
+
+
+def test_numbers_up_to_the_limit_are_accepted():
+    top = 2**63 - 1
+    config = ExperimentConfig(cca_pair=("cubic", "cubic"), seed=top, mss_bytes=top,
+                              flows_per_node=top, bottleneck_bw_bps=float(2**62))
+    assert ExperimentConfig.from_dict(config.to_dict()) == config
 
 
 def test_fluid_engines_read_red_knobs_and_the_packet_engine_reads_everything():

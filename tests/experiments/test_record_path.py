@@ -4,8 +4,8 @@ Every transport — inline (single configs and batched shards), pool,
 watchdog ("hardened"), queue worker — hands the rows ``campaign.run_task``
 built to one record function (``campaign._recorder``).  Spies count, in the recording process, the rows
 built (``ExperimentResult.to_dict``), the lines encoded (``ResultStore.encode``)
-and decoded (``json.loads``), the ``ResultCache.put`` calls and the
-reads of the store (``ResultStore.iter_dicts``).
+and decoded (``orjson.loads``; ``json.loads`` for what orjson refuses), the
+``ResultCache.put`` calls and the reads of the store (``ResultStore.iter_dicts``).
 
 ``repro serve`` is held to the same budget per query: a hit costs one cache
 key and decodes nothing (``ExperimentResult.from_dict``,
@@ -17,6 +17,7 @@ import collections
 import json
 import time
 
+import orjson
 import pytest
 
 import repro.experiments.cache as cache_mod
@@ -69,7 +70,8 @@ def spy(monkeypatch):
     counting(ResultCache, "put")
     counting(ResultStore, "iter_dicts")
     counting(ResultStore, "encode")
-    counting(json, "loads", "decode")
+    counting(orjson, "loads", "decode")
+    counting(json, "loads", "json_decode")
     counting(cache_mod, "config_key")
     return counts
 
@@ -113,7 +115,8 @@ def test_one_row_per_fresh_result_and_none_for_a_replayed_hit(tmp_path, spy, pat
     assert sorted(cache.shard_path.read_text().splitlines()) == cold_lines
 
     # The same sweep from the now-full cache: every result is a replayed
-    # hit — stored again, but neither re-serialised nor re-put.
+    # hit — stored again as the line the cache read, neither re-serialised
+    # nor re-put.
     spy.clear()
     with ResultCache(tmp_path / "cache", worker="warm") as cache:
         store, warm = sweep(tmp_path, "warm", cache)
@@ -121,7 +124,8 @@ def test_one_row_per_fresh_result_and_none_for_a_replayed_hit(tmp_path, spy, pat
     assert (cache.hits, cache.misses, cache.puts) == (N, 0, 0)
     assert spy["to_dict"] == 0
     assert spy["put"] == 0
-    assert spy["encode"] == N  # the store's lines; nothing for the cache
+    assert spy["encode"] == 0
+    assert spy["decode"] == N  # the cache's index: one per line read
     assert not cache.shard_path.exists()
     assert sorted(store.path.read_text().splitlines()) == cold_lines
 
@@ -148,7 +152,7 @@ def test_load_reads_the_store_once(tmp_path, spy):
     results = store.load()
     assert len(results) == N
     assert spy["iter_dicts"] == 1
-    assert (spy["decode"], spy["from_dict"]) == (N, N)
+    assert (spy["decode"], spy["json_decode"], spy["from_dict"]) == (N, 0, N)
 
 
 def test_merge_copies_lines_and_decodes_each_once(tmp_path, spy):
@@ -173,7 +177,7 @@ def test_merge_copies_lines_and_decodes_each_once(tmp_path, spy):
     summary = merger.merge()
     assert summary == {"entries": 2 * N, "shards_folded": 2, "duplicates": 2, "stale": 0}
     assert (spy["encode"], spy["to_dict"]) == (0, 0)
-    assert spy["decode"] == read
+    assert (spy["decode"], spy["json_decode"]) == (read, 0)
     merged = merger.canonical.path.read_text().splitlines()
     assert len(merged) == 2 * N and set(merged) <= lines
 
@@ -190,7 +194,7 @@ def test_split_computes_one_key_per_config(tmp_path, spy):
     assert spy["from_dict"] == 2  # only hits are decoded
     assert (cache.hits, cache.misses) == (2, 1)
     assert misses == configs[2:] and len(hits) == 2
-    assert all(row is stored for (_, row), stored in zip(hits, rows))
+    assert all(row is stored for (_, row, _line), stored in zip(hits, rows))
 
 
 # -- repro serve: one key per query, no decode on a hit, one row per miss ------------

@@ -1,8 +1,13 @@
 """Unit tests for the JSONL result store."""
 
+import json
+import subprocess
+import sys
 import warnings
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from repro.experiments.config import ExperimentConfig
 from repro.experiments.storage import ResultStore, TornWriteWarning
@@ -305,3 +310,77 @@ def test_concurrent_appends_from_processes(tmp_path):
     assert len(loaded) == workers * per_worker
     seeds = sorted(r.config["seed"] for r in loaded)
     assert seeds == sorted(w * 1000 + i for w in range(workers) for i in range(per_worker))
+
+
+# -- decoding: orjson where it can, json.loads for what orjson refuses -------------
+
+#: Every string, lone surrogates included (``json.dumps`` escapes them).
+_text = st.text(st.characters(exclude_categories=()), max_size=8)
+_leaves = (
+    st.none()
+    | st.booleans()
+    | st.integers(min_value=-(2**63 - 1), max_value=2**63 - 1)
+    | st.sampled_from([2**63 - 1, -(2**63 - 1), -0.0, 5e-324, 2.2e-308])
+    | st.floats()  # NaN, +-inf, -0.0 and subnormals included
+    | _text
+    | st.sampled_from(["\ud800", "a\udfffb", '\x00\n"\\', "é", "\U0001d11e"])
+)
+_values = st.recursive(
+    _leaves,
+    lambda inner: st.lists(inner, max_size=4) | st.dictionaries(_text, inner, max_size=4),
+    max_leaves=25,
+)
+
+
+@settings(max_examples=150, deadline=None)
+@given(rows=st.lists(
+    st.fixed_dictionaries({"jain_index": st.floats(), "extra": st.dictionaries(_text, _values)}),
+    min_size=1, max_size=4,
+))
+def test_iter_lines_decodes_every_storable_row_as_json_loads_does(tmp_path_factory, rows):
+    path = tmp_path_factory.mktemp("store") / "r.jsonl"
+    path.write_text("".join(ResultStore.encode(row) for row in rows), encoding="utf-8")
+    data = path.read_bytes()
+    read = list(ResultStore(path).iter_lines())
+    assert len(read) == len(rows)
+    for lineno, offset, line, d in read:
+        assert data[offset:offset + len(line)] == line == data.splitlines()[lineno - 1]
+        assert json.dumps(d, sort_keys=True) == json.dumps(json.loads(line), sort_keys=True)
+
+
+def test_orjson_widens_integers_from_2_64_which_is_why_configs_stop_at_2_63():
+    """The one value orjson reads back differently instead of refusing."""
+    import orjson
+
+    assert type(orjson.loads(b"18446744073709551615")) is int
+    widened = orjson.loads(b"18446744073709551616")
+    assert type(widened) is float and widened == 2.0**64
+    for seed in (2**63, 2**64):
+        with pytest.raises(ValueError, match="seed"):
+            ExperimentConfig(cca_pair=("cubic", "cubic"), seed=seed)
+
+
+def test_non_finite_floats_round_trip_through_the_fallback(tmp_path):
+    store = ResultStore(tmp_path / "r.jsonl")
+    row = _result().to_dict()
+    row["extra"] = {"red_avg_bytes": [float("nan"), float("inf"), -float("inf"), 1.5]}
+    store.append_dict(row)
+    store.append(_result(2))
+    (_, first), (_, second) = store.iter_dicts()
+    assert json.dumps(first, sort_keys=True) == json.dumps(row, sort_keys=True)
+    assert second == _result(2).to_dict()
+
+
+def test_a_process_that_reads_no_row_never_imports_orjson(tmp_path):
+    """Resuming into an empty store and appending to it decode nothing."""
+    script = f"""
+import sys
+from repro.experiments.storage import ResultStore
+store = ResultStore({str(tmp_path / "r.jsonl")!r})
+assert store.completed_labels() == set()
+store.append_dict({{"jain_index": 1.0}})
+assert "orjson" not in sys.modules
+assert [d for _, d in store.iter_dicts()] == [{{"jain_index": 1.0}}]
+assert "orjson" in sys.modules
+"""
+    subprocess.run([sys.executable, "-c", script], check=True)

@@ -4,6 +4,7 @@ import json
 
 import pytest
 
+from repro.experiments.storage import TornWriteWarning
 from repro.obs.drift import (
     DriftTolerance,
     cell_distributions,
@@ -95,9 +96,19 @@ def test_result_rows_path_forms(tmp_path):
 
 def test_corrupt_store_line_raises(tmp_path):
     path = tmp_path / "bad.jsonl"
-    path.write_text('{"config": {}}\nnot json\n', encoding="utf-8")
-    with pytest.raises(ValueError, match="corrupt"):
+    path.write_text('{"config": {}}\nnot json\n{"config": {}}\n', encoding="utf-8")
+    with pytest.raises(ValueError, match=r"bad\.jsonl:2: corrupt result line"):
         list(result_rows(path))
+
+
+def test_torn_trailing_store_line_warns_and_is_skipped(tmp_path):
+    """Drift reads stores as resume does: a crashed append's partial last
+    line is not a reason to refuse the whole store."""
+    line = json.dumps(_row(), sort_keys=True)
+    path = tmp_path / "torn.jsonl"
+    path.write_text(f"{line}\n{line[:37]}\n\n", encoding="utf-8")
+    with pytest.warns(TornWriteWarning, match=r"torn\.jsonl:2"):
+        assert list(result_rows(path)) == [_row()]
 
 
 # --- drift detection -----------------------------------------------------------

@@ -403,12 +403,22 @@ def test_bad_content_length_and_short_body_are_400s(tmp_path, monkeypatch):
         b'{"cca_pair":["cubic","cubic"],"engine":"fluid","aqm":"red","aqm_params":{"bogus":1}}',
         b'{"scenario":{"topology":{"bottleneck_bw_bps":1e8},"flows":[{"cca":"cubic","node":0},'
         b'{"cca":"cubic","node":1}],"aqm":{"name":"red","ecn":true}},"engine":"fluid_batched"}',
+        # Seeds outside [0, 2**63) and integer knobs from 2**63: refused
+        # before the engine, not a 500 from inside it.
+        b'{"cca_pair":["cubic","cubic"],"engine":"fluid","seed":-1}',
+        b'{"cca_pair":["cubic","cubic"],"engine":"fluid","seed":18446744073709551616}',
+        b'{"cca_pair":["cubic","cubic"],"engine":"fluid","mss_bytes":9223372036854775808}',
+        b'{"scenario":{"seed":-1},"engine":"fluid"}',
+        b'{"scenario":{"seed":9223372036854775808},"engine":"fluid"}',
+        b'{"scenario":{"flows":[{"cca":"cubic","node":0,"count":9223372036854775808},'
+        b'{"cca":"cubic","node":1}]},"engine":"fluid"}',
     ],
     ids=["nan", "inf", "neg-inf", "overflow", "zero-bw", "zero-scale", "ir-nan",
          "neg-buffer", "zero-mss", "loss-2", "zero-delay", "neg-client-delay",
          "fairness-overflow", "neg-sample", "zero-queue-monitor", "ir-overflow-bw",
          "fluid-ecn", "fluid-codel", "fluid-rtt-stretch", "fluid-trunk-loss",
-         "fluid-bogus-red-knob", "ir-fluid-ecn"],
+         "fluid-bogus-red-knob", "ir-fluid-ecn", "neg-seed", "seed-2**64",
+         "mss-2**63", "ir-neg-seed", "ir-seed-2**63", "ir-count-2**63"],
 )
 def test_non_finite_and_non_positive_knobs_are_400s(tmp_path, monkeypatch, body):
     """None of them may reach the engine, let alone the cache."""
