@@ -137,7 +137,12 @@ def sender_interval_series(result: ExperimentResult) -> Dict[str, List[float]]:
         raise ValueError(
             f"per-flow series lengths differ, cannot aggregate: {lengths}"
         )
-    flow_owner = {f"flow{f.flow_id}": f.sender_node for f in result.flows}
+    flow_owner = {
+        f"flow{flow_id}": node
+        for flow_id, node in zip(
+            result.flows.column("flow_id"), result.flows.column("sender_node")
+        )
+    }
     out: Dict[str, List[float]] = {}
     for flow_name, values in series.items():
         node = flow_owner.get(flow_name)

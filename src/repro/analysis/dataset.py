@@ -79,19 +79,9 @@ def flows_table(results: ResultSet) -> List[Dict[str, Any]]:
     rows = []
     for r in results.results:
         base = _config_features(r.config)
-        for f in r.flows:
+        for flow in r.flows.records():
             row = dict(base)
-            row.update(
-                flow_id=f.flow_id,
-                sender_node=f.sender_node,
-                cca=f.cca,
-                throughput_bps=f.throughput_bps,
-                bytes_received=f.bytes_received,
-                segments_sent=f.segments_sent,
-                retransmits=f.retransmits,
-                rto_count=f.rto_count,
-                fast_recoveries=f.fast_recoveries,
-            )
+            row.update(flow)
             rows.append(row)
     return rows
 

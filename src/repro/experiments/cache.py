@@ -44,7 +44,7 @@ from typing import IO, Any, Dict, List, Optional, Sequence, Tuple, Union
 
 from repro._version import __version__
 from repro.experiments.config import ExperimentConfig
-from repro.experiments.storage import ResultStore
+from repro.experiments.storage import ResultStore, readable_config
 from repro.metrics.summary import ExperimentResult
 
 PathLike = Union[str, Path]
@@ -152,13 +152,11 @@ class ResultCache:
         """This cache's content address for ``config`` (salt included)."""
         return config_key(config, self.salt)
 
-    def _key_of_dict(self, config_dict: Dict[str, Any]) -> Optional[str]:
-        """The key of a stored config, or None where this release refuses it
-        (an older one answered inputs it did not model): a *stale* row."""
-        try:
-            return config_key(ExperimentConfig.from_dict(config_dict), self.salt)
-        except ValueError:
-            return None
+    def _key_of_row(self, row: Dict[str, Any]) -> Optional[str]:
+        """The key of a stored row, or None for a *stale* row, one this
+        release cannot read (:func:`~repro.experiments.storage.readable_config`)."""
+        config = readable_config(row)
+        return None if config is None else config_key(config, self.salt)
 
     # -- layout -------------------------------------------------------------------
 
@@ -193,7 +191,7 @@ class ResultCache:
             if fh is not None:
                 readers.append(fh)
             for _lineno, offset, line, d in store.iter_lines(fh):
-                key = self._key_of_dict(d["config"])
+                key = self._key_of_row(d)
                 if key is None:
                     stale += 1
                     continue
@@ -290,7 +288,7 @@ class ResultCache:
         d = result.to_dict() if row is None else row
         if not _cacheable(d):
             return False
-        key = self._key_of_dict(d["config"])
+        key = self._key_of_row(d)
         have = self._index.get(key)
         if have is not None:
             if not results_equivalent(have, d):
@@ -344,7 +342,7 @@ class ResultCache:
         shard_files = self.shard_paths()
         for store in [self.canonical] + [ResultStore(p) for p in shard_files]:
             for _lineno, _offset, line, d in store.iter_lines():
-                key = self._key_of_dict(d["config"])
+                key = self._key_of_row(d)
                 if key is None:
                     stale += 1
                     continue

@@ -18,7 +18,7 @@ from repro.experiments.config import ExperimentConfig
 from repro.faults.schedule import FaultSchedule
 from repro.metrics.fairness import jain_index
 from repro.metrics.queue_monitor import QueueMonitor
-from repro.metrics.summary import ExperimentResult, FlowStats, SenderStats
+from repro.metrics.summary import ExperimentResult, FlowTable, SenderStats
 from repro.metrics.timeseries import ThroughputSampler
 from repro.metrics.utilization import link_utilization
 from repro.obs.fairness import instrument_packet_fairness
@@ -246,7 +246,7 @@ def _collect(
     wall_start, fault_schedule=None, fairness_sampler=None,
 ) -> ExperimentResult:
     measured_s = config.duration_s - config.warmup_s
-    flows: List[FlowStats] = []
+    flows: List[tuple] = []  # one FlowStats field tuple per flow
     senders: List[SenderStats] = []
     for node_idx, conns in enumerate(connections):
         node_name = dumbbell.clients[node_idx].name
@@ -257,19 +257,11 @@ def _collect(
             rx = conn.receiver.bytes_received - warmup_bytes.get(conn.flow_id, 0)
             node_bytes += rx
             node_retx += conn.sender.retransmits
-            flows.append(
-                FlowStats(
-                    flow_id=conn.flow_id,
-                    sender_node=node_name,
-                    cca=cca_name,
-                    throughput_bps=rx * 8 / measured_s,
-                    bytes_received=rx,
-                    segments_sent=conn.sender.segments_sent,
-                    retransmits=conn.sender.retransmits,
-                    rto_count=conn.sender.rto_count,
-                    fast_recoveries=conn.sender.fast_recoveries,
-                )
-            )
+            flows.append((
+                conn.flow_id, node_name, cca_name, rx * 8 / measured_s, rx,
+                conn.sender.segments_sent, conn.sender.retransmits,
+                conn.sender.rto_count, conn.sender.fast_recoveries,
+            ))
         senders.append(
             SenderStats(
                 node=node_name,
@@ -294,7 +286,8 @@ def _collect(
         )
     # Per-flow fairness (n = all flows) alongside the paper's per-sender
     # index — the "scaling capability" measure of contribution #2.
-    extra["flow_jain_index"] = jain_index([f.throughput_bps for f in flows])
+    table = FlowTable.from_rows(flows)
+    extra["flow_jain_index"] = jain_index(table.column("throughput_bps"))
     if fairness_sampler is not None:
         extra["fairness"] = fairness_sampler.probe.to_dict()
     if fault_schedule is not None:
@@ -308,7 +301,7 @@ def _collect(
     return ExperimentResult(
         config=config.to_dict(),
         senders=senders,
-        flows=flows,
+        flows=table,
         jain_index=jain_index(throughputs),
         link_utilization=link_utilization(throughputs, bottleneck_bps),
         total_retransmits=sum(s.retransmits for s in senders),

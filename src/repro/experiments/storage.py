@@ -90,6 +90,30 @@ def _decode_line(line: bytes) -> Any:
         return json.loads(line.decode("utf-8"))
 
 
+def _per_flow_records(row: Dict[str, Any]) -> bool:
+    """True for a row in the layout before flow columns: ``flows`` is a
+    list with one record per flow."""
+    return isinstance(row["flows"], list)
+
+
+def readable_config(row: Dict[str, Any]) -> Optional[ExperimentConfig]:
+    """The config of a stored result row, or None where this release cannot
+    read the row: it is *stale*.  A row is stale when its config is refused
+    (an older release answered inputs it did not model) or its ``flows``
+    is a list of per-flow records, the layout before flow columns
+    (:class:`~repro.metrics.summary.FlowTable`).  The cache misses a stale
+    row and ``merge()`` drops it; resume recomputes its config.
+
+    ``KeyError``/``TypeError`` where ``row`` is not a result row at all.
+    """
+    if _per_flow_records(row):
+        return None
+    try:
+        return ExperimentConfig.from_dict(row["config"])
+    except ValueError:
+        return None
+
+
 class ResultStore:
     """Append/load experiment results on disk."""
 
@@ -253,14 +277,21 @@ class ResultStore:
                 stacklevel=2,
             )
 
+    def _corrupt(self, lineno: int, exc: Exception) -> ValueError:
+        return ValueError(f"{self.path}:{lineno}: corrupt result line ({exc!r})")
+
     def _result_of(self, lineno: int, d: Dict[str, Any]) -> ExperimentResult:
         """Schema check of one stored row: the row as a result, or ValueError."""
+        if isinstance(d, dict) and "flows" in d and _per_flow_records(d):
+            raise ValueError(
+                f"{self.path}:{lineno}: stale result line: its flows are per-flow "
+                "records, the layout of an older release (this one stores flow "
+                "columns); a resumed sweep recomputes it"
+            )
         try:
             return ExperimentResult.from_dict(d)
-        except (KeyError, TypeError) as exc:
-            raise ValueError(
-                f"{self.path}:{lineno}: corrupt result line ({exc!r})"
-            ) from None
+        except (KeyError, TypeError, ValueError) as exc:
+            raise self._corrupt(lineno, exc) from None
 
     def __iter__(self) -> Iterator[ExperimentResult]:
         for lineno, d in self.iter_dicts():
@@ -280,16 +311,19 @@ class ResultStore:
         passes a list as ``found``: each matching row is appended to it as
         ``(label, result, row)`` in store order, so resuming reads the
         file once rather than once for the labels and again to load.
-        A row whose config this release refuses (an older one answered
-        inputs it did not model) is skipped, so resume recomputes it.
+        A row this release cannot read (:func:`readable_config`) is
+        skipped, so resume recomputes it.
         """
         labels: Set[str] = set()
         for lineno, d in self.iter_dicts():
-            result = self._result_of(lineno, d)
             try:
-                label = ExperimentConfig.from_dict(result.config).label()
-            except ValueError:
+                config = readable_config(d)
+            except (KeyError, TypeError) as exc:
+                raise self._corrupt(lineno, exc) from None
+            if config is None:
                 continue
+            result = self._result_of(lineno, d)
+            label = config.label()
             labels.add(label)
             if found is not None and label in wanted:
                 found.append((label, result, d))

@@ -18,7 +18,7 @@ import numpy as np
 from repro.experiments.config import ExperimentConfig
 from repro.fluid.cca_rules import FLUID_CCAS, FluidCca, make_fluid_cca
 from repro.metrics.fairness import jain_index
-from repro.metrics.summary import ExperimentResult, FlowStats, SenderStats
+from repro.metrics.summary import ExperimentResult, FlowTable, SenderStats
 from repro.metrics.utilization import link_utilization
 from repro.sim.rng import RngStreams
 from repro.testbed.sites import PAPER_RTT_NS
@@ -97,41 +97,31 @@ def build_fluid_result(
     thr_bps = thr_pps * 8 * config.mss_bytes
     retx = dropped_total  # every dropped segment is retransmitted once
     node_of = geom.node_of
+    nodes = node_of.tolist()
+    n = len(nodes)
+    names = ("client1", "client2")
 
-    # List-form per-flow fields (identical values; avoids per-element
-    # numpy scalar indexing, which dominates wide-shard result assembly).
-    node_list = node_of.tolist()
-    thr_list = thr_bps.tolist()
-    bytes_list = (delivered_window * config.mss_bytes).tolist()
-    seg_list = (delivered_total + dropped_total).tolist()
-    retx_list = retx.tolist()
-
-    flow_stats: List[FlowStats] = []
+    # The flow columns straight from the arrays: flows are in node order
+    # (``node_of`` is sorted), and ``astype(int64)``/``rint`` truncate and
+    # round (half to even) exactly as ``int()``/``round()`` do per element.
+    flows = FlowTable([
+        list(range(n)),
+        [names[nd] for nd in nodes],
+        [config.cca_pair[nd] for nd in nodes],
+        thr_bps.tolist(),
+        (delivered_window * config.mss_bytes).astype(np.int64).tolist(),
+        (delivered_total + dropped_total).astype(np.int64).tolist(),
+        np.rint(retx).astype(np.int64).tolist(),
+        [0] * n,
+        [0] * n,
+    ])
     senders: List[SenderStats] = []
     for node_idx in range(2):
         mask = node_of == node_idx
-        node_name = f"client{node_idx + 1}"
-        cca_name = config.cca_pair[node_idx]
-        for i, nd in enumerate(node_list):
-            if nd != node_idx:
-                continue
-            flow_stats.append(
-                FlowStats(
-                    flow_id=i,
-                    sender_node=node_name,
-                    cca=cca_name,
-                    throughput_bps=thr_list[i],
-                    bytes_received=int(bytes_list[i]),
-                    segments_sent=int(seg_list[i]),
-                    retransmits=int(round(retx_list[i])),
-                    rto_count=0,
-                    fast_recoveries=0,
-                )
-            )
         senders.append(
             SenderStats(
-                node=node_name,
-                cca=cca_name,
+                node=names[node_idx],
+                cca=config.cca_pair[node_idx],
                 throughput_bps=float(thr_bps[mask].sum()),
                 retransmits=int(round(retx[mask].sum())),
                 flows=int(mask.sum()),
@@ -139,13 +129,13 @@ def build_fluid_result(
         )
 
     throughputs = [s.throughput_bps for s in senders]
-    extra = {"flow_jain_index": jain_index([f.throughput_bps for f in flow_stats])}
+    extra = {"flow_jain_index": jain_index(flows.column("throughput_bps"))}
     if fairness is not None:
         extra["fairness"] = fairness
     return ExperimentResult(
         config=config.to_dict(),
         senders=senders,
-        flows=flow_stats,
+        flows=flows,
         jain_index=jain_index(throughputs),
         link_utilization=link_utilization(throughputs, geom.capacity_bps),
         total_retransmits=sum(s.retransmits for s in senders),

@@ -2,7 +2,7 @@
 
 from repro.metrics.fairness import jain_index
 from repro.metrics.queue_monitor import QueueMonitor, QueueTrace
-from repro.metrics.summary import ExperimentResult, FlowStats, SenderStats
+from repro.metrics.summary import ExperimentResult, FlowStats, FlowTable, SenderStats
 from repro.metrics.timeseries import ThroughputSampler
 from repro.metrics.utilization import link_utilization
 
@@ -13,6 +13,7 @@ __all__ = [
     "QueueMonitor",
     "QueueTrace",
     "FlowStats",
+    "FlowTable",
     "SenderStats",
     "ExperimentResult",
 ]

@@ -4,7 +4,7 @@ import pytest
 
 from repro.analysis.aggregate import ResultSet, cell_key
 from repro.experiments.config import ExperimentConfig
-from repro.metrics.summary import ExperimentResult, SenderStats
+from repro.metrics.summary import ExperimentResult, FlowTable, SenderStats
 from repro.units import mbps
 
 
@@ -16,7 +16,7 @@ def make_result(pair=("cubic", "cubic"), aqm="fifo", buf=2.0, bw=mbps(100),
         config=cfg.to_dict(),
         senders=[SenderStats("client1", pair[0], s1, retx // 2, 1),
                  SenderStats("client2", pair[1], s2, retx - retx // 2, 1)],
-        flows=[],
+        flows=FlowTable(),
         jain_index=jain,
         link_utilization=util,
         total_retransmits=retx,

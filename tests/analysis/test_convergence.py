@@ -13,16 +13,16 @@ from repro.analysis.convergence import (
 )
 from repro.experiments.config import ExperimentConfig
 from repro.experiments.runner import run_packet_experiment
-from repro.metrics.summary import ExperimentResult, FlowStats, SenderStats
+from repro.metrics.summary import ExperimentResult, FlowTable, SenderStats
 from repro.units import mbps
 
 
 def _synthetic(series, interval_s=1.0):
     """Two flows, one per sender, with prescribed per-interval series."""
-    flows = [
-        FlowStats(1, "client1", "a", 1.0, 0, 0, 0, 0, 0),
-        FlowStats(2, "client2", "b", 1.0, 0, 0, 0, 0, 0),
-    ]
+    flows = FlowTable.from_rows([
+        (1, "client1", "a", 1.0, 0, 0, 0, 0, 0),
+        (2, "client2", "b", 1.0, 0, 0, 0, 0, 0),
+    ])
     return ExperimentResult(
         config={"cca_pair": ["a", "b"], "aqm": "fifo", "buffer_bdp": 2.0,
                 "bottleneck_bw_bps": 1e8, "seed": 1},

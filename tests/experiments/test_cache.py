@@ -19,7 +19,7 @@ from repro.experiments.cache import (
 )
 from repro.experiments.config import ExperimentConfig
 from repro.experiments.storage import ResultStore, TornWriteWarning
-from repro.metrics.summary import ExperimentResult, SenderStats
+from repro.metrics.summary import ExperimentResult, FlowTable, SenderStats
 from repro.units import mbps
 
 
@@ -42,7 +42,7 @@ def _result(seed=1, *, jain=1.0, wallclock=0.5, engine="fluid"):
             SenderStats("client1", "cubic", 50e6, 5, 1),
             SenderStats("client2", "cubic", 50e6, 3, 1),
         ],
-        flows=[],
+        flows=FlowTable(),
         jain_index=jain,
         link_utilization=1.0,
         total_retransmits=8,
@@ -385,6 +385,39 @@ def test_a_stale_row_in_the_canonical_store_is_dropped_by_merge(tmp_path):
     assert (len(cache), cache.stale) == (0, 1)
     assert cache.merge()["stale"] == 1
     assert ResultStore(cache.canonical.path).load() == []
+
+
+def _old_layout_row(seed=1):
+    """A row as a release before flow columns stored it: one record per flow."""
+    result = _result(seed)
+    result.flows = FlowTable.from_rows([
+        (1, "client1", "cubic", 50e6, 10**8, 9000, 5, 0, 1),
+        (2, "client2", "cubic", 50e6, 10**8, 9000, 3, 0, 1),
+    ])
+    row = result.to_dict()
+    row["flows"] = result.flows.records()
+    return row
+
+
+def test_an_old_layout_row_in_the_canonical_store_is_a_stale_miss(tmp_path):
+    cache = ResultCache(tmp_path, worker="w1")
+    with ResultStore(cache.canonical.path) as canonical:
+        canonical.append_dict(_old_layout_row(1))
+        canonical.append(_result(2))
+    cache.refresh()
+    assert (len(cache), cache.stale, cache.stats()["stale"]) == (1, 1, 1)
+    assert cache.get(_config(1)) is None and cache.get(_config(2)) is not None
+    assert (cache.hits, cache.misses) == (1, 1)
+
+
+def test_an_old_layout_row_in_a_shard_is_dropped_by_merge(tmp_path):
+    with ResultStore(ResultCache(tmp_path, worker="old").shard_path) as shard:
+        shard.append_dict(_old_layout_row(1))
+    cache = ResultCache(tmp_path, worker="w1")
+    cache.put(_result(2))
+    assert cache.merge() == {"entries": 1, "shards_folded": 2, "duplicates": 0, "stale": 1}
+    assert [r.config["seed"] for r in ResultStore(cache.canonical.path).load()] == [2]
+    assert ResultCache(tmp_path).stale == 0
 
 
 # -- the sharding property ----------------------------------------------------------

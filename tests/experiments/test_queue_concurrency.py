@@ -15,7 +15,7 @@ from repro.experiments.cache import ResultCache
 from repro.experiments.config import ExperimentConfig
 from repro.experiments.queue import WorkQueue, run_queue_worker
 from repro.experiments.storage import ResultStore
-from repro.metrics.summary import ExperimentResult, SenderStats
+from repro.metrics.summary import ExperimentResult, FlowTable, SenderStats
 from repro.units import mbps
 
 N_CONFIGS = 12
@@ -38,7 +38,7 @@ def _fake_run(cfg):
     return ExperimentResult(
         config=cfg.to_dict(),
         senders=[SenderStats("client1", "cubic", 50e6, 0, 1)],
-        flows=[],
+        flows=FlowTable(),
         jain_index=1.0,
         link_utilization=1.0,
         total_retransmits=0,

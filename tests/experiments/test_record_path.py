@@ -5,11 +5,13 @@ watchdog ("hardened"), queue worker — hands the rows ``campaign.run_task``
 built to one record function (``campaign._recorder``).  Spies count, in the recording process, the rows
 built (``ExperimentResult.to_dict``), the lines encoded (``ResultStore.encode``)
 and decoded (``orjson.loads``; ``json.loads`` for what orjson refuses), the
-``ResultCache.put`` calls and the reads of the store (``ResultStore.iter_dicts``).
+``ResultCache.put`` calls, the reads of the store (``ResultStore.iter_dicts``)
+and the ``FlowStats`` built: reading a row keeps its flow columns, so a warm
+sweep, a resume and ``load()`` build none.
 
 ``repro serve`` is held to the same budget per query: a hit costs one cache
-key and decodes nothing (``ExperimentResult.from_dict``,
-``FlowStats.from_dict``), a miss builds one row and puts it once.
+key and decodes nothing (``ExperimentResult.from_dict``, no ``FlowStats``),
+a miss builds one row and puts it once.
 """
 
 import asyncio
@@ -66,7 +68,7 @@ def spy(monkeypatch):
 
     counting(ExperimentResult, "to_dict")
     counting(ExperimentResult, "from_dict")
-    counting(FlowStats, "from_dict", "flow_from_dict")
+    counting(FlowStats, "__init__", "flow_stats")
     counting(ResultCache, "put")
     counting(ResultStore, "iter_dicts")
     counting(ResultStore, "encode")
@@ -126,6 +128,7 @@ def test_one_row_per_fresh_result_and_none_for_a_replayed_hit(tmp_path, spy, pat
     assert spy["put"] == 0
     assert spy["encode"] == 0
     assert spy["decode"] == N  # the cache's index: one per line read
+    assert spy["flow_stats"] == 0
     assert not cache.shard_path.exists()
     assert sorted(store.path.read_text().splitlines()) == cold_lines
 
@@ -139,7 +142,7 @@ def test_resumed_sweep_reads_the_store_once(tmp_path, spy, path):
     _, resumed = sweep(tmp_path, "r", None)
     assert (len(resumed), resumed.resumed, resumed.engine_runs) == (N, N, 0)
     assert spy["iter_dicts"] == 1
-    assert spy["to_dict"] == 0
+    assert spy["to_dict"] == spy["flow_stats"] == 0
     assert store.path.read_bytes() == before
     assert [r.to_dict() for r in resumed] == [
         r.to_dict() for r in ResultStore(store.path).load()
@@ -153,6 +156,7 @@ def test_load_reads_the_store_once(tmp_path, spy):
     assert len(results) == N
     assert spy["iter_dicts"] == 1
     assert (spy["decode"], spy["json_decode"], spy["from_dict"]) == (N, 0, N)
+    assert spy["flow_stats"] == 0 and all(len(r.flows) == 2 for r in results)
 
 
 def test_merge_copies_lines_and_decodes_each_once(tmp_path, spy):
@@ -224,7 +228,7 @@ def test_serve_hit_costs_one_key_and_decodes_nothing(tmp_path, spy):
             spy.clear()
             ((answer,),) = _answers(cache, [(config, full)])
             assert spy["config_key"] == 1
-            assert spy["from_dict"] == spy["flow_from_dict"] == 0
+            assert spy["from_dict"] == spy["flow_stats"] == 0
             assert spy["to_dict"] == spy["put"] == 0
             assert answer["cached"] is True and answer["key"] == key
             if full:
@@ -246,7 +250,7 @@ def test_serve_miss_builds_one_row_however_many_askers_wait(tmp_path, spy, monke
         )
         assert len(runs) == 1 and (cache.misses, cache.hits, cache.puts) == (2, 1, 1)
         assert (spy["to_dict"], spy["put"]) == (1, 1)
-        assert spy["from_dict"] == spy["flow_from_dict"] == 0
+        assert spy["from_dict"] == spy["flow_stats"] == 0
         assert spy["config_key"] == 3 + 1  # one per query, one by put
         assert first["cached"] is second["cached"] is False and again["cached"] is True
         assert first["result"] is second["result"] is again["result"]
@@ -320,6 +324,23 @@ def test_resume_raises_on_a_well_formed_line_that_is_not_a_result(tmp_path):
         fh.write('{"not": "a result"}\n')
     with pytest.raises(ValueError, match="corrupt result line"):
         run_campaign(_configs(), store=ResultStore(path), resume=True)
+
+
+def test_resume_recomputes_a_row_in_the_old_per_flow_record_layout(tmp_path):
+    """A row an older release stored with one record per flow is stale:
+    resume reads past it and runs its config again."""
+    path = _full_store(tmp_path)
+    lines = path.read_bytes().splitlines(keepends=True)
+    old = json.loads(lines[1])
+    old["flows"] = ExperimentResult.from_dict(old).flows.records()
+    lines[1] = (json.dumps(old, sort_keys=True) + "\n").encode()
+    path.write_bytes(b"".join(lines))
+    store = ResultStore(path)
+    outcome = run_campaign(_configs(), store=store, resume=True)
+    store.close()
+    assert (len(outcome), outcome.resumed, outcome.engine_runs) == (N, N - 1, 1)
+    assert outcome[-1].config["seed"] == old["config"]["seed"]
+    assert outcome[-1].flows.records() == old["flows"]
 
 
 def test_resume_pardons_a_torn_tail_and_reruns_only_that_config(tmp_path):

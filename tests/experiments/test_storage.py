@@ -11,7 +11,7 @@ from hypothesis import strategies as st
 
 from repro.experiments.config import ExperimentConfig
 from repro.experiments.storage import ResultStore, TornWriteWarning
-from repro.metrics.summary import ExperimentResult, SenderStats
+from repro.metrics.summary import ExperimentResult, FlowTable, SenderStats
 from repro.units import mbps
 
 
@@ -21,7 +21,7 @@ def _result(seed=1):
         config=cfg.to_dict(),
         senders=[SenderStats("client1", "cubic", 50e6, 5, 1),
                  SenderStats("client2", "cubic", 50e6, 3, 1)],
-        flows=[],
+        flows=FlowTable(),
         jain_index=1.0,
         link_utilization=1.0,
         total_retransmits=8,
@@ -233,6 +233,56 @@ def test_schema_violation_raises_even_as_final_line(tmp_path):
         fh.write('{"not": "a result"}\n')
     with pytest.raises(ValueError, match="corrupt result line"):
         ResultStore(store.path).load()
+
+
+def _with_flows(seed):
+    result = _result(seed)
+    result.flows = FlowTable.from_rows([
+        (1, "client1", "cubic", 50e6, 10**8, 9000, 5, 0, 1),
+        (2, "client2", "cubic", 50e6, 10**8, 9000, 3, 0, 1),
+    ])
+    return result
+
+
+def _store_with_second_row(tmp_path, edit):
+    """A two-line store whose second row ``edit`` changed after to_dict()."""
+    store = ResultStore(tmp_path / "r.jsonl")
+    store.append(_with_flows(1))
+    row = _with_flows(2).to_dict()
+    edit(row)
+    store.append_dict(row)
+    store.close()
+    return store
+
+
+@pytest.mark.parametrize(
+    "edit",
+    [
+        lambda row: row["flows"].pop("cca"),
+        lambda row: row["flows"].update(rtt_s=[0.1, 0.1]),
+        lambda row: row["flows"].update(cca="cubic"),
+        lambda row: row["flows"].update(rto_count=[0]),
+    ],
+    ids=["missing-column", "extra-column", "column-not-a-list", "ragged-columns"],
+)
+def test_malformed_flow_columns_are_a_corrupt_line(tmp_path, edit):
+    store = _store_with_second_row(tmp_path, edit)
+    for read in (store.load, store.completed_labels):
+        with pytest.raises(ValueError, match=r"r\.jsonl:2: corrupt result line \(.*flows"):
+            read()
+
+
+def test_load_names_the_line_and_the_layout_of_an_old_layout_row(tmp_path):
+    """Before flow columns a row stored one record per flow: this release
+    cannot read it, and says which line and why."""
+    store = _store_with_second_row(
+        tmp_path, lambda row: row.update(flows=_with_flows(2).flows.records())
+    )
+    with pytest.raises(ValueError, match=r"r\.jsonl:2: stale result line: its flows are per-flow records"):
+        store.load()
+    # Resume reads past it, and the config is recomputed.
+    label = {seed: ExperimentConfig.from_dict(_result(seed).config).label() for seed in (1, 2)}
+    assert store.completed_labels() == {label[1]}
 
 
 def _stalled_append(path, half_written):

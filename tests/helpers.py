@@ -175,10 +175,15 @@ def golden_config(name: str):
 
 
 def golden_result_dict(name: str) -> dict:
-    """Run one golden config and return its normalized result dict."""
+    """Run one golden config and return its normalized result dict.
+
+    ``flows`` is presented as the table's per-flow records, the layout the
+    fixtures were frozen in, so every per-flow value is still compared."""
     from repro.experiments.runner import run_experiment
 
-    d = run_experiment(golden_config(name)).to_dict()
+    result = run_experiment(golden_config(name))
+    d = result.to_dict()
+    d["flows"] = result.flows.records()
     d.pop("wallclock_s", None)  # host-dependent, never comparable
     return d
 

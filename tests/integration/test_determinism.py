@@ -24,8 +24,9 @@ def _packet_cfg(seed):
 def _normalize(d):
     """Strip run-local identifiers (wallclock, process-global flow ids)."""
     d.pop("wallclock_s", None)
-    for i, f in enumerate(d.get("flows", [])):
-        f["flow_id"] = i
+    flows = d.get("flows")
+    if flows:
+        flows["flow_id"] = list(range(len(flows["flow_id"])))
     return d
 
 

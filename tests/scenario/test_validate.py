@@ -11,7 +11,7 @@ import dataclasses
 
 import pytest
 
-from repro.metrics.summary import ExperimentResult, SenderStats
+from repro.metrics.summary import ExperimentResult, FlowTable, SenderStats
 from repro.scenario import (
     CROSS_MODEL,
     EXACT,
@@ -47,7 +47,7 @@ def _result(scenario, engine, jain=0.99, phi=0.98, rr=100, wallclock=0.1):
     return ExperimentResult(
         config=cfg.to_dict(),
         senders=[SenderStats("client1", "cubic", 10e6, rr, 1)],
-        flows=[],
+        flows=FlowTable(),
         jain_index=jain,
         link_utilization=phi,
         total_retransmits=rr,

@@ -14,7 +14,7 @@ import pytest
 import repro.service as service_mod
 from repro.experiments.cache import ResultCache
 from repro.experiments.config import ExperimentConfig
-from repro.metrics.summary import ExperimentResult, SenderStats
+from repro.metrics.summary import ExperimentResult, FlowTable, SenderStats
 from repro.service import SweepService
 from repro.units import mbps
 
@@ -32,7 +32,7 @@ def _fake_result(cfg):
     return ExperimentResult(
         config=cfg.to_dict(),
         senders=[SenderStats("client1", "cubic", 50e6, 0, 1)],
-        flows=[],
+        flows=FlowTable(),
         jain_index=0.97,
         link_utilization=1.0,
         total_retransmits=0,
@@ -526,7 +526,7 @@ def test_hit_bodies_equal_the_decoded_reference_byte_for_byte(tmp_path, monkeypa
     # and a row wide enough that decoding it would show.
     answers = [json.loads(got) for _, (_, got) in bodies]
     assert any(a["fairness"] for a in answers)
-    assert max(len(a["result"]["flows"]) for a in answers if "result" in a) == 20
+    assert max(len(a["result"]["flows"]["flow_id"]) for a in answers if "result" in a) == 20
 
 
 def test_row_missing_a_headline_field_is_a_500_not_a_partial_answer(tmp_path, monkeypatch):

@@ -121,6 +121,33 @@ def test_export_command(tmp_path, capsys):
     assert "jain_index" in header
 
 
+#: sha256 of ``repro export --table flows`` over the golden fixtures, as the
+#: release that stored one record per flow wrote it (24 flows, 12 runs).
+GOLDEN_FLOWS_CSV_SHA256 = "5222b95e03a85fe99600a8c157a9dc14e8d189970d4354955e0d38bc55049d80"
+
+
+def test_export_flows_writes_the_same_csv_from_flow_columns(tmp_path, capsys):
+    """The golden fixtures stored with flow columns export byte for byte
+    the flows CSV the per-flow record layout exported."""
+    import hashlib
+    import json
+    from pathlib import Path
+
+    from repro.experiments.storage import ResultStore
+    from repro.metrics.summary import FlowStats, FlowTable
+
+    store = ResultStore(tmp_path / "golden.jsonl")
+    for fixture in sorted((Path(__file__).parent / "fixtures" / "golden").glob("*.json")):
+        row = json.loads(fixture.read_text(encoding="utf-8"))
+        flows = FlowTable.from_records(FlowStats(**f) for f in row["flows"])
+        store.append_dict({**row, "flows": flows.to_dict()})
+    store.close()
+    csv_file = tmp_path / "flows.csv"
+    rc = main(["export", "--results", str(store.path), "--table", "flows", "--out", str(csv_file)])
+    assert rc == 0 and "wrote 24 rows" in capsys.readouterr().out
+    assert hashlib.sha256(csv_file.read_bytes()).hexdigest() == GOLDEN_FLOWS_CSV_SHA256
+
+
 def test_export_missing_results(tmp_path):
     rc = main(["export", "--results", str(tmp_path / "none.jsonl")])
     assert rc == 1
