@@ -19,21 +19,29 @@ spellings of one experiment share one cache key.
 """
 
 from repro._version import __version__
-from repro.api import Scenario, load_store, run, sweep, validate
-from repro.experiments.config import ExperimentConfig
-from repro.experiments.runner import run_experiment
-from repro.metrics.fairness import jain_index
-from repro.metrics.summary import ExperimentResult
 
-__all__ = [
-    "__version__",
-    "Scenario",
-    "run",
-    "sweep",
-    "validate",
-    "load_store",
-    "ExperimentConfig",
-    "ExperimentResult",
-    "run_experiment",
-    "jain_index",
-]
+#: The quickstart names, each imported from its module on first use, so
+#: that importing any ``repro`` module loads only what that module needs.
+_QUICKSTART = {
+    "Scenario": "repro.api",
+    "run": "repro.api",
+    "sweep": "repro.api",
+    "validate": "repro.api",
+    "load_store": "repro.api",
+    "ExperimentConfig": "repro.experiments.config",
+    "ExperimentResult": "repro.metrics.summary",
+    "run_experiment": "repro.experiments.runner",
+    "jain_index": "repro.metrics.fairness",
+}
+
+__all__ = ["__version__", *_QUICKSTART]
+
+
+def __getattr__(name: str):
+    module = _QUICKSTART.get(name)
+    if module is None:
+        raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
+    import importlib
+
+    value = globals()[name] = getattr(importlib.import_module(module), name)
+    return value

@@ -2,9 +2,7 @@
 
 from __future__ import annotations
 
-from typing import Optional
-
-import numpy as np
+from typing import TYPE_CHECKING, Optional
 
 from repro.aqm.base import QueueDiscipline
 from repro.aqm.codel import CoDelQueue
@@ -13,6 +11,9 @@ from repro.aqm.fq_codel import FqCoDelQueue
 from repro.aqm.pie import PieQueue
 from repro.aqm.red import RedQueue
 from repro.experiments.config import AQM_NAMES
+
+if TYPE_CHECKING:
+    import numpy as np
 
 
 def make_aqm(

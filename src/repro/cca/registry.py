@@ -2,9 +2,7 @@
 
 from __future__ import annotations
 
-from typing import Callable, Dict, Optional
-
-import numpy as np
+from typing import TYPE_CHECKING, Callable, Dict, Optional
 
 from repro.cca.base import CongestionControl
 from repro.cca.bbrv1 import BbrV1
@@ -12,38 +10,21 @@ from repro.cca.bbrv2 import BbrV2
 from repro.cca.cubic import Cubic
 from repro.cca.htcp import HTcp
 from repro.cca.reno import Reno
+from repro.experiments.config import CCA_NAMES, canonical_cca_name
 
-# Canonical names plus the aliases used in the paper's tables.
+if TYPE_CHECKING:
+    import numpy as np
+
+#: One factory per canonical name (:data:`CCA_NAMES`).
 _FACTORIES: Dict[str, Callable[[Optional[np.random.Generator]], CongestionControl]] = {
     "reno": lambda rng: Reno(),
     "cubic": lambda rng: Cubic(),
     "htcp": lambda rng: HTcp(),
-    "bbr": lambda rng: BbrV1(rng),
     "bbrv1": lambda rng: BbrV1(rng),
-    "bbr1": lambda rng: BbrV1(rng),
-    "bbr2": lambda rng: BbrV2(rng),
     "bbrv2": lambda rng: BbrV2(rng),
 }
 
-CCA_NAMES = ("reno", "cubic", "htcp", "bbrv1", "bbrv2")
-
-
-def canonical_cca_name(name: str) -> str:
-    """Map aliases to the canonical name used in results/reports."""
-    key = name.lower()
-    if key in ("bbr", "bbr1", "bbrv1"):
-        return "bbrv1"
-    if key in ("bbr2", "bbrv2"):
-        return "bbrv2"
-    if key in _FACTORIES:
-        return key
-    raise ValueError(f"unknown CCA {name!r}; expected one of {sorted(_FACTORIES)}")
-
 
 def make_cca(name: str, rng: Optional[np.random.Generator] = None) -> CongestionControl:
-    """Instantiate the congestion controller called ``name``."""
-    key = name.lower()
-    factory = _FACTORIES.get(key)
-    if factory is None:
-        raise ValueError(f"unknown CCA {name!r}; expected one of {sorted(_FACTORIES)}")
-    return factory(rng)
+    """Instantiate the congestion controller called ``name`` (or an alias)."""
+    return _FACTORIES[canonical_cca_name(name)](rng)

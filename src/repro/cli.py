@@ -11,6 +11,8 @@
 Every experiment-shaped command parses its flags *into* a scenario IR
 instance (repro.scenario; docs/SCENARIO.md) and compiles that for the
 chosen engine — flags and ``--scenario`` documents share one code path.
+Each command imports the engine, telemetry and analysis code it runs, so
+``repro serve`` starts on the cache and service modules alone.
 """
 
 from __future__ import annotations
@@ -19,27 +21,9 @@ import argparse
 import json
 import sys
 from pathlib import Path
-from typing import List, Optional
+from typing import TYPE_CHECKING, List, Optional
 
 from repro._version import __version__
-from repro.analysis.aggregate import ResultSet
-from repro.analysis.figures import (
-    fig2_series,
-    fig3_series,
-    fig4_series,
-    fig5_series,
-    fig6_series,
-    fig7_series,
-    fig8_series,
-)
-from repro.analysis.report import (
-    render_inter_panels,
-    render_intra_metric_panels,
-    render_jain_panels,
-)
-from repro.analysis.table3 import build_table3, render_table3
-from repro.analysis.validate import render_claims, validate_claims
-from repro.experiments.campaign import CampaignProgress, run_campaign
 from repro.experiments.config import (
     AQM_NAMES,
     ENGINES,
@@ -48,10 +32,9 @@ from repro.experiments.config import (
 )
 from repro.experiments.matrix import full_matrix
 from repro.experiments.presets import PRESETS, get_preset
-from repro.experiments.runner import run_experiment
 from repro.experiments.storage import ResultStore
+from repro.obs import DEFAULT_TELEMETRY_DIR
 from repro.obs.cli import add_obs_parser
-from repro.obs.session import DEFAULT_TELEMETRY_DIR, TelemetryOptions
 from repro.scenario import (
     AqmSpec,
     FlowSpec,
@@ -64,6 +47,9 @@ from repro.scenario import (
     validate_scenario,
 )
 from repro.units import format_rate
+
+if TYPE_CHECKING:
+    from repro.obs.session import TelemetryOptions
 
 
 def _telemetry_options(args: argparse.Namespace) -> Optional[TelemetryOptions]:
@@ -80,6 +66,8 @@ def _telemetry_options(args: argparse.Namespace) -> Optional[TelemetryOptions]:
         profile = True
     if not args.telemetry and not trace_dump and not spans and not profile:
         return None
+    from repro.obs.session import TelemetryOptions
+
     return TelemetryOptions(
         dir=args.telemetry_dir,
         trace_dump=trace_dump,
@@ -177,6 +165,8 @@ def _scenario_from_args(args: argparse.Namespace) -> Scenario:
 
 
 def _cmd_run(args: argparse.Namespace) -> int:
+    from repro.experiments.runner import run_experiment
+
     scenario = _scenario_from_args(args)
     try:
         cfg = compile_scenario(scenario, args.engine)
@@ -244,6 +234,8 @@ def _sweep_scenario_configs(args: argparse.Namespace) -> List[ExperimentConfig]:
 
 def _cmd_sweep(args: argparse.Namespace) -> int:
     import dataclasses
+
+    from repro.experiments.campaign import CampaignProgress, run_campaign
 
     overrides = {}
     if args.scenario:
@@ -352,6 +344,24 @@ def _sweep_via_queue(args, configs, store, cache) -> int:
 
 
 def _cmd_report(args: argparse.Namespace) -> int:
+    from repro.analysis.aggregate import ResultSet
+    from repro.analysis.figures import (
+        fig2_series,
+        fig3_series,
+        fig4_series,
+        fig5_series,
+        fig6_series,
+        fig7_series,
+        fig8_series,
+    )
+    from repro.analysis.report import (
+        render_inter_panels,
+        render_intra_metric_panels,
+        render_jain_panels,
+    )
+    from repro.analysis.table3 import build_table3, render_table3
+    from repro.analysis.validate import render_claims, validate_claims
+
     results = ResultSet(ResultStore(args.results).load())
     if len(results) == 0:
         print(f"no results in {args.results}", file=sys.stderr)
@@ -384,6 +394,7 @@ def _cmd_report(args: argparse.Namespace) -> int:
 
 
 def _cmd_export(args: argparse.Namespace) -> int:
+    from repro.analysis.aggregate import ResultSet
     from repro.analysis.dataset import flows_table, intervals_table, runs_table, write_csv
 
     results = ResultSet(ResultStore(args.results).load())
@@ -401,6 +412,7 @@ def _cmd_export(args: argparse.Namespace) -> int:
 
 
 def _cmd_export_figures(args: argparse.Namespace) -> int:
+    from repro.analysis.aggregate import ResultSet
     from repro.analysis.export_figures import export_all_figures
 
     results = ResultSet(ResultStore(args.results).load())

@@ -1,23 +1,7 @@
 """Experiment configuration, the 810-cell grid, runners, campaign driver,
-and the sweep-service layers (content-addressed cache + work queue)."""
+and the sweep-service layers (content-addressed cache + work queue).
 
-from repro.experiments.cache import ResultCache, config_key
-from repro.experiments.config import ExperimentConfig, FlowPlan, flow_plan
-from repro.experiments.matrix import full_matrix
-from repro.experiments.presets import PRESETS, get_preset
-from repro.experiments.queue import WorkQueue, run_queue_worker
-from repro.experiments.runner import run_experiment
-
-__all__ = [
-    "ExperimentConfig",
-    "FlowPlan",
-    "flow_plan",
-    "full_matrix",
-    "run_experiment",
-    "PRESETS",
-    "get_preset",
-    "ResultCache",
-    "config_key",
-    "WorkQueue",
-    "run_queue_worker",
-]
+Import the submodule you need (:mod:`~repro.experiments.config`,
+:mod:`~repro.experiments.cache`, ...): the package itself loads nothing,
+so a process that only reads the cache never loads an engine.
+"""

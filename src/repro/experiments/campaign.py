@@ -50,14 +50,16 @@ import traceback as _traceback
 from collections import deque
 from dataclasses import dataclass, field
 from pathlib import Path
-from typing import Any, Callable, Dict, List, Optional, Sequence
+from typing import TYPE_CHECKING, Any, Callable, Dict, List, Optional, Sequence
 
 from repro.experiments.config import ExperimentConfig
-from repro.experiments.runner import run_experiment
+from repro.experiments.runner import load_engines, run_experiment
 from repro.experiments.storage import ResultStore
 from repro.metrics.summary import ExperimentResult
-from repro.obs.session import TelemetryOptions
 from repro.obs.spans import CAT_CAMPAIGN, CAT_WORKER, NULL_SPAN_TRACER, SpanTracer
+
+if TYPE_CHECKING:
+    from repro.obs.session import TelemetryOptions
 
 #: Watchdog poll cadence (wall-clock seconds) in hardened mode.
 WATCHDOG_POLL_S = 0.02
@@ -266,7 +268,11 @@ def run_task(
 
             results = run_fluid_batch(configs)
         else:
-            telemetry = TelemetryOptions.from_dict(telemetry_dict) if telemetry_dict else None
+            telemetry = None
+            if telemetry_dict:
+                from repro.obs.session import TelemetryOptions
+
+                telemetry = TelemetryOptions.from_dict(telemetry_dict)
             results = [run_experiment(cfg, telemetry) for cfg in configs]
         return [{"ok": r.to_dict()} for r in results]
     except Exception as exc:
@@ -438,6 +444,10 @@ def run_campaign(
         labels={"configs": total, "jobs": jobs, "mode": mode,
                 "resumed": done.resumed, "cache_hits": len(cached_results)},
     )
+    if mode != "serial":
+        # Forked workers inherit what is loaded here; each would otherwise
+        # compile the engine (numpy, the kernel, the DES) for itself.
+        load_engines(todo, telemetry is not None)
     try:
         for cached, row, line in cached_results:
             record(cached, row, line, from_cache=True)

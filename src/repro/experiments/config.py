@@ -18,7 +18,6 @@ import copy
 from dataclasses import dataclass, field
 from typing import Any, Dict, List, Optional, Tuple
 
-from repro.cca.registry import canonical_cca_name
 from repro.units import gbps, mbps
 
 #: Paper Table 1 columns.
@@ -83,12 +82,29 @@ ENGINES: Tuple[str, ...] = ("packet", "fluid", "fluid_batched")
 #: Every queue discipline the engines implement (paper Table 1 plus PIE).
 AQM_NAMES: Tuple[str, ...] = ("fifo", "red", "fq_codel", "codel", "pie")
 
+#: Every congestion controller the engines implement, by canonical name.
+CCA_NAMES: Tuple[str, ...] = ("reno", "cubic", "htcp", "bbrv1", "bbrv2")
+
+#: The other spellings of a CCA the paper's tables use.
+_CCA_ALIASES: Dict[str, str] = {"bbr": "bbrv1", "bbr1": "bbrv1", "bbr2": "bbrv2"}
+
 
 #: Every number a config holds lies below this, floats included (no knob
 #: comes near it).  The store's decoder (orjson) reads an integer of 2**64
 #: or more back as a float, which would file the stored row under another
 #: cache key.
 NUMBER_LIMIT = 2 ** 63
+
+
+def canonical_cca_name(name: str) -> str:
+    """Map aliases to the canonical name used in results/reports."""
+    key = name.lower()
+    key = _CCA_ALIASES.get(key, key)
+    if key in CCA_NAMES:
+        return key
+    raise ValueError(
+        f"unknown CCA {name!r}; expected one of {sorted(CCA_NAMES + tuple(_CCA_ALIASES))}"
+    )
 
 
 def canonical_engine_name(name: str) -> str:

@@ -10,23 +10,42 @@ are dispatched to :mod:`repro.fluid.batched`.
 
 from __future__ import annotations
 
+import importlib
 import time
-from typing import List, Optional
+from typing import TYPE_CHECKING, Dict, Iterable, List, Optional, Tuple
 
-from repro.cca.registry import make_cca
 from repro.experiments.config import ExperimentConfig
-from repro.faults.schedule import FaultSchedule
 from repro.metrics.fairness import jain_index
-from repro.metrics.queue_monitor import QueueMonitor
 from repro.metrics.summary import ExperimentResult, FlowTable, SenderStats
-from repro.metrics.timeseries import ThroughputSampler
 from repro.metrics.utilization import link_utilization
-from repro.obs.fairness import instrument_packet_fairness
-from repro.obs.session import TelemetryOptions, TelemetrySession
 from repro.obs.spans import CAT_RUN, NULL_SPAN_TRACER
-from repro.tcp.connection import Connection, open_connection
-from repro.testbed.dumbbell import DumbbellConfig, build_dumbbell
 from repro.units import milliseconds, seconds
+
+if TYPE_CHECKING:
+    from repro.obs.session import TelemetryOptions, TelemetrySession
+    from repro.tcp.connection import Connection
+
+#: The modules each engine runs on, imported by the engine's first run.  A
+#: parent that forks workers imports them first (``load_engines``), so its
+#: children inherit them instead of each compiling its own copy.
+ENGINE_MODULES: Dict[str, Tuple[str, ...]] = {
+    "packet": ("repro.cca.registry", "repro.tcp.connection", "repro.testbed.dumbbell"),
+    "fluid": ("repro.fluid.batched",),
+    "fluid_batched": ("repro.fluid.batched",),
+}
+
+
+def load_engines(configs: Iterable[ExperimentConfig], telemetry: bool = False) -> None:
+    """Import every module the runs of ``configs`` will need, now."""
+    names = set()
+    for config in configs:
+        names.update(ENGINE_MODULES[config.engine])
+        if config.fairness_interval_s:
+            names.add("repro.obs.fairness")
+    if telemetry:
+        names.add("repro.obs.session")
+    for name in sorted(names):
+        importlib.import_module(name)
 
 #: Start jitter span for flow launch, mimicking near-simultaneous iperf3
 #: process spawns (and desynchronizing slow-start among parallel streams).
@@ -54,9 +73,11 @@ def run_experiment(
         # the engine names (see repro.fluid.batched).
         from repro.fluid.batched import run_fluid_single
 
-        session = TelemetrySession.start(config, telemetry)
-        if session is None:
+        if telemetry is None:
             return run_fluid_single(config)
+        from repro.obs.session import TelemetrySession
+
+        session = TelemetrySession.start(config, telemetry)
         try:
             with session.spans.span("run", CAT_RUN, label=config.label(),
                                     engine=config.engine, seed=config.seed):
@@ -74,9 +95,11 @@ def run_packet_experiment(
     telemetry: Optional[TelemetryOptions] = None,
 ) -> ExperimentResult:
     """Packet-level (discrete-event) execution of one configuration."""
-    session = TelemetrySession.start(config, telemetry)
-    if session is None:
+    if telemetry is None:
         return _execute_packet(config, None)
+    from repro.obs.session import TelemetrySession
+
+    session = TelemetrySession.start(config, telemetry)
     try:
         result = _execute_packet(config, session)
     except Exception as exc:
@@ -89,6 +112,10 @@ def run_packet_experiment(
 def _execute_packet(
     config: ExperimentConfig, session: Optional[TelemetrySession]
 ) -> ExperimentResult:
+    from repro.cca.registry import make_cca
+    from repro.tcp.connection import open_connection
+    from repro.testbed.dumbbell import DumbbellConfig, build_dumbbell
+
     wall_start = time.perf_counter()
     # Span lifecycle: run -> setup / warmup / transfer / collect.  The
     # tracer is NULL (every call a no-op) unless --trace asked for spans,
@@ -145,6 +172,8 @@ def _execute_packet(
     # same-instant tie-breakers) are identical with telemetry on or off.
     fault_schedule = None
     if config.faults:
+        from repro.faults.schedule import FaultSchedule
+
         fault_schedule = FaultSchedule.from_config(
             config, rng=net.rng.stream("faults")
         )
@@ -176,6 +205,8 @@ def _execute_packet(
 
     sampler = None
     if config.sample_interval_s:
+        from repro.metrics.timeseries import ThroughputSampler
+
         sampler = ThroughputSampler(net.sim, seconds(config.sample_interval_s))
         for node_idx, conns in enumerate(connections):
             for conn in conns:
@@ -187,22 +218,28 @@ def _execute_packet(
 
     queue_monitor = None
     if config.queue_monitor_interval_s:
+        from repro.metrics.queue_monitor import QueueMonitor
+
         queue_monitor = QueueMonitor(
             net.sim, dumbbell.bottleneck_qdisc, seconds(config.queue_monitor_interval_s)
         )
         queue_monitor.start()
 
-    fairness_sampler = instrument_packet_fairness(
-        net.sim,
-        dumbbell.bottleneck_qdisc,
-        dumbbell.config.scaled_bottleneck_bps,
-        [
-            (conn.flow_id, node_idx, (lambda r=conn.receiver: r.bytes_received))
-            for node_idx, conns in enumerate(connections)
-            for conn in conns
-        ],
-        config.fairness_interval_s,
-    )
+    fairness_sampler = None
+    if config.fairness_interval_s:
+        from repro.obs.fairness import instrument_packet_fairness
+
+        fairness_sampler = instrument_packet_fairness(
+            net.sim,
+            dumbbell.bottleneck_qdisc,
+            dumbbell.config.scaled_bottleneck_bps,
+            [
+                (conn.flow_id, node_idx, (lambda r=conn.receiver: r.bytes_received))
+                for node_idx, conns in enumerate(connections)
+                for conn in conns
+            ],
+            config.fairness_interval_s,
+        )
     setup_span.close()
 
     # The event-loop phase is one wall-clock region; when spans are on and

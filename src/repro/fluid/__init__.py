@@ -18,21 +18,7 @@ config that asks for more.
 
 Cross-validated against the packet engine on the low-bandwidth tiers in
 ``tests/integration/test_engine_agreement.py``.
+
+Import the submodule you need: the campaign and the work queue plan
+shards with :mod:`repro.fluid.state` without loading numpy or the kernel.
 """
-
-from repro.fluid.batched import (
-    BatchedFluidSimulation,
-    PerFlowFluidSimulation,
-    run_fluid_batch,
-    run_fluid_single,
-)
-from repro.fluid.state import plan_shards, shard_key
-
-__all__ = [
-    "BatchedFluidSimulation",
-    "PerFlowFluidSimulation",
-    "plan_shards",
-    "run_fluid_batch",
-    "run_fluid_single",
-    "shard_key",
-]

@@ -48,7 +48,7 @@ from typing import Dict, List, Optional, Sequence, Tuple
 
 import numpy as np
 
-from repro.experiments.config import ExperimentConfig
+from repro.experiments.config import ExperimentConfig, canonical_cca_name
 from repro.fluid.aqm_rules import (
     evict_fattest,
     red_drop_probability,
@@ -369,8 +369,6 @@ class BatchedFluidSimulation:
         # Per-config streams, one per named consumer.
         self._rngs = [RngStreams(c.seed) for c in configs]
 
-        from repro.cca.registry import canonical_cca_name
-
         self.cca_code = np.empty(L, dtype=np.int64)
         starts = np.empty(L)
         for c, config in enumerate(configs):
@@ -440,13 +438,12 @@ class BatchedFluidSimulation:
         self._code_edges = np.searchsorted(
             self.cca_code[self._by_code], np.arange(len(CCA_CODE) + 1)
         )
+        # Plain functions, not bound methods: a simulation that referenced
+        # itself would keep its lane table resident until the cyclic garbage
+        # collector next ran, long after the shard finished.
         self._kernels = [
-            (CCA_CODE[name], kernel)
-            for name, kernel in (
-                ("reno", self._round_reno), ("cubic", self._round_cubic),
-                ("htcp", self._round_htcp), ("bbrv1", self._round_bbrv1),
-                ("bbrv2", self._round_bbrv2),
-            )
+            (CCA_CODE[name], getattr(BatchedFluidSimulation, f"_round_{name}"))
+            for name in ("reno", "cubic", "htcp", "bbrv1", "bbrv2")
         ]
         present = set(np.unique(self.cca_code).tolist())
 
@@ -591,7 +588,7 @@ class BatchedFluidSimulation:
             sel = slice(cuts[code], cuts[code + 1])
             if sel.start < sel.stop:
                 kernel(
-                    i[sel], now, rtt[sel], delivery_rate[sel],
+                    self, i[sel], now, rtt[sel], delivery_rate[sel],
                     inflight[sel], loss_rate[sel], delivered[sel], lost[sel],
                 )
 

@@ -18,6 +18,8 @@ from typing import Optional
 
 import numpy as np
 
+from repro.experiments.config import canonical_cca_name
+
 INIT_CWND = 10.0
 MIN_CWND = 2.0
 
@@ -538,6 +540,4 @@ FLUID_CCAS = {
 
 def make_fluid_cca(name: str, rng: Optional[np.random.Generator] = None) -> FluidCca:
     """Instantiate the fluid rule set for the CCA called ``name``."""
-    from repro.cca.registry import canonical_cca_name
-
     return FLUID_CCAS[canonical_cca_name(name)](rng)

@@ -15,7 +15,7 @@ from typing import Any, Dict, List, Optional
 
 import numpy as np
 
-from repro.experiments.config import ExperimentConfig
+from repro.experiments.config import ExperimentConfig, canonical_cca_name
 from repro.fluid.cca_rules import FLUID_CCAS, FluidCca, make_fluid_cca
 from repro.metrics.fairness import jain_index
 from repro.metrics.summary import ExperimentResult, FlowTable, SenderStats
@@ -70,8 +70,6 @@ def make_fluid_flows(config: ExperimentConfig, rngs: RngStreams, n_flows: int) -
     interleave round updates from many configs and still reproduce these
     rules bit-for-bit.
     """
-    from repro.cca.registry import canonical_cca_name
-
     flows: List[FluidCca] = []
     for i, name in enumerate(flow_cca_names(config, n_flows)):
         cls = FLUID_CCAS[canonical_cca_name(name)]

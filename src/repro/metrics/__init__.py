@@ -1,19 +1,7 @@
-"""Metrics: fairness, utilization, throughput time series, result records."""
+"""Metrics: fairness, utilization, throughput time series, result records.
 
-from repro.metrics.fairness import jain_index
-from repro.metrics.queue_monitor import QueueMonitor, QueueTrace
-from repro.metrics.summary import ExperimentResult, FlowStats, FlowTable, SenderStats
-from repro.metrics.timeseries import ThroughputSampler
-from repro.metrics.utilization import link_utilization
-
-__all__ = [
-    "jain_index",
-    "link_utilization",
-    "ThroughputSampler",
-    "QueueMonitor",
-    "QueueTrace",
-    "FlowStats",
-    "FlowTable",
-    "SenderStats",
-    "ExperimentResult",
-]
+Import the submodule you need: :mod:`~repro.metrics.summary` and
+:mod:`~repro.metrics.fairness` are plain Python, while the samplers
+(:mod:`~repro.metrics.timeseries`, :mod:`~repro.metrics.queue_monitor`)
+run on the packet engine's clock.
+"""

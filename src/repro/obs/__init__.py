@@ -7,40 +7,10 @@ logs/manifests (:mod:`repro.obs.runlog`), Prometheus text-format export
 (:mod:`repro.obs.export`), and the per-run
 :class:`~repro.obs.session.TelemetrySession` lifecycle the experiment
 runner drives.  See ``docs/OBSERVABILITY.md``.
+
+Import the submodule you need: a process that never turns telemetry on
+never loads the session, the profiler or the run-log writer.
 """
 
-from repro.obs.export import snapshot_to_prometheus, to_prometheus
-from repro.obs.flight import FlightRecorder
-from repro.obs.metrics import (
-    NULL_INSTRUMENT,
-    NULL_REGISTRY,
-    Counter,
-    Gauge,
-    Histogram,
-    MetricsRegistry,
-)
-from repro.obs.runlog import (
-    RUN_LOG_SCHEMA,
-    RunLogWriter,
-    read_run_log,
-    validate_run_log,
-)
-from repro.obs.session import TelemetryOptions, TelemetrySession
-
-__all__ = [
-    "Counter",
-    "Gauge",
-    "Histogram",
-    "MetricsRegistry",
-    "NULL_INSTRUMENT",
-    "NULL_REGISTRY",
-    "FlightRecorder",
-    "RunLogWriter",
-    "RUN_LOG_SCHEMA",
-    "read_run_log",
-    "validate_run_log",
-    "TelemetryOptions",
-    "TelemetrySession",
-    "to_prometheus",
-    "snapshot_to_prometheus",
-]
+#: Default location for run logs, manifests, and trace dumps.
+DEFAULT_TELEMETRY_DIR = "telemetry"

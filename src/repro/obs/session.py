@@ -26,6 +26,7 @@ from pathlib import Path
 from typing import Any, Dict, Optional
 
 from repro._version import __version__
+from repro.obs import DEFAULT_TELEMETRY_DIR
 from repro.obs.flight import FlightRecorder
 from repro.obs.instrument import instrument_experiment
 from repro.obs.metrics import MetricsRegistry
@@ -33,8 +34,6 @@ from repro.obs.profile import EventLoopProfiler, register_profiler_gauges
 from repro.obs.runlog import RunLogWriter
 from repro.obs.spans import NULL_SPAN_TRACER, SpanTracer
 
-#: Default location for run logs, manifests, and trace dumps.
-DEFAULT_TELEMETRY_DIR = "telemetry"
 #: Default flight-recorder window.
 DEFAULT_TRACE_CAPACITY = 65536
 #: Default cwnd/sRTT sampling cadence (simulated time).

@@ -35,8 +35,7 @@ import json
 from dataclasses import dataclass, field, fields
 from typing import Any, Dict, Mapping, Optional, Sequence, Tuple
 
-from repro.cca.registry import canonical_cca_name
-from repro.experiments.config import AQM_NAMES, NUMBER_LIMIT, ExperimentConfig
+from repro.experiments.config import AQM_NAMES, NUMBER_LIMIT, ExperimentConfig, canonical_cca_name
 from repro.units import mbps
 
 #: Current IR document version.

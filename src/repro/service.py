@@ -40,6 +40,7 @@ import os
 import time
 from pathlib import Path
 from typing import Any, Dict, Optional, Tuple
+from urllib.parse import parse_qs
 
 from repro.experiments.cache import ResultCache
 from repro.experiments.campaign import CampaignProgress
@@ -257,7 +258,7 @@ class SweepService:
     async def _dispatch(
         self, method: str, path: str, body: bytes
     ) -> Tuple[int, str, str]:
-        route = path.split("?", 1)[0]
+        route, _, query = path.partition("?")
         if method == "GET" and route == "/healthz":
             return 200, "application/json", json.dumps(
                 {"ok": True, "entries": len(self.cache), "salt": self.cache.salt}
@@ -277,8 +278,8 @@ class SweepService:
             except (json.JSONDecodeError, UnicodeDecodeError) as exc:
                 raise BadRequest(f"request body is not valid JSON: {exc}") from None
             config = self._parse_config(parsed)
-            full = bool(isinstance(parsed, dict) and parsed.get("full")) or (
-                "full=1" in path
+            full = bool(isinstance(parsed, dict) and parsed.get("full")) or any(
+                value in ("1", "true") for value in parse_qs(query).get("full", ())
             )
             payload = await self.answer(config, full=full)
             return 200, "application/json", json.dumps(payload, sort_keys=True)

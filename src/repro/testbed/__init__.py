@@ -1,18 +1,8 @@
-"""FABRIC-testbed facade: sites, the paper's dumbbell, tc-style config."""
+"""FABRIC-testbed facade: sites (:mod:`~repro.testbed.sites`), the paper's
+dumbbell (:mod:`~repro.testbed.dumbbell`), tc-style config
+(:mod:`~repro.testbed.tc`) and a FABlib-style slice builder
+(:mod:`~repro.testbed.fablib`).
 
-from repro.testbed.dumbbell import Dumbbell, DumbbellConfig, build_dumbbell
-from repro.testbed.fablib import FablibManager, Slice
-from repro.testbed.sites import SITES, Site, path_one_way_delay_ns
-from repro.testbed.tc import TrafficControl
-
-__all__ = [
-    "Site",
-    "SITES",
-    "path_one_way_delay_ns",
-    "Dumbbell",
-    "DumbbellConfig",
-    "build_dumbbell",
-    "TrafficControl",
-    "FablibManager",
-    "Slice",
-]
+Import the submodule you need: the fluid engines read the site delays
+without loading the packet network the dumbbell is built from.
+"""

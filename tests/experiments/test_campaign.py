@@ -87,6 +87,51 @@ def test_parallel_campaign(tmp_path):
     assert seeds == [100, 101, 102, 103]
 
 
+#: Runs two configs through ``run_campaign`` in a fresh interpreter and
+#: records, at every fork, whether the engine module is loaded yet.
+_FORK_PROBE = """
+import json, sys
+import multiprocessing.context
+from repro.experiments.campaign import run_campaign
+from repro.experiments.config import ExperimentConfig
+
+engine, module, kwargs = {args!r}
+configs = [ExperimentConfig(("cubic", "reno"), engine=engine, duration_s=0.5,
+                            flows_per_node=1, seed=seed) for seed in (1, 2)]
+loaded_at_fork = []
+fork_start = multiprocessing.context.ForkProcess.start
+
+def start(self):
+    loaded_at_fork.append(module in sys.modules)
+    return fork_start(self)
+
+multiprocessing.context.ForkProcess.start = start
+loaded_before = module in sys.modules
+result = run_campaign(configs, **kwargs)
+print(json.dumps([loaded_before, loaded_at_fork, result.summary()["ok"]]))
+"""
+
+
+@pytest.mark.parametrize("engine,module", [
+    ("fluid_batched", "repro.fluid.batched"),
+    ("fluid", "repro.fluid.batched"),
+    ("packet", "repro.tcp.connection"),
+])
+@pytest.mark.parametrize("kwargs", [{"jobs": 2}, {"jobs": 1, "timeout_s": 120.0}],
+                         ids=["pool", "watchdog"])
+def test_engine_is_loaded_before_workers_fork(engine, module, kwargs):
+    """A pool or watchdog child inherits the engine from its parent instead
+    of compiling numpy, the kernel or the DES for itself."""
+    from helpers import run_fresh
+
+    loaded_before, loaded_at_fork, ok = run_fresh(
+        _FORK_PROBE.format(args=(engine, module, kwargs))
+    )
+    assert not loaded_before  # the campaign module itself does not load it
+    assert loaded_at_fork and all(loaded_at_fork)
+    assert ok == 2
+
+
 def test_invalid_jobs():
     with pytest.raises(ValueError):
         run_campaign(_configs(1), jobs=0)

@@ -8,15 +8,24 @@ sender/receiver state machines without standing up a full topology.
 
 from __future__ import annotations
 
+import json
+import os
+import subprocess
+import sys
 from collections import deque
-from typing import Callable, Optional
+from pathlib import Path
+from typing import Any, Callable, Optional
 
+import repro
 from repro.cca.base import CongestionControl
 from repro.net.packet import Packet
 from repro.sim.engine import Simulator
 from repro.tcp.receiver import TcpReceiver
 from repro.tcp.sender import TcpSender
 from repro.units import milliseconds, tx_time_ns
+
+#: The directory ``repro`` is imported from, for child interpreters.
+SRC_DIR = Path(repro.__file__).resolve().parents[1]
 
 
 class LoopbackNet:
@@ -199,3 +208,16 @@ def drop_seqs(*seqs: int) -> Callable[[Packet], bool]:
         return False
 
     return hook
+
+
+def run_fresh(code: str) -> Any:
+    """Run ``code`` in a new interpreter that imports this checkout's
+    ``repro`` and nothing else yet; returns the JSON its last stdout line
+    holds.  What a module loads is only visible in such a process."""
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, [str(SRC_DIR), env.get("PYTHONPATH")]))
+    proc = subprocess.run(
+        [sys.executable, "-c", code], env=env, capture_output=True, text=True, timeout=300
+    )
+    assert proc.returncode == 0, proc.stderr
+    return json.loads(proc.stdout.strip().splitlines()[-1])

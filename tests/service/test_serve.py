@@ -134,6 +134,22 @@ def test_full_flag_inlines_result(tmp_path, monkeypatch):
     assert full["result"]["config"]["seed"] == 3
 
 
+@pytest.mark.parametrize("query,inlined", [
+    ("nofull=1", False),
+    ("full=0", False),
+    ("full=true", True),
+    ("x=1&full=1", True),
+])
+def test_full_query_parameter_is_parsed(tmp_path, monkeypatch, query, inlined):
+    """Only a ``full`` parameter of ``1`` or ``true`` inlines the row."""
+    async def scenario(port, service):
+        return await _request(port, "POST", f"/query?{query}", CONFIG)
+
+    status, body = _serve(tmp_path, monkeypatch, scenario, engine_calls=[])
+    assert status == 200
+    assert ("result" in body) is inlined
+
+
 def test_malformed_configs_get_clean_400s(tmp_path, monkeypatch):
     calls = []
 
