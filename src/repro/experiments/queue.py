@@ -1,41 +1,27 @@
 """Filesystem work queue: N campaign processes pull shards safely.
 
 The queue turns a config list into durable *tasks* that any number of
-worker processes — on one host or on many sharing a filesystem — can
-drain concurrently without coordination beyond atomic file creation:
+worker processes — on one host or on many sharing a filesystem — drain
+concurrently, coordinated by one append-only journal:
 
     <queue>/
         tasks.jsonl        # the frozen task list (written once, atomically)
-        claims/<id>.json   # O_CREAT|O_EXCL claim marker: exactly one winner
-        done/<id>.json     # completion marker, written after results persist
+        journal.jsonl      # claim / release / done records, one JSON line each
 
-A *task* is the unit every campaign transport carries
-(:func:`repro.experiments.campaign.plan_tasks`): one config
-(``kind="one"``) or a whole batched-fluid lock-step shard
-(``kind="shard"``) that advances as one stacked integration.  Task ids
-are content addresses of the member configs, so re-creating a queue from
-the same config list resumes it instead of duplicating work.
+A *task* (:func:`repro.experiments.campaign.plan_tasks`) is one config or
+a batched-fluid lock-step shard; its id is a content address of its
+configs, so re-creating a queue from the same configs resumes it.
 
-Claim protocol
---------------
-
-- ``claim()`` walks the task list; for each task not yet done it tries
-  to create ``claims/<id>.json`` with ``O_CREAT | O_EXCL`` — the
-  filesystem guarantees exactly one process wins.
-- A claim whose owner process is dead (same host, ``os.kill(pid, 0)``
-  fails) and whose task has no done marker is *stale* — the worker was
-  SIGKILLed mid-shard.  Reclaim races through ``os.rename`` of the stale
-  claim (again: exactly one winner), then a fresh claim is created.
-- ``complete()`` writes the done marker only after every result of the
-  task has been flushed to the store, so a crash loses at most the
-  in-flight task, never a completed one.
-
-Workers stream results into a shared :class:`ResultStore` (line-atomic
-O_APPEND) and their own :class:`~repro.experiments.cache.ResultCache`
-shard.  On reclaim, a worker recovers the rows the task's dead owner
-already persisted from the store and re-runs **only the incomplete
-configs** — together with the store's torn-write repair this makes
-SIGKILL-at-any-instant resumable.
+Every append happens under an exclusive ``flock`` on the journal, after
+folding in what other workers appended since this instance last looked:
+the lock decides who wins a task.  ``claim()`` takes the first task not
+done and unclaimed or *stale* (its owner a same-host pid that
+``os.kill(pid, 0)`` reports dead); ``complete()`` appends the done record
+once the task's results are in the store.  A checkpoint fsyncs the store,
+then the journal, so a done record that survives a power loss implies its
+rows did.  On reclaim, a worker recovers the rows the dead owner already
+persisted from the store and re-runs only the rest.  docs/SERVICE.md, "The
+work queue", states the protocol and the durability contract in full.
 """
 
 from __future__ import annotations
@@ -43,46 +29,57 @@ from __future__ import annotations
 import json
 import os
 import socket
+from contextlib import contextmanager
 from pathlib import Path
-from typing import Dict, Iterator, List, Optional, Sequence, Union
+from time import monotonic
+from typing import Dict, Iterator, List, Optional, Sequence, Tuple, Union
 
 from repro.experiments.cache import ResultCache
 from repro.experiments.campaign import (
-    CampaignResult,
-    QueueTask,
-    _recorder,
-    plan_tasks,
-    run_task,
+    CampaignResult, QueueTask, _recorder, plan_tasks, run_task,
 )
 from repro.experiments.config import ExperimentConfig
 from repro.experiments.runner import run_experiment
-from repro.experiments.storage import ResultStore
+from repro.experiments.storage import ResultStore, _flock
 
 PathLike = Union[str, Path]
 
+#: Seconds between the durability checkpoints of a draining worker.
+CHECKPOINT_S = 1.0
+
+
+def _is_stale(owner: Tuple[int, str], host: str) -> bool:
+    """True for a claim held by a dead process on this host."""
+    pid, owner_host = owner
+    if owner_host == host and isinstance(pid, int):  # else: unknowable from here
+        try:
+            os.kill(pid, 0)
+        except ProcessLookupError:
+            return True
+        except PermissionError:
+            pass  # alive, owned by someone else
+    return False
+
 
 class WorkQueue:
-    """A durable task list plus the claim/done protocol over one directory."""
+    """A durable task list plus the claim/done journal over one directory."""
 
     def __init__(self, path: PathLike, tasks: List[QueueTask]):
         self.path = Path(path)
-        self.claims_dir = self.path / "claims"
-        self.done_dir = self.path / "done"
-        self.claims_dir.mkdir(parents=True, exist_ok=True)
-        self.done_dir.mkdir(parents=True, exist_ok=True)
+        self.journal = self.path / "journal.jsonl"
         self.tasks = tasks
         #: Tasks this instance reclaimed from a dead owner (for store dedup).
         self.reclaimed: set = set()
-        #: Tasks this instance has seen done.  Done markers are never
-        #: removed, so :meth:`claim` skips these without another ``stat``.
-        self._seen_done: set = set()
+        #: The journal so far: finished tasks, each claimed one's (pid, host).
+        self.done: set = set()
+        self.owners: Dict[str, Tuple[int, str]] = {}
+        self._offset = 0  # journal bytes folded into the two above
+        self._first = 0  # tasks before this index are all done
 
     # -- construction -------------------------------------------------------------
 
     @classmethod
-    def create(
-        cls, path: PathLike, configs: Sequence[ExperimentConfig]
-    ) -> "WorkQueue":
+    def create(cls, path: PathLike, configs: Sequence[ExperimentConfig]) -> "WorkQueue":
         """Create a queue from ``configs``, or *join* an identical one.
 
         The task list is written atomically exactly once; a second
@@ -97,14 +94,12 @@ class WorkQueue:
             path.mkdir(parents=True, exist_ok=True)
             tmp = tasks_file.with_suffix(f".tmp.{os.getpid()}")
             with tmp.open("w", encoding="utf-8") as fh:
-                for task in tasks:
-                    fh.write(json.dumps(task.to_dict(), sort_keys=True) + "\n")
+                fh.writelines(json.dumps(t.to_dict(), sort_keys=True) + "\n" for t in tasks)
                 fh.flush()
                 os.fsync(fh.fileno())
             try:
-                # Atomic publish: link() fails if another creator already
-                # won the race, and the join-and-verify path below then
-                # checks we agree on the task set.
+                # Atomic publish: link() fails if another creator won the race;
+                # the join-and-verify path below checks we agree on the tasks.
                 os.link(tmp, tasks_file)
             except FileExistsError:
                 pass
@@ -125,71 +120,64 @@ class WorkQueue:
         tasks_file = path / "tasks.jsonl"
         if not tasks_file.exists():
             raise FileNotFoundError(f"no task list at {tasks_file}")
-        tasks = []
+        if (path / "claims").is_dir() or (path / "done").is_dir():
+            raise ValueError(
+                f"{path} is a queue in the old claims/ and done/ layout: finish it with the "
+                "previous version, or use a fresh directory (the store keeps the rows)"
+            )
         with tasks_file.open("r", encoding="utf-8") as fh:
-            for line in fh:
-                line = line.strip()
-                if line:
-                    tasks.append(QueueTask.from_dict(json.loads(line)))
-        return cls(path, tasks)
+            return cls(path, [QueueTask.from_dict(json.loads(ln)) for ln in fh if ln.strip()])
+
+    def _fold(self, fd: int) -> bool:
+        """Fold the complete records appended since the last look; True
+        when a newline-less fragment follows them (torn, or in flight)."""
+        data = os.pread(fd, max(os.fstat(fd).st_size - self._offset, 0), self._offset)
+        end = data.rfind(b"\n") + 1
+        for line in data[:end].splitlines():
+            try:
+                record = json.loads(line)
+            except ValueError:
+                continue  # a torn record, terminated by a later appender
+            task, op = record["task"], record["op"]
+            if op == "claim":
+                self.owners[task] = (record["pid"], record["host"])
+            else:
+                self.owners.pop(task, None)
+                if op == "done":
+                    self.done.add(task)
+        self._offset += end
+        return end < len(data)
+
+    @contextmanager
+    def _journal(self, flags: int = os.O_RDONLY | os.O_CREAT) -> Iterator[int]:
+        """The journal, opened per operation: a forked child locks it apart from its parent."""
+        fd = os.open(self.journal, flags, 0o644)
+        try:
+            yield fd
+        finally:
+            os.close(fd)  # and with it any lock taken through it
+
+    def _refresh(self) -> None:
+        """Catch up with the journal without taking its lock."""
+        with self._journal() as fd:
+            self._fold(fd)
+
+    @contextmanager
+    def _appending(self) -> Iterator:
+        """Hold the journal's lock, caught up; yields ``append(**record)``: one
+        ``os.write`` of its line, after a newline ending a dead writer's fragment."""
+        with self._journal(os.O_RDWR | os.O_APPEND | os.O_CREAT) as fd:
+            _flock(fd, "LOCK_EX")
+            torn = self._fold(fd)
+            yield lambda **record: os.write(
+                fd, b"\n" * torn + json.dumps(record, sort_keys=True).encode() + b"\n")
 
     # -- claim / complete ---------------------------------------------------------
 
-    def _claim_path(self, task_id: str) -> Path:
-        return self.claims_dir / f"{task_id}.json"
-
-    def _done_path(self, task_id: str) -> Path:
-        return self.done_dir / f"{task_id}.json"
-
     def is_done(self, task_id: str) -> bool:
-        """True once the task's done marker exists (results persisted)."""
-        return self._done_path(task_id).exists()
-
-    def _try_claim(self, task_id: str) -> bool:
-        """Atomically create the claim marker; False if somebody holds it."""
-        try:
-            fd = os.open(
-                self._claim_path(task_id), os.O_CREAT | os.O_EXCL | os.O_WRONLY
-            )
-        except FileExistsError:
-            return False
-        with os.fdopen(fd, "w", encoding="utf-8") as fh:
-            json.dump(
-                {"pid": os.getpid(), "host": socket.gethostname()},
-                fh,
-                sort_keys=True,
-            )
-        return True
-
-    def _claim_is_stale(self, task_id: str) -> bool:
-        """A claim with a dead same-host owner and no done marker."""
-        try:
-            with self._claim_path(task_id).open("r", encoding="utf-8") as fh:
-                claim = json.load(fh)
-        except (OSError, json.JSONDecodeError):
-            return False  # mid-write or already reclaimed: not ours to judge
-        if claim.get("host") != socket.gethostname():
-            return False  # cross-host liveness is unknowable from here
-        pid = claim.get("pid")
-        if not isinstance(pid, int):
-            return False
-        try:
-            os.kill(pid, 0)
-        except ProcessLookupError:
-            return True
-        except PermissionError:
-            return False  # alive, owned by someone else
-        return False
-
-    def _try_reclaim(self, task_id: str) -> bool:
-        """Steal a stale claim; exactly one contender wins the rename."""
-        stale = self._claim_path(task_id)
-        tombstone = self.claims_dir / f"{task_id}.stale.{os.getpid()}"
-        try:
-            os.rename(stale, tombstone)
-        except OSError:
-            return False
-        return self._try_claim(task_id)
+        """True once the task's done record is in the journal."""
+        self._refresh()
+        return task_id in self.done
 
     def claim(self) -> Optional[QueueTask]:
         """Claim the next available task, or None when nothing is claimable.
@@ -197,58 +185,59 @@ class WorkQueue:
         None does not mean *drained*: other workers may still hold live
         claims.  Check :meth:`drained` / :meth:`counts` for completion.
         """
-        for task in self.tasks:
-            if task.task_id in self._seen_done:
-                continue
-            if self.is_done(task.task_id):
-                self._seen_done.add(task.task_id)
-                continue
-            if self._try_claim(task.task_id):
-                return task
-            if self._claim_is_stale(task.task_id) and self._try_reclaim(task.task_id):
-                self.reclaimed.add(task.task_id)
-                return task
+        host = socket.gethostname()
+        with self._appending() as append:
+            for i in range(self._first, len(self.tasks)):
+                task_id = self.tasks[i].task_id
+                if task_id in self.done:
+                    if i == self._first:
+                        self._first += 1
+                    continue
+                owner = self.owners.get(task_id)
+                if owner is not None:
+                    if not _is_stale(owner, host):
+                        continue
+                    self.reclaimed.add(task_id)
+                append(op="claim", task=task_id, pid=os.getpid(), host=host)
+                return self.tasks[i]
         return None
 
     def complete(self, task_id: str, *, results: int = 0, failures: int = 0) -> None:
         """Mark a task done (idempotent); call only after results persist."""
-        tmp = self._done_path(task_id).with_suffix(f".tmp.{os.getpid()}")
-        with tmp.open("w", encoding="utf-8") as fh:
-            json.dump({"results": results, "failures": failures}, fh, sort_keys=True)
-            fh.flush()
-            os.fsync(fh.fileno())
-        os.replace(tmp, self._done_path(task_id))
-        self._seen_done.add(task_id)
+        with self._appending() as append:
+            if task_id not in self.done:
+                append(op="done", task=task_id, results=results, failures=failures)
 
     def release(self, task_id: str) -> None:
         """Drop this worker's claim so another worker can take the task."""
-        self._claim_path(task_id).unlink(missing_ok=True)
+        with self._appending() as append:
+            append(op="release", task=task_id)
+
+    def checkpoint(self, store: Optional[ResultStore] = None) -> None:
+        """Make what was appended so far survive a power loss: ``store``'s
+        rows first, then the journal, so a done record on disk implies
+        its rows are."""
+        if store is not None:
+            store.sync()
+        with self._journal() as fd:
+            os.fsync(fd)
 
     # -- accounting ---------------------------------------------------------------
 
     @property
     def drained(self) -> bool:
-        """True when every task has a done marker."""
-        return all(self.is_done(t.task_id) for t in self.tasks)
+        """True when every task has a done record."""
+        self._refresh()
+        return all(t.task_id in self.done for t in self.tasks)
 
     def counts(self) -> Dict[str, int]:
         """Task-level progress: total / done / claimed / pending."""
-        done = sum(1 for t in self.tasks if self.is_done(t.task_id))
-        claimed = sum(
-            1
-            for t in self.tasks
-            if not self.is_done(t.task_id) and self._claim_path(t.task_id).exists()
-        )
-        return {
-            "tasks": len(self.tasks),
-            "configs": sum(len(t.configs) for t in self.tasks),
-            "done": done,
-            "claimed": claimed,
-            "pending": len(self.tasks) - done - claimed,
-        }
-
-    def __iter__(self) -> Iterator[QueueTask]:
-        return iter(self.tasks)
+        self._refresh()
+        ids = [t.task_id for t in self.tasks]
+        done = sum(i in self.done for i in ids)
+        claimed = sum(i in self.owners for i in ids)  # a done record drops the owner
+        return {"tasks": len(ids), "configs": sum(len(t.configs) for t in self.tasks),
+                "done": done, "claimed": claimed, "pending": len(ids) - done - claimed}
 
 
 def run_queue_worker(
@@ -262,50 +251,56 @@ def run_queue_worker(
 ) -> CampaignResult:
     """Queue transport: drain tasks from ``queue`` until none are claimable.
 
-    The existing campaign pool becomes "one consumer": any number of
-    processes may run this against the same queue/store/cache root and
-    the claim protocol keeps their work disjoint.  Every task, ``one`` or
-    ``shard``, takes the same sequence: rows the dead owner of a
-    *reclaimed* task (SIGKILLed mid-task) already persisted are recovered
-    from the store — returned and counted as hits, not re-appended; of
+    Any number of processes may run this against one queue/store/cache
+    root; the claim protocol keeps their work disjoint.  Per task: rows
+    the dead owner of a *reclaimed* task already persisted are recovered
+    from the store (returned and counted as hits, not re-appended); of
     the rest, a cache hit skips the engine; what is left runs through
     :func:`~repro.experiments.campaign.run_task` (``run_fn`` standing in
-    for the engine of ``one`` tasks, a seam for tests), each result
-    streaming into the shared store and this worker's cache shard; and
-    only then is the task marked done.
+    for the engine of ``one`` tasks, a seam for tests), streaming into
+    the store and this worker's cache shard; then the task is completed.
+    Checkpoints when the drain ends and after a completion
+    :data:`CHECKPOINT_S` or more after the last checkpoint.
     """
     done = CampaignResult()
     record, record_outcomes = _recorder(
-        done, queue.counts()["configs"], store=store, cache=cache,
+        done, sum(len(t.configs) for t in queue.tasks), store=store, cache=cache,
         progress=progress, on_failure=on_failure,
     )
 
     def engine(payload: tuple) -> dict:
         return {"ok": (run_fn or run_experiment)(ExperimentConfig.from_dict(payload[0])).to_dict()}
 
-    while (task := queue.claim()) is not None:
-        ok_before, failed_before = len(done), len(done.failures)
-        left = [ExperimentConfig.from_dict(d) for d in task.configs]
-        if task.task_id in queue.reclaimed and store is not None:
-            found: List[tuple] = []
-            store.completed_labels({c.label() for c in left}, found)
-            stored = {label: (result, row) for label, result, row in found}
-            for result, row in stored.values():
-                # Absent from the cache if the owner died between the two
-                # appends, so this is put there (a no-op when it is not).
-                record(result, row, in_store=True)
-            left = [c for c in left if c.label() not in stored]
-        if cache is not None:
-            hits, left = cache.split(left)
-            for hit, row, line in hits:
-                record(hit, row, line, from_cache=True)
-        done.cache_hits += len(done) - ok_before
-        done.engine_runs += len(left)
-        if left:
-            record_outcomes(run_task(task.kind, [c.to_dict() for c in left], worker_fn=engine))
-        queue.complete(
-            task.task_id,
-            results=len(done) - ok_before,
-            failures=len(done.failures) - failed_before,
-        )
+    synced = monotonic()
+    try:
+        while (task := queue.claim()) is not None:
+            ok_before, failed_before = len(done), len(done.failures)
+            left = [ExperimentConfig.from_dict(d) for d in task.configs]
+            if task.task_id in queue.reclaimed and store is not None:
+                found: List[tuple] = []
+                store.completed_labels({c.label() for c in left}, found)
+                stored = {label: (result, row) for label, result, row in found}
+                for result, row in stored.values():
+                    # Absent from the cache if the owner died between the two
+                    # appends, so this is put there (a no-op when it is not).
+                    record(result, row, in_store=True)
+                left = [c for c in left if c.label() not in stored]
+            if cache is not None:
+                hits, left = cache.split(left)
+                for hit, row, line in hits:
+                    record(hit, row, line, from_cache=True)
+            done.cache_hits += len(done) - ok_before
+            done.engine_runs += len(left)
+            if left:
+                record_outcomes(run_task(task.kind, [c.to_dict() for c in left], worker_fn=engine))
+            queue.complete(
+                task.task_id,
+                results=len(done) - ok_before,
+                failures=len(done.failures) - failed_before,
+            )
+            if monotonic() - synced >= CHECKPOINT_S:
+                queue.checkpoint(store)
+                synced = monotonic()
+    finally:
+        queue.checkpoint(store)
     return done

@@ -189,6 +189,11 @@ class ResultStore:
             stacklevel=3,
         )
 
+    def sync(self) -> None:
+        """fsync the rows appended so far; nothing while no write handle is open."""
+        if self._fh is not None:
+            os.fsync(self._fh.fileno())
+
     def close(self) -> None:
         """Release the write handle (idempotent; reopened on next append)."""
         fh = self._fh

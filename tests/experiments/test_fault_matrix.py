@@ -28,6 +28,7 @@ import time
 import traceback
 
 import pytest
+from helpers import done_records, forge_claim
 
 from repro.experiments import campaign, queue as queue_mod, runner
 from repro.experiments.cache import ResultCache
@@ -258,7 +259,7 @@ def test_reclaimed_task_recovers_the_rows_its_dead_owner_persisted(tmp_path, mon
     """The queue's own fault: the owner of a task is SIGKILLed after one of
     its rows reached the store.  Whatever the task's kind, the next worker
     returns and counts that row, runs an engine for the rest only, and the
-    done marker counts all of them."""
+    done record counts all of them."""
     configs = [_config(s, engine) for s in (720, 721, 722)]
     _inject(monkeypatch, None, tmp_path)
     with ResultStore(tmp_path / "r.jsonl") as store:
@@ -266,9 +267,7 @@ def test_reclaimed_task_recovers_the_rows_its_dead_owner_persisted(tmp_path, mon
     queue = WorkQueue.create(tmp_path / "q", configs)
     assert {t.kind for t in queue.tasks} == {kind}
     for task in queue.tasks:  # every claim forged: owner dead, same host
-        queue._claim_path(task.task_id).write_text(
-            json.dumps({"pid": 2**22 - 1, "host": socket.gethostname()})
-        )
+        forge_claim(tmp_path / "q", task.task_id, pid=2**22 - 1, host=socket.gethostname())
 
     seen = []
     with ResultStore(tmp_path / "r.jsonl") as store:
@@ -282,5 +281,5 @@ def test_reclaimed_task_recovers_the_rows_its_dead_owner_persisted(tmp_path, mon
     assert ran == sorted(c.label() for c in (configs[0], configs[2]))
     stored = [r.config["seed"] for r in ResultStore(tmp_path / "r.jsonl").load()]
     assert sorted(stored) == [720, 721, 722]  # three lines, no duplicate
-    done = [json.loads(p.read_text()) for p in (tmp_path / "q" / "done").glob("*.json")]
+    done = done_records(tmp_path / "q")
     assert sum(d["results"] for d in done) == 3 and not any(d["failures"] for d in done)

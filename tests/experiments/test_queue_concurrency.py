@@ -5,11 +5,14 @@ ResultStore, and one ResultCache root — the deployment shape the sweep
 service promises to make safe.
 """
 
+import dataclasses
 import json
 import multiprocessing
 import os
 import signal
 import time
+
+from helpers import done_records
 
 from repro.experiments.cache import ResultCache
 from repro.experiments.config import ExperimentConfig
@@ -149,8 +152,7 @@ def test_sigkill_mid_sweep_reruns_only_incomplete_configs(tmp_path):
 
     stored_after_kill = {r.config["seed"] for r in ResultStore(store_path).load()}
     assert fast <= stored_after_kill
-    leftover_claims = list((queue_dir / "claims").glob("*.json"))
-    assert leftover_claims, "victim should die holding a claim"
+    assert WorkQueue.open(queue_dir).counts()["claimed"] == 1, "victim should die holding a claim"
 
     calls = []
 
@@ -169,3 +171,37 @@ def test_sigkill_mid_sweep_reruns_only_incomplete_configs(tmp_path):
     # The final store is complete with no duplicate rows.
     seeds = sorted(r.config["seed"] for r in ResultStore(store_path).load())
     assert seeds == list(range(N_CONFIGS))
+
+
+def _stress_worker(queue_dir, store_path, call_log):
+    def logged_run(cfg):
+        with open(call_log, "a") as fh:
+            fh.write(f"{cfg.seed}\n")
+        return _fake_run(cfg)
+
+    with ResultStore(store_path) as store:
+        run_queue_worker(WorkQueue.open(queue_dir), store=store, run_fn=logged_run)
+
+
+def test_more_workers_than_cores_contend_for_one_journal(tmp_path):
+    """Instant tasks, so claims and completions collide on the journal's
+    lock as often as they can: every config still runs and is stored
+    exactly once, and every task has one done record."""
+    n, workers = 48, max(4, 2 * (os.cpu_count() or 1))
+    configs = [dataclasses.replace(_configs()[0], seed=s) for s in range(n)]
+    queue_dir, store_path, call_log = tmp_path / "q", tmp_path / "r.jsonl", tmp_path / "calls"
+    WorkQueue.create(queue_dir, configs)
+    ctx = multiprocessing.get_context("fork")
+    procs = [ctx.Process(target=_stress_worker, args=(queue_dir, store_path, call_log))
+             for _ in range(workers)]
+    for p in procs:
+        p.start()
+    for p in procs:
+        p.join(timeout=120)
+        assert p.exitcode == 0
+    assert sorted(int(s) for s in call_log.read_text().split()) == list(range(n))
+    assert sorted(r.config["seed"] for r in ResultStore(store_path).load()) == list(range(n))
+    queue = WorkQueue.open(queue_dir)
+    assert queue.drained
+    assert sorted(d["task"] for d in done_records(queue_dir)) == sorted(
+        t.task_id for t in queue.tasks)

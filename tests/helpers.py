@@ -221,3 +221,35 @@ def run_fresh(code: str) -> Any:
     )
     assert proc.returncode == 0, proc.stderr
     return json.loads(proc.stdout.strip().splitlines()[-1])
+
+
+# --- work-queue forging --------------------------------------------------------
+#
+# The only place tests know the queue's on-disk layout (one append-only
+# ``journal.jsonl`` of claim / release / done records, see
+# repro.experiments.queue): tests forge and inspect queue state through these.
+
+
+def forge_claim(queue_dir, task_id: str, *, pid: int, host: str) -> None:
+    """Append a claim of ``task_id`` by ``pid`` on ``host`` to the queue's
+    journal, as a worker that then died (or lives elsewhere) would have."""
+    record = {"op": "claim", "task": task_id, "pid": pid, "host": host}
+    with (Path(queue_dir) / "journal.jsonl").open("a", encoding="utf-8") as fh:
+        fh.write(json.dumps(record, sort_keys=True) + "\n")
+
+
+def done_records(queue_dir) -> list:
+    """Every done record in the queue's journal, in order: dicts with the
+    ``task`` id and its ``results`` and ``failures`` counts."""
+    journal = Path(queue_dir) / "journal.jsonl"
+    if not journal.exists():
+        return []
+    records = []
+    for line in journal.read_text(encoding="utf-8").splitlines():
+        try:
+            record = json.loads(line)
+        except ValueError:
+            continue  # a torn record
+        if record["op"] == "done":
+            records.append({k: record[k] for k in ("task", "results", "failures")})
+    return records
