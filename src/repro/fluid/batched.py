@@ -44,7 +44,7 @@ from __future__ import annotations
 
 import time
 from itertools import accumulate, groupby
-from typing import Dict, List, Optional, Sequence, Tuple
+from typing import List, Optional, Sequence, Tuple
 
 import numpy as np
 
@@ -101,7 +101,7 @@ from repro.fluid.state import (
     shard_key,
 )
 from repro.metrics.summary import ExperimentResult
-from repro.sim.rng import RngStreams, batch_streams
+from repro.sim.rng import RngStreams, StreamTable, batch_streams
 
 # BBR state machine lane codes.
 S_STARTUP, S_DRAIN, S_PROBE_BW, S_PROBE_RTT = 0, 1, 2, 3
@@ -366,8 +366,15 @@ class BatchedFluidSimulation:
         if (self.capacity <= 0).any() or (limit <= 0).any():
             raise ValueError("limit and capacity must be positive")
 
-        # Per-config streams, one per named consumer.
+        # Per-config streams, one per named consumer, seeded in one pass
+        # (the AQM lottery's only where the AQM draws).
         self._rngs = [RngStreams(c.seed) for c in configs]
+        batch_streams([
+            (rngs, name)
+            for rngs, config in zip(self._rngs, configs)
+            for name in ("flow-start", "arrivals", "aqm")
+            if name != "aqm" or block_key(config)[0] in _LOTTERY_FAMILIES
+        ])
 
         self.cca_code = np.empty(L, dtype=np.int64)
         starts = np.empty(L)
@@ -474,14 +481,14 @@ class BatchedFluidSimulation:
             self.bb_cycle_stamp = np.zeros(L)
             self.bb_probe_until = np.full(L, np.nan)
             # The BBR lotteries draw from per-flow streams (the per-flow
-            # rules' own), seeded for the whole shard in one pass.
-            lanes = np.flatnonzero(np.isin(self.cca_code, sorted(RATE_BASED_CODES))).tolist()
-            owners = (np.searchsorted(self.offsets, lanes, side="right") - 1).tolist()
-            gens = batch_streams([
-                (self._rngs[c], f"cca-flow{lane - self.offsets[c]}")
-                for lane, c in zip(lanes, owners)
-            ])
-            self._lane_gens: Dict[int, np.random.Generator] = dict(zip(lanes, gens))
+            # rules' own), held for the whole shard in one stream table;
+            # rate-based lane ``i`` draws from row ``_stream_row[i]``.
+            lanes = np.flatnonzero(np.isin(self.cca_code, sorted(RATE_BASED_CODES)))
+            seeds = np.repeat([c.seed for c in self.configs], self.widths)[lanes]
+            flows = (lanes - np.repeat(self.offsets[:-1], self.widths)[lanes]).tolist()
+            self._lane_streams = StreamTable(seeds, [f"cca-flow{j}" for j in flows])
+            self._stream_row = np.zeros(L, dtype=np.intp)
+            self._stream_row[lanes] = np.arange(len(lanes))
         if CCA_CODE["bbrv2"] in present:
             self.b2_inflight_hi = np.full(L, np.inf)
             self.b2_phase = np.zeros(L, dtype=np.int64)
@@ -730,14 +737,15 @@ class BatchedFluidSimulation:
         probe_until = self.bb_probe_until[i]
 
         # Rare RTO-like collapse lottery, drawn from each lane's own stream.
-        for j in np.nonzero(loss_rate > 0.4)[0]:
-            if self._lane_gens[int(i[j])].random() < 0.03:
-                full_bw[j] = 0.0
-                full_cnt[j] = 0
-                ring[j, :] = 0.0
-                ring[j, pos[j]] = RATE_FLOOR_PPS
-                pacing[j] = RATE_FLOOR_PPS
-                state[j] = S_STARTUP
+        heavy = np.flatnonzero(loss_rate > 0.4)
+        if heavy.size:
+            j = heavy[self._lane_streams.random(self._stream_row[i[heavy]]) < 0.03]
+            full_bw[j] = 0.0
+            full_cnt[j] = 0
+            ring[j] = 0.0
+            ring[j, pos[j]] = RATE_FLOOR_PPS
+            pacing[j] = RATE_FLOOR_PPS
+            state[j] = S_STARTUP
 
         upd = rtt < min_rtt
         min_rtt = np.where(upd, rtt, min_rtt)
@@ -758,8 +766,8 @@ class BatchedFluidSimulation:
 
         exit_d = (state == S_DRAIN) & (inflight <= bdp)
         if exit_d.any():
-            for j in np.nonzero(exit_d)[0]:
-                cyc_idx[j] = int(self._lane_gens[int(i[j])].integers(2, 8))
+            j = np.flatnonzero(exit_d)
+            cyc_idx[j] = self._lane_streams.integers(self._stream_row[i[j]], 2, 8)
             state = np.where(exit_d, S_PROBE_BW, state)
             cyc_stamp = np.where(exit_d, now, cyc_stamp)
 
@@ -861,10 +869,8 @@ class BatchedFluidSimulation:
         down = pb & (ph0 == P_DOWN)
         to_cruise = down & (inflight <= np.maximum(4.0, np.minimum(bdp, bound)))
         if to_cruise.any():
-            for j in np.nonzero(to_cruise)[0]:
-                phase_stamp[j] = now + float(
-                    self._lane_gens[int(i[j])].uniform(-0.5, 0.5)
-                )
+            j = np.flatnonzero(to_cruise)
+            phase_stamp[j] = now + self._lane_streams.uniform(self._stream_row[i[j]], -0.5, 0.5)
             phase = np.where(to_cruise, P_CRUISE, phase)
         cruise = pb & (ph0 == P_CRUISE)
         to_up = cruise & (now - phase_stamp > 2.5)

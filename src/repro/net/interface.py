@@ -118,10 +118,6 @@ class Interface:
         self._busy = True
         self._transmit(pkt, self._pump_cb)
 
-    def deliver(self, pkt: Packet) -> None:
-        """Ingress: a packet arrived from the link; hand it to the node."""
-        self.node.receive(pkt, self)
-
     @property
     def is_busy(self) -> bool:
         return self._busy

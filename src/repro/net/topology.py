@@ -75,7 +75,7 @@ class Network:
             self.sim,
             rate_bps,
             delay_ns,
-            b.deliver,
+            b.node.receive,
             name=f"{a.node.name}->{b.node.name}",
             loss_rate=loss_rate,
             loss_rng=loss_rng,
@@ -84,7 +84,7 @@ class Network:
             self.sim,
             rate_ba_bps if rate_ba_bps is not None else rate_bps,
             delay_ns,
-            a.deliver,
+            a.node.receive,
             name=f"{b.node.name}->{a.node.name}",
             loss_rate=loss_rate,
             loss_rng=loss_rng,

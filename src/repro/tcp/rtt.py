@@ -14,6 +14,12 @@ from repro.units import milliseconds, seconds
 DEFAULT_INITIAL_RTO_NS = seconds(1)
 MIN_RTO_NS = milliseconds(200)  # Linux TCP_RTO_MIN
 MAX_RTO_NS = seconds(120)
+#: RFC 6298's clock granularity G: the floor of the RTO's variance term.
+CLOCK_GRANULARITY_NS = milliseconds(1)
+
+
+def _clamp(rto_ns: int) -> int:
+    return MIN_RTO_NS if rto_ns < MIN_RTO_NS else MAX_RTO_NS if rto_ns > MAX_RTO_NS else rto_ns
 
 
 class RttEstimator:
@@ -45,12 +51,8 @@ class RttEstimator:
             # RTTVAR <- 3/4 RTTVAR + 1/4 |err|; SRTT <- 7/8 SRTT + 1/8 err
             self.rttvar_ns += (abs(err) - self.rttvar_ns) // 4
             self.srtt_ns += err // 8
-        self.rto_ns = self._clamp(self.srtt_ns + max(4 * self.rttvar_ns, milliseconds(1)))
+        self.rto_ns = _clamp(self.srtt_ns + max(4 * self.rttvar_ns, CLOCK_GRANULARITY_NS))
 
     def on_backoff(self) -> None:
         """Double the RTO after a retransmission timeout (Karn's backoff)."""
-        self.rto_ns = self._clamp(self.rto_ns * 2)
-
-    @staticmethod
-    def _clamp(rto_ns: int) -> int:
-        return max(MIN_RTO_NS, min(MAX_RTO_NS, rto_ns))
+        self.rto_ns = _clamp(self.rto_ns * 2)

@@ -2,18 +2,21 @@
 
 ``_poisson_small`` (the per-element loop) is the oracle for the vector
 counting loop, whose sparse tail advances the stragglers several counts per
-tile; the BBR lotteries' lane streams, seeded for a whole shard at once,
-are the per-flow rules' own ``RngStreams.stream`` generators.
+tile; the BBR lotteries' lane streams, one stream table per shard, and
+the per-config streams, seeded for a whole shard at once, are the per-flow
+rules' own ``RngStreams.stream`` generators.
 """
 
 import numpy as np
 import pytest
 
 from repro.experiments.config import ExperimentConfig
+from repro.experiments.matrix import full_matrix
+from repro.fluid import batched
 from repro.fluid.batched import BatchedFluidSimulation
 from repro.fluid.noise import LAM_SWITCH, MAX_K, _poisson_small, _poisson_vector
-from repro.fluid.state import RATE_BASED_CODES
-from repro.sim.rng import RngStreams
+from repro.fluid.state import RATE_BASED_CODES, plan_shards
+from repro.sim.rng import RngStreams, batch_streams
 from repro.units import mbps
 
 ALMOST_ONE = np.nextafter(1.0, 0.0)
@@ -66,7 +69,8 @@ def test_tiled_tail_equals_the_loop_on_mixed_random_lanes():
 
 def test_shard_lane_streams_are_the_per_flow_streams():
     """Every rate-based lane of a shard draws from ``stream("cca-flow<j>")``
-    of its own config — the generator the per-flow rules get."""
+    of its own config — the generator the per-flow rules get — through one
+    row of the shard's stream table."""
     configs = [
         ExperimentConfig(
             cca_pair=pair, bottleneck_bw_bps=mbps(100), duration_s=1.0, seed=seed,
@@ -75,12 +79,85 @@ def test_shard_lane_streams_are_the_per_flow_streams():
         for seed, pair in [(0, ("bbrv1", "cubic")), (2**32 - 1, ("bbrv2", "bbrv1")), (2**33, ("reno", "bbrv2"))]
     ]
     sim = BatchedFluidSimulation(configs)
-    rate_based = np.isin(sim.cca_code, sorted(RATE_BASED_CODES))
-    assert sorted(sim._lane_gens) == np.flatnonzero(rate_based).tolist()
+    rate_based = np.flatnonzero(np.isin(sim.cca_code, sorted(RATE_BASED_CODES))).tolist()
+    table = sim._lane_streams
+    assert len(table) == len(rate_based)
+    assert sorted(sim._stream_row[rate_based].tolist()) == list(range(len(table)))
     for c, config in enumerate(configs):
         for j in range(sim.widths[c]):
-            gen = sim._lane_gens.get(sim.offsets[c] + j)
-            if gen is not None:
+            lane = sim.offsets[c] + j
+            if lane in rate_based:
+                row = sim._stream_row[lane]
                 ref = RngStreams(config.seed).stream(f"cca-flow{j}")
-                assert gen.bit_generator.state == ref.bit_generator.state
-                assert gen.integers(2, 8, 4).tolist() == ref.integers(2, 8, 4).tolist()
+                state = ref.bit_generator.state["state"]
+                assert int(table.state_hi[row]) << 64 | int(table.state_lo[row]) == state["state"]
+                assert int(table.inc_hi[row]) << 64 | int(table.inc_lo[row]) == state["inc"]
+                draws = [int(table.integers([row], 2, 8)[0]) for _ in range(4)]
+                assert draws == ref.integers(2, 8, 4).tolist()
+
+
+PER_CONFIG_STREAMS = ("flow-start", "arrivals", "aqm")
+
+
+def test_shard_per_config_streams_are_seeded_in_one_pass(monkeypatch):
+    """``flow-start``, ``arrivals`` and (for the lottery AQMs) ``aqm`` of
+    every config come from one ``batch_streams`` call, and each is the
+    generator ``RngStreams(seed).stream(name)`` returns: same state before
+    the first draw, same first draws, and the one the simulation uses."""
+    calls = []
+
+    def spy(pairs):
+        gens = batch_streams(pairs)
+        calls.append([(s, name, gen, gen.bit_generator.state) for (s, name), gen in zip(pairs, gens)])
+        return gens
+
+    monkeypatch.setattr(batched, "batch_streams", spy)
+    configs = [
+        ExperimentConfig(
+            cca_pair=("cubic", "bbrv1"), aqm=aqm, bottleneck_bw_bps=mbps(100),
+            duration_s=1.0, seed=seed, engine="fluid_batched", flows_per_node=2,
+        )
+        for seed, aqm in [(3, "red"), (2**32 + 9, "fifo"), (2**40 + 3, "pie"), (7, "fq_codel")]
+    ]
+    sim = BatchedFluidSimulation(configs)
+    per_config = [call for call in calls if {name for _, name, _, _ in call} <= set(PER_CONFIG_STREAMS)]
+    assert len(per_config) == 1
+    seeded = {(s.seed, name): (s, gen, state) for s, name, gen, state in per_config[0]}
+    lottery = {"red", "pie"}
+    assert sorted(seeded) == sorted(
+        (c.seed, name) for c in configs for name in PER_CONFIG_STREAMS
+        if name != "aqm" or c.aqm in lottery
+    )
+    for c, config in enumerate(configs):
+        for name in PER_CONFIG_STREAMS:
+            if (config.seed, name) not in seeded:
+                continue
+            family, gen, state = seeded[config.seed, name]
+            assert family is sim._rngs[c] and sim._rngs[c].stream(name) is gen
+            ref = RngStreams(config.seed).stream(name)
+            assert state == ref.bit_generator.state
+            replay = np.random.Generator(np.random.PCG64())
+            replay.bit_generator.state = state
+            assert replay.random(4).tolist() == ref.random(4).tolist()
+
+
+def test_a_slab_shard_builds_at_most_three_pcg64s_per_config(monkeypatch):
+    """The 135 cells of one buffer slab of the paper grid are one shard;
+    building it seeds the per-config streams and no generator per lane."""
+    from numpy import random as nprandom
+
+    built = []
+    real = nprandom.PCG64
+
+    def counting(*args, **kwargs):
+        built.append(1)
+        return real(*args, **kwargs)
+
+    configs = full_matrix(buffer_bdps=(2.0,), engine="fluid_batched", duration_s=1.5)
+    assert len(configs) == 135 and len(plan_shards(configs)) == 1
+    monkeypatch.setattr(nprandom, "PCG64", counting)
+    sim = BatchedFluidSimulation(configs)
+    lottery = sum(1 for c in configs if c.aqm in ("red", "pie"))
+    assert len(built) == 2 * len(configs) + lottery <= 3 * len(configs)
+    rate_based = np.isin(sim.cca_code, sorted(RATE_BASED_CODES))
+    assert len(sim._lane_streams) == int(rate_based.sum()) > 6000

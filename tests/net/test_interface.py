@@ -30,7 +30,7 @@ def test_packets_flow_through_queue_in_order():
     qdisc = FifoQueue(10**9)
     net, h1, h2, i1, i2 = _build_pair(qdisc=qdisc)
     got = []
-    h2.receive = lambda pkt, iface: got.append(pkt.seq)  # type: ignore[assignment]
+    net.links["h1->h2"].deliver = lambda pkt: got.append(pkt.seq)  # h2's receive
     for seq in range(5):
         i1.send(make_data_packet(1, "a", "b", seq=seq, mss=1500, now=0))
     assert i1.is_busy
@@ -44,7 +44,7 @@ def test_queue_drops_when_full():
     qdisc = FifoQueue(3 * 1500)  # room for 3 packets
     net, h1, h2, i1, i2 = _build_pair(rate=1e6, qdisc=qdisc)
     got = []
-    h2.receive = lambda pkt, iface: got.append(pkt.seq)  # type: ignore[assignment]
+    net.links["h1->h2"].deliver = lambda pkt: got.append(pkt.seq)  # h2's receive
     for seq in range(10):
         i1.send(make_data_packet(1, "a", "b", seq=seq, mss=1500, now=0))
     net.run()

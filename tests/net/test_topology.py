@@ -61,7 +61,7 @@ def test_lossy_connect_gets_seeded_rng():
     assert link._loss_rng is not None
     # End to end: with 50% loss, many of 100 packets vanish.
     got = []
-    b.node.receive = lambda pkt, iface: got.append(pkt)  # type: ignore[assignment]
+    net.links["a->b"].deliver = got.append  # b's receive
     for seq in range(100):
         a.send(make_data_packet(1, "x", "y", seq=seq, mss=1000, now=0))
     net.run()
@@ -74,7 +74,7 @@ def test_same_seed_same_loss_pattern():
         net = Network(seed=9)
         a, b = _pair(net, loss_rate=0.3)
         got = []
-        b.node.receive = lambda pkt, iface: got.append(pkt.seq)  # type: ignore[assignment]
+        net.links["a->b"].deliver = lambda pkt: got.append(pkt.seq)  # b's receive
         for seq in range(50):
             a.send(make_data_packet(1, "x", "y", seq=seq, mss=1000, now=0))
         net.run()
