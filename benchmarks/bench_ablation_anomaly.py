@@ -8,8 +8,8 @@ loss-based (CUBIC) algorithms ride through it, using the packet engine.
 
 from benchmarks.common import banner, run_once
 from repro.cca.registry import make_cca
+from repro.faults import FaultSchedule, FaultSpec
 from repro.tcp.connection import open_connection
-from repro.testbed.anomalies import loss_episode
 from repro.testbed.dumbbell import DumbbellConfig, build_dumbbell
 from repro.units import mbps, seconds
 
@@ -27,11 +27,9 @@ def _run(cca_name):
         make_cca(cca_name, db.network.rng.stream("cca")), mss=1500,
     )
     conn.start()
-    loss_episode(
-        db.sim, db.bottleneck_link,
-        start_ns=seconds(EPISODE[0]), end_ns=seconds(EPISODE[1]),
-        loss_rate=LOSS_RATE, rng=db.network.rng.stream("anomaly"),
-    )
+    FaultSchedule.compile([FaultSpec(
+        "loss_burst", at_s=EPISODE[0], duration_s=EPISODE[1] - EPISODE[0], loss_rate=LOSS_RATE,
+    )]).arm(db.sim, db)
     marks = [0]
 
     def sample():

@@ -12,9 +12,9 @@ Run:  python examples/anomaly_resilience.py
 
 from repro.analysis.sparkline import sparkline
 from repro.cca.registry import make_cca
+from repro.faults import FaultSchedule, FaultSpec
 from repro.metrics.queue_monitor import QueueMonitor
 from repro.tcp.connection import open_connection
-from repro.testbed.anomalies import loss_episode
 from repro.testbed.dumbbell import DumbbellConfig, build_dumbbell
 from repro.units import mbps, seconds
 
@@ -32,11 +32,9 @@ def run_one(cca_name: str):
         make_cca(cca_name, db.network.rng.stream("cca")), mss=1500,
     )
     conn.start()
-    loss_episode(
-        db.sim, db.bottleneck_link,
-        start_ns=seconds(EPISODE[0]), end_ns=seconds(EPISODE[1]),
-        loss_rate=LOSS, rng=db.network.rng.stream("anomaly"),
-    )
+    FaultSchedule.compile([FaultSpec(
+        "loss_burst", at_s=EPISODE[0], duration_s=EPISODE[1] - EPISODE[0], loss_rate=LOSS,
+    )]).arm(db.sim, db)
     monitor = QueueMonitor(db.sim, db.bottleneck_qdisc, seconds(1))
     monitor.start()
 

@@ -1,20 +1,20 @@
 """Campaign driver: run many configurations, optionally in parallel.
 
 The paper's study is embarrassingly parallel across its 810 configurations;
-:func:`run_campaign` fans the list over a process pool (simulations are
-CPU-bound pure Python, so processes, not threads) and streams results into
-a :class:`~repro.experiments.storage.ResultStore` as they complete, which
-makes interrupted sweeps resumable.
+:func:`run_campaign` fans the list over long-lived worker processes
+(simulations are CPU-bound pure Python, so processes, not threads) and
+streams results into a :class:`~repro.experiments.storage.ResultStore` as
+they complete, which makes interrupted sweeps resumable.
 
 One protocol carries every config to an engine: :func:`plan_tasks` turns
 the list into *tasks* (one config, or a ``fluid_batched`` lock-step shard,
 see :mod:`repro.fluid.state`, that advances as **one** stacked
 integration), :func:`run_task` is the one worker body (tagged ``ok`` /
 ``err`` rows out, one per member config), and the one outcome loop of
-:func:`_recorder` records them.  Four thin transports only move tasks and
-rows: inline, a process pool (``jobs > 1``), the watchdog below, and the
-queue claim loop of :mod:`repro.experiments.queue`.  Telemetry and the
-watchdog want one run per config through
+:func:`_recorder` records them.  Three thin transports only move tasks and
+rows: inline, supervised worker processes (``jobs > 1`` or hardened), and
+the queue claim loop of :mod:`repro.experiments.queue`.  Telemetry and the
+hardened mode want one run per config through
 :func:`~repro.experiments.runner.run_experiment` — bit-identical, because
 batched results do not depend on shard composition; fairness sampling
 (``fairness_interval_s``, see :mod:`repro.obs.fairness`) records the same
@@ -26,20 +26,20 @@ A run that raises does not abort the sweep: the exception is captured as a
 :class:`CampaignResult`.  Failed configs are *not* written to the result
 store, so a resumed campaign retries them.
 
-The *hardened* mode (any of ``timeout_s``, ``retries``, or a custom
-``worker_fn``) survives misbehaving workers, not just raising ones: the
-watchdog transport runs each config in its own watched process, a worker
-that outlives its per-run wall-clock deadline is killed and recorded as a
-``timeout`` row, a worker that dies without reporting (segfault,
-``os._exit``, OOM-kill) becomes a ``crash`` row, and every failure is
-retried up to ``retries`` times with exponential backoff plus
-deterministic per-label jitter before the config is declared dead.  A
-dead *pool* worker hands the pool's unfinished tasks to the same
-transport.  See docs/FAULTS.md for the full degradation semantics.
+The worker transport survives misbehaving workers, not just raising ones:
+a worker that outlives its task's wall-clock deadline (``timeout_s``) is
+killed and the task recorded as ``timeout`` rows, a worker that dies
+without reporting (segfault, ``os._exit``, OOM-kill) leaves ``crash`` rows
+for exactly the task it held, and with ``retries`` every failure is retried
+with exponential backoff plus deterministic per-label jitter before the
+config is declared dead.  Any of ``timeout_s``, ``retries`` or a custom
+``worker_fn`` (the *hardened* mode) selects it even for ``jobs == 1``.
+See docs/FAULTS.md for the full degradation semantics.
 """
 
 from __future__ import annotations
 
+import contextlib
 import hashlib
 import json
 import multiprocessing as mp
@@ -61,9 +61,6 @@ from repro.obs.spans import CAT_CAMPAIGN, CAT_WORKER, NULL_SPAN_TRACER, SpanTrac
 if TYPE_CHECKING:
     from repro.obs.session import TelemetryOptions
 
-#: Watchdog poll cadence (wall-clock seconds) in hardened mode.
-WATCHDOG_POLL_S = 0.02
-
 #: Fractional jitter span added to each backoff delay (0.25 = up to +25%).
 BACKOFF_JITTER_FRAC = 0.25
 
@@ -73,7 +70,7 @@ class FailedRun:
     """One configuration that failed instead of producing a result.
 
     ``kind`` distinguishes how it failed: ``error`` (the run raised),
-    ``timeout`` (killed by the watchdog), or ``crash`` (the worker died
+    ``timeout`` (killed at its deadline), or ``crash`` (the worker died
     without reporting).  ``attempts`` counts executions including
     retries.
     """
@@ -149,26 +146,17 @@ def failures_path(store: ResultStore) -> Path:
 
 
 def _append_failure(store: Optional[ResultStore], failure: FailedRun) -> None:
-    if store is None:
-        return
-    path = failures_path(store)
-    with path.open("a", encoding="utf-8") as fh:
-        fh.write(json.dumps(failure.to_dict(), sort_keys=True) + "\n")
-        fh.flush()
+    if store is not None:
+        with ResultStore(failures_path(store)) as log:
+            log.append_dict(failure.to_dict())
 
 
 def load_failures(store: ResultStore) -> List[FailedRun]:
-    """Read the failure rows recorded alongside ``store`` (empty if none)."""
-    path = failures_path(store)
-    if not path.exists():
-        return []
-    rows: List[FailedRun] = []
-    with path.open("r", encoding="utf-8") as fh:
-        for line in fh:
-            line = line.strip()
-            if line:
-                rows.append(FailedRun.from_dict(json.loads(line)))
-    return rows
+    """Read the failure rows recorded alongside ``store`` (empty if none);
+    a torn last line is skipped with a ``TornWriteWarning``, like the
+    store's own."""
+    log = ResultStore(failures_path(store))
+    return [FailedRun.from_dict(d) for _, d in log.iter_dicts()]
 
 
 @dataclass
@@ -204,8 +192,8 @@ def plan_tasks(
     count (one flat-table integration per task;
     :func:`repro.fluid.state.plan_shards`, which ``jobs`` tells how many
     workers want a task); everything else becomes one task per config.
-    With ``batch`` False (telemetry or the watchdog, which want one run /
-    process per config) everything stays per-config — correct either way,
+    With ``batch`` False (telemetry or the hardened mode, which want one
+    run per config) everything stays per-config — correct either way,
     because a one-config run reproduces the shard member's rows bit-for-bit
     (batch-composition invariance).
     """
@@ -385,18 +373,18 @@ def run_campaign(
     ``finished`` count covering both outcomes.  ``telemetry`` is handed to
     every worker, giving each run its own JSONL run log.
 
-    ``timeout_s`` arms the per-run watchdog, ``retries``/``backoff_s``
+    ``timeout_s`` arms the per-run deadline, ``retries``/``backoff_s``
     bound the retry-with-backoff loop, and ``on_retry(label, attempt,
-    delay_s, failure)`` fires per re-queue.  Any of these (or a custom
-    ``worker_fn``, the chaos-test seam) selects the watchdog transport,
-    one process per config; without them tasks run inline (``jobs == 1``)
-    or over a process pool.
+    delay_s, failure)`` fires per re-queue.  Tasks run inline when
+    ``jobs == 1`` (or there is one config) and none of these nor a custom
+    ``worker_fn`` (the chaos-test seam) is given, and on ``jobs``
+    supervised worker processes otherwise.
 
     ``span_tracer`` (usually :attr:`CampaignProgress.spans`, streaming
     into ``campaign.jsonl``) records the campaign-side timeline: one
-    ``campaign`` root span, per-task ``worker`` spans with stable lane
-    numbers inline and under the watchdog, ``store`` spans around result
-    persistence, and ``retry`` instant markers.  See docs/TRACING.md.
+    ``campaign`` root span, per-attempt ``worker`` spans with stable lane
+    numbers, ``store`` spans around result persistence, and ``retry``
+    instant markers.  See docs/TRACING.md.
     """
     if jobs < 1:
         raise ValueError("jobs must be >= 1")
@@ -434,7 +422,7 @@ def run_campaign(
 
     hardened = timeout_s is not None or retries > 0 or worker_fn is not None
     serial = jobs == 1 or total <= 1
-    mode = "hardened" if hardened else ("serial" if serial else "pool")
+    mode = "serial" if serial and not hardened else "workers"
     tasks = plan_tasks(
         todo, batch=telemetry is None and not hardened, jobs=1 if serial else jobs
     )
@@ -451,17 +439,14 @@ def run_campaign(
     try:
         for cached, row, line in cached_results:
             record(cached, row, line, from_cache=True)
-        if hardened:
-            _run_watchdog(
+        if mode == "serial":
+            _run_inline(tasks, telemetry_dict, record_outcomes, spans)
+        else:
+            _run_workers(
                 tasks, telemetry_dict, record_outcomes, done, jobs=jobs,
                 timeout_s=timeout_s, retries=retries, backoff_s=backoff_s,
                 worker_fn=worker_fn, on_retry=on_retry, spans=spans, root=root,
             )
-        elif serial:
-            _run_inline(tasks, telemetry_dict, record_outcomes, spans)
-        else:
-            _run_pool(tasks, telemetry_dict, record_outcomes, done,
-                      jobs=jobs, spans=spans, root=root)
         return done
     finally:
         counts = done.summary()
@@ -493,58 +478,17 @@ def _run_inline(tasks, telemetry_dict, emit, spans) -> None:
         emit(rows)
 
 
-def _run_pool(tasks, telemetry_dict, emit, result, *, jobs, spans, root) -> None:
-    """Pool transport: tasks fan over ``jobs`` long-lived worker processes.
-
-    It observes completions only (the workers' own run logs carry their
-    run/phase spans), so the campaign timeline records root + store spans
-    and leaves worker lanes to the Chrome-trace exporter's per-pid
-    stitching.  Batched-fluid shards ship whole, one stacked integration
-    per worker invocation.
-
-    A worker that dies (segfault, ``os._exit``, OOM-kill) breaks the pool:
-    every task without a result by then goes, one config per process, to
-    the watchdog transport, which tells the config that kills its worker
-    (a ``crash`` row) from the ones that merely shared a pool with it.
-    """
-    # Imported here: 2 MB and 20 ms that only a ``jobs > 1`` sweep should pay.
-    from concurrent.futures import ProcessPoolExecutor, as_completed
-    from concurrent.futures.process import BrokenProcessPool
-
-    ctx = mp.get_context("spawn" if sys.platform == "win32" else "fork")
-    futures: Dict[Any, QueueTask] = {}
-    orphaned: List[QueueTask] = []
-    pool = ProcessPoolExecutor(max_workers=jobs, mp_context=ctx)
+def _worker_loop(conn, telemetry_dict, worker_fn) -> None:
+    """Worker process body: run each task the parent sends, ship its tagged
+    rows back, until the parent sends ``None`` (or is gone)."""
     try:
-        for task in tasks:
-            try:
-                futures[pool.submit(run_task, task.kind, task.configs, telemetry_dict)] = task
-            except BrokenProcessPool:
-                orphaned.append(task)
-        for future in as_completed(futures):
-            try:
-                rows = future.result()
-            except BrokenProcessPool:
-                orphaned.append(futures[future])
-                continue
-            emit(rows)
-    finally:
-        pool.shutdown(cancel_futures=True)
-    if orphaned:
-        configs = [ExperimentConfig.from_dict(d) for task in orphaned for d in task.configs]
-        _run_watchdog(plan_tasks(configs, batch=False), telemetry_dict, emit, result,
-                      jobs=jobs, spans=spans, root=root)
+        for kind, configs in iter(conn.recv, None):
+            conn.send(run_task(kind, configs, telemetry_dict, worker_fn))
+    except EOFError:
+        pass
 
 
-def _proc_entry(worker_fn, task: QueueTask, telemetry_dict, conn) -> None:
-    """Watchdog process body: run one task, ship its tagged rows back."""
-    try:
-        conn.send(run_task(task.kind, task.configs, telemetry_dict, worker_fn))
-    finally:
-        conn.close()
-
-
-def _run_watchdog(
+def _run_workers(
     tasks: Sequence[QueueTask],
     telemetry_dict: Optional[dict],
     emit: Callable[[Sequence[dict]], None],
@@ -559,54 +503,64 @@ def _run_watchdog(
     spans,
     root,
 ) -> None:
-    """Watchdog transport: one watched process per task (hardened mode).
+    """Worker transport: ``jobs`` long-lived processes, one task at a time each.
 
-    Each task gets a fresh process and a pipe; the parent polls for its
-    tagged rows, a silent death (``crash``), or a blown wall-clock
-    deadline (``timeout`` — the process is killed).  Failures re-queue
-    with exponential backoff until ``retries`` is exhausted, then become
-    the :class:`FailedRun` rows the campaign carries forward.
+    Lane ``i`` holds at most one forked worker, started when a task first
+    needs it, that loops ``recv(task) -> run_task -> send(rows)`` over its
+    own pipe.  The parent blocks on the pipes and the process sentinels
+    until the nearest deadline or retry-ready time.  A worker that blows
+    its task's wall-clock deadline is killed (``timeout`` rows), one that
+    dies without reporting is reaped (``crash`` rows): either way the rows
+    are for exactly the task it held, and a fresh worker takes the lane
+    when the next task needs it.  Failures re-queue with exponential
+    backoff until ``retries`` is exhausted, then become the
+    :class:`FailedRun` rows the campaign carries forward.
 
-    Each launch opens a detached ``worker`` span on a stable worker-slot
-    lane (slot indices are reused as they free up, so the Chrome trace
-    shows exactly ``jobs`` worker lanes), closed with the attempt's
+    Each attempt opens a detached ``worker`` span on its lane (so a trace
+    shows at most ``jobs`` worker lanes), closed with the attempt's
     outcome; each re-queue drops a ``retry`` instant marker.
     """
+    # Imported here: only a multi-process sweep waits on pipes.
+    from multiprocessing.connection import wait
+
     ctx = mp.get_context("spawn" if sys.platform == "win32" else "fork")
     pending: deque = deque((task, 1) for task in tasks)  # (task, attempt#)
     delayed: List[tuple] = []  # (ready_at_monotonic, task, attempt#)
-    running: List[dict] = []
+    # The worker on each lane: {"proc", "conn", "job"}, where "job" is the
+    # (task, attempt#, deadline, span) it holds, or None while it is idle.
+    lanes: List[Optional[dict]] = [None] * jobs
 
-    def _launch(task: QueueTask, attempt: int) -> None:
-        parent_conn, child_conn = ctx.Pipe(duplex=False)
-        proc = ctx.Process(
-            target=_proc_entry,
-            args=(worker_fn, task, telemetry_dict, child_conn),
-            daemon=True,
-        )
-        proc.start()
-        child_conn.close()
-        busy = {entry["lane"] for entry in running}
-        lane = next(slot for slot in range(jobs) if slot not in busy)  # smallest free slot
-        running.append(
-            {
-                "proc": proc,
-                "conn": parent_conn,
-                "task": task,
-                "attempt": attempt,
-                "deadline": (time.monotonic() + timeout_s) if timeout_s else None,
-                "lane": lane,
-                "span": _worker_span(spans, task, parent=root, detached=True, lane=lane,
-                                     labels={"attempt": attempt}),
-            }
-        )
+    def _reap(lane: int) -> None:
+        worker, lanes[lane] = lanes[lane], None
+        worker["proc"].join()
+        worker["conn"].close()
 
-    def _settle(entry: dict, rows: List[dict]) -> None:
-        """Free the slot, then pass the rows on — or re-queue a failed task."""
-        running.remove(entry)
+    def _fill() -> None:
+        """Hand pending tasks to idle lanes, forking a worker where none lives."""
+        for lane in range(jobs):
+            worker = lanes[lane]
+            if not pending or (worker is not None and worker["job"] is not None):
+                continue
+            if worker is None or not worker["proc"].is_alive():
+                if worker is not None:  # died while idle: nothing to record
+                    _reap(lane)
+                conn, child_conn = ctx.Pipe()
+                proc = ctx.Process(target=_worker_loop, daemon=True,
+                                   args=(child_conn, telemetry_dict, worker_fn))
+                proc.start()
+                child_conn.close()
+                worker = lanes[lane] = {"proc": proc, "conn": conn}
+            task, attempt = pending.popleft()
+            worker["conn"].send((task.kind, task.configs))
+            worker["job"] = (
+                task, attempt, (time.monotonic() + timeout_s) if timeout_s else None,
+                _worker_span(spans, task, parent=root, detached=True, lane=lane,
+                             labels={"attempt": attempt}),
+            )
+
+    def _settle(task: QueueTask, attempt: int, rows: List[dict]) -> None:
+        """Pass a finished attempt's rows on — or re-queue a failed task."""
         failed = [row["err"] for row in rows if "err" in row]
-        entry["span"].annotate(outcome=failed[0]["kind"] if failed else "ok").close()
-        attempt = entry["attempt"]
         for err in failed:
             err["attempts"] = attempt
         if failed and attempt <= retries:
@@ -617,56 +571,76 @@ def _run_watchdog(
                 on_retry(failure.label, attempt, delay, failure)
             spans.instant("retry", CAT_WORKER, label=failure.label,
                           attempt=attempt, delay_s=delay, kind=failure.kind)
-            delayed.append((time.monotonic() + delay, entry["task"], attempt + 1))
+            delayed.append((time.monotonic() + delay, task, attempt + 1))
         else:
             emit(rows)
 
-    while pending or delayed or running:
-        now = time.monotonic()
-        if delayed:
-            ready = [d for d in delayed if d[0] <= now]
-            for item in ready:
+    try:
+        while True:
+            now = time.monotonic()
+            for item in [d for d in delayed if d[0] <= now]:
                 delayed.remove(item)
-                pending.append((item[1], item[2]))
-        while pending and len(running) < jobs:
-            _launch(*pending.popleft())
-        progressed = False
-        for entry in list(running):
-            proc, conn = entry["proc"], entry["conn"]
-            rows = None
-            ready = conn.poll()
-            dead = not ready and not proc.is_alive()
-            if dead:
-                # It may have sent and exited between the poll above and the
-                # liveness check: look once more before calling it a crash.
+                pending.append(item[1:])
+            _fill()
+            busy = [(lane, w) for lane, w in enumerate(lanes) if w and w["job"]]
+            if not busy and not delayed:
+                break  # and nothing is pending: _fill found every lane idle
+            wake = [d[0] for d in delayed] + [w["job"][2] for _, w in busy if w["job"][2]]
+            wait([obj for _, w in busy for obj in (w["conn"], w["proc"].sentinel)],
+                 max(0.0, min(wake) - now) if wake else None)
+            now = time.monotonic()
+            finished = []
+            for lane, worker in busy:
+                proc, conn = worker["proc"], worker["conn"]
+                task, attempt, deadline, span = worker["job"]
+                rows = None
                 ready = conn.poll()
-            if ready:
-                try:
-                    rows = conn.recv()
-                except EOFError:
-                    rows = None  # died between connecting and sending
-            elif not dead:
-                if entry["deadline"] is None or now < entry["deadline"]:
-                    continue
-                proc.terminate()
-                rows = _err_rows(
-                    entry["task"].configs,
-                    f"run exceeded the {timeout_s:g}s wall-clock timeout "
-                    "and was killed by the watchdog",
-                    kind="timeout",
-                )
-            proc.join()
-            conn.close()
-            progressed = True
-            if rows is None:
-                rows = _err_rows(
-                    entry["task"].configs,
-                    f"worker died without reporting (exitcode {proc.exitcode})",
-                    kind="crash",
-                )
-            _settle(entry, rows)
-        if not progressed and (running or delayed):
-            time.sleep(WATCHDOG_POLL_S)
+                dead = not ready and not proc.is_alive()
+                if dead:
+                    # It may have sent and died between the poll above and the
+                    # liveness check: look once more before calling it a crash.
+                    ready = conn.poll()
+                if ready:
+                    try:
+                        rows = conn.recv()
+                    except EOFError:
+                        dead = True  # died between taking the task and sending
+                elif not dead:
+                    if deadline is None or now < deadline:
+                        continue
+                    proc.terminate()
+                    dead = True
+                    rows = _err_rows(
+                        task.configs,
+                        f"run exceeded the {timeout_s:g}s wall-clock timeout "
+                        "and was killed by the watchdog",
+                        kind="timeout",
+                    )
+                worker["job"] = None
+                if dead:
+                    _reap(lane)
+                if rows is None:
+                    rows = _err_rows(
+                        task.configs,
+                        f"worker died without reporting (exitcode {proc.exitcode})",
+                        kind="crash",
+                    )
+                kind = next((row["err"]["kind"] for row in rows if "err" in row), "ok")
+                span.annotate(outcome=kind).close()
+                finished.append((task, attempt, rows))
+            _fill()  # the workers run on while this process records
+            for item in finished:
+                _settle(*item)
+    finally:
+        for lane, worker in enumerate(lanes):
+            if worker is None:
+                continue
+            if worker["job"] is not None:  # only when an exception cut the loop short
+                worker["proc"].terminate()
+            else:
+                with contextlib.suppress(OSError):
+                    worker["conn"].send(None)
+            _reap(lane)
 
 
 def print_progress(finished: int, total: int, result: ExperimentResult) -> None:

@@ -1,15 +1,15 @@
 """Flight recorder: a bounded ring-buffer tracer.
 
-Long campaign runs cannot afford the unbounded in-memory
-:class:`repro.sim.trace.Tracer` (a 200-second 25G cell generates tens of
-millions of events).  The :class:`FlightRecorder` keeps only the last
+Long campaign runs cannot afford an unbounded in-memory event list (a
+200-second 25G cell generates tens of millions of events).  The
+:class:`FlightRecorder` keeps only the last
 ``capacity`` events — like an aircraft flight recorder, it answers "what
 happened just before the failure" — while still counting every event by
 kind, and can dump its window as JSONL for post-mortem analysis.
 
 It implements the same ``record(kind, time_ns, **fields)`` protocol as
-:class:`~repro.sim.trace.Tracer` / :class:`~repro.sim.trace.NullTracer`,
-so any tracer-accepting hook can take one.
+:class:`~repro.sim.trace.NullTracer`, so any tracer-accepting hook can
+take one.
 """
 
 from __future__ import annotations

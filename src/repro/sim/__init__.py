@@ -7,6 +7,6 @@ for a given seed.
 
 from repro.sim.engine import Event, Simulator
 from repro.sim.rng import RngStreams
-from repro.sim.trace import NullTracer, Tracer
+from repro.sim.trace import NullTracer
 
-__all__ = ["Event", "Simulator", "RngStreams", "Tracer", "NullTracer"]
+__all__ = ["Event", "Simulator", "RngStreams", "NullTracer"]

@@ -2,16 +2,14 @@
 
 The data path calls ``tracer.record(kind, time_ns, **fields)`` at interesting
 points (enqueue drops, retransmissions, state transitions).  The default
-:class:`NullTracer` makes these calls nearly free; tests and debugging swap
-in a recording :class:`Tracer`.  For long runs, use the *bounded*
-:class:`repro.obs.flight.FlightRecorder`, which implements the same
-``record`` protocol over a ring buffer instead of an unbounded list.
+:class:`NullTracer` makes these calls nearly free; tests, debugging and
+telemetry swap in the bounded :class:`repro.obs.flight.FlightRecorder`,
+which records them into a ring buffer.
 """
 
 from __future__ import annotations
 
-from collections import Counter
-from typing import Any, Dict, List, Tuple
+from typing import Any
 
 
 class NullTracer:
@@ -23,41 +21,6 @@ class NullTracer:
 
     def record(self, kind: str, time_ns: int, **fields: Any) -> None:
         """No-op."""
-
-
-class Tracer:
-    """Records every event as ``(kind, time_ns, fields)`` tuples."""
-
-    __slots__ = ("events", "counts", "_by_kind")
-
-    enabled = True
-
-    def __init__(self) -> None:
-        self.events: List[Tuple[str, int, Dict[str, Any]]] = []
-        self.counts: Counter = Counter()
-        # Per-kind index: repeated of_kind() queries (golden-trace tests
-        # call it per kind per run) are O(matches), not O(total events).
-        self._by_kind: Dict[str, List[Tuple[str, int, Dict[str, Any]]]] = {}
-
-    def record(self, kind: str, time_ns: int, **fields: Any) -> None:
-        """Append one event and bump its kind counter."""
-        ev = (kind, time_ns, fields)
-        self.events.append(ev)
-        self.counts[kind] += 1
-        index = self._by_kind.get(kind)
-        if index is None:
-            index = self._by_kind[kind] = []
-        index.append(ev)
-
-    def of_kind(self, kind: str) -> List[Tuple[str, int, Dict[str, Any]]]:
-        """All recorded events of one kind, in time order."""
-        return list(self._by_kind.get(kind, ()))
-
-    def clear(self) -> None:
-        """Drop all recorded events and counters."""
-        self.events.clear()
-        self.counts.clear()
-        self._by_kind.clear()
 
 
 NULL_TRACER = NullTracer()

@@ -118,10 +118,10 @@ print(json.dumps([loaded_before, loaded_at_fork, result.summary()["ok"]]))
     ("packet", "repro.tcp.connection"),
 ])
 @pytest.mark.parametrize("kwargs", [{"jobs": 2}, {"jobs": 1, "timeout_s": 120.0}],
-                         ids=["pool", "watchdog"])
+                         ids=["workers", "watchdog"])
 def test_engine_is_loaded_before_workers_fork(engine, module, kwargs):
-    """A pool or watchdog child inherits the engine from its parent instead
-    of compiling numpy, the kernel or the DES for itself."""
+    """A worker inherits the engine from its parent instead of compiling
+    numpy, the kernel or the DES for itself."""
     from helpers import run_fresh
 
     loaded_before, loaded_at_fork, ok = run_fresh(
@@ -177,6 +177,29 @@ def test_serial_failure_becomes_row_not_abort(tmp_path):
     assert len(store) == 2
     assert [f.label for f in load_failures(store)] == [row.label]
     assert failures_path(store).name == "r.failures.jsonl"
+
+
+def test_failures_file_pardons_a_torn_tail(tmp_path):
+    """A failure append SIGKILLed mid-line leaves a torn tail: the complete
+    rows still load, with a warning, and the next append repairs the tail
+    instead of writing after the fragment."""
+    import json
+
+    from repro.experiments.storage import TornWriteWarning
+
+    store = ResultStore(tmp_path / "r.jsonl")
+    configs = [_poisoned_config(seed) for seed in (997, 998, 999)]
+    run_campaign(configs[:2], store=store, jobs=1)
+    lines = failures_path(store).read_text().splitlines(keepends=True)
+    assert [json.loads(line)["label"] for line in lines] == [c.label() for c in configs[:2]]
+    with failures_path(store).open("a") as fh:
+        fh.write(lines[1][: len(lines[1]) // 2])  # the torn write
+    with pytest.warns(TornWriteWarning):
+        assert [f.label for f in load_failures(store)] == [c.label() for c in configs[:2]]
+
+    with pytest.warns(TornWriteWarning):  # repaired before the next row lands
+        run_campaign(configs[2:], store=store, jobs=1)
+    assert [f.label for f in load_failures(store)] == [c.label() for c in configs]
 
 
 def test_parallel_failure_does_not_abort_pool(tmp_path):

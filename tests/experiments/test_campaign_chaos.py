@@ -1,7 +1,7 @@
 """Chaos tests for the hardened campaign executor.
 
 Misbehaving workers are injected through the ``worker_fn`` seam: a hang
-(to be killed by the watchdog), a silent death (``os._exit``), and a
+(to be killed at its deadline), a silent death (``os._exit``), and a
 fail-once-then-succeed worker (to prove retry-with-backoff).  The custom
 workers interpret the ``telemetry_dict`` half of their payload as a
 scratch directory for cross-process bookkeeping.
@@ -99,6 +99,21 @@ class _Scratch(dict):
         return dict(self)
 
 
+def _count_worker_starts(monkeypatch):
+    """Count process starts from here on: the returned list grows by one each."""
+    import multiprocessing.process
+
+    started = []
+    real_start = multiprocessing.process.BaseProcess.start
+
+    def start(self):
+        started.append(1)
+        return real_start(self)
+
+    monkeypatch.setattr(multiprocessing.process.BaseProcess, "start", start)
+    return started
+
+
 # -- watchdog ---------------------------------------------------------------------
 
 
@@ -125,30 +140,63 @@ def test_crashed_worker_recorded_as_crash(tmp_path):
 
 
 def test_result_sent_just_before_exit_is_not_a_crash(tmp_path, monkeypatch):
-    """A worker that sends and exits between the watchdog's ``poll()`` and
-    its ``is_alive()`` has reported: the result is in the pipe.  Make the
-    first poll of each pipe miss exactly that way."""
+    """A worker that sends and dies between the parent's ``poll()`` and its
+    ``is_alive()`` has reported: the result is in the pipe.  Make the first
+    poll miss exactly that way — the one worker that would serve both tasks
+    is killed just after sending the first result — and a fresh worker
+    takes the second task."""
     import multiprocessing
     from multiprocessing.connection import Connection
 
     real_poll = Connection.poll
-    missed = set()
+    missed = []
 
     def poll_missing_once(self, timeout=0.0):
-        if id(self) in missed:
+        if missed:
             return real_poll(self, timeout)
-        missed.add(id(self))
+        missed.append(self)
         assert real_poll(self, 30.0)  # the worker has sent its result ...
-        for child in multiprocessing.active_children():
-            child.join(30.0)  # ... and exited ...
+        (worker,) = multiprocessing.active_children()
+        worker.kill()
+        worker.join(30.0)  # ... and died ...
         return False  # ... just after this poll looked
 
     monkeypatch.setattr(Connection, "poll", poll_missing_once)
+    started = _count_worker_starts(monkeypatch)
     store = ResultStore(tmp_path / "r.jsonl")
     results = run_campaign(_configs(2), store=store, worker_fn=_plain_worker)
     assert results.summary() == {"ok": 2, "failed": 0, "retried": 0, "total": 2}
-    assert len(missed) == 2 and len(store) == 2
+    assert len(missed) == 1 and len(store) == 2
+    assert len(started) == 2
     assert load_failures(store) == []
+
+
+def _slow_chaos_worker(payload):
+    """Like ``_chaos_worker``, but a healthy run takes 0.4 s, so a fault on
+    the first task is seen while later tasks still wait for a lane."""
+    if payload[0]["seed"] not in (HANG_SEED, CRASH_SEED):
+        time.sleep(0.4)
+    return _chaos_worker(payload)
+
+
+@pytest.mark.parametrize("seeds,kwargs,workers", [
+    ((200,), {}, 0),  # one config: inline, no worker at all
+    ((200, 201, 202, 203), {}, 2),
+    ((200,), {"worker_fn": _slow_chaos_worker}, 1),
+    ((200, 201, 202, 203), {"worker_fn": _slow_chaos_worker}, 2),
+    ((CRASH_SEED, 200, 201, 202), {"worker_fn": _slow_chaos_worker}, 3),
+    ((HANG_SEED, 200, 201, 202, 203), {"worker_fn": _slow_chaos_worker, "timeout_s": 0.5}, 3),
+], ids=["inline", "plain", "one-task", "hardened", "crash", "timeout"])
+def test_workers_started_are_lanes_used_plus_one_per_lost_worker(monkeypatch, seeds, kwargs,
+                                                                 workers):
+    """``jobs=2`` over N tasks forks ``min(jobs, N)`` long-lived workers, and
+    one more per worker lost to a timeout or crash while tasks still wait."""
+    started = _count_worker_starts(monkeypatch)
+    configs = [_configs(1, seed)[0] for seed in seeds]
+    results = run_campaign(configs, jobs=2, **kwargs)
+    assert results.summary()["total"] == len(seeds)
+    assert results.summary()["failed"] == sum(s in (HANG_SEED, CRASH_SEED) for s in seeds)
+    assert len(started) == workers
 
 
 def test_raising_worker_recorded_as_error():

@@ -1,4 +1,4 @@
-"""Campaign-side span tracing: serial and hardened executors.
+"""Campaign-side span tracing: the inline and the worker transports.
 
 Spans stream into the same ``campaign.jsonl`` as the progress records;
 these tests check the timeline a ``repro obs trace`` export would see —
@@ -109,7 +109,7 @@ def test_hardened_campaign_lanes_retries_and_outcomes(tmp_path):
 
     spans = _spans_from(log)
     root = next(s for s in spans if s["cat"] == CAT_CAMPAIGN)
-    assert root["labels"]["mode"] == "hardened"
+    assert root["labels"]["mode"] == "workers"
     assert root["labels"]["ok"] == 3
     assert root["labels"]["retried"] == 3
 
@@ -141,3 +141,19 @@ def test_hardened_campaign_lanes_retries_and_outcomes(tmp_path):
     assert all(r["dur_s"] == 0.0 for r in retries)
     assert all(r["labels"]["kind"] == "error" for r in retries)
     assert all(r["labels"]["attempt"] == 1 for r in retries)
+
+
+def test_worker_campaign_spans_one_attempt_per_task_on_jobs_lanes(tmp_path):
+    log = tmp_path / "campaign.jsonl"
+    tracker = CampaignProgress(log, quiet=True, spans=True)
+    configs = _configs(4)
+    run_campaign(configs, jobs=2, progress=tracker, span_tracer=tracker.spans)
+    tracker.close()
+
+    spans = _spans_from(log)
+    root = next(s for s in spans if s["cat"] == CAT_CAMPAIGN)
+    assert root["labels"]["mode"] == "workers"
+    attempts = [s for s in spans if s["cat"] == CAT_WORKER]
+    assert sorted(a["name"] for a in attempts) == sorted(c.label() for c in configs)
+    assert {a["lane"] for a in attempts} == {0, 1}
+    assert all(a["labels"] == {"attempt": 1, "outcome": "ok"} for a in attempts)

@@ -1,19 +1,20 @@
 """Fault matrix over the executor protocol: task -> run_task -> outcome -> record.
 
 One oracle for every transport: {config raises, shard raises, worker dies,
-worker hangs} x {inline, pool, watchdog, queue worker}, over each
-combination that transport can experience (a hang needs ``timeout_s``, so
-watchdog only; a death needs a process to lose: pool and watchdog; the
-watchdog never carries a shard).  Every cell must leave the *same recorded
-outcome*: the same ``FailedRun`` rows (modulo traceback text), one
-``failures.jsonl`` line per failed config, a store holding exactly the
-successes, byte for byte, and a second pass that re-runs exactly the
-failed configs.
+worker dies holding a shard, worker hangs} x {inline, workers, workers
+with a watchdog deadline, queue worker}, over each combination that
+transport can experience (a hang needs ``timeout_s``, so watchdog only; a
+death needs a worker process to lose; a hardened sweep never carries a
+shard).  Every cell must leave the *same recorded outcome*: the
+same ``FailedRun`` rows (modulo traceback text), one ``failures.jsonl``
+line per failed config, a store holding exactly the successes, byte for
+byte, an engine handed each config exactly once, and a second pass that
+re-runs exactly the failed configs.
 
 Faults are injected at the engine entry points the transports look up at
-call time, so the same fault reaches every transport; the watchdog and the
-queue worker also take it through their own seams (``worker_fn``, the
-chaos tests' way in, and ``run_fn``, the queue tests').  Each cell runs in
+call time, so the same fault reaches every transport; the hardened workers
+and the queue worker also take it through their own seams (``worker_fn``,
+the chaos tests' way in, and ``run_fn``, the queue tests').  Each cell runs in
 a forked child under a hard deadline: a transport that hangs fails its
 cell instead of hanging pytest.
 """
@@ -65,6 +66,17 @@ def _two_shards():
     ]
 
 
+def _shard_of_two():
+    """A two-config shard holding the bad seed, and a three-config one."""
+    return [_config(s, "fluid_batched") for s in (701, BAD_SEED)] + [
+        _config(s, "fluid_batched", duration_s=4.0) for s in (710, 711, 712)
+    ]
+
+
+#: fault -> what a batched-fluid run does on the bad seed
+SHARD_FAULTS = {"shard raises": "raises", "shard dies": "dies"}
+
+
 # -- fault injection ----------------------------------------------------------------
 
 
@@ -101,7 +113,7 @@ def _inject(monkeypatch, fault, tmp_path):
     def run_fluid_batch(configs):
         logged(configs)
         for config in configs:
-            _strike("raises" if fault == "shard raises" else None, config, armed)
+            _strike(SHARD_FAULTS.get(fault), config, armed)
         return [dataclasses.replace(r, wallclock_s=0.0) for r in real_batch(configs)]
 
     monkeypatch.setattr(campaign, "run_experiment", run_experiment)
@@ -125,7 +137,7 @@ def _queue(configs, store, cache, qdir, **kwargs):
 TRANSPORTS = {
     "inline": lambda configs, store, cache, qdir: run_campaign(
         configs, store=store, cache=cache, jobs=1),
-    "pool": lambda configs, store, cache, qdir: run_campaign(
+    "workers": lambda configs, store, cache, qdir: run_campaign(
         configs, store=store, cache=cache, jobs=2),
     "watchdog": lambda configs, store, cache, qdir: run_campaign(
         configs, store=store, cache=cache, jobs=2, timeout_s=HANG_TIMEOUT_S),
@@ -140,10 +152,12 @@ TRANSPORTS = {
 #: fault -> (configs, transports that can experience it, kind and error recorded)
 FAULTS = {
     "raises": (_singles, sorted(TRANSPORTS), "error", "RuntimeError('injected fault')"),
-    "shard raises": (_two_shards, ["inline", "pool", "queue"], "error",
+    "shard raises": (_two_shards, ["inline", "workers", "queue"], "error",
                      "RuntimeError('injected fault')"),
-    "dies": (_singles, ["pool", "watchdog", "watchdog-worker_fn"], "crash",
+    "dies": (_singles, ["workers", "watchdog", "watchdog-worker_fn"], "crash",
              "worker died without reporting (exitcode 9)"),
+    "shard dies": (_shard_of_two, ["workers"], "crash",
+                   "worker died without reporting (exitcode 9)"),
     "hangs": (_singles, ["watchdog", "watchdog-worker_fn"], "timeout",
               f"run exceeded the {HANG_TIMEOUT_S:g}s wall-clock timeout "
               "and was killed by the watchdog"),
@@ -206,7 +220,7 @@ def _two_passes(transport, configs, tmp_path):
 def test_every_transport_records_the_same_outcome(tmp_path, monkeypatch, fault, transport):
     make_configs, _, kind, error = FAULTS[fault]
     configs = make_configs()
-    if fault == "shard raises":
+    if fault in SHARD_FAULTS:
         failed = [c for c in configs if c.duration_s == 5.0]  # every member of the shard
     else:
         failed = [c for c in configs if c.seed == BAD_SEED]
@@ -235,13 +249,7 @@ def test_every_transport_records_the_same_outcome(tmp_path, monkeypatch, fault, 
     rows = [json.loads(line) for line in first["failures"]]
     assert all(("Traceback" in row.pop("traceback")) == (kind == "error") for row in rows)
     assert sorted(rows, key=lambda row: row["label"]) == want_failures
-    if (fault, transport) == ("dies", "pool"):
-        # A pool cannot say which task its dead worker held, so every task
-        # without a result by then runs again, one watched process each:
-        # the recorded outcome is the same, the engine count is not.
-        assert set(first["ran"]) == {c.label() for c in configs}
-    else:
-        assert first["ran"] == sorted(c.label() for c in configs)
+    assert first["ran"] == sorted(c.label() for c in configs)
 
     assert second["summary"] == {"ok": len(configs), "failed": 0, "retried": 0,
                                  "total": len(configs)}

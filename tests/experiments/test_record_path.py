@@ -1,8 +1,8 @@
 """The record path serialises each result once and reads the store once.
 
-Every transport — inline (single configs and batched shards), pool,
-watchdog ("hardened"), queue worker — hands the rows ``campaign.run_task``
-built to one record function (``campaign._recorder``).  Spies count, in the recording process, the rows
+Every transport — inline (single configs and batched shards), worker
+processes (plain "pool" and "hardened"), queue worker — hands the rows
+``campaign.run_task`` built to one record function (``campaign._recorder``).  Spies count, in the recording process, the rows
 built (``ExperimentResult.to_dict``), the lines encoded (``ResultStore.encode``)
 and decoded (``orjson.loads``; ``json.loads`` for what orjson refuses), the
 ``ResultCache.put`` calls, the reads of the store (``ResultStore.iter_dicts``)
@@ -93,7 +93,7 @@ def _queue_worker(tmp_path, name, cache):
 
 
 # (sweep function, rows the recording process may build for N fresh results)
-# — pool and hardened workers build their rows in their own processes.
+# — worker processes build their rows in their own processes.
 PATHS = {
     "serial": (_campaign("fluid", jobs=1), N),
     "serial-shard": (_campaign("fluid_batched", jobs=1), N),

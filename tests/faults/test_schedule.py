@@ -161,6 +161,32 @@ def test_loss_burst_sets_and_restores_with_lazy_stream():
     assert link.loss_rate == 0.0
 
 
+def test_loss_burst_dents_goodput_end_to_end():
+    """A mid-run loss burst visibly dents a CUBIC transfer's goodput."""
+    from repro.cca.registry import make_cca
+    from repro.tcp.connection import open_connection
+
+    db = _dumbbell(bottleneck_bw_bps=mbps(20), seed=9)
+    conn = open_connection(db.clients[0], db.servers[0], make_cca("cubic"), mss=1500)
+    conn.start()
+    FaultSchedule.compile(
+        [FaultSpec(kind="loss_burst", at_s=8.0, duration_s=4.0, loss_rate=0.05)]
+    ).arm(db.sim, db)
+    marks = []
+
+    def sample():
+        marks.append(conn.receiver.bytes_received)
+        db.sim.schedule(seconds(2), sample)
+
+    db.sim.schedule(seconds(2), sample)
+    db.network.run(seconds(20))
+    rates = [(b - a) / 2 for a, b in zip(marks, marks[1:])]
+    healthy_before = rates[2]  # 6-8 s
+    during = min(rates[3], rates[4])  # 8-12 s
+    assert during < 0.85 * healthy_before
+    assert db.bottleneck_link.packets_lost > 0
+
+
 def test_loss_restore_returns_preexisting_rate():
     db = _dumbbell(trunk_loss_rate=0.05)
     link = db.bottleneck_link

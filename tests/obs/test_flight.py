@@ -46,7 +46,16 @@ def test_of_kind_interleaved_matches_events_order():
     for i in range(20):
         r.record("a" if i % 2 == 0 else "b", i)
     assert [t for _, t, _ in r.of_kind("a")] == list(range(0, 20, 2))
+    assert r.of_kind("a")[-1] is r.events[-2]  # the recorded tuple, not a copy
     assert r.of_kind("missing") == []
+
+
+def test_of_kind_returns_fresh_list():
+    r = FlightRecorder(capacity=4)
+    r.record("a", 1)
+    first = r.of_kind("a")
+    first.append("junk")
+    assert r.of_kind("a") == [("a", 1, {})]
 
 
 def test_clear_resets_everything():
@@ -55,6 +64,7 @@ def test_clear_resets_everything():
         r.record("x", i)
     r.clear()
     assert r.events == []
+    assert r.counts["x"] == 0
     assert r.total_recorded == 0
     assert r.dropped == 0
     assert r.of_kind("x") == []

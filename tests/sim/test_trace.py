@@ -1,66 +1,10 @@
-"""Unit tests for tracing hooks."""
+"""Unit tests for tracing hooks (the recording tracer is
+:class:`repro.obs.flight.FlightRecorder`, tested in tests/obs/test_flight.py)."""
 
-from repro.sim.trace import NullTracer, Tracer
+from repro.sim.trace import NullTracer
 
 
 def test_null_tracer_discards():
     t = NullTracer()
     t.record("drop", 100, flow=1)  # must not raise
     assert not t.enabled
-
-
-def test_tracer_records_events_in_order():
-    t = Tracer()
-    t.record("drop", 100, flow=1)
-    t.record("retx", 200, flow=2, seq=5)
-    assert t.events == [("drop", 100, {"flow": 1}), ("retx", 200, {"flow": 2, "seq": 5})]
-    assert t.counts["drop"] == 1
-    assert t.counts["retx"] == 1
-
-
-def test_of_kind_filters():
-    t = Tracer()
-    t.record("a", 1)
-    t.record("b", 2)
-    t.record("a", 3)
-    assert [e[1] for e in t.of_kind("a")] == [1, 3]
-
-
-def test_clear():
-    t = Tracer()
-    t.record("a", 1)
-    t.clear()
-    assert t.events == []
-    assert t.counts["a"] == 0
-    assert t.of_kind("a") == []
-
-
-def test_of_kind_is_indexed_not_scanned():
-    # of_kind must serve from the per-kind index: the identical event
-    # tuples, in record order, without touching other kinds.
-    t = Tracer()
-    for i in range(1000):
-        t.record("common", i)
-    t.record("rare", 5000, flow=9)
-    rare = t.of_kind("rare")
-    assert rare == [("rare", 5000, {"flow": 9})]
-    assert rare[0] is t.events[-1]  # same tuple object, no copy
-    assert t.of_kind("absent") == []
-
-
-def test_of_kind_returns_fresh_list():
-    t = Tracer()
-    t.record("a", 1)
-    first = t.of_kind("a")
-    first.append("junk")
-    assert t.of_kind("a") == [("a", 1, {})]
-
-
-def test_events_ordering_with_index():
-    t = Tracer()
-    kinds = ["a", "b", "a", "c", "b", "a"]
-    for i, k in enumerate(kinds):
-        t.record(k, i)
-    assert [k for k, _, _ in t.events] == kinds
-    assert [i for _, i, _ in t.of_kind("a")] == [0, 2, 5]
-    assert [i for _, i, _ in t.of_kind("b")] == [1, 4]
