@@ -18,10 +18,12 @@ queues (k x BDP bytes via `tc`).
 
 from __future__ import annotations
 
-from typing import Optional
+from typing import TYPE_CHECKING, Optional
 
-from repro.net.packet import Packet
 from repro.sim.trace import NULL_TRACER
+
+if TYPE_CHECKING:  # pragma: no cover
+    from repro.net.packet import Packet
 
 
 class QueueStats:

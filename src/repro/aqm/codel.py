@@ -15,11 +15,13 @@ from __future__ import annotations
 
 import math
 from collections import deque
-from typing import Callable, Optional
+from typing import TYPE_CHECKING, Callable, Optional
 
 from repro.aqm.base import QueueDiscipline
-from repro.net.packet import Packet
 from repro.units import milliseconds
+
+if TYPE_CHECKING:  # pragma: no cover
+    from repro.net.packet import Packet
 
 DEFAULT_TARGET_NS = milliseconds(5)
 DEFAULT_INTERVAL_NS = milliseconds(100)

@@ -8,10 +8,12 @@ are dropped.  No dequeue-time logic, no per-flow state — exactly the
 from __future__ import annotations
 
 from collections import deque
-from typing import Optional
+from typing import TYPE_CHECKING, Optional
 
 from repro.aqm.base import QueueDiscipline
-from repro.net.packet import Packet
+
+if TYPE_CHECKING:  # pragma: no cover
+    from repro.net.packet import Packet
 
 
 class FifoQueue(QueueDiscipline):

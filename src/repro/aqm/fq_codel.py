@@ -13,13 +13,14 @@ FQ_CODEL fairness results.
 from __future__ import annotations
 
 from collections import deque
-from typing import Deque, Dict, Optional
-
-import numpy as np
+from typing import TYPE_CHECKING, Deque, Dict, Optional
 
 from repro.aqm.base import QueueDiscipline
 from repro.aqm.codel import DEFAULT_INTERVAL_NS, DEFAULT_TARGET_NS, CoDelController
-from repro.net.packet import Packet
+
+if TYPE_CHECKING:  # pragma: no cover
+    from repro.net.packet import Packet
+    from repro.sim.rng import Stream
 
 DEFAULT_FLOW_BUCKETS = 1024
 
@@ -59,7 +60,7 @@ class FqCoDelQueue(QueueDiscipline):
     def __init__(
         self,
         limit_bytes: int,
-        rng: Optional[np.random.Generator] = None,
+        rng: Optional[Stream] = None,
         *,
         flows: int = DEFAULT_FLOW_BUCKETS,
         quantum_bytes: int = 1514,

@@ -18,13 +18,14 @@ period after idle.
 from __future__ import annotations
 
 from collections import deque
-from typing import Optional
-
-import numpy as np
+from typing import TYPE_CHECKING, Optional
 
 from repro.aqm.base import QueueDiscipline
-from repro.net.packet import Packet
 from repro.units import milliseconds
+
+if TYPE_CHECKING:  # pragma: no cover
+    from repro.net.packet import Packet
+    from repro.sim.rng import Stream
 
 DEFAULT_TARGET_NS = milliseconds(15)
 DEFAULT_T_UPDATE_NS = milliseconds(15)
@@ -56,7 +57,7 @@ class PieQueue(QueueDiscipline):
     def __init__(
         self,
         limit_bytes: int,
-        rng: np.random.Generator,
+        rng: Stream,
         *,
         target_ns: int = DEFAULT_TARGET_NS,
         t_update_ns: int = DEFAULT_T_UPDATE_NS,

@@ -20,13 +20,14 @@ high-bandwidth behaviour to exactly these untouched internal parameters
 from __future__ import annotations
 
 from collections import deque
-from typing import Optional
-
-import numpy as np
+from typing import TYPE_CHECKING, Optional
 
 from repro.aqm.base import QueueDiscipline
-from repro.net.packet import Packet
 from repro.units import NS_PER_SEC
+
+if TYPE_CHECKING:  # pragma: no cover
+    from repro.net.packet import Packet
+    from repro.sim.rng import Stream
 
 
 class RedQueue(QueueDiscipline):
@@ -50,7 +51,7 @@ class RedQueue(QueueDiscipline):
     def __init__(
         self,
         limit_bytes: int,
-        rng: np.random.Generator,
+        rng: Stream,
         *,
         min_th: Optional[int] = None,
         max_th: Optional[int] = None,

@@ -13,14 +13,14 @@ from repro.aqm.red import RedQueue
 from repro.experiments.config import AQM_NAMES
 
 if TYPE_CHECKING:
-    import numpy as np
+    from repro.sim.rng import Stream
 
 
 def make_aqm(
     name: str,
     limit_bytes: int,
     *,
-    rng: Optional[np.random.Generator] = None,
+    rng: Optional[Stream] = None,
     mtu_bytes: int = 1500,
     bandwidth_bps: Optional[float] = None,
     ecn_mode: bool = False,

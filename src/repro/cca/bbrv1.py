@@ -13,13 +13,14 @@ gain cycle [1.25, 0.75, 1 x 6]) with periodic PROBE_RTT excursions.
 
 from __future__ import annotations
 
-from typing import Optional
-
-import numpy as np
+from typing import TYPE_CHECKING, Optional
 
 from repro.cca.base import AckEvent, CongestionControl
 from repro.cca.bbr_common import WindowedMax, WindowedMin
 from repro.units import milliseconds, seconds
+
+if TYPE_CHECKING:  # pragma: no cover
+    from repro.sim.rng import Stream
 
 BBR_HIGH_GAIN = 2.885  # 2/ln(2)
 BBR_DRAIN_GAIN = 1.0 / BBR_HIGH_GAIN
@@ -40,7 +41,7 @@ class BbrV1(CongestionControl):
     """BBRv1: model-based pacing with a 2xBDP inflight cap."""
     name = "bbr"
 
-    def __init__(self, rng: Optional[np.random.Generator] = None) -> None:
+    def __init__(self, rng: Optional[Stream] = None) -> None:
         super().__init__()
         self.state = STARTUP
         self.btlbw_filter = WindowedMax(BTLBW_WINDOW_ROUNDS)

@@ -22,13 +22,14 @@ published constants.
 
 from __future__ import annotations
 
-from typing import Optional
-
-import numpy as np
+from typing import TYPE_CHECKING, Optional
 
 from repro.cca.base import AckEvent, CongestionControl
 from repro.cca.bbr_common import WindowedMax, WindowedMin
 from repro.units import milliseconds, seconds
+
+if TYPE_CHECKING:  # pragma: no cover
+    from repro.sim.rng import Stream
 
 V2_STARTUP_PACING_GAIN = 2.77
 V2_STARTUP_CWND_GAIN = 2.0
@@ -65,7 +66,7 @@ class BbrV2(CongestionControl):
     """BBRv2: BBRv1 plus loss/ECN-bounded inflight (inflight_hi/lo)."""
     name = "bbr2"
 
-    def __init__(self, rng: Optional[np.random.Generator] = None) -> None:
+    def __init__(self, rng: Optional[Stream] = None) -> None:
         super().__init__()
         self.state = STARTUP
         self.btlbw_filter = WindowedMax(BTLBW_WINDOW_ROUNDS)

@@ -13,10 +13,10 @@ from repro.cca.reno import Reno
 from repro.experiments.config import CCA_NAMES, canonical_cca_name
 
 if TYPE_CHECKING:
-    import numpy as np
+    from repro.sim.rng import Stream
 
 #: One factory per canonical name (:data:`CCA_NAMES`).
-_FACTORIES: Dict[str, Callable[[Optional[np.random.Generator]], CongestionControl]] = {
+_FACTORIES: Dict[str, Callable[[Optional[Stream]], CongestionControl]] = {
     "reno": lambda rng: Reno(),
     "cubic": lambda rng: Cubic(),
     "htcp": lambda rng: HTcp(),
@@ -25,6 +25,6 @@ _FACTORIES: Dict[str, Callable[[Optional[np.random.Generator]], CongestionContro
 }
 
 
-def make_cca(name: str, rng: Optional[np.random.Generator] = None) -> CongestionControl:
+def make_cca(name: str, rng: Optional[Stream] = None) -> CongestionControl:
     """Instantiate the congestion controller called ``name`` (or an alias)."""
     return _FACTORIES[canonical_cca_name(name)](rng)

@@ -8,18 +8,29 @@ All randomness (onset jitter, burst loss lotteries) comes from named
 bit-identical schedules and bit-identical runs.
 """
 
-from repro.faults.profiles import PROFILES, get_profile
-from repro.faults.schedule import FaultEvent, FaultSchedule, FaultTarget, resolve_dumbbell_target
-from repro.faults.spec import FAULT_KINDS, FaultSpec, normalize_faults
+#: Each exported name, imported from its module on first use: a scenario
+#: that only validates its ``faults`` block loads :mod:`repro.faults.spec`
+#: alone, not the schedule and the engine it drives.
+_EXPORTS = {
+    "FAULT_KINDS": "repro.faults.spec",
+    "FaultEvent": "repro.faults.schedule",
+    "FaultSchedule": "repro.faults.schedule",
+    "FaultSpec": "repro.faults.spec",
+    "FaultTarget": "repro.faults.schedule",
+    "PROFILES": "repro.faults.profiles",
+    "get_profile": "repro.faults.profiles",
+    "normalize_faults": "repro.faults.spec",
+    "resolve_dumbbell_target": "repro.faults.schedule",
+}
 
-__all__ = [
-    "FAULT_KINDS",
-    "FaultEvent",
-    "FaultSchedule",
-    "FaultSpec",
-    "FaultTarget",
-    "PROFILES",
-    "get_profile",
-    "normalize_faults",
-    "resolve_dumbbell_target",
-]
+__all__ = list(_EXPORTS)
+
+
+def __getattr__(name: str):
+    module = _EXPORTS.get(name)
+    if module is None:
+        raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
+    import importlib
+
+    value = globals()[name] = getattr(importlib.import_module(module), name)
+    return value

@@ -100,8 +100,9 @@ from repro.fluid.state import (
     plan_shards,
     shard_key,
 )
+from repro.fluid.streams import StreamTable, batch_streams
 from repro.metrics.summary import ExperimentResult
-from repro.sim.rng import RngStreams, StreamTable, batch_streams
+from repro.sim.rng import RngStreams
 
 # BBR state machine lane codes.
 S_STARTUP, S_DRAIN, S_PROBE_BW, S_PROBE_RTT = 0, 1, 2, 3
@@ -366,15 +367,15 @@ class BatchedFluidSimulation:
         if (self.capacity <= 0).any() or (limit <= 0).any():
             raise ValueError("limit and capacity must be positive")
 
-        # Per-config streams, one per named consumer, seeded in one pass
+        # Per-config generators, one per named consumer, seeded in one pass
         # (the AQM lottery's only where the AQM draws).
-        self._rngs = [RngStreams(c.seed) for c in configs]
-        batch_streams([
-            (rngs, name)
-            for rngs, config in zip(self._rngs, configs)
-            for name in ("flow-start", "arrivals", "aqm")
-            if name != "aqm" or block_key(config)[0] in _LOTTERY_FAMILIES
-        ])
+        consumers = [
+            [n for n in ("flow-start", "arrivals", "aqm")
+             if n != "aqm" or block_key(config)[0] in _LOTTERY_FAMILIES]
+            for config in configs
+        ]
+        gens = iter(batch_streams([(c.seed, n) for c, ns in zip(configs, consumers) for n in ns]))
+        self._streams = [{n: next(gens) for n in ns} for ns in consumers]
 
         self.cca_code = np.empty(L, dtype=np.int64)
         starts = np.empty(L)
@@ -382,7 +383,7 @@ class BatchedFluidSimulation:
             lanes = slice(self.offsets[c], self.offsets[c + 1])
             names = flow_cca_names(config, self.widths[c])
             self.cca_code[lanes] = [CCA_CODE[canonical_cca_name(x)] for x in names]
-            starts[lanes] = self._rngs[c].stream("flow-start").uniform(
+            starts[lanes] = self._streams[c]["flow-start"].uniform(
                 0.0, 0.1, size=self.widths[c]
             )
         self.start_times = starts
@@ -401,7 +402,7 @@ class BatchedFluidSimulation:
         )
         chunk = chunk_steps_for(L + lottery_lanes)
         self._arrival_noise = UniformTable(
-            [r.stream("arrivals") for r in self._rngs], self.widths, chunk
+            [s["arrivals"] for s in self._streams], self.widths, chunk
         )
         self._tables = [self._arrival_noise]
         self.blocks: List[_BatchAqm] = []
@@ -510,7 +511,7 @@ class BatchedFluidSimulation:
         if aqm not in _LOTTERY_FAMILIES:
             raise ValueError(f"the fluid engines do not model AQM {aqm!r}")
         lottery = UniformTable(
-            [r.stream("aqm") for r in self._rngs[members]], self.widths[members], chunk
+            [s["aqm"] for s in self._streams[members]], self.widths[members], chunk
         )
         self._tables.append(lottery)
         if aqm == "red":
@@ -965,7 +966,7 @@ class PerFlowFluidSimulation(BatchedFluidSimulation):
         self.flows: List[FluidCca] = [
             flow
             for c, config in enumerate(self.configs)
-            for flow in make_fluid_flows(config, self._rngs[c], self.widths[c])
+            for flow in make_fluid_flows(config, RngStreams(config.seed), self.widths[c])
         ]
 
     def _init_kernels(self, L: int) -> None:

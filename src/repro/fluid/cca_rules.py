@@ -14,11 +14,14 @@ The constants match the packet-engine implementations in
 from __future__ import annotations
 
 import math
-from typing import Optional
+from typing import TYPE_CHECKING, Optional
 
 import numpy as np
 
 from repro.experiments.config import canonical_cca_name
+
+if TYPE_CHECKING:  # pragma: no cover
+    from repro.sim.rng import Stream
 
 INIT_CWND = 10.0
 MIN_CWND = 2.0
@@ -157,7 +160,7 @@ class FluidCca:
     #: BBR-family rules pace instead of being window-limited.
     rate_based = False
 
-    def __init__(self, rng: Optional[np.random.Generator] = None):
+    def __init__(self, rng: Optional[Stream] = None):
         self.cwnd = INIT_CWND
         self.ssthresh = float("inf")
         self.pacing_pps: Optional[float] = None
@@ -538,6 +541,6 @@ FLUID_CCAS = {
 }
 
 
-def make_fluid_cca(name: str, rng: Optional[np.random.Generator] = None) -> FluidCca:
+def make_fluid_cca(name: str, rng: Optional[Stream] = None) -> FluidCca:
     """Instantiate the fluid rule set for the CCA called ``name``."""
     return FLUID_CCAS[canonical_cca_name(name)](rng)

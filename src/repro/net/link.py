@@ -29,14 +29,15 @@ maintained — and everything else happens inside the setters.
 from __future__ import annotations
 
 from heapq import heappush
-from typing import Callable, Optional
-
-import numpy as np
+from typing import TYPE_CHECKING, Callable, Optional
 
 from repro.net.packet import Packet
 from repro.sim.engine import Simulator
 from repro.sim.trace import NULL_TRACER
 from repro.units import tx_time_ns
+
+if TYPE_CHECKING:  # pragma: no cover
+    from repro.sim.rng import Stream
 
 
 class Link:
@@ -69,7 +70,7 @@ class Link:
         *,
         name: str = "",
         loss_rate: float = 0.0,
-        loss_rng: Optional[np.random.Generator] = None,
+        loss_rng: Optional[Stream] = None,
     ):
         if rate_bps <= 0:
             raise ValueError(f"link rate must be positive, got {rate_bps}")
@@ -146,7 +147,7 @@ class Link:
         self.delay_ns = int(delay_ns)
 
     def set_loss_rate(
-        self, loss_rate: float, rng: Optional[np.random.Generator] = None
+        self, loss_rate: float, rng: Optional[Stream] = None
     ) -> None:
         """Change the random-loss probability, validating the [0, 1) bound.
 

@@ -10,19 +10,20 @@ tests).
 
 from __future__ import annotations
 
-from typing import List, Optional
-
-import numpy as np
+from typing import TYPE_CHECKING, List, Optional
 
 from repro.aqm.registry import make_aqm
 from repro.net.interface import Interface
 from repro.units import format_rate
 
+if TYPE_CHECKING:  # pragma: no cover
+    from repro.sim.rng import Stream
+
 
 class TrafficControl:
     """Apply qdisc configurations to simulated interfaces, tc-style."""
 
-    def __init__(self, rng: Optional[np.random.Generator] = None):
+    def __init__(self, rng: Optional[Stream] = None):
         self.rng = rng
         self.history: List[str] = []
 

@@ -13,15 +13,16 @@ occupancy.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Callable, List, Optional
-
-import numpy as np
+from typing import TYPE_CHECKING, Callable, List, Optional
 
 from repro.cca.registry import make_cca
 from repro.net.node import Host
 from repro.sim.engine import Simulator
 from repro.tcp.connection import Connection, open_connection
 from repro.units import NS_PER_SEC
+
+if TYPE_CHECKING:  # pragma: no cover
+    from repro.sim.rng import Stream
 
 
 @dataclass
@@ -50,7 +51,7 @@ class PoissonMice:
         rate_per_s: float,
         size_segments: int,
         mss: int,
-        rng: np.random.Generator,
+        rng: Stream,
         cca: str = "cubic",
         max_flows: Optional[int] = None,
     ):

@@ -3,8 +3,8 @@
 ``_poisson_small`` (the per-element loop) is the oracle for the vector
 counting loop, whose sparse tail advances the stragglers several counts per
 tile; the BBR lotteries' lane streams, one stream table per shard, and
-the per-config streams, seeded for a whole shard at once, are the per-flow
-rules' own ``RngStreams.stream`` generators.
+the per-config generators, seeded for a whole shard at once, are the
+per-flow rules' own ``RngStreams.stream`` streams.
 """
 
 import numpy as np
@@ -16,7 +16,8 @@ from repro.fluid import batched
 from repro.fluid.batched import BatchedFluidSimulation
 from repro.fluid.noise import LAM_SWITCH, MAX_K, _poisson_small, _poisson_vector
 from repro.fluid.state import RATE_BASED_CODES, plan_shards
-from repro.sim.rng import RngStreams, batch_streams
+from repro.fluid.streams import batch_streams
+from repro.sim.rng import RngStreams
 from repro.units import mbps
 
 ALMOST_ONE = np.nextafter(1.0, 0.0)
@@ -89,11 +90,11 @@ def test_shard_lane_streams_are_the_per_flow_streams():
             if lane in rate_based:
                 row = sim._stream_row[lane]
                 ref = RngStreams(config.seed).stream(f"cca-flow{j}")
-                state = ref.bit_generator.state["state"]
+                state = ref.state["state"]
                 assert int(table.state_hi[row]) << 64 | int(table.state_lo[row]) == state["state"]
                 assert int(table.inc_hi[row]) << 64 | int(table.inc_lo[row]) == state["inc"]
                 draws = [int(table.integers([row], 2, 8)[0]) for _ in range(4)]
-                assert draws == ref.integers(2, 8, 4).tolist()
+                assert draws == [ref.integers(2, 8) for _ in range(4)]
 
 
 PER_CONFIG_STREAMS = ("flow-start", "arrivals", "aqm")
@@ -102,13 +103,13 @@ PER_CONFIG_STREAMS = ("flow-start", "arrivals", "aqm")
 def test_shard_per_config_streams_are_seeded_in_one_pass(monkeypatch):
     """``flow-start``, ``arrivals`` and (for the lottery AQMs) ``aqm`` of
     every config come from one ``batch_streams`` call, and each is the
-    generator ``RngStreams(seed).stream(name)`` returns: same state before
-    the first draw, same first draws, and the one the simulation uses."""
+    generator the simulation draws from, seeded as ``RngStreams(seed).stream(name)``
+    is: same state before the first draw, same first draws."""
     calls = []
 
     def spy(pairs):
         gens = batch_streams(pairs)
-        calls.append([(s, name, gen, gen.bit_generator.state) for (s, name), gen in zip(pairs, gens)])
+        calls.append([(seed, name, gen, gen.bit_generator.state) for (seed, name), gen in zip(pairs, gens)])
         return gens
 
     monkeypatch.setattr(batched, "batch_streams", spy)
@@ -122,7 +123,7 @@ def test_shard_per_config_streams_are_seeded_in_one_pass(monkeypatch):
     sim = BatchedFluidSimulation(configs)
     per_config = [call for call in calls if {name for _, name, _, _ in call} <= set(PER_CONFIG_STREAMS)]
     assert len(per_config) == 1
-    seeded = {(s.seed, name): (s, gen, state) for s, name, gen, state in per_config[0]}
+    seeded = {(seed, name): (gen, state) for seed, name, gen, state in per_config[0]}
     lottery = {"red", "pie"}
     assert sorted(seeded) == sorted(
         (c.seed, name) for c in configs for name in PER_CONFIG_STREAMS
@@ -132,13 +133,13 @@ def test_shard_per_config_streams_are_seeded_in_one_pass(monkeypatch):
         for name in PER_CONFIG_STREAMS:
             if (config.seed, name) not in seeded:
                 continue
-            family, gen, state = seeded[config.seed, name]
-            assert family is sim._rngs[c] and sim._rngs[c].stream(name) is gen
+            gen, state = seeded[config.seed, name]
+            assert sim._streams[c][name] is gen
             ref = RngStreams(config.seed).stream(name)
-            assert state == ref.bit_generator.state
+            assert state == ref.state
             replay = np.random.Generator(np.random.PCG64())
             replay.bit_generator.state = state
-            assert replay.random(4).tolist() == ref.random(4).tolist()
+            assert replay.random(4).tolist() == [ref.random() for _ in range(4)]
 
 
 def test_a_slab_shard_builds_at_most_three_pcg64s_per_config(monkeypatch):

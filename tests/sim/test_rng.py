@@ -1,38 +1,55 @@
-"""Unit tests for seeded RNG streams."""
+"""Unit tests for seeded RNG streams.
+
+The oracle is numpy's own generator for stream ``name`` of ``seed``:
+``Generator(PCG64(SeedSequence(entropy=seed, spawn_key=(crc32(name),))))``.
+Both the scalar :class:`~repro.sim.rng.Stream` and the array forms in
+:mod:`repro.fluid.streams` must reproduce it bit for bit.
+"""
 
 import os
 import subprocess
 import sys
+import zlib
 from pathlib import Path
 
 import numpy as np
 import pytest
 
 import repro
-from repro.sim.rng import RngStreams, StreamTable, batch_streams, spawn_words
+from repro.fluid.streams import StreamTable, batch_streams, spawn_words
+from repro.sim.rng import RngStreams, Stream
+
+
+def _numpy_stream(seed, name):
+    key = zlib.crc32(name.encode("utf-8"))
+    return np.random.Generator(np.random.PCG64(np.random.SeedSequence(entropy=seed, spawn_key=(key,))))
+
+
+def _randoms(stream, n):
+    return [stream.random() for _ in range(n)]
 
 
 def test_same_seed_same_stream():
-    a = RngStreams(42).stream("red").random(10)
-    b = RngStreams(42).stream("red").random(10)
-    assert np.array_equal(a, b)
+    a = _randoms(RngStreams(42).stream("red"), 10)
+    b = _randoms(RngStreams(42).stream("red"), 10)
+    assert a == b
 
 
 def test_different_seeds_differ():
-    a = RngStreams(1).stream("red").random(10)
-    b = RngStreams(2).stream("red").random(10)
-    assert not np.array_equal(a, b)
+    a = _randoms(RngStreams(1).stream("red"), 10)
+    b = _randoms(RngStreams(2).stream("red"), 10)
+    assert a != b
 
 
 def test_streams_are_independent():
     """Drawing from one stream must not perturb another."""
     ref = RngStreams(7)
-    expected = ref.stream("b").random(5)
+    expected = _randoms(ref.stream("b"), 5)
 
     mixed = RngStreams(7)
-    mixed.stream("a").random(1000)  # interleaved consumption
-    got = mixed.stream("b").random(5)
-    assert np.array_equal(expected, got)
+    _randoms(mixed.stream("a"), 1000)  # interleaved consumption
+    got = _randoms(mixed.stream("b"), 5)
+    assert expected == got
 
 
 def test_stream_is_cached():
@@ -42,14 +59,121 @@ def test_stream_is_cached():
 
 def test_different_names_different_draws():
     rngs = RngStreams(5)
-    a = rngs.stream("alpha").random(8)
-    b = rngs.stream("beta").random(8)
-    assert not np.array_equal(a, b)
+    a = _randoms(rngs.stream("alpha"), 8)
+    b = _randoms(rngs.stream("beta"), 8)
+    assert a != b
 
 
 def test_negative_seed_rejected():
     with pytest.raises(ValueError):
         RngStreams(-1)
+
+
+# -- the scalar stream is numpy's generator ----------------------------------------
+
+
+SCALAR_SEEDS = [0, 1, 2**32 - 1, 2**32, 2**63 - 1, 2**64 + 5, 2**70]
+NAMES = ["red", "cca", "faults", "linkloss:r1-r2", "cca-flow7"]
+
+
+def _interleaved(seed, n=400):
+    """``n`` draws of every kind, with their arguments, in a seeded order."""
+    order = np.random.default_rng(seed % 2**32)
+    ranges = [(2, 8), (0, 2**31), (4, 5), (-3, 2**32 - 3), (0, 3 * 2**30), (7, 9)]
+    for _ in range(n):
+        kind = int(order.integers(0, 3))
+        if kind == 0:
+            yield "random", ()
+        elif kind == 1:
+            yield "integers", ranges[int(order.integers(0, len(ranges)))]
+        else:
+            yield "uniform", (-0.5, 0.5) if order.random() < 0.5 else (0.0, 1.0e8)
+
+
+@pytest.mark.parametrize("seed", SCALAR_SEEDS)
+def test_scalar_stream_is_numpys_generator(seed):
+    """Seeded state, every interleaved ``random``/``integers``/``uniform``
+    value, and the state after them equal numpy's, bit for bit."""
+    for name in NAMES:
+        stream, ref = RngStreams(seed).stream(name), _numpy_stream(seed, name)
+        assert stream.state == ref.bit_generator.state
+        for kind, args in _interleaved(seed):
+            got, want = getattr(stream, kind)(*args), getattr(ref, kind)(*args)
+            assert got == want, (name, kind, args)
+        assert stream.state == ref.bit_generator.state
+
+
+def test_integers_keep_the_high_half_and_random_leaves_it():
+    """``integers`` draws the low half of a fresh output and keeps the high
+    half for the next ``integers``; ``random`` and ``uniform`` between them
+    draw whole outputs and leave the kept half alone."""
+    stream, ref = Stream(2**40 + 3, "cca-flow0"), _numpy_stream(2**40 + 3, "cca-flow0")
+    assert stream.integers(0, 2**31) == ref.integers(0, 2**31)  # FQ-CoDel's perturbation
+    assert stream.state["has_uint32"] == 1
+    kept = stream.state["uinteger"]
+    assert stream.random() == ref.random()
+    assert stream.uniform(-0.5, 0.5) == ref.uniform(-0.5, 0.5)
+    assert stream.state["has_uint32"] == 1 and stream.state["uinteger"] == kept
+    assert stream.integers(2, 8) == ref.integers(2, 8)  # the kept half: no step
+    assert stream.state == ref.bit_generator.state
+    assert stream.state["has_uint32"] == 0
+
+
+def test_a_one_value_range_draws_nothing():
+    stream, ref = Stream(3, "aqm"), _numpy_stream(3, "aqm")
+    before = stream.state
+    assert stream.integers(4, 5) == ref.integers(4, 5) == 4
+    assert stream.state == before == ref.bit_generator.state
+
+
+@pytest.mark.parametrize("low, high, forged", [
+    (2, 8, [0, 3, 4]),  # threshold 4: words 0 and 3 are rejected
+    (0, 3 * 2**30, [5, 2**30 - 1, 7 * 2**29]),  # threshold 2**30
+])
+def test_a_forged_buffered_word_that_lemire_rejects_is_redrawn_by_the_stream(low, high, forged):
+    span = high - low
+    threshold = (2**32 - span) % span
+    for word in forged:
+        stream, ref = Stream(11, "cca"), _numpy_stream(11, "cca")
+        ref.bit_generator.state = {**ref.bit_generator.state, "has_uint32": 1, "uinteger": word}
+        stream.state = ref.bit_generator.state
+        rejected = word * span % 2**32 < threshold
+        assert stream.integers(low, high) == ref.integers(low, high)
+        assert stream.state == ref.bit_generator.state
+        # a rejected word costs a fresh output, whose high half is kept
+        assert stream.state["has_uint32"] == int(rejected)
+
+
+def test_exponential_is_numpys_and_advances_the_stream():
+    stream, ref = Stream(9, "mice"), _numpy_stream(9, "mice")
+    for _ in range(50):
+        assert stream.exponential(0.25) == ref.exponential(0.25)
+        assert stream.integers(0, 6) == ref.integers(0, 6)
+    assert stream.state == ref.bit_generator.state
+
+
+def test_integers_range_errors():
+    stream = Stream(3, "x")
+    for low, high in [(2, 2), (3, 2), (0, 2**32 + 1)]:
+        with pytest.raises(ValueError):
+            stream.integers(low, high)
+    assert stream.integers(0, 2**32) == _numpy_stream(3, "x").integers(0, 2**32)
+
+
+def test_drawing_from_the_streams_loads_no_numpy():
+    """A packet-DES process draws every value from these streams; neither
+    building nor drawing may import numpy."""
+    code = (
+        "import sys, repro.sim.rng; "
+        "s = repro.sim.rng.RngStreams(2**70).stream('red'); "
+        "s.random(); s.integers(0, 2**31); s.uniform(-0.5, 0.5); "
+        "print(sorted(m for m in sys.modules if m.split('.')[0] == 'numpy'))"
+    )
+    env = dict(os.environ, PYTHONPATH=str(Path(repro.__file__).parents[1]))
+    out = subprocess.run(
+        [sys.executable, "-c", code], capture_output=True, text=True, check=True, env=env
+    )
+    assert out.stdout.strip() == "[]"
 
 
 # -- streams seeded in one pass ---------------------------------------------------
@@ -74,32 +198,35 @@ def _first_draws(gen):
 
 @pytest.mark.parametrize("seed", [0, 1, 2**31, 2**32 - 1, 2**32, 2**40 + 3, 2**64 - 1, 2**70])
 def test_batch_streams_are_the_lazy_streams(seed):
+    """Each generator is numpy's for its pair, seeded as the scalar stream
+    of that name is, at one-, two- and three-word seeds."""
     names = [f"cca-flow{i}" for i in range(5)]
-    family = RngStreams(seed)
-    gens = batch_streams([(family, name) for name in names])
+    gens = batch_streams([(seed, name) for name in names])
     for name, gen in zip(names, gens):
-        ref = RngStreams(seed).stream(name)
-        assert gen.bit_generator.state == ref.bit_generator.state
-        assert family.stream(name) is gen  # registered in its family
-        assert _first_draws(gen) == _first_draws(ref)
+        ref, lazy = _numpy_stream(seed, name), RngStreams(seed).stream(name)
+        assert gen.bit_generator.state == ref.bit_generator.state == lazy.state
+        assert _first_draws(gen) == _first_draws(ref) == _first_draws(lazy)
 
 
 def test_batch_streams_keep_a_stream_created_lazily():
+    """A family's scalar stream is left as it is, and a pair named twice
+    gets two fresh generators."""
     family = RngStreams(11)
     lazy = family.stream("cca-flow1")
-    lazy.random(3)
-    gens = batch_streams([(family, "cca-flow0"), (family, "cca-flow1"), (family, "cca-flow1")])
-    assert gens[1] is lazy and gens[2] is lazy
-    ref = RngStreams(11).stream("cca-flow1")
-    ref.random(3)
-    assert _first_draws(lazy) == _first_draws(ref)
+    _randoms(lazy, 3)
+    held = lazy.state
+    gens = batch_streams([(11, "cca-flow0"), (11, "cca-flow1"), (11, "cca-flow1")])
+    assert family.stream("cca-flow1") is lazy and lazy.state == held
+    assert gens[1] is not gens[2]
+    assert gens[1].bit_generator.state == gens[2].bit_generator.state
+    gens[1].random(3)
+    assert _first_draws(gens[1]) == _first_draws(lazy)
 
 
 def test_batch_streams_span_families():
-    families = [RngStreams(s) for s in (5, 6, 5)]
-    pairs = [(f, f"cca-flow{i}") for f in families for i in range(3)]
-    for (f, name), gen in zip(pairs, batch_streams(pairs)):
-        assert gen.bit_generator.state == RngStreams(f.seed).stream(name).bit_generator.state
+    pairs = [(seed, f"cca-flow{i}") for seed in (5, 6, 5) for i in range(3)]
+    for (seed, name), gen in zip(pairs, batch_streams(pairs)):
+        assert gen.bit_generator.state == _numpy_stream(seed, name).bit_generator.state
     assert batch_streams([]) == []
 
 
@@ -108,8 +235,8 @@ def test_importing_the_streams_and_the_kernels_leaves_numpy_random_unloaded():
     draws (``repro serve`` answering from its cache) must not load it, and
     a stream table builds and draws without it."""
     code = (
-        "import sys, repro.sim.rng, repro.fluid.batched, repro.service; "
-        "t = repro.sim.rng.StreamTable([7, 2**40], ['cca-flow0', 'cca-flow1']); "
+        "import sys, repro.fluid.streams, repro.fluid.batched, repro.service; "
+        "t = repro.fluid.streams.StreamTable([7, 2**40], ['cca-flow0', 'cca-flow1']); "
         "t.random([0, 1]); t.integers([1], 2, 8); t.uniform([0], -0.5, 0.5); "
         "print('numpy.random' in sys.modules)"
     )
@@ -141,7 +268,7 @@ def _row_state(table, j):
 
 def _table_and_refs(seed, n=6):
     names = [f"cca-flow{j}" for j in range(n)]
-    return StreamTable([seed] * n, names), [RngStreams(seed).stream(name) for name in names]
+    return StreamTable([seed] * n, names), [_numpy_stream(seed, name) for name in names]
 
 
 def _draw(table, refs, rows, kind):
@@ -175,7 +302,7 @@ def test_stream_table_spans_seeds_and_names():
     seeds = [5, 2**33, 5, 0]
     names = ["cca-flow0", "cca-flow0", "arrivals", "cca-flow9"]
     table = StreamTable(seeds, names)
-    refs = [RngStreams(seed).stream(name) for seed, name in zip(seeds, names)]
+    refs = [_numpy_stream(seed, name) for seed, name in zip(seeds, names)]
     for kind in ("integers", "random", "integers", "uniform", "integers"):
         got, want = _draw(table, refs, np.arange(4), kind)
         assert got == want

@@ -5,6 +5,8 @@ reader can navigate it."""
 import importlib
 import inspect
 import pkgutil
+import re
+from pathlib import Path
 
 import pytest
 
@@ -53,3 +55,38 @@ def test_public_classes_and_functions_documented(module):
                 if not inherited:
                     undocumented.append(f"{name}.{meth_name}")
     assert not undocumented, f"{module.__name__}: {undocumented}"
+
+
+# -- names the prose documents --------------------------------------------------
+
+#: The prose documents; docs/BENCHMARKING.md is a log of past runs, whose
+#: names are those of the code as it was then.
+ROOT = Path(__file__).parents[1]
+PROSE = ["README.md", "DESIGN.md", *sorted(
+    f"docs/{p.name}" for p in (ROOT / "docs").glob("*.md") if p.name != "BENCHMARKING.md"
+)]
+
+
+def _resolves(dotted: str) -> bool:
+    """``dotted`` imports as a module, or is an attribute path of one."""
+    parts = dotted.split(".")
+    for cut in range(len(parts), 0, -1):
+        try:
+            obj = importlib.import_module(".".join(parts[:cut]))
+        except ImportError:
+            continue
+        for attr in parts[cut:]:
+            if not hasattr(obj, attr):
+                return False
+            obj = getattr(obj, attr)
+        return True
+    return False
+
+
+@pytest.mark.parametrize("doc", PROSE)
+def test_documented_names_resolve(doc):
+    """Every backticked dotted ``repro.…`` name in the prose is a module or
+    an attribute one, so a rename that leaves the docs behind fails here."""
+    text = (ROOT / doc).read_text(encoding="utf-8")
+    names = sorted(set(re.findall(r"`(repro(?:\.[A-Za-z_]\w*)+)(?:\(\))?`", text)))
+    assert [name for name in names if not _resolves(name)] == []

@@ -1,15 +1,19 @@
 """What each layer loads: the spine (config, scenario, cache, storage, queue,
 campaign, api, service, cli) imports no engine, telemetry session or numpy,
-and each engine loads only when a run asks for it (docs/ARCHITECTURE.md,
-"Import layering").
+and each engine loads only when a run asks for it; the packet engine
+loads no numpy at all (docs/ARCHITECTURE.md, "Import layering").
 
 Every case runs in a fresh interpreter: in this one, other tests have
 already imported everything.
 """
 
+import subprocess
+import sys
+from concurrent.futures import ThreadPoolExecutor
+
 import pytest
 
-from helpers import run_fresh
+from helpers import SRC_DIR, run_fresh
 
 #: Packages whose modules are engine code: none may load with the spine.
 ENGINE_PACKAGES = (
@@ -53,6 +57,69 @@ def test_fluid_run_loads_no_packet_network():
     assert _under(loaded, ("repro.tcp", "repro.net")) == []
 
 
+PACKET_CONFIGS = {
+    "plain": "ExperimentConfig(('cubic', 'reno'), duration_s=0.5, flows_per_node=1)",
+    "red-bbr-loss-burst": (
+        "ExperimentConfig(('bbrv1', 'bbrv2'), aqm='red', duration_s=1.0, flows_per_node=1, "
+        "faults=[{'kind': 'loss_burst', 'at_s': 0.3, 'duration_s': 0.3, 'loss_rate': 0.05}])"
+    ),
+}
+
+
+@pytest.mark.parametrize("config", sorted(PACKET_CONFIGS))
+def test_packet_run_loads_no_numpy(config):
+    """Every draw of a packet run comes from the pure-Python streams
+    (``repro.sim.rng.Stream``): the RED lottery, BBR's randomised cycle
+    phases, the fault loss lottery and the flow-start jitter."""
+    loaded = _loaded_after(
+        "from repro.experiments.config import ExperimentConfig\n"
+        "from repro.experiments.runner import run_experiment\n"
+        f"run_experiment({PACKET_CONFIGS[config]})"
+    )
+    assert "repro.tcp.connection" in loaded and "repro.sim.rng" in loaded
+    assert _under(loaded, ("numpy",)) == []
+
+
+def test_parsing_a_scenario_with_faults_loads_no_engine():
+    """Validating a ``faults`` block needs the spec module alone, not the
+    schedule that drives the engine."""
+    loaded = _loaded_after(
+        "from repro.scenario.ir import Scenario\n"
+        "Scenario.from_dict({'faults': [{'kind': 'loss_burst', 'at_s': 1.0, "
+        "'duration_s': 1.0, 'loss_rate': 0.01}]})"
+    )
+    assert "repro.faults.spec" in loaded
+    assert _under(loaded, ("numpy", "repro.sim.engine", "repro.faults.schedule")) == []
+
+
+def _all_modules():
+    names = []
+    for path in sorted((SRC_DIR / "repro").rglob("*.py")):
+        parts = path.relative_to(SRC_DIR).with_suffix("").parts
+        if parts[-1] == "__main__":
+            continue  # importing it runs the CLI
+        names.append(".".join(parts[:-1] if parts[-1] == "__init__" else parts))
+    return names
+
+
+def test_every_module_imports_on_its_own():
+    """No import cycle hides behind an import order: each module imports
+    first thing in a fresh interpreter."""
+
+    def failure(module):
+        proc = subprocess.run(
+            [sys.executable, "-c", f"import {module}"],
+            cwd=SRC_DIR, capture_output=True, text=True, timeout=300,
+        )
+        return proc.returncode and f"{module}: {proc.stderr.strip().splitlines()[-1]}"
+
+    modules = _all_modules()
+    assert len(modules) > 100
+    with ThreadPoolExecutor(max_workers=2) as pool:
+        failures = [f for f in pool.map(failure, modules) if f]
+    assert failures == []
+
+
 def test_packet_run_loads_no_fluid_engine():
     loaded = _loaded_after(
         "from repro.experiments.config import ExperimentConfig\n"
@@ -63,7 +130,7 @@ def test_packet_run_loads_no_fluid_engine():
     assert _under(loaded, ("repro.fluid",)) == []
 
 
-@pytest.mark.parametrize("module", ["repro", "repro.api", "repro.scenario"])
+@pytest.mark.parametrize("module", ["repro", "repro.api", "repro.faults", "repro.scenario"])
 def test_every_exported_name_resolves(module):
     missing = run_fresh(
         "import importlib, json\n"
