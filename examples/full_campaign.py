@@ -13,7 +13,7 @@ import argparse
 
 from repro.analysis.aggregate import ResultSet
 from repro.analysis.summary_report import full_report
-from repro.experiments.campaign import print_progress, run_campaign
+from repro.experiments.campaign import CampaignProgress, run_campaign
 from repro.experiments.matrix import full_matrix
 from repro.experiments.storage import ResultStore
 
@@ -41,7 +41,7 @@ def main() -> None:
 
     store = ResultStore(args.out)
     results = ResultSet(
-        run_campaign(configs, store=store, jobs=args.jobs, progress=print_progress)
+        run_campaign(configs, store=store, jobs=args.jobs, progress=CampaignProgress())
     )
 
     # Everything at once: Table 3 vs paper, claim validation verdicts,

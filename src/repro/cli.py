@@ -19,6 +19,7 @@ from __future__ import annotations
 
 import argparse
 import json
+import math
 import sys
 from pathlib import Path
 from typing import TYPE_CHECKING, List, Optional
@@ -75,6 +76,27 @@ def _telemetry_options(args: argparse.Namespace) -> Optional[TelemetryOptions]:
         profile=profile,
         profile_stride=stride,
     )
+
+
+def _at_least(minimum: int):
+    """``type=`` for an integer flag no smaller than ``minimum``."""
+
+    def parse(text: str) -> int:
+        value = int(text)
+        if value < minimum:
+            raise argparse.ArgumentTypeError(f"must be >= {minimum}, got {value}")
+        return value
+
+    parse.__name__ = "int"  # argparse's name for a text int() refused
+    return parse
+
+
+def _seconds(text: str) -> float:
+    """``type=`` for a positive, finite number of seconds."""
+    value = float(text)
+    if not 0 < value < math.inf:
+        raise argparse.ArgumentTypeError(f"must be positive and finite, got {text}")
+    return value
 
 
 def parse_rate(text: str) -> float:
@@ -237,6 +259,16 @@ def _cmd_sweep(args: argparse.Namespace) -> int:
 
     from repro.experiments.campaign import CampaignProgress, run_campaign
 
+    telemetry = _telemetry_options(args)
+    if args.queue and telemetry is not None:
+        print("repro: sweep --queue refuses --telemetry (and --trace/--profile, which imply "
+              "it): the queue's tasks are frozen shards, telemetry needs one run per config",
+              file=sys.stderr)
+        return 2
+    if args.queue and args.no_resume:
+        print("repro: sweep --queue refuses --no-resume: a queue resumes from its journal",
+              file=sys.stderr)
+        return 2
     overrides = {}
     if args.scenario:
         configs = _sweep_scenario_configs(args)
@@ -255,14 +287,11 @@ def _cmd_sweep(args: argparse.Namespace) -> int:
     if overrides:
         configs = [dataclasses.replace(cfg, **overrides) for cfg in configs]
     store = ResultStore(args.out) if args.out else None
-    telemetry = _telemetry_options(args)
     cache = None
     if args.cache:
         from repro.experiments.cache import ResultCache
 
         cache = ResultCache(args.cache)
-    if args.queue:
-        return _sweep_via_queue(args, configs, store, cache)
     campaign_log = (
         Path(telemetry.dir) / "campaign.jsonl" if telemetry is not None else None
     )
@@ -271,21 +300,18 @@ def _cmd_sweep(args: argparse.Namespace) -> int:
         quiet=args.quiet,
         spans=telemetry is not None and telemetry.spans,
     )
+    options = dict(jobs=args.jobs, progress=tracker, on_failure=tracker.failure,
+                   timeout_s=args.timeout, retries=args.retries, on_retry=tracker.retry,
+                   span_tracer=tracker.spans, store=store, cache=cache)
     try:
-        results = run_campaign(
-            configs,
-            store=store,
-            jobs=args.jobs,
-            resume=not args.no_resume,
-            progress=tracker,
-            on_failure=tracker.failure,
-            telemetry=telemetry,
-            timeout_s=args.timeout,
-            retries=args.retries,
-            on_retry=tracker.retry,
-            span_tracer=tracker.spans,
-            cache=cache,
-        )
+        if args.queue:
+            from repro.experiments.queue import WorkQueue, run_queue_worker
+
+            queue = WorkQueue.create(args.queue, configs)
+            results = run_queue_worker(queue, **options)
+        else:
+            results = run_campaign(configs, resume=not args.no_resume, telemetry=telemetry,
+                                   **options)
     finally:
         tracker.close()
     counts = results.summary()
@@ -294,9 +320,15 @@ def _cmd_sweep(args: argparse.Namespace) -> int:
         tail += f", {counts['failed']} FAILED"
     if counts.get("retried"):
         tail += f", {counts['retried']} retried"
+    if args.queue:
+        remaining = queue.counts()
+        tail += (f" (queue: {remaining['done']}/{remaining['tasks']} tasks done, "
+                 f"{remaining['claimed']} claimed elsewhere)")
     print(f"completed {counts['ok']} runs{tail}")
     if cache is not None:
-        _finish_cache(cache, results, merge=not args.no_cache_merge)
+        # Never auto-merge in queue mode: sibling workers may still be
+        # appending to their shards (see docs/SERVICE.md).
+        _finish_cache(cache, results, merge=not args.no_cache_merge and not args.queue)
     return 2 if counts["failed"] else 0
 
 
@@ -313,34 +345,6 @@ def _finish_cache(cache, results, *, merge: bool) -> None:
         f"cache: {results.cache_hits} hits, {results.engine_runs} engine runs, "
         f"{stats['entries']} entries ({stats['dir']})"
     )
-
-
-def _sweep_via_queue(args, configs, store, cache) -> int:
-    """Queue-mode sweep: create/join the work queue and drain as one worker."""
-    from repro.experiments.campaign import print_failure, print_progress
-    from repro.experiments.queue import WorkQueue, run_queue_worker
-
-    queue = WorkQueue.create(args.queue, configs)
-    results = run_queue_worker(
-        queue,
-        store=store,
-        cache=cache,
-        progress=None if args.quiet else print_progress,
-        on_failure=None if args.quiet else print_failure,
-    )
-    counts = results.summary()
-    remaining = queue.counts()
-    tail = f", {counts['failed']} FAILED" if counts["failed"] else ""
-    print(
-        f"completed {counts['ok']} runs{tail} "
-        f"(queue: {remaining['done']}/{remaining['tasks']} tasks done, "
-        f"{remaining['claimed']} claimed elsewhere)"
-    )
-    if cache is not None:
-        # Never auto-merge in queue mode: sibling workers may still be
-        # appending to their shards (see docs/SERVICE.md).
-        _finish_cache(cache, results, merge=False)
-    return 2 if counts["failed"] else 0
 
 
 def _cmd_report(args: argparse.Namespace) -> int:
@@ -574,7 +578,7 @@ def build_parser() -> argparse.ArgumentParser:
         "(fluid-batched runs whole shards as one stacked integration)",
     )
     p_sweep.add_argument("--out", default="results.jsonl")
-    p_sweep.add_argument("--jobs", type=int, default=1)
+    p_sweep.add_argument("--jobs", type=_at_least(1), default=1)
     p_sweep.add_argument("--limit", type=int, default=0, help="run only the first N configs")
     p_sweep.add_argument("--no-resume", action="store_true")
     p_sweep.add_argument("--quiet", action="store_true")
@@ -592,14 +596,14 @@ def build_parser() -> argparse.ArgumentParser:
     )
     p_sweep.add_argument(
         "--timeout",
-        type=float,
+        type=_seconds,
         default=None,
         metavar="S",
         help="per-run wall-clock deadline; hung workers are killed and recorded as failures",
     )
     p_sweep.add_argument(
         "--retries",
-        type=int,
+        type=_at_least(0),
         default=0,
         metavar="N",
         help="re-run failed configs up to N times with exponential backoff",
@@ -709,7 +713,7 @@ def build_parser() -> argparse.ArgumentParser:
     p_serve.add_argument("--host", default="127.0.0.1")
     p_serve.add_argument("--port", type=int, default=8351)
     p_serve.add_argument(
-        "--jobs", type=int, default=1, help="concurrent engine runs for cold queries"
+        "--jobs", type=_at_least(1), default=1, help="concurrent engine runs for cold queries"
     )
     p_serve.add_argument(
         "--telemetry-dir",

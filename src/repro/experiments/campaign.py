@@ -11,10 +11,15 @@ the list into *tasks* (one config, or a ``fluid_batched`` lock-step shard,
 see :mod:`repro.fluid.state`, that advances as **one** stacked
 integration), :func:`run_task` is the one worker body (tagged ``ok`` /
 ``err`` rows out, one per member config), and the one outcome loop of
-:func:`_recorder` records them.  Three thin transports only move tasks and
-rows: inline, supervised worker processes (``jobs > 1`` or hardened), and
-the queue claim loop of :mod:`repro.experiments.queue`.  Telemetry and the
-hardened mode want one run per config through
+:func:`_recorder` records them.  One driver (:func:`_supervise`) hands a
+:class:`TaskSource` — the planned list of :func:`run_campaign`, or a work
+queue (:func:`repro.experiments.queue.run_queue_worker`) — to one of two
+thin transports that only move tasks and rows: inline, or supervised
+worker processes (:func:`_run_workers`, for ``jobs > 1`` or the hardened
+mode: ``timeout_s``, ``retries`` or a custom ``worker_fn``), which turns a
+worker that hangs or dies into ``timeout`` or ``crash`` rows for exactly
+the task it held and retries failures with backoff (docs/FAULTS.md).
+Telemetry and the hardened mode want one run per config through
 :func:`~repro.experiments.runner.run_experiment` — bit-identical, because
 batched results do not depend on shard composition; fairness sampling
 (``fairness_interval_s``, see :mod:`repro.obs.fairness`) records the same
@@ -25,16 +30,6 @@ A run that raises does not abort the sweep: the exception is captured as a
 ``<store>.failures.jsonl`` file, and counted in the returned
 :class:`CampaignResult`.  Failed configs are *not* written to the result
 store, so a resumed campaign retries them.
-
-The worker transport survives misbehaving workers, not just raising ones:
-a worker that outlives its task's wall-clock deadline (``timeout_s``) is
-killed and the task recorded as ``timeout`` rows, a worker that dies
-without reporting (segfault, ``os._exit``, OOM-kill) leaves ``crash`` rows
-for exactly the task it held, and with ``retries`` every failure is retried
-with exponential backoff plus deterministic per-label jitter before the
-config is declared dead.  Any of ``timeout_s``, ``retries`` or a custom
-``worker_fn`` (the *hardened* mode) selects it even for ``jobs == 1``.
-See docs/FAULTS.md for the full degradation semantics.
 """
 
 from __future__ import annotations
@@ -42,15 +37,16 @@ from __future__ import annotations
 import contextlib
 import hashlib
 import json
+import math
 import multiprocessing as mp
 import random as _random
 import sys
 import time
 import traceback as _traceback
 from collections import deque
-from dataclasses import dataclass, field
+from dataclasses import asdict, dataclass, field, fields
 from pathlib import Path
-from typing import TYPE_CHECKING, Any, Callable, Dict, List, Optional, Sequence
+from typing import TYPE_CHECKING, Any, Callable, Dict, Iterator, List, NamedTuple, Optional, Sequence
 
 from repro.experiments.config import ExperimentConfig
 from repro.experiments.runner import load_engines, run_experiment
@@ -84,26 +80,12 @@ class FailedRun:
 
     def to_dict(self) -> Dict[str, Any]:
         """JSON-ready form, one line of ``<store>.failures.jsonl``."""
-        return {
-            "config": self.config,
-            "label": self.label,
-            "error": self.error,
-            "traceback": self.traceback,
-            "kind": self.kind,
-            "attempts": self.attempts,
-        }
+        return asdict(self)
 
     @classmethod
     def from_dict(cls, d: Dict[str, Any]) -> "FailedRun":
         """Inverse of :meth:`to_dict` (tolerates pre-hardening rows)."""
-        return cls(
-            config=d["config"],
-            label=d["label"],
-            error=d["error"],
-            traceback=d.get("traceback", ""),
-            kind=d.get("kind", "error"),
-            attempts=d.get("attempts", 1),
-        )
+        return cls(**{f.name: d[f.name] for f in fields(cls) if f.name in d})
 
 
 class CampaignResult(List[ExperimentResult]):
@@ -143,12 +125,6 @@ def failures_path(store: ResultStore) -> Path:
     :class:`ExperimentResult`.
     """
     return store.path.with_suffix(".failures.jsonl")
-
-
-def _append_failure(store: Optional[ResultStore], failure: FailedRun) -> None:
-    if store is not None:
-        with ResultStore(failures_path(store)) as log:
-            log.append_dict(failure.to_dict())
 
 
 def load_failures(store: ResultStore) -> List[FailedRun]:
@@ -210,6 +186,15 @@ def plan_tasks(
             dicts = [cfg.to_dict()]
             tasks.append(QueueTask(task_id_for(dicts), "one", dicts))
     return tasks
+
+
+class TaskSource(NamedTuple):
+    """What a transport runs: ``tasks``, each drawn when a lane is free (a
+    work queue claims it then), and ``settle(task, rows)``, called once the
+    task's final rows are recorded (a work queue's done record)."""
+
+    tasks: Iterator[QueueTask]
+    settle: Callable[[QueueTask, List[dict]], None] = lambda task, rows: None
 
 
 def _err_rows(config_dicts: Sequence[Dict[str, Any]], error: str, traceback: str = "",
@@ -333,7 +318,9 @@ def _recorder(done: CampaignResult, total: int, *, store: Optional[ResultStore],
                 failure = FailedRun.from_dict(tagged["err"])
                 finished += 1
                 done.failures.append(failure)
-                _append_failure(store, failure)
+                if store is not None:
+                    with ResultStore(failures_path(store)) as log:
+                        log.append_dict(failure.to_dict())
                 if on_failure is not None:
                     on_failure(finished, total, failure)
 
@@ -375,10 +362,11 @@ def run_campaign(
 
     ``timeout_s`` arms the per-run deadline, ``retries``/``backoff_s``
     bound the retry-with-backoff loop, and ``on_retry(label, attempt,
-    delay_s, failure)`` fires per re-queue.  Tasks run inline when
-    ``jobs == 1`` (or there is one config) and none of these nor a custom
-    ``worker_fn`` (the chaos-test seam) is given, and on ``jobs``
-    supervised worker processes otherwise.
+    delay_s, failure)`` fires per re-queue; a value none of them can honour
+    (a NaN, say) is a ``ValueError``.  Tasks run inline when ``jobs == 1``
+    (or there is one config) and none of these nor a custom ``worker_fn``
+    (the chaos-test seam) is given, and on ``jobs`` supervised worker
+    processes otherwise.
 
     ``span_tracer`` (usually :attr:`CampaignProgress.spans`, streaming
     into ``campaign.jsonl``) records the campaign-side timeline: one
@@ -386,13 +374,6 @@ def run_campaign(
     numbers, ``store`` spans around result persistence, and ``retry``
     instant markers.  See docs/TRACING.md.
     """
-    if jobs < 1:
-        raise ValueError("jobs must be >= 1")
-    if timeout_s is not None and timeout_s <= 0:
-        raise ValueError(f"timeout_s must be positive, got {timeout_s}")
-    if retries < 0:
-        raise ValueError(f"retries must be >= 0, got {retries}")
-
     done = CampaignResult()
     todo: List[ExperimentConfig] = list(configs)
     if store is not None and resume:
@@ -417,41 +398,56 @@ def run_campaign(
         done, total, store=store, cache=cache if telemetry is None else None,
         progress=progress, on_failure=on_failure, spans=spans,
     )
-
-    telemetry_dict = telemetry.to_dict() if telemetry is not None else None
-
     hardened = timeout_s is not None or retries > 0 or worker_fn is not None
-    serial = jobs == 1 or total <= 1
-    mode = "serial" if serial and not hardened else "workers"
-    tasks = plan_tasks(
-        todo, batch=telemetry is None and not hardened, jobs=1 if serial else jobs
-    )
-    root = spans.start(
-        "campaign",
-        CAT_CAMPAIGN,
-        labels={"configs": total, "jobs": jobs, "mode": mode,
-                "resumed": done.resumed, "cache_hits": len(cached_results)},
-    )
-    if mode != "serial":
-        # Forked workers inherit what is loaded here; each would otherwise
-        # compile the engine (numpy, the kernel, the DES) for itself.
-        load_engines(todo, telemetry is not None)
-    try:
+    serial = (jobs == 1 or total <= 1) and not hardened
+
+    def planned() -> Iterator[QueueTask]:  # drawn from once the options are checked
         for cached, row, line in cached_results:
             record(cached, row, line, from_cache=True)
-        if mode == "serial":
-            _run_inline(tasks, telemetry_dict, record_outcomes, spans)
+        yield from plan_tasks(todo, batch=telemetry is None and not hardened,
+                              jobs=1 if serial else jobs)
+
+    return _supervise(
+        TaskSource(planned()), done, record_outcomes, todo, total, telemetry=telemetry,
+        serial=serial, spans=spans, jobs=jobs, timeout_s=timeout_s, retries=retries,
+        backoff_s=backoff_s, worker_fn=worker_fn, on_retry=on_retry,
+    )
+
+
+def _supervise(source: TaskSource, done: CampaignResult, emit, engines, total: int, *,
+               telemetry=None, serial: bool, spans, jobs: int, timeout_s, retries: int,
+               backoff_s: float, worker_fn, on_retry) -> CampaignResult:
+    """The one driver behind :func:`run_campaign` and the queue's
+    ``run_queue_worker``: refuse options no transport can honour, then run
+    ``source``'s tasks inline when ``serial``, else on ``jobs`` supervised
+    workers, under one ``campaign`` root span."""
+    if jobs < 1:
+        raise ValueError("jobs must be >= 1")
+    if timeout_s is not None and not 0 < timeout_s < math.inf:
+        raise ValueError(f"timeout_s must be positive and finite, got {timeout_s}")
+    if retries < 0:
+        raise ValueError(f"retries must be >= 0, got {retries}")
+    if not 0 <= backoff_s < math.inf:
+        raise ValueError(f"backoff_s must be >= 0 and finite, got {backoff_s}")
+    root = spans.start("campaign", CAT_CAMPAIGN, labels={
+        "configs": total, "jobs": jobs, "mode": "serial" if serial else "workers"})
+    telemetry_dict = telemetry.to_dict() if telemetry is not None else None
+    if not serial:
+        # Forked workers inherit what is loaded here; each would otherwise
+        # compile the engine (numpy, the kernel, the DES) for itself.
+        load_engines(engines, telemetry is not None)
+    try:
+        if serial:
+            _run_inline(source, telemetry_dict, emit, spans, worker_fn)
         else:
-            _run_workers(
-                tasks, telemetry_dict, record_outcomes, done, jobs=jobs,
-                timeout_s=timeout_s, retries=retries, backoff_s=backoff_s,
-                worker_fn=worker_fn, on_retry=on_retry, spans=spans, root=root,
-            )
+            _run_workers(source, telemetry_dict, emit, done, jobs=jobs, timeout_s=timeout_s,
+                         retries=retries, backoff_s=backoff_s, worker_fn=worker_fn,
+                         on_retry=on_retry, spans=spans, root=root)
         return done
     finally:
         counts = done.summary()
-        root.annotate(ok=counts["ok"], failed=counts["failed"],
-                      retried=counts["retried"])
+        root.annotate(ok=counts["ok"], failed=counts["failed"], retried=counts["retried"],
+                      resumed=done.resumed, cache_hits=done.cache_hits)
         spans.close_open()  # root + anything an exception left open
 
 
@@ -466,16 +462,17 @@ def _worker_span(spans, task: QueueTask, **kwargs):
     return spans.start(name, CAT_WORKER, **kwargs)
 
 
-def _run_inline(tasks, telemetry_dict, emit, spans) -> None:
-    """Inline transport: every task in this process, one ``worker`` span
-    each on lane 0."""
-    for task in tasks:
+def _run_inline(source: TaskSource, telemetry_dict, emit, spans, worker_fn) -> None:
+    """Inline transport: every task of ``source`` in this process, one
+    ``worker`` span each on lane 0."""
+    for task in source.tasks:
         wspan = _worker_span(spans, task, lane=0)
-        rows = run_task(task.kind, task.configs, telemetry_dict)
+        rows = run_task(task.kind, task.configs, telemetry_dict, worker_fn)
         if "err" in rows[0]:
             wspan.annotate(status="error")
         wspan.close()
         emit(rows)
+        source.settle(task, rows)
 
 
 def _worker_loop(conn, telemetry_dict, worker_fn) -> None:
@@ -488,33 +485,22 @@ def _worker_loop(conn, telemetry_dict, worker_fn) -> None:
         pass
 
 
-def _run_workers(
-    tasks: Sequence[QueueTask],
-    telemetry_dict: Optional[dict],
-    emit: Callable[[Sequence[dict]], None],
-    result: CampaignResult,
-    *,
-    jobs: int,
-    timeout_s: Optional[float] = None,
-    retries: int = 0,
-    backoff_s: float = 0.5,
-    worker_fn: Optional[Callable[[tuple], dict]] = None,
-    on_retry: Optional[Callable[[str, int, float, FailedRun], None]] = None,
-    spans,
-    root,
-) -> None:
+def _run_workers(source: TaskSource, telemetry_dict: Optional[dict], emit,
+                 result: CampaignResult, *, jobs: int, timeout_s: Optional[float], retries: int,
+                 backoff_s: float, worker_fn, on_retry, spans, root) -> None:
     """Worker transport: ``jobs`` long-lived processes, one task at a time each.
 
     Lane ``i`` holds at most one forked worker, started when a task first
     needs it, that loops ``recv(task) -> run_task -> send(rows)`` over its
-    own pipe.  The parent blocks on the pipes and the process sentinels
-    until the nearest deadline or retry-ready time.  A worker that blows
-    its task's wall-clock deadline is killed (``timeout`` rows), one that
-    dies without reporting is reaped (``crash`` rows): either way the rows
-    are for exactly the task it held, and a fresh worker takes the lane
-    when the next task needs it.  Failures re-queue with exponential
-    backoff until ``retries`` is exhausted, then become the
-    :class:`FailedRun` rows the campaign carries forward.
+    own pipe; a task is drawn from ``source`` only when a lane is idle.
+    The parent blocks on the pipes and the process sentinels until the
+    nearest deadline or retry-ready time.  A worker that blows its task's
+    wall-clock deadline is killed (``timeout`` rows), one that dies without
+    reporting is reaped (``crash`` rows): either way the rows are for
+    exactly the task it held, and a fresh worker takes the lane when the
+    next task needs it.  Failures re-queue with exponential backoff until
+    ``retries`` is exhausted, then become the :class:`FailedRun` rows the
+    campaign carries forward.
 
     Each attempt opens a detached ``worker`` span on its lane (so a trace
     shows at most ``jobs`` worker lanes), closed with the attempt's
@@ -524,7 +510,7 @@ def _run_workers(
     from multiprocessing.connection import wait
 
     ctx = mp.get_context("spawn" if sys.platform == "win32" else "fork")
-    pending: deque = deque((task, 1) for task in tasks)  # (task, attempt#)
+    pending: deque = deque()  # (task, attempt#) whose retry is due
     delayed: List[tuple] = []  # (ready_at_monotonic, task, attempt#)
     # The worker on each lane: {"proc", "conn", "job"}, where "job" is the
     # (task, attempt#, deadline, span) it holds, or None while it is idle.
@@ -536,11 +522,17 @@ def _run_workers(
         worker["conn"].close()
 
     def _fill() -> None:
-        """Hand pending tasks to idle lanes, forking a worker where none lives."""
+        """Hand due retries, then new tasks, to idle lanes, forking a worker where none lives."""
         for lane in range(jobs):
             worker = lanes[lane]
-            if not pending or (worker is not None and worker["job"] is not None):
+            if worker is not None and worker["job"] is not None:
                 continue
+            if pending:
+                task, attempt = pending.popleft()
+            elif (task := next(source.tasks, None)) is not None:
+                attempt = 1
+            else:
+                return
             if worker is None or not worker["proc"].is_alive():
                 if worker is not None:  # died while idle: nothing to record
                     _reap(lane)
@@ -550,7 +542,6 @@ def _run_workers(
                 proc.start()
                 child_conn.close()
                 worker = lanes[lane] = {"proc": proc, "conn": conn}
-            task, attempt = pending.popleft()
             worker["conn"].send((task.kind, task.configs))
             worker["job"] = (
                 task, attempt, (time.monotonic() + timeout_s) if timeout_s else None,
@@ -574,6 +565,7 @@ def _run_workers(
             delayed.append((time.monotonic() + delay, task, attempt + 1))
         else:
             emit(rows)
+            source.settle(task, rows)
 
     try:
         while True:
@@ -584,12 +576,11 @@ def _run_workers(
             _fill()
             busy = [(lane, w) for lane, w in enumerate(lanes) if w and w["job"]]
             if not busy and not delayed:
-                break  # and nothing is pending: _fill found every lane idle
+                break  # and the source is dry: _fill found every lane idle
             wake = [d[0] for d in delayed] + [w["job"][2] for _, w in busy if w["job"][2]]
             wait([obj for _, w in busy for obj in (w["conn"], w["proc"].sentinel)],
                  max(0.0, min(wake) - now) if wake else None)
             now = time.monotonic()
-            finished = []
             for lane, worker in busy:
                 proc, conn = worker["proc"], worker["conn"]
                 task, attempt, deadline, span = worker["job"]
@@ -627,10 +618,7 @@ def _run_workers(
                     )
                 kind = next((row["err"]["kind"] for row in rows if "err" in row), "ok")
                 span.annotate(outcome=kind).close()
-                finished.append((task, attempt, rows))
-            _fill()  # the workers run on while this process records
-            for item in finished:
-                _settle(*item)
+                _settle(task, attempt, rows)  # before _fill: a done record, then a claim
     finally:
         for lane, worker in enumerate(lanes):
             if worker is None:
@@ -643,31 +631,11 @@ def _run_workers(
             _reap(lane)
 
 
-def print_progress(finished: int, total: int, result: ExperimentResult) -> None:
-    """A ready-made progress callback for CLI use."""
-    cfg = ExperimentConfig.from_dict(result.config)
-    print(
-        f"[{finished}/{total}] {cfg.label()}: "
-        f"J={result.jain_index:.3f} phi={result.link_utilization:.3f} "
-        f"retx={result.total_retransmits} ({result.wallclock_s:.1f}s)",
-        flush=True,
-    )
-
-
-def print_failure(finished: int, total: int, failure: FailedRun) -> None:
-    """Failure-side companion to :func:`print_progress`."""
-    print(
-        f"[{finished}/{total}] {failure.label}: FAILED {failure.error}",
-        file=sys.stderr,
-        flush=True,
-    )
-
-
 class CampaignProgress:
     """Live campaign progress: events/sec, ETA, and optional JSONL feed.
 
-    Wraps the plain print callbacks with wall-clock bookkeeping.  Pass the
-    instance itself as ``progress=`` and its :meth:`failure` method as
+    Prints a line per finished config (unless ``quiet``), with wall-clock
+    bookkeeping.  Pass the instance itself as ``progress=`` and its :meth:`failure` method as
     ``on_failure=``.  With ``log_path`` set, every completion also appends
     a ``campaign_progress`` record (see ``docs/OBSERVABILITY.md``) that
     ``repro obs tail`` renders.
@@ -740,22 +708,22 @@ class CampaignProgress:
 
     def __call__(self, finished: int, total: int, result: ExperimentResult) -> None:
         self._events += result.events_processed
+        label = ExperimentConfig.from_dict(result.config).label()
         if not self._quiet:
-            print_progress(finished, total, result)
+            print(f"[{finished}/{total}] {label}: J={result.jain_index:.3f} "
+                  f"phi={result.link_utilization:.3f} retx={result.total_retransmits} "
+                  f"({result.wallclock_s:.1f}s)", flush=True)
             eta = self._eta_s(finished, total)
             if eta:
                 print(f"    eta ~{eta:.0f}s", flush=True)
-        self._emit(
-            finished, total,
-            ExperimentConfig.from_dict(result.config).label(),
-            result,
-        )
+        self._emit(finished, total, label, result)
 
     def failure(self, finished: int, total: int, failure: FailedRun) -> None:
         """``on_failure`` companion callback to ``__call__``."""
         self._failed += 1
         if not self._quiet:
-            print_failure(finished, total, failure)
+            print(f"[{finished}/{total}] {failure.label}: FAILED {failure.error}",
+                  file=sys.stderr, flush=True)
         self._emit(finished, total, failure.label)
 
     def retry(self, label: str, attempt: int, delay_s: float, failure: FailedRun) -> None:

@@ -22,6 +22,9 @@ then the journal, so a done record that survives a power loss implies its
 rows did.  On reclaim, a worker recovers the rows the dead owner already
 persisted from the store and re-runs only the rest.  docs/SERVICE.md, "The
 work queue", states the protocol and the durability contract in full.
+
+:func:`run_queue_worker` drains the queue as a task source of the campaign
+driver, inline or on supervised worker processes, like ``run_campaign``.
 """
 
 from __future__ import annotations
@@ -36,11 +39,12 @@ from typing import Dict, Iterator, List, Optional, Sequence, Tuple, Union
 
 from repro.experiments.cache import ResultCache
 from repro.experiments.campaign import (
-    CampaignResult, QueueTask, _recorder, plan_tasks, run_task,
+    CampaignResult, QueueTask, TaskSource, _recorder, _supervise, plan_tasks,
 )
 from repro.experiments.config import ExperimentConfig
 from repro.experiments.runner import run_experiment
 from repro.experiments.storage import ResultStore, _flock
+from repro.obs.spans import NULL_SPAN_TRACER
 
 PathLike = Union[str, Path]
 
@@ -248,33 +252,35 @@ def run_queue_worker(
     progress=None,
     on_failure=None,
     run_fn=None,
+    jobs: int = 1,
+    timeout_s: Optional[float] = None,
+    retries: int = 0,
+    backoff_s: float = 0.5,
+    on_retry=None,
+    span_tracer=None,
 ) -> CampaignResult:
-    """Queue transport: drain tasks from ``queue`` until none are claimable.
+    """Drain tasks from ``queue`` until none are claimable.
 
     Any number of processes may run this against one queue/store/cache
-    root; the claim protocol keeps their work disjoint.  Per task: rows
-    the dead owner of a *reclaimed* task already persisted are recovered
-    from the store (returned and counted as hits, not re-appended); of
-    the rest, a cache hit skips the engine; what is left runs through
-    :func:`~repro.experiments.campaign.run_task` (``run_fn`` standing in
-    for the engine of ``one`` tasks, a seam for tests), streaming into
-    the store and this worker's cache shard; then the task is completed.
-    Checkpoints when the drain ends and after a completion
-    :data:`CHECKPOINT_S` or more after the last checkpoint.
+    root; the claim protocol keeps their work disjoint.  Per claimed task,
+    the rows a dead owner persisted are recovered, cache hits replayed and
+    the rest handed to the transport; the done record follows its rows
+    (docs/SERVICE.md, "The work queue").  The execution options mean what
+    they mean to :func:`~repro.experiments.campaign.run_campaign`;
+    ``run_fn``, a seam for tests, stands in for the engine of ``one``
+    tasks and selects no transport.  Checkpoints when the drain ends and
+    after a completion :data:`CHECKPOINT_S` or more after the last one.
     """
     done = CampaignResult()
+    sizes = {t.task_id: len(t.configs) for t in queue.tasks}
+    spans = span_tracer if span_tracer is not None else NULL_SPAN_TRACER
     record, record_outcomes = _recorder(
-        done, sum(len(t.configs) for t in queue.tasks), store=store, cache=cache,
-        progress=progress, on_failure=on_failure,
+        done, sum(sizes.values()), store=store, cache=cache, progress=progress,
+        on_failure=on_failure, spans=spans,
     )
 
-    def engine(payload: tuple) -> dict:
-        return {"ok": (run_fn or run_experiment)(ExperimentConfig.from_dict(payload[0])).to_dict()}
-
-    synced = monotonic()
-    try:
+    def claims() -> Iterator[QueueTask]:
         while (task := queue.claim()) is not None:
-            ok_before, failed_before = len(done), len(done.failures)
             left = [ExperimentConfig.from_dict(d) for d in task.configs]
             if task.task_id in queue.reclaimed and store is not None:
                 found: List[tuple] = []
@@ -289,18 +295,34 @@ def run_queue_worker(
                 hits, left = cache.split(left)
                 for hit, row, line in hits:
                     record(hit, row, line, from_cache=True)
-            done.cache_hits += len(done) - ok_before
+            done.cache_hits += len(task.configs) - len(left)
             done.engine_runs += len(left)
             if left:
-                record_outcomes(run_task(task.kind, [c.to_dict() for c in left], worker_fn=engine))
-            queue.complete(
-                task.task_id,
-                results=len(done) - ok_before,
-                failures=len(done.failures) - failed_before,
-            )
-            if monotonic() - synced >= CHECKPOINT_S:
-                queue.checkpoint(store)
-                synced = monotonic()
+                yield QueueTask(task.task_id, task.kind, [c.to_dict() for c in left])
+            else:
+                settle(task, [])
+
+    synced = monotonic()
+
+    def settle(task: QueueTask, rows: List[dict]) -> None:
+        nonlocal synced
+        failures = sum("err" in row for row in rows)
+        # Every member config was recovered, replayed or ran to one of these rows.
+        queue.complete(task.task_id, results=sizes[task.task_id] - failures, failures=failures)
+        if monotonic() - synced >= CHECKPOINT_S:
+            queue.checkpoint(store)
+            synced = monotonic()
+
+    def engine(payload: tuple) -> dict:
+        return {"ok": (run_fn or run_experiment)(ExperimentConfig.from_dict(payload[0])).to_dict()}
+
+    try:
+        return _supervise(
+            TaskSource(claims(), settle), done, record_outcomes,
+            (ExperimentConfig.from_dict(d) for t in queue.tasks for d in t.configs),
+            sum(sizes.values()), serial=jobs == 1 and timeout_s is None and not retries,
+            spans=spans, jobs=jobs, timeout_s=timeout_s, retries=retries, backoff_s=backoff_s,
+            worker_fn=engine, on_retry=on_retry,
+        )
     finally:
         queue.checkpoint(store)
-    return done

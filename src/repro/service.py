@@ -82,7 +82,7 @@ class SweepService:
         from concurrent.futures import ThreadPoolExecutor
 
         self._executor = ThreadPoolExecutor(
-            max_workers=max(1, jobs), thread_name_prefix="repro-serve"
+            max_workers=jobs, thread_name_prefix="repro-serve"
         )
         self._progress: Optional[CampaignProgress] = None
         if telemetry_dir is not None:

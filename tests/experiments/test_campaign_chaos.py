@@ -20,7 +20,9 @@ from repro.experiments.campaign import (
     run_task,
 )
 from repro.experiments.config import ExperimentConfig
+from repro.experiments.queue import WorkQueue, run_queue_worker
 from repro.experiments.storage import ResultStore
+from repro.metrics.summary import ExperimentResult
 from repro.units import mbps
 
 HANG_SEED = 101
@@ -199,6 +201,33 @@ def test_workers_started_are_lanes_used_plus_one_per_lost_worker(monkeypatch, se
     assert len(started) == workers
 
 
+def _slow_chaos_run(config):
+    """``_slow_chaos_worker`` in the queue's ``run_fn`` terms."""
+    return ExperimentResult.from_dict(_slow_chaos_worker((config.to_dict(), None))["ok"])
+
+
+@pytest.mark.parametrize("seeds,kwargs,workers", [
+    ((200, 201), {"jobs": 1}, 0),  # unhardened: inline, no worker at all
+    ((200, 201), {"jobs": 1, "timeout_s": 30.0}, 1),
+    ((200,), {"jobs": 2}, 1),
+    ((200, 201, 202, 203), {"jobs": 2}, 2),
+    ((CRASH_SEED, 200, 201, 202), {"jobs": 2}, 3),
+    ((HANG_SEED, 200, 201, 202, 203), {"jobs": 2, "timeout_s": 0.5}, 3),
+], ids=["inline", "hardened-one-lane", "one-task", "plain", "crash", "timeout"])
+def test_queue_drain_forks_lanes_used_plus_one_per_lost_worker(tmp_path, monkeypatch, seeds,
+                                                               kwargs, workers):
+    """A queue drain forks as a campaign does, except that it cannot know
+    how many tasks it will claim: ``jobs=N`` forks ``min(N, tasks)``
+    workers, plus one per worker lost while tasks still wait."""
+    started = _count_worker_starts(monkeypatch)
+    queue = WorkQueue.create(tmp_path / "q", [_configs(1, seed)[0] for seed in seeds])
+    results = run_queue_worker(queue, run_fn=_slow_chaos_run, **kwargs)
+    assert results.summary()["total"] == len(seeds)
+    assert results.summary()["failed"] == sum(s in (HANG_SEED, CRASH_SEED) for s in seeds)
+    assert queue.drained
+    assert len(started) == workers
+
+
 def test_raising_worker_recorded_as_error():
     results = run_campaign(_configs(1), worker_fn=_raising_worker)
     (row,) = results.failures
@@ -212,6 +241,22 @@ def test_timeout_and_retry_validation():
         run_campaign(_configs(1), timeout_s=0)
     with pytest.raises(ValueError, match="retries"):
         run_campaign(_configs(1), retries=-1)
+
+
+@pytest.mark.parametrize("option,value", [
+    ("timeout_s", float("nan")), ("timeout_s", float("inf")), ("timeout_s", -1.0),
+    ("backoff_s", float("nan")), ("backoff_s", float("inf")), ("backoff_s", -0.5),
+    ("retries", -1), ("jobs", 0),
+])
+def test_both_entries_refuse_timing_no_transport_can_honour(tmp_path, option, value):
+    """A NaN backoff would never come due (the retry loop would spin), a NaN
+    deadline would kill every run at once: refused before any task is drawn."""
+    queue = WorkQueue.create(tmp_path / "q", _configs(1))
+    for entry in (lambda **kw: run_campaign(_configs(1), **kw),
+                  lambda **kw: run_queue_worker(queue, **kw)):
+        with pytest.raises(ValueError, match=option):
+            entry(**{"retries": 1, option: value})
+    assert queue.counts()["pending"] == 1
 
 
 # -- retry with backoff -----------------------------------------------------------

@@ -2,18 +2,19 @@
 
 One oracle for every transport: {config raises, shard raises, worker dies,
 worker dies holding a shard, worker hangs} x {inline, workers, workers
-with a watchdog deadline, queue worker}, over each combination that
-transport can experience (a hang needs ``timeout_s``, so watchdog only; a
-death needs a worker process to lose; a hardened sweep never carries a
-shard).  Every cell must leave the *same recorded outcome*: the
-same ``FailedRun`` rows (modulo traceback text), one ``failures.jsonl``
-line per failed config, a store holding exactly the successes, byte for
-byte, an engine handed each config exactly once, and a second pass that
-re-runs exactly the failed configs.
+with a watchdog deadline} x {the planned list, a work queue}, over each
+combination that transport can experience (a hang needs ``timeout_s``, so
+watchdog only; a death needs a worker process to lose; a hardened sweep
+never carries a shard, but a queue's tasks are frozen shards either way).
+Every cell must leave the *same recorded outcome*: the same ``FailedRun``
+rows (modulo traceback text), one ``failures.jsonl`` line per failed
+config, a store holding exactly the successes, byte for byte, an engine
+handed each config exactly once, and a second pass that re-runs exactly
+the failed configs.
 
 Faults are injected at the engine entry points the transports look up at
 call time, so the same fault reaches every transport; the hardened workers
-and the queue worker also take it through their own seams (``worker_fn``,
+and the queue drain also take it through their own seams (``worker_fn``,
 the chaos tests' way in, and ``run_fn``, the queue tests').  Each cell runs in
 a forked child under a hard deadline: a transport that hangs fails its
 cell instead of hanging pytest.
@@ -147,18 +148,22 @@ TRANSPORTS = {
     "queue": _queue,
     "queue-run_fn": lambda configs, store, cache, qdir: _queue(
         configs, store, cache, qdir, run_fn=lambda c: campaign.run_experiment(c)),
+    "queue-workers": lambda configs, store, cache, qdir: _queue(
+        configs, store, cache, qdir, jobs=2),
+    "queue-watchdog": lambda configs, store, cache, qdir: _queue(
+        configs, store, cache, qdir, jobs=2, timeout_s=HANG_TIMEOUT_S),
 }
 
 #: fault -> (configs, transports that can experience it, kind and error recorded)
 FAULTS = {
     "raises": (_singles, sorted(TRANSPORTS), "error", "RuntimeError('injected fault')"),
-    "shard raises": (_two_shards, ["inline", "workers", "queue"], "error",
-                     "RuntimeError('injected fault')"),
-    "dies": (_singles, ["workers", "watchdog", "watchdog-worker_fn"], "crash",
-             "worker died without reporting (exitcode 9)"),
-    "shard dies": (_shard_of_two, ["workers"], "crash",
+    "shard raises": (_two_shards, ["inline", "workers", "queue", "queue-workers",
+                                   "queue-watchdog"], "error", "RuntimeError('injected fault')"),
+    "dies": (_singles, ["workers", "watchdog", "watchdog-worker_fn", "queue-workers",
+                        "queue-watchdog"], "crash", "worker died without reporting (exitcode 9)"),
+    "shard dies": (_shard_of_two, ["workers", "queue-workers", "queue-watchdog"], "crash",
                    "worker died without reporting (exitcode 9)"),
-    "hangs": (_singles, ["watchdog", "watchdog-worker_fn"], "timeout",
+    "hangs": (_singles, ["watchdog", "watchdog-worker_fn", "queue-watchdog"], "timeout",
               f"run exceeded the {HANG_TIMEOUT_S:g}s wall-clock timeout "
               "and was killed by the watchdog"),
 }

@@ -285,6 +285,28 @@ def test_run_queue_worker_drains_and_persists(tmp_path):
     assert seen == [(1, 3), (2, 3), (3, 3)]
 
 
+def _sleepy_run(cfg):
+    time.sleep(0.05)
+    return _fake_run(cfg)
+
+
+def test_a_two_lane_drain_holds_at_most_two_live_claims(tmp_path):
+    """A task is claimed only when a lane is free, and a finished task's
+    done record lands before the next claim."""
+    q = WorkQueue.create(tmp_path / "q", [_config(s) for s in range(6)])
+    result = run_queue_worker(q, run_fn=_sleepy_run, jobs=2)
+    assert result.summary()["ok"] == 6 and q.drained
+    live, most = set(), 0
+    for line in q.journal.read_text().splitlines():
+        record = json.loads(line)
+        if record["op"] == "claim":
+            live.add(record["task"])
+        else:
+            live.discard(record["task"])
+        most = max(most, len(live))
+    assert most == 2
+
+
 def test_run_queue_worker_uses_cache(tmp_path):
     configs = [_config(s) for s in (1, 2)]
     cache = ResultCache(tmp_path / "cache", worker="warmup")

@@ -1,5 +1,7 @@
 """Unit tests for the command-line interface."""
 
+import json
+
 import pytest
 
 from repro.cli import build_parser, main, parse_rate
@@ -242,6 +244,47 @@ def test_sweep_queue_mode(tmp_path, capsys):
                "--quiet", "--queue", queue_dir, "--cache", cache_dir])
     assert rc == 0
     assert "completed 0 runs" in capsys.readouterr().out
+
+
+@pytest.mark.parametrize("flags", [["--telemetry"], ["--trace"], ["--profile"], ["--no-resume"]])
+def test_sweep_queue_refuses_what_it_cannot_honour(tmp_path, capsys, flags):
+    """One line, exit 2, and nothing run or created."""
+    queue_dir = tmp_path / "queue"
+    argv = ["sweep", "--preset", "smoke", "--out", str(tmp_path / "r.jsonl"), "--quiet",
+            "--queue", str(queue_dir), "--telemetry-dir", str(tmp_path / "t")]
+    assert main(argv + flags) == 2
+    captured = capsys.readouterr()
+    assert captured.out == "" and len(captured.err.splitlines()) == 1
+    assert "--queue refuses" in captured.err
+    assert not queue_dir.exists() and not (tmp_path / "t").exists()
+
+
+def test_sweep_queue_honours_jobs_timeout_and_retries(tmp_path, capsys):
+    queue_dir = str(tmp_path / "queue")
+    rc = main(["sweep", "--preset", "smoke", "--out", str(tmp_path / "r.jsonl"), "--quiet",
+               "--queue", queue_dir, "--jobs", "2", "--timeout", "0.001", "--retries", "1"])
+    assert rc == 2
+    assert "completed 0 runs, 2 FAILED, 2 retried" in capsys.readouterr().out
+    failures = (tmp_path / "r.failures.jsonl").read_text().splitlines()
+    assert [json.loads(line)["kind"] for line in failures] == ["timeout", "timeout"]
+
+
+@pytest.mark.parametrize("argv,message", [
+    (["sweep", "--jobs", "0"], "argument --jobs: must be >= 1, got 0"),
+    (["sweep", "--jobs", "two"], "argument --jobs: invalid int value: 'two'"),
+    (["sweep", "--queue", "q", "--jobs", "0"], "argument --jobs: must be >= 1, got 0"),
+    (["sweep", "--timeout", "0"], "argument --timeout: must be positive and finite, got 0"),
+    (["sweep", "--timeout", "nan"], "argument --timeout: must be positive and finite, got nan"),
+    (["sweep", "--timeout", "inf"], "argument --timeout: must be positive and finite, got inf"),
+    (["sweep", "--retries", "-1"], "argument --retries: must be >= 0, got -1"),
+    (["serve", "--cache", "c", "--jobs", "0"], "argument --jobs: must be >= 1, got 0"),
+])
+def test_numeric_flags_are_argparse_errors(capsys, argv, message):
+    with pytest.raises(SystemExit) as exc:
+        main(argv)
+    assert exc.value.code == 2
+    err = capsys.readouterr().err
+    assert err.splitlines()[-1].endswith(message) and "Traceback" not in err
 
 
 def test_serve_help_lists_its_flags(capsys):
