@@ -1,8 +1,8 @@
 """Packet-engine anchor: a scaled-rate slice of the grid on the DES.
 
-The figure benches run on the fluid engine (the only way to reach the
-10/25 Gbps tiers in Python); this bench regenerates the same headline
-comparisons at packet granularity with rates scaled down 250x, verifying
+The paper's figures are regenerated from fluid-engine sweeps (the only
+way to reach the 10/25 Gbps tiers in Python); this bench regenerates the
+same headline comparisons at packet granularity with rates scaled down 250x, verifying
 the fluid results aren't artifacts of the mean-field approximation.
 """
 

@@ -1,66 +1,12 @@
-"""Shared infrastructure for the figure/table benches.
+"""Shared helpers for the ablation, extension and scaling benches.
 
-Every bench regenerates one paper artifact end to end: it sweeps the
-relevant slice of the Table 1 grid on the fluid engine (the full-scale
-tiers; the packet engine anchors it — see ``bench_scaled_des.py``),
-reduces the results with the analysis layer, and prints the same
-rows/series the paper reports.  pytest-benchmark times the regeneration.
-
-Durations are shorter than the paper's 200 s (with the startup transient
-excluded) so the whole harness runs in minutes; the CLI's ``repro sweep
---preset paper-fluid`` reproduces the full-length campaign.
+Each bench sweeps its own slice on the engine it names, reduces the
+results with the analysis layer and prints the rows it reports;
+pytest-benchmark times the regeneration once.  The paper's own tables
+and figures are ``repro sweep`` + ``repro report --what <artifact>``.
 """
 
 from __future__ import annotations
-
-from typing import List, Sequence, Tuple
-
-from repro.analysis.aggregate import ResultSet
-from repro.experiments.config import (
-    PAPER_BANDWIDTHS_BPS,
-    PAPER_BUFFER_BDPS,
-    PAPER_CCA_PAIRS,
-)
-from repro.experiments.matrix import full_matrix
-from repro.experiments.runner import run_experiment
-
-BENCH_DURATION_S = 25.0
-BENCH_WARMUP_S = 5.0
-#: The figures' spotlight buffer sizes (paper Figs 3, 5, 6, 7, 8).
-SPOTLIGHT_BUFFERS = (2.0, 16.0)
-
-INTER_PAIRS: Tuple[Tuple[str, str], ...] = tuple(
-    p for p in PAPER_CCA_PAIRS if p[0] != p[1]
-)
-INTRA_PAIRS: Tuple[Tuple[str, str], ...] = tuple(
-    p for p in PAPER_CCA_PAIRS if p[0] == p[1]
-)
-
-
-def sweep(
-    *,
-    cca_pairs: Sequence[Tuple[str, str]] = PAPER_CCA_PAIRS,
-    aqms: Sequence[str] = ("fifo",),
-    buffer_bdps: Sequence[float] = PAPER_BUFFER_BDPS,
-    bandwidths_bps: Sequence[float] = PAPER_BANDWIDTHS_BPS,
-    duration_s: float = BENCH_DURATION_S,
-    engine: str = "fluid",
-    base_seed: int = 1,
-    **overrides,
-) -> ResultSet:
-    """Run one slice of the grid and return the results."""
-    configs = full_matrix(
-        cca_pairs=cca_pairs,
-        aqms=aqms,
-        buffer_bdps=buffer_bdps,
-        bandwidths_bps=bandwidths_bps,
-        duration_s=duration_s,
-        engine=engine,
-        base_seed=base_seed,
-        warmup_s=BENCH_WARMUP_S if duration_s > BENCH_WARMUP_S else 0.0,
-        **overrides,
-    )
-    return ResultSet([run_experiment(cfg) for cfg in configs])
 
 
 def run_once(benchmark, fn):

@@ -4,16 +4,11 @@ from repro.analysis.aggregate import ResultSet
 from repro.analysis.convergence import convergence_time_s, jain_series
 from repro.analysis.dataset import flows_table, intervals_table, runs_table, write_csv
 from repro.analysis.export_figures import export_all_figures
+from repro.analysis.figures import FIGURES
 from repro.analysis.parse_iperf import parse_iperf_doc, summarize_docs
 from repro.analysis.sparkline import sparkline
 from repro.analysis.table3 import PAPER_TABLE3, build_table3
 from repro.analysis.validate import render_claims, validate_claims
-from repro.analysis.figures import (
-    fig2_series,
-    fig3_series,
-    fig7_series,
-    fig8_series,
-)
 
 __all__ = [
     "ResultSet",
@@ -21,10 +16,7 @@ __all__ = [
     "summarize_docs",
     "build_table3",
     "PAPER_TABLE3",
-    "fig2_series",
-    "fig3_series",
-    "fig7_series",
-    "fig8_series",
+    "FIGURES",
     "validate_claims",
     "render_claims",
     "runs_table",

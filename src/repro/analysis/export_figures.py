@@ -2,30 +2,23 @@
 
 The text reports are for reading; these flat files are for plotting
 (matplotlib/gnuplot/a spreadsheet) or archiving beside the paper's
-published dataset.  One file per figure, long-format rows.
+published dataset.  One file per figure of
+:data:`~repro.analysis.figures.FIGURES`, in its long-format layout.
 """
 
 from __future__ import annotations
 
 import csv
 from pathlib import Path
-from typing import Dict, List, Union
+from typing import Dict, List, Sequence, Union
 
 from repro.analysis.aggregate import ResultSet
-from repro.analysis.figures import (
-    fig2_series,
-    fig3_series,
-    fig4_series,
-    fig5_series,
-    fig6_series,
-    fig7_series,
-    fig8_series,
-)
+from repro.analysis.figures import FIGURES
 
 PathLike = Union[str, Path]
 
 
-def _write(path: Path, header: List[str], rows: List[List]) -> Path:
+def _write(path: Path, header: Sequence[str], rows: List[List]) -> Path:
     path.parent.mkdir(parents=True, exist_ok=True)
     with path.open("w", encoding="utf-8", newline="") as fh:
         writer = csv.writer(fh)
@@ -34,87 +27,15 @@ def _write(path: Path, header: List[str], rows: List[List]) -> Path:
     return path
 
 
-def _inter_rows(series: Dict) -> List[List]:
-    rows = []
-    for pair_label, panels in series.items():
-        cca1, _, cca2 = pair_label.partition("-vs-")
-        for bw_label, panel in panels.items():
-            for buf, a, b in zip(panel["buffers"], panel["cca1_bps"], panel["cca2_bps"]):
-                rows.append([cca1, cca2, bw_label, buf, a, b])
-    return rows
-
-
-def _jain_rows(series: Dict) -> List[List]:
-    rows = []
-    for kind, bufs in series.items():
-        for buf_label, panel in bufs.items():
-            bandwidths = panel["bandwidths"]
-            for name, values in panel.items():
-                if name == "bandwidths":
-                    continue
-                for bw, j in zip(bandwidths, values):
-                    rows.append([kind, buf_label, name, bw, j])
-    return rows
-
-
-def _intra_metric_rows(series: Dict) -> List[List]:
-    rows = []
-    for aqm, bufs in series.items():
-        for buf_label, panel in bufs.items():
-            bandwidths = panel["bandwidths"]
-            for cca, values in panel.items():
-                if cca == "bandwidths":
-                    continue
-                for bw, v in zip(bandwidths, values):
-                    rows.append([aqm, buf_label, cca, bw, v])
-    return rows
-
-
 def export_all_figures(results: ResultSet, out_dir: PathLike) -> Dict[str, Path]:
-    """Write fig2.csv ... fig8.csv under ``out_dir``; returns the paths.
-
-    Figures whose AQM slice is absent from ``results`` are skipped.
-    """
+    """Write ``<name>.csv`` per figure under ``out_dir``; returns the paths
+    by figure name.  Figures whose AQM slice is absent from ``results``
+    are skipped."""
     out = Path(out_dir)
-    written: Dict[str, Path] = {}
     aqms = set(results.aqms())
-
-    if "fifo" in aqms:
-        written["fig2"] = _write(
-            out / "fig2.csv",
-            ["cca1", "cca2", "bandwidth", "buffer_bdp", "cca1_bps", "cca2_bps"],
-            _inter_rows(fig2_series(results, aqm="fifo")),
-        )
-        written["fig3"] = _write(
-            out / "fig3.csv",
-            ["kind", "buffer", "pair", "bandwidth_bps", "jain_index"],
-            _jain_rows(fig3_series(results)),
-        )
-    if "red" in aqms:
-        written["fig4"] = _write(
-            out / "fig4.csv",
-            ["cca1", "cca2", "bandwidth", "buffer_bdp", "cca1_bps", "cca2_bps"],
-            _inter_rows(fig4_series(results)),
-        )
-        written["fig5"] = _write(
-            out / "fig5.csv",
-            ["kind", "buffer", "pair", "bandwidth_bps", "jain_index"],
-            _jain_rows(fig5_series(results)),
-        )
-    if "fq_codel" in aqms:
-        written["fig6"] = _write(
-            out / "fig6.csv",
-            ["kind", "buffer", "pair", "bandwidth_bps", "jain_index"],
-            _jain_rows(fig6_series(results)),
-        )
-    written["fig7"] = _write(
-        out / "fig7.csv",
-        ["aqm", "buffer", "cca", "bandwidth_bps", "link_utilization"],
-        _intra_metric_rows(fig7_series(results)),
-    )
-    written["fig8"] = _write(
-        out / "fig8.csv",
-        ["aqm", "buffer", "cca", "bandwidth_bps", "retransmissions"],
-        _intra_metric_rows(fig8_series(results)),
-    )
-    return written
+    return {
+        name: _write(out / f"{name}.csv", figure.csv_header,
+                     figure.csv_rows(figure.series(results)))
+        for name, figure in FIGURES.items()
+        if figure.available(aqms)
+    }

@@ -1,7 +1,8 @@
 """Plain-text report rendering for figure series.
 
-Everything the benches print goes through here, so the regenerated
-"figures" are stable, diff-able text blocks rather than images.
+Every figure ``repro report`` prints goes through here (each entry of
+:data:`~repro.analysis.figures.FIGURES` names its renderer), so the
+regenerated "figures" are stable, diff-able text blocks rather than images.
 """
 
 from __future__ import annotations

@@ -1,9 +1,10 @@
 """One-call full text report: everything the paper's evaluation shows.
 
 ``full_report(results)`` renders Table 3 (with the published values
-alongside), the claim validation verdicts, the Figure 2 equilibrium
-points, and the figure panels the result set has data for — the
-reproduction's complete story in one string.
+alongside), the claim validation verdicts, and every figure of
+:data:`~repro.analysis.figures.FIGURES` whose AQM slice the result set
+holds, each after its summary section if it has one (the BBRv1-vs-CUBIC
+equilibrium points) — the reproduction's complete story in one string.
 """
 
 from __future__ import annotations
@@ -11,21 +12,7 @@ from __future__ import annotations
 from typing import List
 
 from repro.analysis.aggregate import ResultSet
-from repro.analysis.figures import (
-    equilibrium_points,
-    fig2_series,
-    fig3_series,
-    fig4_series,
-    fig5_series,
-    fig6_series,
-    fig7_series,
-    fig8_series,
-)
-from repro.analysis.report import (
-    render_inter_panels,
-    render_intra_metric_panels,
-    render_jain_panels,
-)
+from repro.analysis.figures import FIGURES
 from repro.analysis.table3 import build_table3, render_table3
 from repro.analysis.validate import render_claims, validate_claims
 
@@ -35,42 +22,23 @@ def _section(title: str, body: str) -> str:
     return f"{bar}\n{title}\n{bar}\n{body}\n"
 
 
-def full_report(results: ResultSet, *, include_figures: bool = True) -> str:
+def full_report(results: ResultSet) -> str:
     """Render the complete evaluation report for ``results``."""
     if len(results) == 0:
         raise ValueError("no results to report on")
-    parts: List[str] = []
     aqms = set(results.aqms())
-
-    parts.append(_section("TABLE 3 — overall comparison (measured vs paper)",
-                          render_table3(build_table3(results))))
-    parts.append(_section("PAPER CLAIMS — automated shape validation",
-                          render_claims(validate_claims(results))))
-
-    if "fifo" in aqms:
-        series = fig2_series(results, aqm="fifo")
-        if "bbrv1-vs-cubic" in series:
-            points = equilibrium_points(series, "bbrv1-vs-cubic")
-            body = "\n".join(f"  {bw}: {buf:g} BDP" for bw, buf in points.items())
-            parts.append(_section(
-                "FIGURE 2 — BBRv1-vs-CUBIC equilibrium points (paper: 2 -> 3.5 BDP)", body
-            ))
-        if include_figures:
-            parts.append(_section("FIGURE 2 — per-sender throughput, FIFO",
-                                  render_inter_panels(series)))
-            parts.append(_section("FIGURE 3 — Jain index, FIFO",
-                                  render_jain_panels(fig3_series(results))))
-    if include_figures and "red" in aqms:
-        parts.append(_section("FIGURE 4 — per-sender throughput, RED",
-                              render_inter_panels(fig4_series(results))))
-        parts.append(_section("FIGURE 5 — Jain index, RED",
-                              render_jain_panels(fig5_series(results))))
-    if include_figures and "fq_codel" in aqms:
-        parts.append(_section("FIGURE 6 — Jain index, FQ_CODEL",
-                              render_jain_panels(fig6_series(results))))
-    if include_figures:
-        parts.append(_section("FIGURE 7 — link utilization, intra-CCA",
-                              render_intra_metric_panels(fig7_series(results))))
-        parts.append(_section("FIGURE 8 — retransmissions, intra-CCA",
-                              render_intra_metric_panels(fig8_series(results), fmt="{:>10.0f}")))
+    parts: List[str] = [
+        _section("TABLE 3 — overall comparison (measured vs paper)",
+                 render_table3(build_table3(results))),
+        _section("PAPER CLAIMS — automated shape validation",
+                 render_claims(validate_claims(results))),
+    ]
+    for figure in FIGURES.values():
+        if not figure.available(aqms):
+            continue
+        series = figure.series(results)
+        summary = figure.summary and figure.summary(series)
+        if summary:
+            parts.append(_section(*summary))
+        parts.append(_section(figure.title, figure.render(series)))
     return "\n".join(parts)

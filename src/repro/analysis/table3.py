@@ -18,7 +18,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Dict, List, Optional, Tuple
 
-from repro.analysis.aggregate import CellStats, ResultSet
+from repro.analysis.aggregate import CellKey, CellStats, ResultSet
 
 PairKey = Tuple[str, str, str]  # (cca1, cca2, aqm)
 
@@ -77,7 +77,12 @@ def build_table3(results: ResultSet) -> List[Table3Row]:
     present, since RR normalizes against them (conditions with a zero
     CUBIC baseline fall back to retransmits + 1 to stay finite).
     """
-    cells = results.cells()
+    return table3_rows(results.cells())
+
+
+def table3_rows(cells: Dict[CellKey, CellStats]) -> List[Table3Row]:
+    """:func:`build_table3` over cells already averaged
+    (:meth:`ResultSet.cells`)."""
     # Baseline retransmissions per (aqm, buffer, bw).
     baseline: Dict[Tuple[str, float, float], float] = {}
     for key, stats in cells.items():

@@ -15,6 +15,9 @@ from dataclasses import dataclass
 from typing import Callable, Dict, List, Optional, Tuple
 
 from repro.analysis.aggregate import CellStats, ResultSet
+from repro.analysis.figures import SPOTLIGHT_BUFFERS
+from repro.analysis.table3 import table3_rows
+from repro.units import gbps, mbps
 
 
 @dataclass
@@ -200,6 +203,188 @@ def _claim_intra_cca_fair(c: _Checker) -> Tuple[bool, str]:
     return not bad, f"worst offenders: {bad}" if bad else f"{len(per_key)} (cca, aqm) groups fair"
 
 
+def _mean_jain_by_buffer(cells: List[CellStats]) -> Dict[str, float]:
+    """Mean J over ``cells`` (``"all"``) and at each spotlight buffer size
+    they hold."""
+    groups = {"all": cells}
+    for buf in SPOTLIGHT_BUFFERS:
+        at = [x for x in cells if x.buffer_bdp == buf]
+        if at:
+            groups[f"{buf:g}bdp"] = at
+    return {k: sum(x.jain_index for x in v) / len(v) for k, v in groups.items()}
+
+
+def _claim_red_bbr_unfair(c: _Checker) -> Tuple[bool, str]:
+    """Under RED, mean J(BBRv1 vs CUBIC) stays below 0.75 (paper: 0.52),
+    over the slice and at each spotlight buffer."""
+    means = _mean_jain_by_buffer(c.cells_where(pair=("bbrv1", "cubic"), aqm="red"))
+    return all(m < 0.75 for m in means.values()), " ".join(
+        f"{k}={v:.3f}" for k, v in means.items()
+    )
+
+
+def _claim_fifo_deep_buffer_unfair(c: _Checker) -> Tuple[bool, str]:
+    """At 16 BDP under FIFO, J(BBRv1 vs CUBIC) drops below 0.9 at some tier."""
+    cells = c.cells_where(pair=("bbrv1", "cubic"), aqm="fifo", buf=16.0)
+    worst = min(cells, key=lambda x: x.jain_index)
+    return worst.jain_index < 0.9, (
+        f"min J={worst.jain_index:.3f} at {worst.bandwidth_bps / 1e6:.0f}Mbps"
+    )
+
+
+def _claim_red_reno_balanced(c: _Checker) -> Tuple[bool, str]:
+    """Under RED, Reno and CUBIC split the link: in every cell the gap is
+    under 0.6 of the total, and mean J exceeds 0.9 at each spotlight buffer."""
+    cells = c.cells_where(pair=("reno", "cubic"), aqm="red")
+    lopsided = [
+        x for x in cells
+        if abs(x.sender1_bps - x.sender2_bps) >= 0.6 * (x.sender1_bps + x.sender2_bps)
+    ]
+    means = _mean_jain_by_buffer(cells)
+    spotlight = {k: v for k, v in means.items() if k != "all"}
+    ok = not lopsided and all(m > 0.9 for m in spotlight.values())
+    return ok, f"{len(cells) - len(lopsided)}/{len(cells)} cells balanced" + "".join(
+        f" {k}={v:.3f}" for k, v in spotlight.items()
+    )
+
+
+def _claim_red_util_below_fifo(c: _Checker) -> Tuple[bool, str]:
+    """Mean utilization under RED trails FIFO's, over the cells both hold."""
+    phi = {
+        aqm: {(x.pair, x.buffer_bdp, x.bandwidth_bps): x.link_utilization
+              for x in c.cells_where(aqm=aqm)}
+        for aqm in ("red", "fifo")
+    }
+    common = phi["red"].keys() & phi["fifo"].keys()
+    if not common:
+        raise _Checker.Missing()
+    red, fifo = (sum(phi[aqm][k] for k in common) / len(common) for aqm in ("red", "fifo"))
+    return red < fifo, f"red={red:.3f} fifo={fifo:.3f} over {len(common)} cells"
+
+
+def _claim_fq_codel_25g_shortfall(c: _Checker) -> Tuple[bool, str]:
+    """At 2 BDP, FQ_CODEL keeps CUBIC and BBRv2 above 0.85 utilization at
+    1 Gbps, and at 25 Gbps no more than 0.05 above FIFO."""
+    oks, details = [], []
+    for cca in ("cubic", "bbrv2"):
+        pair = (cca, cca)
+        at_1g = c.cell(pair, "fq_codel", 2.0, gbps(1)).link_utilization
+        at_25g = c.cell(pair, "fq_codel", 2.0, gbps(25)).link_utilization
+        fifo_25g = c.cell(pair, "fifo", 2.0, gbps(25)).link_utilization
+        oks.append(at_1g > 0.85 and at_25g <= fifo_25g + 0.05)
+        details.append(f"{cca} 1G={at_1g:.3f} 25G={at_25g:.3f} (fifo {fifo_25g:.3f})")
+    return all(oks), "; ".join(details)
+
+
+def _claim_bbr_large_fifo_loss_free(c: _Checker) -> Tuple[bool, str]:
+    """BBRv1/BBRv2 at 100 Mbps under FIFO: a 16 BDP buffer retransmits at
+    most 5 more than a 2 BDP one (the 2 x BDP inflight cap)."""
+    oks, details = [], []
+    for cca in ("bbrv1", "bbrv2"):
+        pair = (cca, cca)
+        large = c.cell(pair, "fifo", 16.0, mbps(100)).total_retransmits
+        small = c.cell(pair, "fifo", 2.0, mbps(100)).total_retransmits
+        oks.append(large <= small + 5)
+        details.append(f"{cca} 16bdp={large:.0f} 2bdp={small:.0f}")
+    return all(oks), "; ".join(details)
+
+
+def _spotlight_jain_above(
+    c: _Checker, aqm: str, floor: float, keep: Callable[[Tuple[str, str]], bool]
+) -> Tuple[bool, str]:
+    """Under ``aqm``, each kept pair's mean J over the bandwidth tiers
+    exceeds ``floor`` at each spotlight buffer."""
+    groups: Dict[Tuple, List[float]] = {}
+    for x in c.cells_where(aqm=aqm):
+        if x.buffer_bdp in SPOTLIGHT_BUFFERS and keep(x.pair):
+            groups.setdefault((x.pair, x.buffer_bdp), []).append(x.jain_index)
+    if not groups:
+        raise _Checker.Missing()
+    means = {k: sum(v) / len(v) for k, v in groups.items()}
+    bad = [f"{p[0]}-vs-{p[1]}@{b:g}bdp={m:.3f}" for (p, b), m in sorted(means.items())
+           if m <= floor]
+    return not bad, f"{len(means) - len(bad)}/{len(means)} (pair, buffer) means > {floor:g}" + (
+        f"; below: {' '.join(bad)}" if bad else ""
+    )
+
+
+def _claim_fifo_intra_fair_spotlight(c: _Checker) -> Tuple[bool, str]:
+    """FIFO: every intra-CCA pair's mean J > 0.85 at 2 and 16 BDP."""
+    return _spotlight_jain_above(c, "fifo", 0.85, lambda p: p[0] == p[1])
+
+
+def _claim_red_intra_fair_spotlight(c: _Checker) -> Tuple[bool, str]:
+    """RED: CUBIC, Reno and HTCP intra-CCA mean J > 0.9 at 2 and 16 BDP."""
+    return _spotlight_jain_above(
+        c, "red", 0.9, lambda p: p[0] == p[1] and p[0] in ("cubic", "reno", "htcp")
+    )
+
+
+def _claim_fifo_spotlight_full(c: _Checker) -> Tuple[bool, str]:
+    """FIFO: every intra-CCA cell at 2 and 16 BDP has utilization > 0.8."""
+    cells = [x for x in c.cells_where(aqm="fifo")
+             if x.pair[0] == x.pair[1] and x.buffer_bdp in SPOTLIGHT_BUFFERS]
+    if not cells:
+        raise _Checker.Missing()
+    worst = min(cells, key=lambda x: x.link_utilization)
+    ok = worst.link_utilization > 0.8
+    return ok, (
+        f"min phi={worst.link_utilization:.3f} ({worst.pair[0]}, {worst.buffer_bdp:g} BDP, "
+        f"{worst.bandwidth_bps / 1e6:.0f}Mbps) over {len(cells)} cells"
+    )
+
+
+def _claim_red_2bdp_degradation(c: _Checker) -> Tuple[bool, str]:
+    """RED at 2 BDP: Reno, CUBIC and HTCP utilization at 25 Gbps is under
+    their 100 Mbps utilization + 0.02."""
+    oks, details = [], []
+    for cca in ("reno", "cubic", "htcp"):
+        lo = c.cell((cca, cca), "red", 2.0, mbps(100)).link_utilization
+        hi = c.cell((cca, cca), "red", 2.0, gbps(25)).link_utilization
+        oks.append(hi < lo + 0.02)
+        details.append(f"{cca} 100M={lo:.3f} 25G={hi:.3f}")
+    return all(oks), "; ".join(details)
+
+
+def _claim_retx_grow_2bdp(c: _Checker) -> Tuple[bool, str]:
+    """RED and FQ_CODEL at 2 BDP: CUBIC, Reno and BBRv1 retransmit more at
+    10 Gbps than at 100 Mbps."""
+    oks, details = [], []
+    for aqm in ("red", "fq_codel"):
+        for cca in ("cubic", "reno", "bbrv1"):
+            lo = c.cell((cca, cca), aqm, 2.0, mbps(100)).total_retransmits
+            hi = c.cell((cca, cca), aqm, 2.0, gbps(10)).total_retransmits
+            oks.append(hi > lo)
+            if hi <= lo:
+                details.append(f"{aqm}:{cca} 10G={hi:.0f} <= 100M={lo:.0f}")
+    return all(oks), "; ".join(details) if details else f"{len(oks)} growth checks hold"
+
+
+def _claim_red_bbrv1_retx_top(c: _Checker) -> Tuple[bool, str]:
+    """RED at 2 BDP and 10 Gbps: BBRv1 retransmits more than CUBIC, Reno,
+    HTCP and BBRv2."""
+    bbr1 = c.cell(("bbrv1", "bbrv1"), "red", 2.0, gbps(10)).total_retransmits
+    others = {cca: c.cell((cca, cca), "red", 2.0, gbps(10)).total_retransmits
+              for cca in ("cubic", "reno", "htcp", "bbrv2")}
+    return all(bbr1 > v for v in others.values()), f"bbrv1={bbr1:.0f} " + " ".join(
+        f"{k}={v:.0f}" for k, v in others.items()
+    )
+
+
+def _claim_bbrv1_rr_highest(c: _Checker) -> Tuple[bool, str]:
+    """Table 3: BBRv1's Avg(RR) exceeds BBRv2's, HTCP's, Reno's and
+    CUBIC's, per AQM."""
+    rr = {(r.cca1, r.aqm): r.avg_rr for r in table3_rows(c.cells)
+          if r.cca1 == r.cca2 and not math.isnan(r.avg_rr)}
+    compared = [(aqm, cca) for aqm in ("fifo", "red", "fq_codel") if ("bbrv1", aqm) in rr
+                for cca in ("bbrv2", "htcp", "reno", "cubic") if (cca, aqm) in rr]
+    if not compared:
+        raise _Checker.Missing()
+    bad = [f"{aqm}:{cca} {rr[cca, aqm]:.2f} >= bbrv1 {rr['bbrv1', aqm]:.2f}"
+           for aqm, cca in compared if rr["bbrv1", aqm] <= rr[cca, aqm]]
+    return not bad, "; ".join(bad) if bad else f"{len(compared)} comparisons hold"
+
+
 CLAIMS: List[Tuple[str, str, Callable[[_Checker], Tuple[bool, str]]]] = [
     ("fifo-equilibrium", "FIFO: BBRv1 wins small buffers, CUBIC wins large ones", _claim_fifo_equilibrium),
     ("red-starves-cubic", "RED: BBRv1 dominates CUBIC at every cell", _claim_red_starves_cubic),
@@ -210,6 +395,19 @@ CLAIMS: List[Tuple[str, str, Callable[[_Checker], Tuple[bool, str]]]] = [
     ("retx-ordering", "BBRv1 retransmits more than every other CCA", _claim_retx_ordering),
     ("retx-grow-with-bw", "RED/FQ_CODEL retransmissions grow with bandwidth", _claim_retx_grow_with_bw),
     ("intra-cca-fair", "Intra-CCA sharing is fair (excl. BBRv1+RED)", _claim_intra_cca_fair),
+    ("red-bbr-unfair", "RED: BBRv1-vs-CUBIC mean J < 0.75", _claim_red_bbr_unfair),
+    ("fifo-deep-buffer-unfair", "FIFO at 16 BDP: BBRv1-vs-CUBIC J < 0.9 at some tier", _claim_fifo_deep_buffer_unfair),
+    ("red-reno-balanced", "RED: Reno and CUBIC get balanced shares", _claim_red_reno_balanced),
+    ("red-util-below-fifo", "RED's mean utilization trails FIFO's", _claim_red_util_below_fifo),
+    ("fq-codel-25g-shortfall", "FQ_CODEL: full at 1 Gbps, no better than FIFO at 25 Gbps", _claim_fq_codel_25g_shortfall),
+    ("bbr-large-fifo-loss-free", "BBR: a 16 BDP FIFO buffer is nearly loss-free", _claim_bbr_large_fifo_loss_free),
+    ("fifo-intra-fair-spot", "FIFO: intra-CCA mean J > 0.85 at 2 and 16 BDP", _claim_fifo_intra_fair_spotlight),
+    ("red-intra-fair-spot", "RED: CUBIC/Reno/HTCP intra mean J > 0.9 at 2 and 16 BDP", _claim_red_intra_fair_spotlight),
+    ("fifo-full-util-spot", "FIFO: every intra-CCA cell phi > 0.8 at 2 and 16 BDP", _claim_fifo_spotlight_full),
+    ("red-2bdp-degradation", "RED at 2 BDP: loss-based phi(25G) < phi(100M) + 0.02", _claim_red_2bdp_degradation),
+    ("retx-grow-2bdp", "RED/FQ_CODEL at 2 BDP: retx(10G) > retx(100M)", _claim_retx_grow_2bdp),
+    ("red-bbrv1-retx-top", "RED at 2 BDP, 10 Gbps: BBRv1 retransmits the most", _claim_red_bbrv1_retx_top),
+    ("bbrv1-rr-highest", "Table 3: BBRv1 has the highest Avg(RR) per AQM", _claim_bbrv1_rr_highest),
 ]
 
 

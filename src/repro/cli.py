@@ -349,20 +349,7 @@ def _finish_cache(cache, results, *, merge: bool) -> None:
 
 def _cmd_report(args: argparse.Namespace) -> int:
     from repro.analysis.aggregate import ResultSet
-    from repro.analysis.figures import (
-        fig2_series,
-        fig3_series,
-        fig4_series,
-        fig5_series,
-        fig6_series,
-        fig7_series,
-        fig8_series,
-    )
-    from repro.analysis.report import (
-        render_inter_panels,
-        render_intra_metric_panels,
-        render_jain_panels,
-    )
+    from repro.analysis.figures import FIGURES
     from repro.analysis.table3 import build_table3, render_table3
     from repro.analysis.validate import render_claims, validate_claims
 
@@ -373,16 +360,6 @@ def _cmd_report(args: argparse.Namespace) -> int:
     what = args.what
     if what == "table3":
         print(render_table3(build_table3(results)))
-    elif what in ("fig2", "fig4"):
-        series = fig2_series(results) if what == "fig2" else fig4_series(results)
-        print(render_inter_panels(series))
-    elif what in ("fig3", "fig5", "fig6"):
-        builder = {"fig3": fig3_series, "fig5": fig5_series, "fig6": fig6_series}[what]
-        print(render_jain_panels(builder(results)))
-    elif what == "fig7":
-        print(render_intra_metric_panels(fig7_series(results)))
-    elif what == "fig8":
-        print(render_intra_metric_panels(fig8_series(results), fmt="{:>10.0f}"))
     elif what == "claims":
         claims = validate_claims(results)
         print(render_claims(claims))
@@ -392,9 +369,24 @@ def _cmd_report(args: argparse.Namespace) -> int:
         from repro.analysis.summary_report import full_report
 
         print(full_report(results))
-    else:  # pragma: no cover - argparse choices guard this
-        raise ValueError(what)
+    else:
+        figure = FIGURES[what]
+        print(figure.render(figure.series(results)))
     return 0
+
+
+class _ReportChoices:
+    """``report --what`` choices: Table 3, the figure table's names, the
+    claims and the full report.  Read when argparse checks a value or
+    prints the help, so building the parser loads no analysis code."""
+
+    def __iter__(self):
+        from repro.analysis.figures import FIGURES
+
+        return iter(("table3", *FIGURES, "claims", "all"))
+
+    def __contains__(self, what: object) -> bool:
+        return what in iter(self)
 
 
 def _cmd_export(args: argparse.Namespace) -> int:
@@ -637,7 +629,9 @@ def build_parser() -> argparse.ArgumentParser:
     p_report.add_argument(
         "--what",
         default="table3",
-        choices=["table3", "fig2", "fig3", "fig4", "fig5", "fig6", "fig7", "fig8", "claims", "all"],
+        choices=_ReportChoices(),
+        metavar="WHAT",  # argparse would list the choices when adding the flag
+        help="one of %(choices)s (default: %(default)s)",
     )
     p_report.set_defaults(func=_cmd_report)
 
@@ -647,7 +641,7 @@ def build_parser() -> argparse.ArgumentParser:
     p_export.add_argument("--out", default="dataset.csv")
     p_export.set_defaults(func=_cmd_export)
 
-    p_figs = sub.add_parser("export-figures", help="write fig2..fig8 series as CSV files")
+    p_figs = sub.add_parser("export-figures", help="write each paper figure's series as a CSV file")
     p_figs.add_argument("--results", default="results.jsonl")
     p_figs.add_argument("--out-dir", default="figures")
     p_figs.set_defaults(func=_cmd_export_figures)

@@ -346,8 +346,9 @@ def run_campaign(
 ) -> CampaignResult:
     """Run every config; returns results in completion order.
 
-    With ``store`` and ``resume``, configs whose label already exists in
-    the store are skipped and their stored results returned instead.
+    With ``store`` and ``resume``, configs the store already holds a row of
+    (an equal config, not merely the same label) are skipped and their
+    stored results returned instead, once per config.
 
     ``cache`` (a :class:`~repro.experiments.cache.ResultCache`) is the
     cross-sweep layer above resume: configs any store has ever computed
@@ -377,10 +378,8 @@ def run_campaign(
     done = CampaignResult()
     todo: List[ExperimentConfig] = list(configs)
     if store is not None and resume:
-        found: List[tuple] = []
-        have = store.completed_labels({c.label() for c in todo}, found)
-        done.extend(result for _label, result, _row in found)
-        todo = [c for c in todo if c.label() not in have]
+        resumed, todo = store.split(todo)
+        done.extend(result for result, _row in resumed)
         done.resumed = len(done)
 
     # Content-addressed cache layer: anything any store has seen skips

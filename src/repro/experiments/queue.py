@@ -283,14 +283,11 @@ def run_queue_worker(
         while (task := queue.claim()) is not None:
             left = [ExperimentConfig.from_dict(d) for d in task.configs]
             if task.task_id in queue.reclaimed and store is not None:
-                found: List[tuple] = []
-                store.completed_labels({c.label() for c in left}, found)
-                stored = {label: (result, row) for label, result, row in found}
-                for result, row in stored.values():
+                stored, left = store.split(left)
+                for result, row in stored:
                     # Absent from the cache if the owner died between the two
                     # appends, so this is put there (a no-op when it is not).
                     record(result, row, in_store=True)
-                left = [c for c in left if c.label() not in stored]
             if cache is not None:
                 hits, left = cache.split(left)
                 for hit, row, line in hits:

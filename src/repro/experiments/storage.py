@@ -48,7 +48,7 @@ import json
 import os
 import warnings
 from pathlib import Path
-from typing import IO, Any, Container, Dict, Iterator, List, Optional, Set, Tuple, Union
+from typing import IO, Any, Container, Dict, Iterator, List, Optional, Sequence, Set, Tuple, Union
 
 from repro.experiments.config import ExperimentConfig
 from repro.metrics.summary import ExperimentResult
@@ -314,8 +314,8 @@ class ResultStore:
         One pass over the store, every row schema-checked.  A caller that
         also wants stored results back names their labels in ``wanted`` and
         passes a list as ``found``: each matching row is appended to it as
-        ``(label, result, row)`` in store order, so resuming reads the
-        file once rather than once for the labels and again to load.
+        ``(label, config, result, row)`` in store order, so resuming reads
+        the file once rather than once for the labels and again to load.
         A row this release cannot read (:func:`readable_config`) is
         skipped, so resume recomputes it.
         """
@@ -331,8 +331,34 @@ class ResultStore:
             label = config.label()
             labels.add(label)
             if found is not None and label in wanted:
-                found.append((label, result, d))
+                found.append((label, config, result, d))
         return labels
+
+    def split(
+        self, configs: Sequence[ExperimentConfig]
+    ) -> Tuple[List[Tuple[ExperimentResult, Dict[str, Any]]], List[ExperimentConfig]]:
+        """Resume's split of ``configs``: ``(result, row)`` of the first
+        stored row of each config present, in store order, and the configs
+        no row answers, in their order.
+
+        A row answers a config only when its config is equal: a label
+        omits the engine, duration, warm-up and most knobs, so a row of
+        the same cell at another duration is no answer.  One read of the
+        store (:meth:`completed_labels`).
+        """
+        waiting: Dict[str, List[ExperimentConfig]] = {}
+        for config in configs:
+            waiting.setdefault(config.label(), []).append(config)
+        found: List[tuple] = []
+        self.completed_labels(waiting, found)
+        hits = []
+        for label, config, result, row in found:
+            same = waiting[label]
+            if config in same:
+                waiting[label] = [c for c in same if c != config]
+                hits.append((result, row))
+        left = {id(c) for same in waiting.values() for c in same}
+        return hits, [c for c in configs if id(c) in left]
 
     def __len__(self) -> int:
         return sum(1 for _ in self)

@@ -15,21 +15,16 @@ take one.
 from __future__ import annotations
 
 import json
-from collections import Counter, deque
-from typing import Any, Deque, Dict, IO, List, Optional, Tuple, Union
+from collections import Counter
+from typing import Any, Dict, IO, List, Optional, Tuple, Union
 
 TraceEvent = Tuple[str, int, Dict[str, Any]]
 
 
 class FlightRecorder:
-    """Bounded tracer keeping the most recent ``capacity`` events.
+    """Bounded tracer keeping the most recent ``capacity`` events."""
 
-    Per-kind indexes are kept as sequence-number deques and pruned lazily,
-    so :meth:`of_kind` costs O(matches) amortized regardless of how many
-    events have flowed through the ring.
-    """
-
-    __slots__ = ("capacity", "counts", "_ring", "_seq", "_by_kind")
+    __slots__ = ("capacity", "counts", "_ring", "_seq")
 
     enabled = True
 
@@ -40,7 +35,6 @@ class FlightRecorder:
         self.counts: Counter = Counter()
         self._ring: List[Optional[TraceEvent]] = [None] * capacity
         self._seq = 0  # total events ever recorded
-        self._by_kind: Dict[str, Deque[int]] = {}
 
     # -- recording ----------------------------------------------------------------
 
@@ -50,10 +44,6 @@ class FlightRecorder:
         self._ring[seq % self.capacity] = (kind, time_ns, fields)
         self._seq = seq + 1
         self.counts[kind] += 1
-        index = self._by_kind.get(kind)
-        if index is None:
-            index = self._by_kind[kind] = deque()
-        index.append(seq)
 
     # -- introspection ------------------------------------------------------------
 
@@ -81,22 +71,13 @@ class FlightRecorder:
 
     def of_kind(self, kind: str) -> List[TraceEvent]:
         """Retained events of one kind, in time order."""
-        index = self._by_kind.get(kind)
-        if not index:
-            return []
-        first_live = self._seq - self.capacity
-        # Prune sequence numbers whose slots have been overwritten.
-        while index and index[0] < first_live:
-            index.popleft()
-        ring, cap = self._ring, self.capacity
-        return [ring[s % cap] for s in index]  # type: ignore[misc]
+        return [ev for ev in self.events if ev[0] == kind]
 
     def clear(self) -> None:
         """Forget everything (capacity unchanged)."""
         self._ring = [None] * self.capacity
         self._seq = 0
         self.counts.clear()
-        self._by_kind.clear()
 
     # -- export -------------------------------------------------------------------
 

@@ -172,17 +172,19 @@ class RunLogWriter:
 
 
 def read_run_log(path: PathLike) -> List[Dict[str, Any]]:
-    """Parse a run log into its record dicts (raises on corrupt lines)."""
+    """Parse a run log into its record dicts.
+
+    Lines are read by the result store's rule
+    (:meth:`~repro.experiments.storage.ResultStore.iter_lines`): a torn
+    last line — a writer killed mid-append, or one still appending — is
+    skipped with a ``TornWriteWarning``; a corrupt line with content after
+    it, or a record that is not an object, raises ``ValueError``.
+    """
+    from repro.experiments.storage import ResultStore
+
     records: List[Dict[str, Any]] = []
-    with Path(path).open("r", encoding="utf-8") as fh:
-        for lineno, line in enumerate(fh, 1):
-            line = line.strip()
-            if not line:
-                continue
-            try:
-                record = json.loads(line)
-            except json.JSONDecodeError as exc:
-                raise ValueError(f"{path}:{lineno}: corrupt run-log line ({exc})") from None
+    with Path(path).open("rb") as fh:
+        for lineno, _offset, _line, record in ResultStore(path).iter_lines(fh):
             if not isinstance(record, dict):
                 raise ValueError(f"{path}:{lineno}: record is not an object")
             records.append(record)

@@ -3,15 +3,7 @@
 import math
 
 from repro.analysis.aggregate import ResultSet
-from repro.analysis.figures import (
-    fig2_series,
-    fig3_series,
-    fig4_series,
-    fig5_series,
-    fig6_series,
-    fig7_series,
-    fig8_series,
-)
+from repro.analysis.figures import FIGURES
 from repro.units import mbps
 from tests.analysis.test_aggregate import make_result
 
@@ -32,7 +24,7 @@ def _results():
 
 
 def test_fig2_panels_inter_only():
-    series = fig2_series(_results(), aqm="fifo")
+    series = FIGURES["fig2"].series(_results())
     assert set(series) == {"bbrv1-vs-cubic"}  # intra pairs excluded
     panels = series["bbrv1-vs-cubic"]
     assert set(panels) == {"100 Mbps", "500 Mbps"}
@@ -42,12 +34,12 @@ def test_fig2_panels_inter_only():
 
 
 def test_fig4_uses_red():
-    series = fig4_series(_results())
+    series = FIGURES["fig4"].series(_results())
     assert "bbrv1-vs-cubic" in series
 
 
 def test_fig3_inter_intra_split():
-    series = fig3_series(_results(), aqm="fifo")
+    series = FIGURES["fig3"].series(_results())
     assert "bbrv1-vs-cubic" in series["inter"]["2bdp"]
     assert "cubic-vs-cubic" in series["intra"]["2bdp"]
     assert series["inter"]["2bdp"]["bandwidths"] == [mbps(100), mbps(500)]
@@ -55,8 +47,8 @@ def test_fig3_inter_intra_split():
 
 
 def test_fig5_fig6_aqm_variants():
-    assert fig5_series(_results())["inter"]  # RED exists in fixture
-    fq = fig6_series(_results())
+    assert FIGURES["fig5"].series(_results())["inter"]  # RED exists in fixture
+    fq = FIGURES["fig6"].series(_results())
     # fq_codel absent from fixture -> series exist but values are NaN.
     for values in fq["inter"]["2bdp"].values():
         if isinstance(values, list) and values and isinstance(values[0], float):
@@ -64,7 +56,7 @@ def test_fig5_fig6_aqm_variants():
 
 
 def test_fig7_intra_utilization():
-    series = fig7_series(_results())
+    series = FIGURES["fig7"].series(_results())
     assert set(series) == {"fifo", "red"}
     panel = series["fifo"]["2bdp"]
     assert "cubic" in panel
@@ -73,7 +65,7 @@ def test_fig7_intra_utilization():
 
 
 def test_fig8_intra_retransmissions():
-    series = fig8_series(_results())
+    series = FIGURES["fig8"].series(_results())
     panel = series["red"]["16bdp"]
     assert "cubic" in panel
     assert all(v >= 0 for v in panel["cubic"] if not math.isnan(v))
@@ -81,6 +73,6 @@ def test_fig8_intra_retransmissions():
 
 def test_missing_cells_become_nan():
     rs = ResultSet([make_result(pair=("cubic", "cubic"), buf=2.0)])
-    series = fig3_series(rs, buffers=(2.0, 16.0))
+    series = FIGURES["fig3"].series(rs)
     missing = series["intra"]["16bdp"]["cubic-vs-cubic"]
     assert all(math.isnan(v) for v in missing)

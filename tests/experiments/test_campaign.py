@@ -1,5 +1,7 @@
 """Unit tests for the campaign driver (serial + parallel + resume)."""
 
+import dataclasses
+
 import pytest
 
 from repro.experiments.campaign import (
@@ -69,6 +71,32 @@ def test_resume_recomputes_what_a_stale_row_answered(tmp_path):
     assert sorted((r.config["seed"], r.config["aqm_params"]) for r in results) == [
         (100, {}), (101, {}),
     ]
+
+
+@pytest.mark.parametrize("change", [{"duration_s": 6.0}, {"engine": "fluid_batched"}])
+def test_resume_answers_a_config_only_from_a_row_of_an_equal_config(tmp_path, change):
+    """A label omits the duration and the engine: a row of the same cell
+    under another of either is no answer, so the asked-for config runs."""
+    store = ResultStore(tmp_path / "r.jsonl")
+    first = ExperimentConfig(cca_pair=("cubic", "cubic"), duration_s=3.0, engine="fluid", seed=5)
+    run_campaign([first], store=store, jobs=1)
+    asked = dataclasses.replace(first, **change)
+    assert asked.label() == first.label()
+    results = run_campaign([asked], store=store, jobs=1)
+    assert (results.resumed, results.engine_runs) == (0, 1)
+    (result,) = results
+    assert result.config == asked.to_dict()
+    assert len(store) == 2
+
+
+def test_resume_returns_a_config_stored_twice_once(tmp_path):
+    store = ResultStore(tmp_path / "r.jsonl")
+    config = _configs(1)[0]
+    run_campaign([config], store=store, jobs=1)
+    run_campaign([config], store=store, jobs=1, resume=False)
+    assert len(store) == 2
+    results = run_campaign([config], store=store, jobs=1)
+    assert (len(results), results.resumed, results.engine_runs) == (1, 1, 0)
 
 
 def test_no_resume_reruns(tmp_path):

@@ -1,5 +1,6 @@
 """Unit tests for the filesystem work queue and its claim protocol."""
 
+import dataclasses
 import itertools
 import json
 import multiprocessing
@@ -367,6 +368,30 @@ def test_reclaimed_task_skips_persisted_configs(tmp_path):
     rows = ResultStore(tmp_path / "r.jsonl").load()
     assert sorted(r.config["seed"] for r in rows) == [1, 2]  # no duplicate line
     assert result.summary()["ok"] == 2
+
+
+def test_a_reclaim_recovers_only_rows_of_an_equal_config_and_each_once(tmp_path):
+    """The dead owner's store holds seed 1 twice and a row of seed 2's cell
+    at another duration (same label): seed 1 is recovered once, seed 2 runs."""
+    configs = [_config(s) for s in (1, 2)]
+    store = ResultStore(tmp_path / "r.jsonl")
+    store.append(_fake_run(configs[0]))
+    store.append(_fake_run(configs[0]))
+    store.append(_fake_run(dataclasses.replace(configs[1], duration_s=3.0)))
+    store.close()
+    q = WorkQueue.create(tmp_path / "q", configs)
+    for task in q.tasks:
+        forge_claim(tmp_path / "q", task.task_id, pid=2**22 - 1, host=socket.gethostname())
+    calls = []
+
+    def counting_run(cfg):
+        calls.append(cfg.seed)
+        return _fake_run(cfg)
+
+    result = run_queue_worker(q, store=ResultStore(tmp_path / "r.jsonl"), run_fn=counting_run)
+    assert calls == [2]
+    assert sorted((r.config["seed"], r.config["duration_s"]) for r in result) == [(1, 5.0), (2, 5.0)]
+    assert q.drained and result.summary()["ok"] == 2
 
 
 def test_queue_task_roundtrip():

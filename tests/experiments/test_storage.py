@@ -70,9 +70,10 @@ def test_completed_labels_hands_back_wanted_rows_from_the_same_pass(tmp_path):
     found = []
     labels = store.completed_labels({label[9], label[7], label[10]}, found)
     assert labels == {label[7], label[8], label[9]}
-    assert [name for name, _, _ in found] == [label[7], label[9]]  # store order
-    for _, result, row in found:
+    assert [name for name, _, _, _ in found] == [label[7], label[9]]  # store order
+    for _, config, result, row in found:
         assert result.to_dict() == row
+        assert config == ExperimentConfig.from_dict(row["config"])
 
 
 def test_completed_labels_skips_a_row_whose_config_is_refused(tmp_path):

@@ -126,6 +126,26 @@ def test_obs_commands_report_unreadable_logs_in_one_line(tmp_path, capsys, subco
     assert ("No such file" in err) if damage == "missing" else ("cell.jsonl:2" in err)
 
 
+def test_obs_summary_reads_a_log_whose_last_line_is_cut(tmp_path, capsys):
+    """A writer killed mid-append leaves a partial last line: the summary
+    is rendered from the records before it, with one warning."""
+    from repro.experiments.storage import TornWriteWarning
+    from repro.obs.runlog import RunLogWriter
+
+    log = tmp_path / "cell.jsonl"
+    with RunLogWriter(log) as w:
+        w.manifest(label="cell", config={}, config_hash="h",
+                   repro_version="1", seed=1, engine="packet")
+        w.summary(status="ok", wall_s=1.0, events=10, events_per_sec=10.0, peak_rss_kb=5)
+        w.metrics({"counters": {}, "gauges": {}, "histograms": {}})
+    text = log.read_text()
+    log.write_text(text[: len(text) - 20])
+    with pytest.warns(TornWriteWarning, match=r"cell\.jsonl:3"):
+        assert main(["obs", "summary", str(log)]) == 0
+    out = capsys.readouterr().out
+    assert "cell" in out and "ok" in out
+
+
 def test_obs_empty_dir(tmp_path, capsys):
     empty = tmp_path / "empty"
     empty.mkdir()

@@ -4,6 +4,7 @@ import json
 
 import pytest
 
+from repro.experiments.storage import TornWriteWarning
 from repro.obs.runlog import (
     RUN_LOG_SCHEMA,
     RunLogWriter,
@@ -53,12 +54,26 @@ def test_writer_refuses_after_close(tmp_path):
 
 def test_read_rejects_corrupt_lines(tmp_path):
     path = tmp_path / "bad.jsonl"
-    path.write_text('{"record": "manifest"}\nnot json\n')
-    with pytest.raises(ValueError):
+    path.write_text('{"record": "manifest"}\nnot json\n{"record": "summary"}\n')
+    with pytest.raises(ValueError, match=r"bad\.jsonl:2: corrupt"):
         read_run_log(path)
     path.write_text("[1, 2]\n")
-    with pytest.raises(ValueError):
+    with pytest.raises(ValueError, match="not an object"):
         read_run_log(path)
+
+
+def test_read_skips_a_torn_last_line_with_a_warning(tmp_path):
+    """A writer killed mid-append (or still appending) leaves a partial last
+    line: the records before it are read, as the result store reads."""
+    path = tmp_path / "run.jsonl"
+    with RunLogWriter(path) as w:
+        w.manifest(**_manifest_kwargs())
+    whole = read_run_log(path)
+    line = json.dumps({"record": "progress", "t_wall": 1.0, "sim_time_s": 1.0})
+    with path.open("a") as fh:
+        fh.write(line[: len(line) // 2])
+    with pytest.warns(TornWriteWarning, match=r"run\.jsonl:2"):
+        assert read_run_log(path) == whole
 
 
 def test_validate_empty_and_missing_manifest():

@@ -166,6 +166,18 @@ def test_export_figures_command(tmp_path, capsys):
     assert (tmp_path / "figs" / "fig7.csv").exists()
 
 
+def test_report_what_choices_are_the_figure_table(capsys):
+    from repro.analysis.figures import FIGURES
+
+    parser = build_parser()
+    for what in ("table3", *FIGURES, "claims", "all"):
+        assert parser.parse_args(["report", "--what", what]).what == what
+    with pytest.raises(SystemExit) as exc:
+        parser.parse_args(["report", "--what", "fig9"])
+    assert exc.value.code == 2
+    assert "(choose from 'table3', 'fig2', " in capsys.readouterr().err
+
+
 def test_parser_rejects_unknown_choices():
     parser = build_parser()
     with pytest.raises(SystemExit):

@@ -47,6 +47,14 @@ def test_spine_module_loads_no_engine_telemetry_or_numpy(module):
     assert _under(loaded, ENGINE_PACKAGES + ("repro.obs.session",)) == []
 
 
+def test_building_the_cli_parser_loads_no_analysis():
+    """``report --what`` reads its choices from the figure table only when
+    argparse checks or prints them, so ``repro serve`` starts without it."""
+    loaded = _loaded_after("from repro.cli import build_parser\nbuild_parser()")
+    assert "repro.cli" in loaded
+    assert _under(loaded, ("repro.analysis",)) == []
+
+
 def test_fluid_run_loads_no_packet_network():
     loaded = _loaded_after(
         "from repro.experiments.config import ExperimentConfig\n"
