@@ -95,43 +95,6 @@ class QueueDiscipline:
 
     # -- shared helpers ----------------------------------------------------------
 
-    def _accept(self, pkt: Packet, now: int) -> None:
-        pkt.enqueue_time = now
-        self.bytes_queued += pkt.size
-        self.packets_queued += 1
-        self.stats.enqueued += 1
-        self.stats.bytes_enqueued += pkt.size
-
-    def _account_dequeue(self, pkt: Packet) -> None:
-        self.bytes_queued -= pkt.size
-        self.packets_queued -= 1
-        self.stats.dequeued += 1
-
-    def _drop_enqueue(self, pkt: Packet, now: int = -1) -> None:
-        self.stats.dropped_enqueue += 1
-        self.stats.bytes_dropped += pkt.size
-        if self.tracer.enabled:
-            self.tracer.record(
-                "queue_drop", now, point="enqueue", flow=pkt.flow_id, seq=pkt.seq
-            )
-
-    def _drop_dequeue(self, pkt: Packet, now: int = -1) -> None:
-        # Packet was queued; remove its accounting and record the drop.
-        self.bytes_queued -= pkt.size
-        self.packets_queued -= 1
-        self.stats.dropped_dequeue += 1
-        self.stats.bytes_dropped += pkt.size
-        if self.tracer.enabled:
-            # now defaults to the packet's enqueue time when the drop site
-            # has no clock in scope (good enough for post-mortems).
-            self.tracer.record(
-                "queue_drop",
-                now if now >= 0 else pkt.enqueue_time,
-                point="dequeue",
-                flow=pkt.flow_id,
-                seq=pkt.seq,
-            )
-
     def _try_mark(self, pkt: Packet) -> bool:
         """ECN-mark instead of dropping, when enabled and the packet is ECT."""
         if self.ecn_mode and pkt.ecn_ect:

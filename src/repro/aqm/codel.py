@@ -18,13 +18,10 @@ from collections import deque
 from typing import TYPE_CHECKING, Callable, Optional
 
 from repro.aqm.base import QueueDiscipline
-from repro.units import milliseconds
+from repro.calibration import CODEL_INTERVAL_NS, CODEL_TARGET_NS
 
 if TYPE_CHECKING:  # pragma: no cover
     from repro.net.packet import Packet
-
-DEFAULT_TARGET_NS = milliseconds(5)
-DEFAULT_INTERVAL_NS = milliseconds(100)
 
 
 class CoDelController:
@@ -47,7 +44,7 @@ class CoDelController:
         "dropping",
     )
 
-    def __init__(self, *, target_ns: int = DEFAULT_TARGET_NS, interval_ns: int = DEFAULT_INTERVAL_NS, mtu_bytes: int = 1500):
+    def __init__(self, *, target_ns: int = CODEL_TARGET_NS, interval_ns: int = CODEL_INTERVAL_NS, mtu_bytes: int = 1500):
         if target_ns <= 0 or interval_ns <= 0:
             raise ValueError("CoDel target and interval must be positive")
         self.target_ns = target_ns
@@ -126,8 +123,8 @@ class CoDelQueue(QueueDiscipline):
         self,
         limit_bytes: int,
         *,
-        target_ns: int = DEFAULT_TARGET_NS,
-        interval_ns: int = DEFAULT_INTERVAL_NS,
+        target_ns: int = CODEL_TARGET_NS,
+        interval_ns: int = CODEL_INTERVAL_NS,
         mtu_bytes: int = 1500,
         ecn_mode: bool = False,
     ):

@@ -16,7 +16,8 @@ from collections import deque
 from typing import TYPE_CHECKING, Deque, Dict, Optional
 
 from repro.aqm.base import QueueDiscipline
-from repro.aqm.codel import DEFAULT_INTERVAL_NS, DEFAULT_TARGET_NS, CoDelController
+from repro.aqm.codel import CoDelController
+from repro.calibration import CODEL_INTERVAL_NS, CODEL_TARGET_NS
 
 if TYPE_CHECKING:  # pragma: no cover
     from repro.net.packet import Packet
@@ -64,8 +65,8 @@ class FqCoDelQueue(QueueDiscipline):
         *,
         flows: int = DEFAULT_FLOW_BUCKETS,
         quantum_bytes: int = 1514,
-        target_ns: int = DEFAULT_TARGET_NS,
-        interval_ns: int = DEFAULT_INTERVAL_NS,
+        target_ns: int = CODEL_TARGET_NS,
+        interval_ns: int = CODEL_INTERVAL_NS,
         mtu_bytes: int = 1500,
         ecn_mode: bool = False,
     ):
@@ -215,15 +216,6 @@ class FqCoDelQueue(QueueDiscipline):
             self.stats.dequeued += 1
             return pkt
 
-    def _pop_from(self, fq: _FlowQueue) -> Optional[Packet]:
-        if not fq.packets:
-            return None
-        pkt = fq.packets.popleft()
-        fq.bytes -= pkt.size
-        self.bytes_queued -= pkt.size
-        self.packets_queued -= 1
-        return pkt
-
     def _on_codel_drop(self, pkt: Packet) -> None:
         self.stats.dropped_dequeue += 1
         self.stats.bytes_dropped += pkt.size
@@ -233,8 +225,3 @@ class FqCoDelQueue(QueueDiscipline):
                 "queue_drop", pkt.enqueue_time, point="codel",
                 flow=pkt.flow_id, seq=pkt.seq,
             )
-
-    @property
-    def active_buckets(self) -> int:
-        """Number of buckets currently on the new or old list."""
-        return len(self._new_list) + len(self._old_list)

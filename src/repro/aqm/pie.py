@@ -21,17 +21,16 @@ from collections import deque
 from typing import TYPE_CHECKING, Optional
 
 from repro.aqm.base import QueueDiscipline
+from repro.calibration import (
+    PIE_ALPHA, PIE_BETA, PIE_GAIN_SCALE, PIE_IDLE_DECAY, PIE_T_UPDATE_NS, PIE_TARGET_NS,
+)
 from repro.units import milliseconds
 
 if TYPE_CHECKING:  # pragma: no cover
     from repro.net.packet import Packet
     from repro.sim.rng import Stream
 
-DEFAULT_TARGET_NS = milliseconds(15)
-DEFAULT_T_UPDATE_NS = milliseconds(15)
 DEFAULT_BURST_ALLOWANCE_NS = milliseconds(150)
-ALPHA = 0.125  # per RFC 8033 §4.2 (Hz)
-BETA = 1.25
 MAX_PROB = 1.0
 
 
@@ -59,8 +58,8 @@ class PieQueue(QueueDiscipline):
         limit_bytes: int,
         rng: Stream,
         *,
-        target_ns: int = DEFAULT_TARGET_NS,
-        t_update_ns: int = DEFAULT_T_UPDATE_NS,
+        target_ns: int = PIE_TARGET_NS,
+        t_update_ns: int = PIE_T_UPDATE_NS,
         burst_allowance_ns: int = DEFAULT_BURST_ALLOWANCE_NS,
         ecn_mode: bool = False,
     ):
@@ -104,28 +103,15 @@ class PieQueue(QueueDiscipline):
     def _update_probability(self) -> None:
         qdelay = self._current_qdelay_ns()
         # RFC 8033 auto-tuning: scale gains down when p is small.
-        if self.drop_prob < 0.000001:
-            scale = 1 / 2048
-        elif self.drop_prob < 0.00001:
-            scale = 1 / 512
-        elif self.drop_prob < 0.0001:
-            scale = 1 / 128
-        elif self.drop_prob < 0.001:
-            scale = 1 / 32
-        elif self.drop_prob < 0.01:
-            scale = 1 / 8
-        elif self.drop_prob < 0.1:
-            scale = 1 / 2
-        else:
-            scale = 1.0
+        scale = next((s for bound, s in PIE_GAIN_SCALE if self.drop_prob < bound), 1.0)
         delta = scale * (
-            ALPHA * (qdelay - self.target_ns) / 1e9
-            + BETA * (qdelay - self.qdelay_old_ns) / 1e9
+            PIE_ALPHA * (qdelay - self.target_ns) / 1e9
+            + PIE_BETA * (qdelay - self.qdelay_old_ns) / 1e9
         )
         self.drop_prob = min(MAX_PROB, max(0.0, self.drop_prob + delta))
         # Exponential decay when the queue is idle (RFC §4.2 last rule).
         if qdelay == 0 and self.qdelay_old_ns == 0:
-            self.drop_prob *= 0.98
+            self.drop_prob *= PIE_IDLE_DECAY
         self.qdelay_old_ns = qdelay
         if self._burst_left_ns > 0:
             self._burst_left_ns = max(0, self._burst_left_ns - self.t_update_ns)

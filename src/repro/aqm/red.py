@@ -23,6 +23,10 @@ from collections import deque
 from typing import TYPE_CHECKING, Optional
 
 from repro.aqm.base import QueueDiscipline
+from repro.calibration import (
+    RED_GENTLE, RED_MAX_P, RED_MAX_TH_OF_BUFFER, RED_MAX_TH_PACKETS, RED_MIN_TH_OF_BUFFER,
+    RED_MIN_TH_PACKETS, RED_WEIGHT,
+)
 from repro.units import NS_PER_SEC
 
 if TYPE_CHECKING:  # pragma: no cover
@@ -55,11 +59,11 @@ class RedQueue(QueueDiscipline):
         *,
         min_th: Optional[int] = None,
         max_th: Optional[int] = None,
-        max_p: float = 0.02,
-        weight: float = 0.002,
+        max_p: float = RED_MAX_P,
+        weight: float = RED_WEIGHT,
         avpkt: int = 1000,
         bandwidth_bps: Optional[float] = None,
-        gentle: bool = True,
+        gentle: bool = RED_GENTLE,
         ecn_mode: bool = False,
     ):
         super().__init__(limit_bytes, ecn_mode=ecn_mode)
@@ -72,11 +76,15 @@ class RedQueue(QueueDiscipline):
         if min_th is not None:
             self.min_th = int(min_th)
         else:
-            self.min_th = max(avpkt, min(30 * avpkt, limit_bytes // 3))
+            num, den = RED_MIN_TH_OF_BUFFER
+            self.min_th = max(avpkt, min(RED_MIN_TH_PACKETS * avpkt, limit_bytes * num // den))
         if max_th is not None:
             self.max_th = int(max_th)
         else:
-            self.max_th = max(self.min_th + avpkt, min(90 * avpkt, limit_bytes * 3 // 4))
+            num, den = RED_MAX_TH_OF_BUFFER
+            self.max_th = max(
+                self.min_th + avpkt, min(RED_MAX_TH_PACKETS * avpkt, limit_bytes * num // den)
+            )
             # Degenerate buffers (~1 packet): squeeze both under the limit.
             self.max_th = min(self.max_th, limit_bytes)
             self.min_th = min(self.min_th, max(1, self.max_th - 1))

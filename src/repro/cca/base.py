@@ -23,8 +23,7 @@ from __future__ import annotations
 
 from typing import Optional
 
-INITIAL_CWND_SEGMENTS = 10.0
-MIN_CWND_SEGMENTS = 2.0
+from repro.calibration import INITIAL_CWND_SEGMENTS, MIN_CWND_SEGMENTS
 
 
 class AckEvent:
@@ -120,12 +119,6 @@ class CongestionControl:
 
     def on_sent(self, now_ns: int, inflight: int) -> None:
         """A segment was handed to the NIC (rarely needed)."""
-
-    # -- helpers -----------------------------------------------------------------
-
-    def _clamp_cwnd(self, floor: float = MIN_CWND_SEGMENTS) -> None:
-        if self.cwnd < floor:
-            self.cwnd = floor
 
     def __repr__(self) -> str:  # pragma: no cover
         pacing = f" pacing={self.pacing_rate_pps:.0f}pps" if self.pacing_rate_pps else ""

@@ -15,67 +15,34 @@ from __future__ import annotations
 
 from typing import TYPE_CHECKING, Optional
 
-from repro.cca.base import AckEvent, CongestionControl
-from repro.cca.bbr_common import WindowedMax, WindowedMin
-from repro.units import milliseconds, seconds
+from repro.calibration import (
+    BBR_CWND_GAIN, BBR_CYCLE_FIRST_CRUISE, BBR_DRAIN_GAIN, BBR_HIGH_GAIN, BBR_MIN_CWND,
+    BBR_PACING_CYCLE, BBR_PROBE_DOWN_GAIN, BBR_PROBE_RTT_CWND, BBR_PROBE_RTT_DURATION_NS,
+    BBR_PROBE_RTT_INTERVAL_NS, BBR_PROBE_UP_GAIN,
+)
+from repro.cca.base import AckEvent
+from repro.cca.bbr_common import BbrModel
+from repro.units import milliseconds
 
 if TYPE_CHECKING:  # pragma: no cover
     from repro.sim.rng import Stream
 
-BBR_HIGH_GAIN = 2.885  # 2/ln(2)
-BBR_DRAIN_GAIN = 1.0 / BBR_HIGH_GAIN
-BBR_CWND_GAIN = 2.0
-BBR_PACING_CYCLE = (1.25, 0.75, 1.0, 1.0, 1.0, 1.0, 1.0, 1.0)
-BTLBW_WINDOW_ROUNDS = 10
-MIN_RTT_WINDOW_NS = seconds(10)
-PROBE_RTT_DURATION_NS = milliseconds(200)
-PROBE_RTT_CWND = 4.0
-MIN_CWND = 4.0
-FULL_BW_THRESH = 1.25
-FULL_BW_COUNT = 3
-
 STARTUP, DRAIN, PROBE_BW, PROBE_RTT = "STARTUP", "DRAIN", "PROBE_BW", "PROBE_RTT"
 
 
-class BbrV1(CongestionControl):
+class BbrV1(BbrModel):
     """BBRv1: model-based pacing with a 2xBDP inflight cap."""
     name = "bbr"
 
     def __init__(self, rng: Optional[Stream] = None) -> None:
-        super().__init__()
+        super().__init__(rng)
         self.state = STARTUP
-        self.btlbw_filter = WindowedMax(BTLBW_WINDOW_ROUNDS)
-        self.min_rtt_filter = WindowedMin(MIN_RTT_WINDOW_NS)
-        self.min_rtt_stamp_ns = 0
-        self.full_bw = 0.0
-        self.full_bw_count = 0
-        self.full_pipe = False
         self.cycle_index = 0
         self.cycle_stamp_ns = 0
         self.pacing_gain = BBR_HIGH_GAIN
         self.cwnd_gain = BBR_HIGH_GAIN
         self.probe_rtt_done_stamp_ns: Optional[int] = None
         self._prior_state = PROBE_BW
-        self._rng = rng
-        self.cwnd = float(max(MIN_CWND, self.cwnd))
-
-    # -- model --------------------------------------------------------------------
-
-    @property
-    def btlbw_pps(self) -> Optional[float]:
-        return self.btlbw_filter.get()
-
-    @property
-    def min_rtt_ns(self) -> Optional[int]:
-        return self.min_rtt_filter.get()
-
-    def bdp_segments(self, gain: float = 1.0) -> Optional[float]:
-        """Estimated bandwidth-delay product in segments, times ``gain``."""
-        bw = self.btlbw_pps
-        rtt = self.min_rtt_ns
-        if bw is None or rtt is None:
-            return None
-        return gain * bw * rtt / 1e9
 
     # -- main callback --------------------------------------------------------------
 
@@ -83,33 +50,6 @@ class BbrV1(CongestionControl):
         self._update_model(ev)
         self._update_state(ev)
         self._set_pacing_and_cwnd(ev)
-
-    def _update_model(self, ev: AckEvent) -> None:
-        sample = ev.delivery_rate_pps
-        if sample is not None:
-            current = self.btlbw_pps
-            # App-limited samples only count if they raise the estimate.
-            if not ev.is_app_limited or current is None or sample > current:
-                self.btlbw_filter.update(sample, ev.round_count)
-        if ev.rtt_ns is not None:
-            prior = self.min_rtt_filter.get(ev.now_ns)
-            self.min_rtt_filter.update(ev.rtt_ns, ev.now_ns)
-            # Refresh the stamp only on a strictly lower sample: a standing
-            # queue (rtt > true min) must eventually trigger PROBE_RTT.
-            if prior is None or ev.rtt_ns < prior:
-                self.min_rtt_stamp_ns = ev.now_ns
-
-    def _check_full_pipe(self, ev: AckEvent) -> None:
-        if self.full_pipe or not ev.round_start or ev.is_app_limited:
-            return
-        bw = self.btlbw_pps or 0.0
-        if bw >= self.full_bw * FULL_BW_THRESH:
-            self.full_bw = bw
-            self.full_bw_count = 0
-            return
-        self.full_bw_count += 1
-        if self.full_bw_count >= FULL_BW_COUNT:
-            self.full_pipe = True
 
     def _update_state(self, ev: AckEvent) -> None:
         now = ev.now_ns
@@ -129,9 +69,11 @@ class BbrV1(CongestionControl):
         self.state = PROBE_BW
         # Start in a random non-probing phase to desynchronize flows.
         if self._rng is not None:
-            self.cycle_index = int(self._rng.integers(2, len(BBR_PACING_CYCLE)))
+            self.cycle_index = int(
+                self._rng.integers(BBR_CYCLE_FIRST_CRUISE, len(BBR_PACING_CYCLE))
+            )
         else:
-            self.cycle_index = 2
+            self.cycle_index = BBR_CYCLE_FIRST_CRUISE
         self.cycle_stamp_ns = now_ns
 
     def _advance_cycle(self, ev: AckEvent) -> None:
@@ -139,10 +81,10 @@ class BbrV1(CongestionControl):
         elapsed = ev.now_ns - self.cycle_stamp_ns
         gain = BBR_PACING_CYCLE[self.cycle_index]
         advance = False
-        if gain == 1.25:
+        if gain == BBR_PROBE_UP_GAIN:
             # Probe until we've had a full min_rtt at elevated inflight.
             advance = elapsed > rtt
-        elif gain == 0.75:
+        elif gain == BBR_PROBE_DOWN_GAIN:
             bdp = self.bdp_segments()
             advance = elapsed > rtt or (bdp is not None and ev.inflight <= bdp)
         else:
@@ -156,7 +98,7 @@ class BbrV1(CongestionControl):
         if self.state != PROBE_RTT:
             expired = (
                 self.min_rtt_stamp_ns > 0
-                and now - self.min_rtt_stamp_ns > MIN_RTT_WINDOW_NS
+                and now - self.min_rtt_stamp_ns > BBR_PROBE_RTT_INTERVAL_NS
             )
             if expired:
                 self._prior_state = PROBE_BW if self.full_pipe else STARTUP
@@ -166,9 +108,9 @@ class BbrV1(CongestionControl):
                 return
         # In PROBE_RTT: wait for inflight to fall to the floor, hold 200ms.
         if self.probe_rtt_done_stamp_ns is None:
-            if ev.inflight <= PROBE_RTT_CWND:
+            if ev.inflight <= BBR_PROBE_RTT_CWND:
                 rtt = self.min_rtt_ns or milliseconds(10)
-                self.probe_rtt_done_stamp_ns = now + max(PROBE_RTT_DURATION_NS, rtt)
+                self.probe_rtt_done_stamp_ns = now + max(BBR_PROBE_RTT_DURATION_NS, rtt)
         elif now >= self.probe_rtt_done_stamp_ns:
             self.min_rtt_stamp_ns = now
             if self._prior_state == PROBE_BW:
@@ -195,14 +137,14 @@ class BbrV1(CongestionControl):
             self.pacing_rate_pps = max(1.0, self.pacing_gain * bw)
 
         if self.state == PROBE_RTT:
-            self.cwnd = PROBE_RTT_CWND
+            self.cwnd = BBR_PROBE_RTT_CWND
             return
         target = self.bdp_segments(self.cwnd_gain)
         if target is None:
             # No model yet: exponential growth toward whatever is out there.
             self.cwnd += ev.delivered_this_ack
             return
-        target = max(target, MIN_CWND)
+        target = max(target, BBR_MIN_CWND)
         if self.cwnd < target:
             # Fill toward the target at slow-start speed.
             self.cwnd = min(self.cwnd + ev.delivered_this_ack, target)
@@ -218,11 +160,3 @@ class BbrV1(CongestionControl):
     def on_ecn(self, now_ns: int) -> None:
         # BBRv1 ignores ECN signals entirely.
         pass
-
-    def on_rto(self, now_ns: int, first_timeout: bool = True) -> None:
-        # Rigid response: collapse the window; the model refills it as ACKs
-        # return.  This is the throughput sawtooth the paper observes under
-        # RED ("RTOs force BBRv1 to significantly reduce its sending rate").
-        self.cwnd = MIN_CWND
-        self.full_bw = 0.0
-        self.full_bw_count = 0

@@ -11,17 +11,16 @@ from __future__ import annotations
 
 from typing import Optional
 
-from repro.cca.base import MIN_CWND_SEGMENTS, AckEvent, CongestionControl
+from repro.calibration import (
+    CUBIC_BETA, CUBIC_C, CUBIC_FRIENDLY_INC, CUBIC_PLATEAU_INC, HYSTART_ETA_DIVISOR,
+    HYSTART_ETA_MAX_NS, HYSTART_ETA_MIN_NS, HYSTART_LOW_WINDOW, MIN_CWND_SEGMENTS,
+)
+from repro.cca.base import AckEvent, CongestionControl
 
-CUBIC_C = 0.4  # scaling constant (segments/sec^3)
-CUBIC_BETA = 0.7
 FAST_CONVERGENCE = True
 
-# HyStart++ (RFC 9406) delay-increase slow-start exit, as in Linux CUBIC.
+# HyStart++ (RFC 9406): RTT samples a round needs before it can end slow start.
 HYSTART_MIN_SAMPLES = 8
-HYSTART_ETA_MIN_NS = 4_000_000  # 4 ms
-HYSTART_ETA_MAX_NS = 16_000_000  # 16 ms
-HYSTART_LOW_WINDOW = 16.0  # no exit below this cwnd
 
 
 class Cubic(CongestionControl):
@@ -78,7 +77,7 @@ class Cubic(CongestionControl):
             and self.cwnd >= HYSTART_LOW_WINDOW
             and self._hs_samples >= HYSTART_MIN_SAMPLES
         ):
-            eta = min(HYSTART_ETA_MAX_NS, max(HYSTART_ETA_MIN_NS, base // 8))
+            eta = min(HYSTART_ETA_MAX_NS, max(HYSTART_ETA_MIN_NS, base // HYSTART_ETA_DIVISOR))
             if self._hs_round_min_ns >= base + eta:
                 self.ssthresh = self.cwnd
                 self.hystart_exits += 1
@@ -104,10 +103,10 @@ class Cubic(CongestionControl):
             self.cwnd += acked * (target - self.cwnd) / self.cwnd
         else:
             # In the concave plateau / below origin: crawl.
-            self.cwnd += acked * 0.01 / self.cwnd
+            self.cwnd += acked * CUBIC_PLATEAU_INC / self.cwnd
 
         # TCP-friendly region (RFC 9438 eq. for the Reno estimate).
-        self._w_est += acked * (3.0 * (1.0 - CUBIC_BETA) / (1.0 + CUBIC_BETA)) / self.cwnd
+        self._w_est += acked * CUBIC_FRIENDLY_INC / self.cwnd
         if self._w_est > self.cwnd:
             self.cwnd = self._w_est
 

@@ -14,11 +14,9 @@ from __future__ import annotations
 
 from typing import Optional
 
-from repro.cca.base import MIN_CWND_SEGMENTS, AckEvent, CongestionControl
+from repro.calibration import HTCP_BETA_MAX, HTCP_BETA_MIN, HTCP_DELTA_L_S, MIN_CWND_SEGMENTS
+from repro.cca.base import AckEvent, CongestionControl
 
-HTCP_DELTA_L_S = 1.0  # low-speed regime threshold (seconds)
-HTCP_BETA_MIN = 0.5
-HTCP_BETA_MAX = 0.8
 #: Linux tcp_htcp.c ships with use_bandwidth_switch = 1: when the measured
 #: throughput between consecutive loss events changes by more than 20 %,
 #: H-TCP falls back to the deep beta = 0.5 cut.  This is the "interprets

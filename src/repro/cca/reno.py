@@ -7,9 +7,8 @@ this fixed halving versus CUBIC's adaptive decrease and cubic regrowth.
 
 from __future__ import annotations
 
-from repro.cca.base import MIN_CWND_SEGMENTS, AckEvent, CongestionControl
-
-RENO_BETA = 0.5
+from repro.calibration import MIN_CWND_SEGMENTS, RENO_BETA
+from repro.cca.base import AckEvent, CongestionControl
 
 
 class Reno(CongestionControl):

@@ -326,20 +326,17 @@ def _cmd_sweep(args: argparse.Namespace) -> int:
                  f"{remaining['claimed']} claimed elsewhere)")
     print(f"completed {counts['ok']} runs{tail}")
     if cache is not None:
-        # Never auto-merge in queue mode: sibling workers may still be
-        # appending to their shards (see docs/SERVICE.md).
-        _finish_cache(cache, results, merge=not args.no_cache_merge and not args.queue)
+        _finish_cache(cache, results)
     return 2 if counts["failed"] else 0
 
 
-def _finish_cache(cache, results, *, merge: bool) -> None:
-    """Report (and optionally compact) the sweep's cache interaction.
+def _finish_cache(cache, results) -> None:
+    """Compact the cache and report the sweep's cache interaction.
 
     The ``cache: ... engine runs`` line is machine-checked by the CI
     smoke job: a warm-cache sweep must print ``0 engine runs``.
     """
-    if merge:
-        cache.merge()
+    cache.merge()
     stats = cache.stats()
     print(
         f"cache: {results.cache_hits} hits, {results.engine_runs} engine runs, "
@@ -371,6 +368,10 @@ def _cmd_report(args: argparse.Namespace) -> int:
         print(full_report(results))
     else:
         figure = FIGURES[what]
+        if not figure.available(results.aqms()):
+            print(f"no {figure.aqm} results in {args.results}: {what} plots that AQM",
+                  file=sys.stderr)
+            return 1
         print(figure.render(figure.series(results)))
     return 0
 
@@ -607,12 +608,6 @@ def build_parser() -> argparse.ArgumentParser:
         help="content-addressed result cache root: configs any store has "
         "computed skip the engine, fresh results are recorded "
         "(see docs/SERVICE.md)",
-    )
-    p_sweep.add_argument(
-        "--no-cache-merge",
-        action="store_true",
-        help="leave cache shards unfolded at sweep end (use when several "
-        "sweeps share one cache concurrently)",
     )
     p_sweep.add_argument(
         "--queue",

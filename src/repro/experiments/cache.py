@@ -14,6 +14,7 @@ stale results.  Each salt gets its own subdirectory:
 
     <root>/<salt-slug>/
         canonical.jsonl          # the merged, deduplicated store
+        merge.lock               # held by the one merge() running
         shards/<worker>.jsonl    # per-worker append-only shards
 
 Both the canonical file and every shard are plain
@@ -39,12 +40,13 @@ import hashlib
 import json
 import os
 import re
+from contextlib import ExitStack
 from pathlib import Path
 from typing import IO, Any, Dict, List, Optional, Sequence, Tuple, Union
 
 from repro._version import __version__
 from repro.experiments.config import ExperimentConfig
-from repro.experiments.storage import ResultStore, readable_config
+from repro.experiments.storage import ResultStore, _flock, open_for_write, readable_config
 from repro.metrics.summary import ExperimentResult
 
 PathLike = Union[str, Path]
@@ -129,7 +131,6 @@ class ResultCache:
         self.salt = default_salt() if salt is None else salt
         self.dir = self.root / salt_slug(self.salt)
         self.shards_dir = self.dir / "shards"
-        self.shards_dir.mkdir(parents=True, exist_ok=True)
         self.worker = worker if worker is not None else f"w{os.getpid()}"
         self.canonical = ResultStore(self.dir / "canonical.jsonl")
         self._shard: Optional[ResultStore] = None
@@ -331,43 +332,55 @@ class ResultCache:
         Stale rows (see :meth:`refresh`) are counted and not written back.
         Like :meth:`close`, it releases the read handles.
 
-        Call this from a single owner while shard writers are quiescent
-        (end of a sweep, a cron compaction); concurrent appenders to a
-        shard being folded would lose their tail.
+        Writers may keep appending meanwhile (another sweep, ``repro
+        serve``): each shard is read under its exclusive lock, held until
+        the shard is deleted, and a writer that then finds its shard
+        deleted appends to a new one (:meth:`ResultStore.append_dict`).
+        Concurrent merges of one cache run one after the other.
         """
         merged: Dict[str, Dict[str, Any]] = {}
         lines: Dict[str, bytes] = {}
         duplicates = stale = 0
         held = self._index.get  # an equal row already in memory is kept, not held twice
-        shard_files = self.shard_paths()
-        for store in [self.canonical] + [ResultStore(p) for p in shard_files]:
-            for _lineno, _offset, line, d in store.iter_lines():
-                key = self._key_of_row(d)
-                if key is None:
-                    stale += 1
+        folded: List[Path] = []
+        with ExitStack() as handles:
+            guard = handles.enter_context(open_for_write(self.dir / "merge.lock", "a"))
+            _flock(guard, "LOCK_EX")
+            for store in [self.canonical] + [ResultStore(p) for p in self.shard_paths()]:
+                # A shard's handle holds its exclusive lock until after the unlink.
+                fh = store.reader(lock=store is not self.canonical)
+                if fh is None:
                     continue
-                have = merged.get(key)
-                if have is not None and store is not self.canonical:
-                    if not results_equivalent(have, d):
-                        raise CacheConflictError(self._conflict_message(key, have, d))
-                    duplicates += 1
-                merged[key] = d if held(key) != d else held(key)  # last write wins
-                lines[key] = line
-        tmp = self.canonical.path.with_suffix(".tmp")
-        with tmp.open("wb") as fh:
-            for key in sorted(lines):
-                fh.write(lines[key] + b"\n")
-            fh.flush()
-            os.fsync(fh.fileno())
-        os.replace(tmp, self.canonical.path)
-        for path in shard_files:
-            path.unlink()
+                handles.enter_context(fh)
+                if store is not self.canonical:
+                    folded.append(store.path)
+                for _lineno, _offset, line, d in store.iter_lines(fh):
+                    key = self._key_of_row(d)
+                    if key is None:
+                        stale += 1
+                        continue
+                    have = merged.get(key)
+                    if have is not None and store is not self.canonical:
+                        if not results_equivalent(have, d):
+                            raise CacheConflictError(self._conflict_message(key, have, d))
+                        duplicates += 1
+                    merged[key] = d if held(key) != d else held(key)  # last write wins
+                    lines[key] = line
+            tmp = self.canonical.path.with_suffix(".tmp")
+            with open_for_write(tmp, "wb") as out:
+                for key in sorted(lines):
+                    out.write(lines[key] + b"\n")
+                out.flush()
+                os.fsync(out.fileno())
+            os.replace(tmp, self.canonical.path)
+            for path in folded:
+                path.unlink()
         self.close()
         self._index = merged
         self.stale = stale
         return {
             "entries": len(merged),
-            "shards_folded": len(shard_files),
+            "shards_folded": len(folded),
             "duplicates": duplicates,
             "stale": stale,
         }

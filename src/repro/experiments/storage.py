@@ -32,6 +32,9 @@ so repair and appends exclude each other with a POSIX advisory lock on
 the store: exclusive for check-and-truncate, shared around each append's
 write + flush.  A SIGKILLed writer's lock dies with it, so a genuinely
 torn tail is still repaired.  Where ``fcntl`` is missing there is no lock.
+A cache merge holds the lock exclusively from its read of a store through
+its unlink; an append that then finds its file unlinked reopens the path.
+Reading creates nothing: the first write makes the directory.
 
 Reading
 -------
@@ -65,6 +68,13 @@ def _flock(fh: IO, op: str) -> None:
     """``fcntl.flock(fh, fcntl.<op>)``, where the platform has it."""
     if fcntl is not None:
         fcntl.flock(fh, getattr(fcntl, op))
+
+
+def open_for_write(path: Path, mode: str, **kwargs) -> IO:
+    """``path.open(mode, **kwargs)`` after making its directory: the one place
+    a store or a cache creates a directory, so that reading creates none."""
+    path.parent.mkdir(parents=True, exist_ok=True)
+    return path.open(mode, **kwargs)
 
 
 class TornWriteWarning(UserWarning):
@@ -119,7 +129,6 @@ class ResultStore:
 
     def __init__(self, path: PathLike):
         self.path = Path(path)
-        self.path.parent.mkdir(parents=True, exist_ok=True)
         self._fh: Optional[IO[str]] = None
 
     def append(self, result: ExperimentResult) -> None:
@@ -137,13 +146,19 @@ class ResultStore:
         caller already holds it: the record path encodes a row once for
         the store and the cache shard, and replays a cache hit as the
         line the cache read."""
-        fh = self._fh
-        if fh is None:
-            self._repair_torn_tail()
-            fh = self._fh = self.path.open("a", encoding="utf-8")
         if line is None:
             line = self.encode(d)
-        _flock(fh, "LOCK_SH")
+        while True:
+            fh = self._fh
+            if fh is None:
+                self._repair_torn_tail()
+                fh = self._fh = open_for_write(self.path, "a", encoding="utf-8")
+            _flock(fh, "LOCK_SH")
+            if os.fstat(fh.fileno()).st_nlink:
+                break
+            # Folded and unlinked by a merge since it was opened: a new file.
+            self._fh = None
+            fh.close()
         try:
             fh.write(line)
             fh.flush()
@@ -219,13 +234,17 @@ class ResultStore:
         for lineno, _offset, _line, d in self.iter_lines():
             yield lineno, d
 
-    def reader(self) -> Optional[IO[bytes]]:
-        """A binary read handle on the store, or None while it does not exist."""
+    def reader(self, lock: bool = False) -> Optional[IO[bytes]]:
+        """A binary read handle on the store, or None while it does not exist;
+        with ``lock``, it holds the store's exclusive lock until it is closed."""
         try:
             # A stored line is tens of KB: an 8 KB buffer takes several reads each.
-            return self.path.open("rb", buffering=1 << 16)
+            fh = self.path.open("rb", buffering=1 << 16)
         except FileNotFoundError:
             return None
+        if lock:
+            _flock(fh, "LOCK_EX")
+        return fh
 
     def iter_lines(
         self, fh: Optional[IO[bytes]] = None

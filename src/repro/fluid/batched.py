@@ -42,12 +42,24 @@ rest on three properties:
 
 from __future__ import annotations
 
+import ctypes
 import time
 from itertools import accumulate, groupby
 from typing import List, Optional, Sequence, Tuple
 
 import numpy as np
 
+from repro.calibration import (
+    BBR2_BETA, BBR2_CWND_GAIN, BBR2_DOWN_GAIN, BBR2_DRAIN_GAIN, BBR2_HEADROOM,
+    BBR2_LOSS_MIN_PACKETS, BBR2_LOSS_THRESH, BBR2_PROBE_RTT_CWND_GAIN, BBR2_PROBE_UP_MAX_RTTS,
+    BBR2_STARTUP_CWND_GAIN, BBR2_STARTUP_PACING_GAIN, BBR2_UP_GAIN, BBR_BTLBW_WINDOW_ROUNDS,
+    BBR_CWND_GAIN, BBR_CYCLE_FIRST_CRUISE, BBR_DRAIN_GAIN, BBR_FULL_BW_COUNT, BBR_FULL_BW_THRESH,
+    BBR_HIGH_GAIN, BBR_MIN_CWND, BBR_PACING_CYCLE, CODEL_INTERVAL_NS, CODEL_TARGET_NS, CUBIC_BETA,
+    CUBIC_FRIENDLY_INC, CUBIC_PLATEAU_INC, HTCP_BETA_MIN, HYSTART_LOW_WINDOW,
+    INITIAL_CWND_SEGMENTS, PIE_ALPHA, PIE_BETA, PIE_T_UPDATE_NS, PIE_TARGET_NS, RED_GENTLE,
+    RED_MAX_P, RED_MAX_TH_OF_BUFFER, RED_MAX_TH_PACKETS, RED_MIN_TH_OF_BUFFER, RED_MIN_TH_PACKETS,
+    RED_WEIGHT, RENO_BETA,
+)
 from repro.experiments.config import ExperimentConfig, canonical_cca_name
 from repro.fluid.aqm_rules import (
     evict_fattest,
@@ -57,31 +69,11 @@ from repro.fluid.aqm_rules import (
     waterfill_rows,
 )
 from repro.fluid.cca_rules import (
-    BBR_CWND_GAIN,
-    BBR_CYCLE,
-    BBR_DRAIN_GAIN,
-    BBR_HIGH_GAIN,
-    BBR_RING,
-    BBR2_BETA,
-    BBR2_DRAIN_GAIN,
-    BBR2_HEADROOM,
-    BBR2_LOSS_THRESH,
-    BBR2_STARTUP_GAIN,
-    CUBIC_FRIENDLY_INC,
-    INIT_CWND,
-    RATE_FLOOR_PPS,
-    FluidCca,
-    RoundInfo,
-    aimd_backoff,
-    bbr_bdp,
-    cubic_epoch_k,
-    cubic_epoch_origin,
-    cubic_target,
-    cubic_wmax_after_loss,
-    htcp_adaptive_beta,
-    htcp_alpha,
-    htcp_bw_stable,
-    hystart_exit_eta,
+    BBR1_COLLAPSE_LOSS_RATE, BBR1_COLLAPSE_PROBABILITY, BBR1_PROBE_RTT_CAP_GAIN,
+    BBR2_CRUISE_HALF_SPAN_S, BBR2_CRUISE_MEAN_S, BBR2_PROBE_RTT_INTERVAL_S, BBR_MIN_RTT_FLOOR_S,
+    BBR_PROBE_RTT_DURATION_S, BBR_PROBE_RTT_INTERVAL_S, BBR_RAMP_CWND_CAP, RATE_FLOOR_PPS,
+    FluidCca, RoundInfo, aimd_backoff, bbr_bdp, cubic_epoch_k, cubic_epoch_origin, cubic_target,
+    cubic_wmax_after_loss, htcp_adaptive_beta, htcp_alpha, htcp_bw_stable, hystart_exit_eta,
     slow_start_next,
 )
 from repro.fluid.noise import UniformTable, chunk_steps_for, poisson_from_uniform
@@ -107,12 +99,23 @@ from repro.sim.rng import RngStreams
 # BBR state machine lane codes.
 S_STARTUP, S_DRAIN, S_PROBE_BW, S_PROBE_RTT = 0, 1, 2, 3
 P_DOWN, P_CRUISE, P_UP = 0, 1, 2
-_CYCLE_ARR = np.asarray(BBR_CYCLE)
+_CYCLE_ARR = np.asarray(BBR_PACING_CYCLE)
 
-_RENO_BETA = 0.5
+# The queue laws' times in seconds (each ``/ 1e9`` is exact).
+_PIE_TARGET_S = PIE_TARGET_NS / 1e9
+_PIE_T_UPDATE_S = PIE_T_UPDATE_NS / 1e9
+_CODEL_TARGET_S = CODEL_TARGET_NS / 1e9
+_CODEL_INTERVAL_S = CODEL_INTERVAL_NS / 1e9
 
 #: AQMs that draw a per-flow drop lottery every step.
 _LOTTERY_FAMILIES = frozenset({"red", "pie"})
+
+# glibc keeps a freed buffer's pages resident below any live block, so what a
+# batch left resident varied by megabytes between runs of one seed; trim them.
+try:
+    _malloc_trim = ctypes.CDLL(None).malloc_trim
+except (AttributeError, OSError, TypeError):
+    _malloc_trim = None
 
 
 # --- queue laws --------------------------------------------------------------
@@ -187,23 +190,27 @@ class _BatchRed(_BatchAqm):
     """RED's EWMA ramp applied to (Poisson-sampled) early drops.
 
     Thresholds default to the classic 30/90 packets, clamped to the buffer,
-    as in :class:`repro.aqm.red.RedQueue`.
+    as in :class:`repro.aqm.red.RedQueue` (the calibration table's RED_*).
     """
 
     def __init__(self, *views, lottery: UniformTable, params: Sequence[dict]):
         super().__init__(*views)
         self.lottery = lottery
+        min_num, min_den = RED_MIN_TH_OF_BUFFER
+        max_num, max_den = RED_MAX_TH_OF_BUFFER
         min_th, max_th, max_p, weight, gentle = [], [], [], [], []
         for lim, p in zip(self.limit.tolist(), params):
             mn = p.get("min_th")
-            mn = float(mn) if mn is not None else max(1.0, min(30.0, lim / 3.0))
+            if mn is None:
+                mn = max(1.0, min(RED_MIN_TH_PACKETS, lim * min_num / min_den))
             mx = p.get("max_th")
-            mx = float(mx) if mx is not None else max(mn + 1.0, min(90.0, lim * 0.75))
-            min_th.append(mn)
-            max_th.append(mx)
-            max_p.append(float(p.get("max_p", 0.02)))
-            weight.append(float(p.get("weight", 0.002)))
-            gentle.append(bool(p.get("gentle", True)))
+            if mx is None:
+                mx = max(float(mn) + 1.0, min(RED_MAX_TH_PACKETS, lim * max_num / max_den))
+            min_th.append(float(mn))
+            max_th.append(float(mx))
+            max_p.append(float(p.get("max_p", RED_MAX_P)))
+            weight.append(float(p.get("weight", RED_WEIGHT)))
+            gentle.append(bool(p.get("gentle", RED_GENTLE)))
         self.min_th = np.asarray(min_th)
         self.max_th = np.asarray(max_th)
         self.max_p = np.asarray(max_p)
@@ -236,11 +243,6 @@ class _BatchPie(_BatchAqm):
     :class:`repro.aqm.pie.PieQueue`.
     """
 
-    TARGET_S = 0.015
-    T_UPDATE_S = 0.015
-    ALPHA = 0.125
-    BETA = 1.25
-
     def __init__(self, *views, lottery: UniformTable):
         super().__init__(*views)
         self.lottery = lottery
@@ -251,12 +253,12 @@ class _BatchPie(_BatchAqm):
     def step(self, arrivals, dt, now_s):
         u = self.lottery.next_row()
         self._since_update_s += dt
-        while self._since_update_s >= self.T_UPDATE_S:
-            self._since_update_s -= self.T_UPDATE_S
+        while self._since_update_s >= _PIE_T_UPDATE_S:
+            self._since_update_s -= _PIE_T_UPDATE_S
             qdelay = self.backlog.sum(axis=1) / self.capacity
             self.drop_prob = pie_probability_step(
                 self.drop_prob, qdelay, self.qdelay_old_s,
-                self.TARGET_S, self.ALPHA, self.BETA,
+                _PIE_TARGET_S, PIE_ALPHA, PIE_BETA,
             )
             self.qdelay_old_s = qdelay
         return self._early_drop(arrivals, self.drop_prob, u, dt)
@@ -266,13 +268,10 @@ class _BatchFqCodel(_BatchAqm):
     """Per-flow fair queueing with an approximate CoDel controller per flow.
 
     Service is max-min fair (the DRR fluid limit).  Each flow's sojourn is
-    its backlog over its fair-share rate; once it has exceeded ``TARGET_S``
-    for ``INTERVAL_S``, the flow sheds packets at the CoDel control-law
-    rate sqrt(count)/interval, escalating while the sojourn stays high.
+    its backlog over its fair-share rate; once above CoDel's target for one
+    interval, the flow sheds packets at the control-law rate
+    sqrt(count)/interval, escalating while the sojourn stays high.
     """
-
-    TARGET_S = 0.005
-    INTERVAL_S = 0.100
 
     def __init__(self, *views):
         super().__init__(*views)
@@ -290,16 +289,16 @@ class _BatchFqCodel(_BatchAqm):
         share_pps = self.capacity / n_active
         sojourn = backlog / share_pps[:, None]
 
-        above = (sojourn > self.TARGET_S) & (backlog > 1.0)
+        above = (sojourn > _CODEL_TARGET_S) & (backlog > 1.0)
         since = self.above_since
         since = np.where(above, np.where(since < 0, now_s, since), -1.0)
         count = np.where(above, self.count, np.floor(self.count / 2.0))
         credit = np.where(above, self.drop_credit, 0.0)
 
-        dropping = above & (now_s - since >= self.INTERVAL_S)
+        dropping = above & (now_s - since >= _CODEL_INTERVAL_S)
         drops = np.zeros(backlog.shape)
         if dropping.any():
-            rate = np.sqrt(count + 1.0) / self.INTERVAL_S
+            rate = np.sqrt(count + 1.0) / _CODEL_INTERVAL_S
             credit = np.where(dropping, credit + rate * dt, credit)
             drops = np.where(dropping, np.floor(credit), 0.0)
             credit = credit - drops
@@ -413,7 +412,7 @@ class BatchedFluidSimulation:
             )
 
         # Shared CCA outputs.
-        self.cwnd = np.full(L, INIT_CWND)
+        self.cwnd = np.full(L, INITIAL_CWND_SEGMENTS)
         self.ssthresh = np.full(L, np.inf)
         self.pacing = np.full(L, np.nan)
         self.cap = np.full(L, np.inf)
@@ -466,19 +465,19 @@ class BatchedFluidSimulation:
             self.ht_last_cong = np.full(L, np.nan)
             self.ht_rtt_min = np.full(L, np.inf)
             self.ht_rtt_max = np.zeros(L)
-            self.ht_beta = np.full(L, 0.5)
+            self.ht_beta = np.full(L, HTCP_BETA_MIN)
             self.ht_max_bw = np.zeros(L)
             self.ht_old_max_bw = np.zeros(L)
             self.ht_modeswitch = np.zeros(L, dtype=bool)
         if RATE_BASED_CODES & present:
             self.bb_state = np.zeros(L, dtype=np.int64)
-            self.bb_ring = np.zeros((L, BBR_RING))
+            self.bb_ring = np.zeros((L, BBR_BTLBW_WINDOW_ROUNDS))
             self.bb_pos = np.zeros(L, dtype=np.int64)
             self.bb_min_rtt = np.full(L, np.inf)
             self.bb_min_rtt_stamp = np.zeros(L)
             self.bb_full_bw = np.zeros(L)
             self.bb_full_bw_count = np.zeros(L, dtype=np.int64)
-            self.bb_cycle_index = np.full(L, 2, dtype=np.int64)
+            self.bb_cycle_index = np.full(L, BBR_CYCLE_FIRST_CRUISE, dtype=np.int64)
             self.bb_cycle_stamp = np.zeros(L)
             self.bb_probe_until = np.full(L, np.nan)
             # The BBR lotteries draw from per-flow streams (the per-flow
@@ -617,7 +616,7 @@ class BatchedFluidSimulation:
         ssth = self.ssthresh[i]
         loss = lost > 0
         slow = ~loss & (cwnd < ssth)
-        ss_new = aimd_backoff(cwnd, _RENO_BETA)
+        ss_new = aimd_backoff(cwnd, RENO_BETA)
         ssth = np.where(loss, ss_new, ssth)
         cwnd = np.where(
             loss, ss_new, np.where(slow, slow_start_next(cwnd, ssth), cwnd + 1.0)
@@ -636,7 +635,7 @@ class BatchedFluidSimulation:
 
         loss = lost > 0
         w_max = np.where(loss, cubic_wmax_after_loss(cwnd, w_max), w_max)
-        ss_new = aimd_backoff(cwnd, 0.7)
+        ss_new = aimd_backoff(cwnd, CUBIC_BETA)
         ssth = np.where(loss, ss_new, ssth)
         cwnd = np.where(loss, ss_new, cwnd)
         epoch = np.where(loss, np.nan, epoch)
@@ -644,7 +643,7 @@ class BatchedFluidSimulation:
         surv = ~loss
         in_ss = surv & (cwnd < ssth)
         eta = hystart_exit_eta(self.base_rtt)
-        exit_ss = in_ss & (rtt >= self.base_rtt + eta) & (cwnd >= 16)
+        exit_ss = in_ss & (rtt >= self.base_rtt + eta) & (cwnd >= HYSTART_LOW_WINDOW)
         ssth = np.where(exit_ss, cwnd, ssth)
         stay = in_ss & ~exit_ss
         cwnd = np.where(stay, slow_start_next(cwnd, ssth), cwnd)
@@ -658,7 +657,7 @@ class BatchedFluidSimulation:
         with np.errstate(invalid="ignore"):
             t = now - epoch + rtt
             target = cubic_target(origin, k, t)
-            inc = np.where(target > cwnd, target - cwnd, 0.01)
+            inc = np.where(target > cwnd, target - cwnd, CUBIC_PLATEAU_INC)
         cwnd = np.where(ca, cwnd + inc, cwnd)
         w_est = np.where(ca, w_est + CUBIC_FRIENDLY_INC, w_est)
         cwnd = np.where(ca & (w_est > cwnd), w_est, cwnd)
@@ -691,8 +690,8 @@ class BatchedFluidSimulation:
             adaptive = stable & modeswitch & (rtt_max > 0) & np.isfinite(rtt_min)
             beta_new = np.where(
                 stable,
-                np.where(adaptive, htcp_adaptive_beta(rtt_min, rtt_max), 0.5),
-                0.5,
+                np.where(adaptive, htcp_adaptive_beta(rtt_min, rtt_max), HTCP_BETA_MIN),
+                HTCP_BETA_MIN,
             )
             beta = np.where(loss, beta_new, beta)
             # Per-flow rule: unstable resets the switch; stable arms (or
@@ -738,9 +737,9 @@ class BatchedFluidSimulation:
         probe_until = self.bb_probe_until[i]
 
         # Rare RTO-like collapse lottery, drawn from each lane's own stream.
-        heavy = np.flatnonzero(loss_rate > 0.4)
+        heavy = np.flatnonzero(loss_rate > BBR1_COLLAPSE_LOSS_RATE)
         if heavy.size:
-            j = heavy[self._lane_streams.random(self._stream_row[i[heavy]]) < 0.03]
+            j = heavy[self._lane_streams.random(self._stream_row[i[heavy]]) < BBR1_COLLAPSE_PROBABILITY]
             full_bw[j] = 0.0
             full_cnt[j] = 0
             ring[j] = 0.0
@@ -754,31 +753,33 @@ class BatchedFluidSimulation:
         push = rate > 0
         if push.any():
             jj = np.nonzero(push)[0]
-            pos[jj] = (pos[jj] + 1) % BBR_RING
+            pos[jj] = (pos[jj] + 1) % BBR_BTLBW_WINDOW_ROUNDS
             ring[jj, pos[jj]] = rate[jj]
         bw = ring.max(axis=1)
         bdp = bbr_bdp(bw, min_rtt)
 
         st = state == S_STARTUP
-        grew = st & (bw >= full_bw * 1.25)
+        grew = st & (bw >= full_bw * BBR_FULL_BW_THRESH)
         full_bw = np.where(grew, bw, full_bw)
         full_cnt = np.where(grew, 0, np.where(st, full_cnt + 1, full_cnt))
-        state = np.where(st & (full_cnt >= 3), S_DRAIN, state)
+        state = np.where(st & (full_cnt >= BBR_FULL_BW_COUNT), S_DRAIN, state)
 
         exit_d = (state == S_DRAIN) & (inflight <= bdp)
         if exit_d.any():
             j = np.flatnonzero(exit_d)
-            cyc_idx[j] = self._lane_streams.integers(self._stream_row[i[j]], 2, 8)
+            cyc_idx[j] = self._lane_streams.integers(
+                self._stream_row[i[j]], BBR_CYCLE_FIRST_CRUISE, len(BBR_PACING_CYCLE)
+            )
             state = np.where(exit_d, S_PROBE_BW, state)
             cyc_stamp = np.where(exit_d, now, cyc_stamp)
 
         pb = state == S_PROBE_BW
-        adv = pb & (now - cyc_stamp > np.maximum(min_rtt, 1e-3))
-        cyc_idx = np.where(adv, (cyc_idx + 1) % len(BBR_CYCLE), cyc_idx)
+        adv = pb & (now - cyc_stamp > np.maximum(min_rtt, BBR_MIN_RTT_FLOOR_S))
+        cyc_idx = np.where(adv, (cyc_idx + 1) % len(BBR_PACING_CYCLE), cyc_idx)
         cyc_stamp = np.where(adv, now, cyc_stamp)
-        to_pr = pb & (now - min_stamp > 10.0)
+        to_pr = pb & (now - min_stamp > BBR_PROBE_RTT_INTERVAL_S)
         state = np.where(to_pr, S_PROBE_RTT, state)
-        probe_until = np.where(to_pr, now + 0.2, probe_until)
+        probe_until = np.where(to_pr, now + BBR_PROBE_RTT_DURATION_S, probe_until)
 
         exit_pr = (state == S_PROBE_RTT) & (now >= probe_until)
         min_stamp = np.where(exit_pr, now, min_stamp)
@@ -794,12 +795,12 @@ class BatchedFluidSimulation:
         )
         cap_gain = np.where(
             (state == S_STARTUP) | (state == S_DRAIN), BBR_HIGH_GAIN,
-            np.where(state == S_PROBE_RTT, 0.5, BBR_CWND_GAIN),
+            np.where(state == S_PROBE_RTT, BBR1_PROBE_RTT_CAP_GAIN, BBR_CWND_GAIN),
         )
         have_bw = bw > 0
         pacing = np.where(have_bw, np.maximum(RATE_FLOOR_PPS, gain * bw), np.nan)
-        cap = np.where(have_bw, np.maximum(4.0, cap_gain * bdp), cap)
-        cwnd = np.where(have_bw, cwnd, np.minimum(cwnd * 2.0, 1e9))
+        cap = np.where(have_bw, np.maximum(BBR_MIN_CWND, cap_gain * bdp), cap)
+        cwnd = np.where(have_bw, cwnd, np.minimum(cwnd * 2.0, BBR_RAMP_CWND_CAP))
 
         self.cwnd[i] = cwnd
         self.pacing[i] = pacing
@@ -836,25 +837,25 @@ class BatchedFluidSimulation:
         push = rate > 0
         if push.any():
             jj = np.nonzero(push)[0]
-            pos[jj] = (pos[jj] + 1) % BBR_RING
+            pos[jj] = (pos[jj] + 1) % BBR_BTLBW_WINDOW_ROUNDS
             ring[jj, pos[jj]] = rate[jj]
         bw = ring.max(axis=1)
         bdp = bbr_bdp(bw, min_rtt)
 
-        high_loss = (loss_rate >= BBR2_LOSS_THRESH) & (lost >= 2)
+        high_loss = (loss_rate >= BBR2_LOSS_THRESH) & (lost >= BBR2_LOSS_MIN_PACKETS)
         if high_loss.any():
             fin = np.isfinite(hi)
             base = np.where(fin, hi, np.maximum(inflight, bdp))
             new_hi = np.maximum(
-                4.0, np.minimum(base, np.maximum(inflight, 4.0)) * BBR2_BETA
+                BBR_MIN_CWND, np.minimum(base, np.maximum(inflight, BBR_MIN_CWND)) * BBR2_BETA
             )
             hi = np.where(high_loss, new_hi, hi)
 
         st = state == S_STARTUP
-        grew = st & (bw >= full_bw * 1.25)
+        grew = st & (bw >= full_bw * BBR_FULL_BW_THRESH)
         full_bw = np.where(grew, bw, full_bw)
         full_cnt = np.where(grew, 0, np.where(st, full_cnt + 1, full_cnt))
-        state = np.where(st & ((full_cnt >= 3) | high_loss), S_DRAIN, state)
+        state = np.where(st & ((full_cnt >= BBR_FULL_BW_COUNT) | high_loss), S_DRAIN, state)
 
         exit_d = (state == S_DRAIN) & (inflight <= bdp)
         state = np.where(exit_d, S_PROBE_BW, state)
@@ -868,26 +869,28 @@ class BatchedFluidSimulation:
         fin = np.isfinite(hi)
         bound = np.where(fin, hi * (1 - BBR2_HEADROOM), np.inf)
         down = pb & (ph0 == P_DOWN)
-        to_cruise = down & (inflight <= np.maximum(4.0, np.minimum(bdp, bound)))
+        to_cruise = down & (inflight <= np.maximum(BBR_MIN_CWND, np.minimum(bdp, bound)))
         if to_cruise.any():
             j = np.flatnonzero(to_cruise)
-            phase_stamp[j] = now + self._lane_streams.uniform(self._stream_row[i[j]], -0.5, 0.5)
+            half = BBR2_CRUISE_HALF_SPAN_S
+            phase_stamp[j] = now + self._lane_streams.uniform(self._stream_row[i[j]], -half, half)
             phase = np.where(to_cruise, P_CRUISE, phase)
         cruise = pb & (ph0 == P_CRUISE)
-        to_up = cruise & (now - phase_stamp > 2.5)
+        to_up = cruise & (now - phase_stamp > BBR2_CRUISE_MEAN_S)
         phase = np.where(to_up, P_UP, phase)
         phase_stamp = np.where(to_up, now, phase_stamp)
         up = pb & (ph0 == P_UP)
         grow = up & np.isfinite(hi) & ~high_loss
         hi = np.where(grow, hi + np.maximum(1.0, delivered), hi)
         to_down = up & (
-            high_loss | (now - phase_stamp > 4 * np.maximum(min_rtt, 1e-3))
+            high_loss
+            | (now - phase_stamp > BBR2_PROBE_UP_MAX_RTTS * np.maximum(min_rtt, BBR_MIN_RTT_FLOOR_S))
         )
         phase = np.where(to_down, P_DOWN, phase)
         phase_stamp = np.where(to_down, now, phase_stamp)
-        to_pr = pb & (now - min_stamp > 5.0)
+        to_pr = pb & (now - min_stamp > BBR2_PROBE_RTT_INTERVAL_S)
         state = np.where(to_pr, S_PROBE_RTT, state)
-        probe_until = np.where(to_pr, now + 0.2, probe_until)
+        probe_until = np.where(to_pr, now + BBR_PROBE_RTT_DURATION_S, probe_until)
 
         exit_pr = (state == S_PROBE_RTT) & (now >= probe_until)
         min_stamp = np.where(exit_pr, now, min_stamp)
@@ -896,26 +899,32 @@ class BatchedFluidSimulation:
         phase_stamp = np.where(exit_pr, now, phase_stamp)
 
         gain = np.where(
-            state == S_STARTUP, BBR2_STARTUP_GAIN,
+            state == S_STARTUP, BBR2_STARTUP_PACING_GAIN,
             np.where(
                 state == S_DRAIN, BBR2_DRAIN_GAIN,
                 np.where(
                     state == S_PROBE_RTT, 1.0,
-                    np.where(phase == P_DOWN, 0.9, np.where(phase == P_UP, 1.25, 1.0)),
+                    np.where(
+                        phase == P_DOWN, BBR2_DOWN_GAIN,
+                        np.where(phase == P_UP, BBR2_UP_GAIN, 1.0),
+                    ),
                 ),
             ),
         )
-        cap_gain = np.where(state == S_PROBE_RTT, 0.5, 2.0)
+        cap_gain = np.where(
+            (state == S_STARTUP) | (state == S_DRAIN), BBR2_STARTUP_CWND_GAIN,
+            np.where(state == S_PROBE_RTT, BBR2_PROBE_RTT_CWND_GAIN, BBR2_CWND_GAIN),
+        )
         have_bw = bw > 0
-        new_cap = np.maximum(4.0, cap_gain * bdp)
+        new_cap = np.maximum(BBR_MIN_CWND, cap_gain * bdp)
         fin = np.isfinite(hi)
         hi_eff = np.where(
             (phase == P_CRUISE) & (state == S_PROBE_BW), hi * (1 - BBR2_HEADROOM), hi
         )
-        new_cap = np.where(fin, np.minimum(new_cap, np.maximum(4.0, hi_eff)), new_cap)
+        new_cap = np.where(fin, np.minimum(new_cap, np.maximum(BBR_MIN_CWND, hi_eff)), new_cap)
         pacing = np.where(have_bw, np.maximum(RATE_FLOOR_PPS, gain * bw), np.nan)
         cap = np.where(have_bw, new_cap, cap)
-        cwnd = np.where(have_bw, cwnd, np.minimum(cwnd * 2.0, 1e9))
+        cwnd = np.where(have_bw, cwnd, np.minimum(cwnd * 2.0, BBR_RAMP_CWND_CAP))
 
         self.cwnd[i] = cwnd
         self.pacing[i] = pacing
@@ -1056,6 +1065,8 @@ def run_fluid_batch(configs: Sequence[ExperimentConfig]) -> List[ExperimentResul
         shard_results = _run_shard([configs[i] for i in shard])
         for i, res in zip(shard, shard_results):
             results[i] = res
+    if _malloc_trim is not None:
+        _malloc_trim(0)  # the shards' buffers are freed by now
     return [r for r in results if r is not None]
 
 

@@ -7,8 +7,10 @@ round RTT — and the rule updates the flow's *window* (segments) or
 *pacing rate + inflight cap* (BBR family).  The engine converts windows
 to send rates each integration step.
 
-The constants match the packet-engine implementations in
-:mod:`repro.cca` so the two engines model the same algorithms.
+Every number these rules share with the packet engine comes from
+:mod:`repro.calibration` (its ns times ``/ 1e9`` here); the numbers only
+the fluid model has are named below once, for these rules and the vector
+kernels of :mod:`repro.fluid.batched` alike.
 """
 
 from __future__ import annotations
@@ -18,35 +20,47 @@ from typing import TYPE_CHECKING, Optional
 
 import numpy as np
 
+from repro.calibration import (
+    BBR2_BETA, BBR2_CRUISE_MAX_S, BBR2_CRUISE_MIN_S, BBR2_CWND_GAIN, BBR2_DOWN_GAIN,
+    BBR2_DRAIN_GAIN, BBR2_HEADROOM, BBR2_LOSS_MIN_PACKETS, BBR2_LOSS_THRESH,
+    BBR2_PROBE_RTT_CWND_GAIN, BBR2_PROBE_RTT_INTERVAL_NS, BBR2_PROBE_UP_MAX_RTTS,
+    BBR2_STARTUP_CWND_GAIN, BBR2_STARTUP_PACING_GAIN, BBR2_UP_GAIN, BBR_BTLBW_WINDOW_ROUNDS,
+    BBR_CWND_GAIN, BBR_CYCLE_FIRST_CRUISE, BBR_DRAIN_GAIN, BBR_FULL_BW_COUNT, BBR_FULL_BW_THRESH,
+    BBR_HIGH_GAIN, BBR_MIN_CWND, BBR_PACING_CYCLE, BBR_PROBE_RTT_DURATION_NS,
+    BBR_PROBE_RTT_INTERVAL_NS, CUBIC_BETA, CUBIC_C, CUBIC_FRIENDLY_INC, CUBIC_PLATEAU_INC,
+    HTCP_BETA_MAX, HTCP_BETA_MIN, HTCP_DELTA_L_S, HYSTART_ETA_DIVISOR, HYSTART_ETA_MAX_NS,
+    HYSTART_ETA_MIN_NS, HYSTART_LOW_WINDOW, INITIAL_CWND_SEGMENTS, MIN_CWND_SEGMENTS, RENO_BETA,
+)
 from repro.experiments.config import canonical_cca_name
 
 if TYPE_CHECKING:  # pragma: no cover
     from repro.sim.rng import Stream
 
-INIT_CWND = 10.0
-MIN_CWND = 2.0
+# The table's times in seconds (each ``/ 1e9`` is exact).
+HYSTART_ETA_MIN_S = HYSTART_ETA_MIN_NS / 1e9
+HYSTART_ETA_MAX_S = HYSTART_ETA_MAX_NS / 1e9
+BBR_PROBE_RTT_INTERVAL_S = BBR_PROBE_RTT_INTERVAL_NS / 1e9
+BBR_PROBE_RTT_DURATION_S = BBR_PROBE_RTT_DURATION_NS / 1e9
+BBR2_PROBE_RTT_INTERVAL_S = BBR2_PROBE_RTT_INTERVAL_NS / 1e9
+#: CRUISE lasts the mean span from a start stamp drawn within +- the half-span.
+BBR2_CRUISE_MEAN_S = (BBR2_CRUISE_MIN_S + BBR2_CRUISE_MAX_S) / 2
+BBR2_CRUISE_HALF_SPAN_S = (BBR2_CRUISE_MAX_S - BBR2_CRUISE_MIN_S) / 2
 
-# Algorithm constants, shared between the per-flow rule objects below and
-# the vectorized kernels in repro.fluid.batched.
-CUBIC_C = 0.4
-CUBIC_BETA = 0.7
-CUBIC_FRIENDLY_INC = 3.0 * (1.0 - CUBIC_BETA) / (1.0 + CUBIC_BETA)
-HYSTART_ETA_MIN_S = 0.004
-HYSTART_ETA_MAX_S = 0.016
-HTCP_DELTA_L_S = 1.0
-HTCP_BETA_MIN = 0.5
-HTCP_BETA_MAX = 0.8
-BBR_HIGH_GAIN = 2.885
-BBR_DRAIN_GAIN = 1.0 / BBR_HIGH_GAIN
-BBR_CYCLE = (1.25, 0.75, 1.0, 1.0, 1.0, 1.0, 1.0, 1.0)
-BBR_CWND_GAIN = 2.0
-BBR_RING = 10
-RATE_FLOOR_PPS = INIT_CWND / 0.1
-BBR2_STARTUP_GAIN = 2.77
-BBR2_DRAIN_GAIN = 1.0 / 2.77
-BBR2_LOSS_THRESH = 0.02
-BBR2_BETA = 0.7
-BBR2_HEADROOM = 0.15
+# Numbers only the fluid model has, shared by the rule objects below and
+# the vector kernels in repro.fluid.batched.
+#: A BBR flow never paces below its initial window per 100 ms.
+RATE_FLOOR_PPS = INITIAL_CWND_SEGMENTS / 0.1
+#: BBRv1's RTO-like collapse (paper §5.2): a round losing more than this
+#: share collapses the flow with this probability.
+BBR1_COLLAPSE_LOSS_RATE = 0.4
+BBR1_COLLAPSE_PROBABILITY = 0.03
+#: BBRv1's inflight cap in PROBE_RTT, as a fraction of the BDP (the packet
+#: engine holds calibration.BBR_PROBE_RTT_CWND segments instead).
+BBR1_PROBE_RTT_CAP_GAIN = 0.5
+#: Floor of the min-RTT estimate that times the gain cycle and PROBE_UP.
+BBR_MIN_RTT_FLOOR_S = 1e-3
+#: Cap of the window a BBR flow doubles per round before its model exists.
+BBR_RAMP_CWND_CAP = 1e9
 
 
 # --- pure per-round laws -----------------------------------------------------
@@ -68,12 +82,12 @@ def slow_start_next(cwnd, ssthresh):
 
 def aimd_backoff(cwnd, beta):
     """Multiplicative decrease with the global cwnd floor."""
-    return np.maximum(cwnd * beta, MIN_CWND)
+    return np.maximum(cwnd * beta, MIN_CWND_SEGMENTS)
 
 
 def hystart_exit_eta(base_rtt_s: float) -> float:
     """HyStart delay threshold for leaving slow start."""
-    return min(HYSTART_ETA_MAX_S, max(HYSTART_ETA_MIN_S, base_rtt_s / 8))
+    return min(HYSTART_ETA_MAX_S, max(HYSTART_ETA_MIN_S, base_rtt_s / HYSTART_ETA_DIVISOR))
 
 
 def cubic_wmax_after_loss(cwnd, w_max):
@@ -127,10 +141,10 @@ def htcp_adaptive_beta(rtt_min_s, rtt_max_s):
 
 
 def bbr_bdp(bw, min_rtt_s):
-    """BDP estimate; INIT_CWND until both bw and min_rtt are modelled."""
+    """BDP estimate; the initial window until both bw and min_rtt are modelled."""
     have = (np.asarray(bw, dtype=np.float64) > 0.0) & np.isfinite(min_rtt_s)
     safe_rtt = np.where(np.isfinite(min_rtt_s), min_rtt_s, 0.0)
-    return np.where(have, bw * safe_rtt, INIT_CWND)
+    return np.where(have, bw * safe_rtt, INITIAL_CWND_SEGMENTS)
 
 
 class RoundInfo:
@@ -161,7 +175,7 @@ class FluidCca:
     rate_based = False
 
     def __init__(self, rng: Optional[Stream] = None):
-        self.cwnd = INIT_CWND
+        self.cwnd = INITIAL_CWND_SEGMENTS
         self.ssthresh = float("inf")
         self.pacing_pps: Optional[float] = None
         self.inflight_cap = float("inf")
@@ -188,11 +202,10 @@ class FluidReno(FluidCca):
     """AIMD: slow-start doubling, +1/round, halve on loss."""
 
     name = "reno"
-    BETA = 0.5
 
     def round_update(self, info: RoundInfo) -> None:
         if info.lost > 0:
-            self.ssthresh = float(aimd_backoff(self.cwnd, self.BETA))
+            self.ssthresh = float(aimd_backoff(self.cwnd, RENO_BETA))
             self.cwnd = self.ssthresh
         elif self.in_slow_start:
             self._slow_start_round(info)
@@ -204,10 +217,6 @@ class FluidCubic(FluidCca):
     """Cubic curve with fast convergence and a HyStart-style exit."""
 
     name = "cubic"
-    C = CUBIC_C
-    BETA = CUBIC_BETA
-    HYSTART_ETA_MIN_S = HYSTART_ETA_MIN_S
-    HYSTART_ETA_MAX_S = HYSTART_ETA_MAX_S
 
     def __init__(self, rng=None):
         super().__init__(rng)
@@ -220,14 +229,14 @@ class FluidCubic(FluidCca):
     def round_update(self, info: RoundInfo) -> None:
         if info.lost > 0:
             self.w_max = float(cubic_wmax_after_loss(self.cwnd, self.w_max))
-            self.ssthresh = float(aimd_backoff(self.cwnd, self.BETA))
+            self.ssthresh = float(aimd_backoff(self.cwnd, CUBIC_BETA))
             self.cwnd = self.ssthresh
             self.epoch_start_s = None
             return
         if self.in_slow_start:
             # HyStart: leave slow start once queueing delay builds.
             eta = hystart_exit_eta(info.base_rtt_s)
-            if info.rtt_s >= info.base_rtt_s + eta and self.cwnd >= 16:
+            if info.rtt_s >= info.base_rtt_s + eta and self.cwnd >= HYSTART_LOW_WINDOW:
                 self.ssthresh = self.cwnd
             else:
                 self._slow_start_round(info)
@@ -243,7 +252,7 @@ class FluidCubic(FluidCca):
             # Converge toward the cubic target over roughly one RTT.
             self.cwnd += (target - self.cwnd)
         else:
-            self.cwnd += 0.01
+            self.cwnd += CUBIC_PLATEAU_INC
         # TCP-friendly floor.
         self.w_est += CUBIC_FRIENDLY_INC
         if self.w_est > self.cwnd:
@@ -254,15 +263,13 @@ class FluidHTcp(FluidCca):
     """Elapsed-time alpha, adaptive beta, Linux bandwidth switch."""
 
     name = "htcp"
-    DELTA_L_S = HTCP_DELTA_L_S
-    BETA_MIN, BETA_MAX = HTCP_BETA_MIN, HTCP_BETA_MAX
 
     def __init__(self, rng=None):
         super().__init__(rng)
         self.last_congestion_s: Optional[float] = None
         self.rtt_min_s = float("inf")
         self.rtt_max_s = 0.0
-        self.beta = self.BETA_MIN
+        self.beta = HTCP_BETA_MIN
         # Bandwidth switch (Linux default), as in repro.cca.htcp.
         self.max_bw = 0.0
         self.old_max_bw = 0.0
@@ -313,7 +320,7 @@ class FluidHTcp(FluidCca):
 class _BwMaxFilter:
     """Windowed max over the last N rounds (list-based; N is small)."""
 
-    def __init__(self, window_rounds: int = 10):
+    def __init__(self, window_rounds: int = BBR_BTLBW_WINDOW_ROUNDS):
         self.window = window_rounds
         self.samples: list = []  # (round_idx, value)
         self.round_idx = 0
@@ -332,11 +339,6 @@ class FluidBbrV1(FluidCca):
 
     name = "bbrv1"
     rate_based = True
-    HIGH_GAIN = BBR_HIGH_GAIN
-    CYCLE = BBR_CYCLE
-    CWND_GAIN = BBR_CWND_GAIN
-    PROBE_RTT_INTERVAL_S = 10.0
-    PROBE_RTT_DURATION_S = 0.2
 
     def __init__(self, rng=None):
         super().__init__(rng)
@@ -346,7 +348,7 @@ class FluidBbrV1(FluidCca):
         self.min_rtt_stamp_s = 0.0
         self.full_bw = 0.0
         self.full_bw_count = 0
-        self.cycle_index = 2
+        self.cycle_index = BBR_CYCLE_FIRST_CRUISE
         self.cycle_stamp_s = 0.0
         self.probe_rtt_until_s: Optional[float] = None
         self.pacing_pps = None  # engine treats None as "unmodelled yet"
@@ -355,7 +357,7 @@ class FluidBbrV1(FluidCca):
     def _bdp(self) -> float:
         bw = self.bw_filter.get()
         if bw <= 0 or not math.isfinite(self.min_rtt_s):
-            return INIT_CWND
+            return INITIAL_CWND_SEGMENTS
         return bw * self.min_rtt_s
 
     def round_update(self, info: RoundInfo) -> None:
@@ -364,38 +366,30 @@ class FluidBbrV1(FluidCca):
         # BBRv1 into retransmission timeouts that crater its rate (paper
         # §5.2, RED intra-CCA).  Model as a rare collapse under heavy loss.
         if (
-            info.loss_rate > 0.4
+            info.loss_rate > BBR1_COLLAPSE_LOSS_RATE
             and self.rng is not None
-            and self.rng.random() < 0.03
+            and self.rng.random() < BBR1_COLLAPSE_PROBABILITY
         ):
             self.on_rto_like_collapse(now)
-        if info.rtt_s < self.min_rtt_s:
-            self.min_rtt_s = info.rtt_s
-            self.min_rtt_stamp_s = now
-        if info.delivery_rate_pps > 0:
-            self.bw_filter.update(info.delivery_rate_pps)
-        bw = self.bw_filter.get()
-
-        if self.state == "STARTUP":
-            if bw >= self.full_bw * 1.25:
-                self.full_bw = bw
-                self.full_bw_count = 0
-            else:
-                self.full_bw_count += 1
-            if self.full_bw_count >= 3:
-                self.state = "DRAIN"
+        bw = self._observe(info)
+        if self.state == "STARTUP" and self.full_bw_count >= BBR_FULL_BW_COUNT:
+            self.state = "DRAIN"
         if self.state == "DRAIN":
             if info.inflight <= self._bdp():
                 self.state = "PROBE_BW"
-                self.cycle_index = int(self.rng.integers(2, 8)) if self.rng is not None else 2
+                self.cycle_index = (
+                    int(self.rng.integers(BBR_CYCLE_FIRST_CRUISE, len(BBR_PACING_CYCLE)))
+                    if self.rng is not None
+                    else BBR_CYCLE_FIRST_CRUISE
+                )
                 self.cycle_stamp_s = now
         if self.state == "PROBE_BW":
-            if now - self.cycle_stamp_s > max(self.min_rtt_s, 1e-3):
-                self.cycle_index = (self.cycle_index + 1) % len(self.CYCLE)
+            if now - self.cycle_stamp_s > max(self.min_rtt_s, BBR_MIN_RTT_FLOOR_S):
+                self.cycle_index = (self.cycle_index + 1) % len(BBR_PACING_CYCLE)
                 self.cycle_stamp_s = now
-            if now - self.min_rtt_stamp_s > self.PROBE_RTT_INTERVAL_S:
+            if now - self.min_rtt_stamp_s > BBR_PROBE_RTT_INTERVAL_S:
                 self.state = "PROBE_RTT"
-                self.probe_rtt_until_s = now + self.PROBE_RTT_DURATION_S
+                self.probe_rtt_until_s = now + BBR_PROBE_RTT_DURATION_S
         if self.state == "PROBE_RTT":
             if self.probe_rtt_until_s is not None and now >= self.probe_rtt_until_s:
                 self.min_rtt_stamp_s = now
@@ -408,16 +402,33 @@ class FluidBbrV1(FluidCca):
         elif self.state == "DRAIN":
             gain, cap_gain = BBR_DRAIN_GAIN, BBR_HIGH_GAIN
         elif self.state == "PROBE_RTT":
-            gain, cap_gain = 1.0, 0.5
+            gain, cap_gain = 1.0, BBR1_PROBE_RTT_CAP_GAIN
         else:
-            gain, cap_gain = self.CYCLE[self.cycle_index], self.CWND_GAIN
+            gain, cap_gain = BBR_PACING_CYCLE[self.cycle_index], BBR_CWND_GAIN
         if bw > 0:
             self.pacing_pps = max(self.rate_floor_pps, gain * bw)
-            self.inflight_cap = max(4.0, cap_gain * self._bdp())
+            self.inflight_cap = max(BBR_MIN_CWND, cap_gain * self._bdp())
         else:
             # No model yet: keep ramping like slow start.
             self.pacing_pps = None
-            self.cwnd = min(self.cwnd * 2.0, 1e9)
+            self.cwnd = min(self.cwnd * 2.0, BBR_RAMP_CWND_CAP)
+
+    def _observe(self, info: RoundInfo) -> float:
+        """Fold the round into the min-RTT and BtlBw estimates and, in
+        STARTUP, the full-bandwidth count; returns the BtlBw estimate."""
+        if info.rtt_s < self.min_rtt_s:
+            self.min_rtt_s = info.rtt_s
+            self.min_rtt_stamp_s = info.now_s
+        if info.delivery_rate_pps > 0:
+            self.bw_filter.update(info.delivery_rate_pps)
+        bw = self.bw_filter.get()
+        if self.state == "STARTUP":
+            if bw >= self.full_bw * BBR_FULL_BW_THRESH:
+                self.full_bw = bw
+                self.full_bw_count = 0
+            else:
+                self.full_bw_count += 1
+        return bw
 
     def on_rto_like_collapse(self, now_s: float) -> None:
         """Model the paper's intermittent BBRv1 RTO crashes under RED.
@@ -436,11 +447,6 @@ class FluidBbrV2(FluidBbrV1):
     """BBRv2 rules: inflight_hi with the 2% loss threshold + probe cycle."""
 
     name = "bbrv2"
-    LOSS_THRESH = BBR2_LOSS_THRESH
-    BETA = BBR2_BETA
-    HEADROOM = BBR2_HEADROOM
-    PROBE_RTT_INTERVAL_S = 5.0
-    CRUISE_S = 2.5
 
     def __init__(self, rng=None):
         super().__init__(rng)
@@ -450,27 +456,18 @@ class FluidBbrV2(FluidBbrV1):
 
     def round_update(self, info: RoundInfo) -> None:
         now = info.now_s
-        if info.rtt_s < self.min_rtt_s:
-            self.min_rtt_s = info.rtt_s
-            self.min_rtt_stamp_s = now
-        if info.delivery_rate_pps > 0:
-            self.bw_filter.update(info.delivery_rate_pps)
-        bw = self.bw_filter.get()
+        bw = self._observe(info)
         bdp = self._bdp()
 
-        high_loss = info.loss_rate >= self.LOSS_THRESH and info.lost >= 2
+        high_loss = info.loss_rate >= BBR2_LOSS_THRESH and info.lost >= BBR2_LOSS_MIN_PACKETS
         if high_loss:
             base = self.inflight_hi if math.isfinite(self.inflight_hi) else max(info.inflight, bdp)
-            self.inflight_hi = max(4.0, min(base, max(info.inflight, 4.0)) * self.BETA)
+            self.inflight_hi = max(
+                BBR_MIN_CWND, min(base, max(info.inflight, BBR_MIN_CWND)) * BBR2_BETA
+            )
 
-        if self.state == "STARTUP":
-            if bw >= self.full_bw * 1.25:
-                self.full_bw = bw
-                self.full_bw_count = 0
-            else:
-                self.full_bw_count += 1
-            if self.full_bw_count >= 3 or high_loss:
-                self.state = "DRAIN"
+        if self.state == "STARTUP" and (self.full_bw_count >= BBR_FULL_BW_COUNT or high_loss):
+            self.state = "DRAIN"
         if self.state == "DRAIN":
             if info.inflight <= bdp:
                 self.state = "PROBE_BW"
@@ -478,26 +475,29 @@ class FluidBbrV2(FluidBbrV1):
                 self.phase_stamp_s = now
         if self.state == "PROBE_BW":
             if self.phase == "DOWN":
-                bound = self.inflight_hi * (1 - self.HEADROOM) if math.isfinite(self.inflight_hi) else float("inf")
-                if info.inflight <= max(4.0, min(bdp, bound)):
+                bound = self.inflight_hi * (1 - BBR2_HEADROOM) if math.isfinite(self.inflight_hi) else float("inf")
+                if info.inflight <= max(BBR_MIN_CWND, min(bdp, bound)):
                     self.phase = "CRUISE"
+                    half = BBR2_CRUISE_HALF_SPAN_S
                     self.phase_stamp_s = now + (
-                        float(self.rng.uniform(-0.5, 0.5)) if self.rng is not None else 0.0
+                        float(self.rng.uniform(-half, half)) if self.rng is not None else 0.0
                     )
             elif self.phase == "CRUISE":
-                if now - self.phase_stamp_s > self.CRUISE_S:
+                if now - self.phase_stamp_s > BBR2_CRUISE_MEAN_S:
                     self.phase = "UP"
                     self.phase_stamp_s = now
             elif self.phase == "UP":
                 if math.isfinite(self.inflight_hi) and not high_loss:
                     # Slow-start-pace bound growth, as in the packet engine.
                     self.inflight_hi += max(1.0, info.delivered)
-                if high_loss or now - self.phase_stamp_s > 4 * max(self.min_rtt_s, 1e-3):
+                if high_loss or now - self.phase_stamp_s > BBR2_PROBE_UP_MAX_RTTS * max(
+                    self.min_rtt_s, BBR_MIN_RTT_FLOOR_S
+                ):
                     self.phase = "DOWN"
                     self.phase_stamp_s = now
-            if now - self.min_rtt_stamp_s > self.PROBE_RTT_INTERVAL_S:
+            if now - self.min_rtt_stamp_s > BBR2_PROBE_RTT_INTERVAL_S:
                 self.state = "PROBE_RTT"
-                self.probe_rtt_until_s = now + self.PROBE_RTT_DURATION_S
+                self.probe_rtt_until_s = now + BBR_PROBE_RTT_DURATION_S
         if self.state == "PROBE_RTT":
             if self.probe_rtt_until_s is not None and now >= self.probe_rtt_until_s:
                 self.min_rtt_stamp_s = now
@@ -506,30 +506,30 @@ class FluidBbrV2(FluidBbrV1):
                 self.phase_stamp_s = now
 
         if self.state == "STARTUP":
-            gain, cap_gain = BBR2_STARTUP_GAIN, 2.0
+            gain, cap_gain = BBR2_STARTUP_PACING_GAIN, BBR2_STARTUP_CWND_GAIN
         elif self.state == "DRAIN":
-            gain, cap_gain = BBR2_DRAIN_GAIN, 2.0
+            gain, cap_gain = BBR2_DRAIN_GAIN, BBR2_STARTUP_CWND_GAIN
         elif self.state == "PROBE_RTT":
-            gain, cap_gain = 1.0, 0.5
+            gain, cap_gain = 1.0, BBR2_PROBE_RTT_CWND_GAIN
         elif self.phase == "DOWN":
-            gain, cap_gain = 0.9, 2.0
+            gain, cap_gain = BBR2_DOWN_GAIN, BBR2_CWND_GAIN
         elif self.phase == "UP":
-            gain, cap_gain = 1.25, 2.0
+            gain, cap_gain = BBR2_UP_GAIN, BBR2_CWND_GAIN
         else:
-            gain, cap_gain = 1.0, 2.0
+            gain, cap_gain = 1.0, BBR2_CWND_GAIN
 
         if bw > 0:
             self.pacing_pps = max(self.rate_floor_pps, gain * bw)
-            cap = max(4.0, cap_gain * bdp)
+            cap = max(BBR_MIN_CWND, cap_gain * bdp)
             if math.isfinite(self.inflight_hi):
                 hi = self.inflight_hi
                 if self.phase == "CRUISE" and self.state == "PROBE_BW":
-                    hi *= 1 - self.HEADROOM
-                cap = min(cap, max(4.0, hi))
+                    hi *= 1 - BBR2_HEADROOM
+                cap = min(cap, max(BBR_MIN_CWND, hi))
             self.inflight_cap = cap
         else:
             self.pacing_pps = None
-            self.cwnd = min(self.cwnd * 2.0, 1e9)
+            self.cwnd = min(self.cwnd * 2.0, BBR_RAMP_CWND_CAP)
 
 
 FLUID_CCAS = {

@@ -43,13 +43,6 @@ class Node:
         self.interfaces[name] = iface
         return iface
 
-    def interface_for_address(self, address: IPv4Address) -> Optional[Interface]:
-        """The local interface holding ``address``, if any."""
-        for iface in self.interfaces.values():
-            if iface.address == address:
-                return iface
-        return None
-
     def receive(self, pkt: Packet, iface: Optional[Interface] = None) -> None:
         """Handle a packet delivered by ``iface`` (optional; both node
         kinds dispatch on the packet alone)."""

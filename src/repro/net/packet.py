@@ -121,11 +121,6 @@ def free_packet(pkt: Packet) -> None:
         _pool_append(pkt)
 
 
-def pool_size() -> int:
-    """Number of packets currently parked on the freelist (introspection)."""
-    return len(_pool)
-
-
 def make_data_packet(
     flow_id: int, src, dst, seq: int, mss: int, now: int, *, is_retx: bool = False, ecn_ect: bool = False
 ) -> Packet:

@@ -221,18 +221,6 @@ class Scoreboard:
         """Put back a retransmission candidate obtained from :meth:`next_retx`."""
         self._retx_queue.appendleft(seq)
 
-    def has_retx_pending(self, snd_una: int) -> bool:
-        """True if some lost segment still awaits retransmission."""
-        queue = self._retx_queue
-        while queue:
-            seq = queue[0]
-            entry = self.entries.get(seq)
-            if seq < snd_una or entry is None or entry.sacked or not entry.lost or entry.copies > 0:
-                queue.popleft()
-                continue
-            return True
-        return False
-
     @property
     def outstanding(self) -> int:
         """Number of scoreboard entries (segments not yet cumulatively acked)."""

@@ -12,8 +12,7 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from typing import Dict, List, Optional, Tuple
 
-from repro.net.address import IPv4Address, Subnet
-from repro.net.node import Host, Router
+from repro.net.address import Subnet
 from repro.net.topology import Network
 from repro.testbed.sites import SITES, hop_one_way_delay_ns
 from repro.units import gbps

@@ -48,11 +48,24 @@ def test_fig3_inter_intra_split():
 
 def test_fig5_fig6_aqm_variants():
     assert FIGURES["fig5"].series(_results())["inter"]  # RED exists in fixture
-    fq = FIGURES["fig6"].series(_results())
     # fq_codel absent from fixture -> series exist but values are NaN.
-    for values in fq["inter"]["2bdp"].values():
-        if isinstance(values, list) and values and isinstance(values[0], float):
-            pass  # structure only
+    assert FIGURES["fig6"].series(_results())["inter"]["2bdp"]
+
+
+def test_report_refuses_a_figure_whose_aqm_the_store_lacks(tmp_path, capsys):
+    """``repro report --what fig6`` on FIFO+RED rows names the missing AQM
+    in one stderr line and exits 1; ``full_report`` and ``export-figures``
+    skip the figure the same way (``Figure.available``)."""
+    from repro.cli import main
+    from repro.experiments.storage import ResultStore
+
+    path = tmp_path / "r.jsonl"
+    with ResultStore(path) as store:
+        for result in _results().results:
+            store.append(result)
+    assert main(["report", "--results", str(path), "--what", "fig6"]) == 1
+    captured = capsys.readouterr()
+    assert captured.out == "" and captured.err.count("\n") == 1 and "fq_codel" in captured.err
 
 
 def test_fig7_intra_utilization():

@@ -232,6 +232,19 @@ def test_merge_detects_conflicts(tmp_path):
         ResultCache(tmp_path).merge()
 
 
+def test_merge_keeps_the_rows_a_live_writer_appends_after_it(tmp_path):
+    """A writer whose open shard a merge folded and deleted (a concurrent
+    sweep, ``repro serve``) puts its later rows in a new shard."""
+    a = ResultCache(tmp_path, worker="a")
+    b = ResultCache(tmp_path, worker="b")
+    assert b.put(_result(1))
+    a.merge()
+    assert b.put(_result(2))
+    fresh = ResultCache(tmp_path, worker="reader")
+    assert _config(1) in fresh and _config(2) in fresh
+    assert fresh.merge()["entries"] == 2
+
+
 def test_merge_preserves_canonical_entries(tmp_path):
     cache = ResultCache(tmp_path, worker="w1")
     cache.put(_result(1))
@@ -334,6 +347,7 @@ def test_a_hit_whose_line_was_truncated_away_is_re_encoded(tmp_path):
     the next append: the hit is handed over without a line, never with
     the bytes that now sit where the row was."""
     shard = ResultStore(ResultCache(tmp_path, worker="a").shard_path)
+    shard.path.parent.mkdir(parents=True, exist_ok=True)
     shard.path.write_text(json.dumps(_result(1).to_dict(), sort_keys=True))
     reader = ResultCache(tmp_path, worker="r")
     with pytest.warns(TornWriteWarning):

@@ -211,15 +211,20 @@ def test_sweep_with_cache_warm_second_pass(tmp_path, capsys):
 def test_cache_stats_and_merge_commands(tmp_path, capsys):
     import json
 
+    from repro.experiments.cache import ResultCache
+    from repro.experiments.storage import ResultStore
+
     cache_dir = str(tmp_path / "cache")
-    main(["sweep", "--preset", "smoke", "--out", str(tmp_path / "a.jsonl"),
-          "--quiet", "--cache", cache_dir, "--no-cache-merge"])
+    main(["sweep", "--preset", "smoke", "--out", str(tmp_path / "a.jsonl"), "--quiet"])
     capsys.readouterr()
+    with ResultCache(cache_dir, worker="w1") as cache:  # a shard left unmerged
+        for result in ResultStore(tmp_path / "a.jsonl"):
+            cache.put(result)
 
     assert main(["cache", "stats", cache_dir]) == 0
     stats = json.loads(capsys.readouterr().out)
     assert stats["entries"] == 2
-    assert stats["shards"] == 1  # --no-cache-merge left the shard in place
+    assert stats["shards"] == 1
 
     assert main(["cache", "merge", cache_dir]) == 0
     summary = json.loads(capsys.readouterr().out)
@@ -237,6 +242,17 @@ def test_cache_commands_refuse_a_missing_root_and_create_nothing(tmp_path, capsy
     captured = capsys.readouterr()
     assert captured.out == "" and str(typo) in captured.err
     assert not typo.exists()
+
+
+def test_reading_creates_no_directories(tmp_path, capsys):
+    """Inspecting a cache holding another release's namespace, or reporting
+    on a store under a missing directory, leaves the file tree as it was."""
+    (tmp_path / "cache" / "repro-0.0.0" / "shards").mkdir(parents=True)
+    before = sorted(tmp_path.rglob("*"))
+    assert main(["cache", "stats", str(tmp_path / "cache")]) == 0
+    assert json.loads(capsys.readouterr().out)["entries"] == 0
+    assert main(["report", "--results", str(tmp_path / "missing" / "dir" / "r.jsonl")]) == 1
+    assert sorted(tmp_path.rglob("*")) == before
 
 
 def test_sweep_queue_mode(tmp_path, capsys):

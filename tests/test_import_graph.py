@@ -65,6 +65,14 @@ def test_fluid_run_loads_no_packet_network():
     assert _under(loaded, ("repro.tcp", "repro.net")) == []
 
 
+def test_the_calibration_table_loads_only_units():
+    """Both engines import ``repro.calibration``: it loads no other module
+    of either engine, nor numpy."""
+    package = set(_loaded_after("import repro"))
+    added = sorted(set(_loaded_after("import repro.calibration")) - package)
+    assert _under(added, ("repro", "numpy")) == ["repro.calibration", "repro.units"]
+
+
 PACKET_CONFIGS = {
     "plain": "ExperimentConfig(('cubic', 'reno'), duration_s=0.5, flows_per_node=1)",
     "red-bbr-loss-burst": (
