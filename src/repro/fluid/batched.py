@@ -127,7 +127,8 @@ class _BatchAqm:
     ``lanes`` is the block's range of the integrator's lane table;
     ``backlog`` and ``delay`` (``(n_configs, n_flows)``) and
     ``total_dropped`` are views into the integrator's arrays, updated in
-    place.
+    place.  A step that drops nothing returns :attr:`no_drops`, one
+    read-only block of zeros, so the integrator can skip adding it.
     """
 
     def __init__(self, lanes: slice, limit, capacity, backlog, delay, total_dropped):
@@ -137,25 +138,27 @@ class _BatchAqm:
         self.backlog = backlog
         self.delay = delay
         self.total_dropped = total_dropped
+        self.no_drops = np.zeros(backlog.shape)
+        self.no_drops.flags.writeable = False
 
     def rows(self, table: np.ndarray) -> np.ndarray:
         """This block's ``(n_configs, n_flows)`` view of a flat lane array."""
         return table[self.lanes].reshape(self.backlog.shape)
 
     def step(self, arrivals: np.ndarray, dt: float, now_s: float) -> Tuple[np.ndarray, np.ndarray]:
+        """Serve one step's arrivals; refresh ``backlog`` and ``delay``."""
         raise NotImplementedError
 
-    def flow_delay_s(self) -> np.ndarray:
-        """Queueing delay per flow, broadcastable to the block's shape."""
-        delay = self.backlog.sum(axis=1) / self.capacity
-        return delay[:, None]
-
     def _serve(self, accepted: np.ndarray, dt: float) -> Tuple[np.ndarray, np.ndarray]:
-        served, backlog, tail = shared_queue_serve(
+        served, backlog, tail, queued = shared_queue_serve(
             self.backlog, accepted, self.capacity * dt, self.limit
         )
         self.backlog[...] = backlog
-        self.total_dropped += tail.sum(axis=1)
+        # Every flow of a shared queue waits behind the whole backlog.
+        self.delay[...] = (queued / self.capacity)[:, None]
+        if tail is None:
+            return served, self.no_drops
+        self.total_dropped += np.add.reduce(tail, axis=1)
         return served, tail
 
     def _early_drop(self, arrivals, p_eff, u, dt):
@@ -165,13 +168,13 @@ class _BatchAqm:
         transform is skipped: the lottery row ``u`` was consumed all the
         same.
         """
-        if not p_eff.any():
+        if not np.count_nonzero(p_eff):
             return self._serve(arrivals, dt)
         u = u.reshape(arrivals.shape)
         early = np.minimum(arrivals, poisson_from_uniform(arrivals * p_eff[:, None], u))
-        self.total_dropped += early.sum(axis=1)
+        self.total_dropped += np.add.reduce(early, axis=1)
         served, tail = self._serve(arrivals - early, dt)
-        return served, early + tail
+        return served, early if tail is self.no_drops else early + tail
 
 
 class _BatchFifo(_BatchAqm):
@@ -223,11 +226,14 @@ class _BatchRed(_BatchAqm):
         u = self.lottery.next_row()
         # Per-packet EWMA folded over this step's arrivals; when idle the
         # average decays toward the instantaneous queue instead.
-        n_arr = arrivals.sum(axis=1)
-        exponent = n_arr if n_arr.all() else np.where(n_arr > 0, n_arr, self.capacity * dt)
+        n_arr = np.add.reduce(arrivals, axis=1)
+        if np.count_nonzero(n_arr) == n_arr.size:
+            exponent = n_arr
+        else:
+            exponent = np.where(n_arr > 0, n_arr, self.capacity * dt)
         w_eff = 1.0 - np.power(self.keep, exponent)
-        self.avg += w_eff * (self.backlog.sum(axis=1) - self.avg)
-        if (self.avg < self.min_th).all():  # below the ramp: p is 0 everywhere
+        self.avg += w_eff * (np.add.reduce(self.backlog, axis=1) - self.avg)
+        if np.count_nonzero(self.avg < self.min_th) == self.avg.size:  # p is 0 everywhere
             return self._serve(arrivals, dt)
         p = red_drop_probability(self.avg, self.min_th, self.max_th, self.max_p, self.gentle)
         # Floyd/Jacobson count-uniformization spaces drops uniformly over
@@ -278,55 +284,81 @@ class _BatchFqCodel(_BatchAqm):
         self.above_since = np.full(self.backlog.shape, -1.0)
         self.count = np.zeros(self.backlog.shape)
         self.drop_credit = np.zeros(self.backlog.shape)
+        #: No flow's controller holds state (no stamp, count or credit), so
+        #: a step with no flow above target leaves all three as they are.
+        self._at_rest = True
 
     def step(self, arrivals, dt, now_s):
         supply = self.backlog + arrivals
         served = waterfill_rows(supply, self.capacity * dt)
+        if served is supply:  # every queue empties, so no flow is above target
+            self.backlog[...] = 0.0
+            self.delay[...] = 0.0
+            if not self._at_rest:
+                self._rest()
+            return served, self.no_drops
         backlog = supply - served
-
-        active = backlog > 1e-9
-        n_active = np.maximum(1, active.sum(axis=1))
-        share_pps = self.capacity / n_active
-        sojourn = backlog / share_pps[:, None]
+        sojourn = self._sojourn(backlog)
 
         above = (sojourn > _CODEL_TARGET_S) & (backlog > 1.0)
-        since = self.above_since
-        since = np.where(above, np.where(since < 0, now_s, since), -1.0)
-        count = np.where(above, self.count, np.floor(self.count / 2.0))
-        credit = np.where(above, self.drop_credit, 0.0)
+        drops = None
+        if np.count_nonzero(above):
+            since = self.above_since
+            since = np.where(above, np.where(since < 0, now_s, since), -1.0)
+            count = self.count
+            if np.count_nonzero(count):  # (a count of 0 halves to 0)
+                count = np.where(above, count, np.floor(count / 2.0))
+            credit = np.where(above, self.drop_credit, 0.0)
 
-        dropping = above & (now_s - since >= _CODEL_INTERVAL_S)
-        drops = np.zeros(backlog.shape)
-        if dropping.any():
-            rate = np.sqrt(count + 1.0) / _CODEL_INTERVAL_S
-            credit = np.where(dropping, credit + rate * dt, credit)
-            drops = np.where(dropping, np.floor(credit), 0.0)
-            credit = credit - drops
-            drops = np.minimum(drops, backlog)
-            count = count + drops
-            backlog = backlog - drops
+            dropping = above & (now_s - since >= _CODEL_INTERVAL_S)
+            if np.count_nonzero(dropping):
+                rate = np.sqrt(count + 1.0) / _CODEL_INTERVAL_S
+                credit = np.where(dropping, credit + rate * dt, credit)
+                drops = np.where(dropping, np.floor(credit), 0.0)
+                credit = credit - drops
+                drops = np.minimum(drops, backlog)
+                count = count + drops
+                backlog = backlog - drops
+            self.above_since = since
+            self.count = count
+            self.drop_credit = credit
+            self._at_rest = False
+        elif not self._at_rest:
+            self._rest()
 
         # Shared memory limit: evict from the fattest flows, one config's
         # row at a time so the argsort permutation does not depend on the
         # block's other rows.
-        excess = backlog.sum(axis=1) - self.limit
-        if excess.max() > 1e-12:
+        excess = np.add.reduce(backlog, axis=1) - self.limit
+        over = excess > 1e-12
+        if np.count_nonzero(over):
+            if drops is None:
+                drops = np.zeros(backlog.shape)
             width = backlog.shape[1]
-            for c in np.flatnonzero(excess > 1e-12):
+            for c in np.flatnonzero(over):
                 evict_fattest(backlog[c], drops[c], float(self.limit[c]), float(excess[c]), width)
 
         self.backlog[...] = backlog
-        self.above_since = since
-        self.count = count
-        self.drop_credit = credit
-        self.total_dropped += drops.sum(axis=1)
+        if drops is None:
+            self.delay[...] = sojourn
+            return served, self.no_drops
+        self.delay[...] = self._sojourn(backlog)
+        self.total_dropped += np.add.reduce(drops, axis=1)
         return served, drops
 
-    def flow_delay_s(self) -> np.ndarray:
-        active = self.backlog > 1e-9
-        n_active = np.maximum(1, active.sum(axis=1))
+    def _rest(self) -> None:
+        """A step with no flow above target: stamps and credit clear, and
+        each drop count halves (at rest once every count is 0)."""
+        self.above_since = np.full(self.backlog.shape, -1.0)
+        self.count = np.floor(self.count / 2.0)
+        self.drop_credit = np.zeros(self.backlog.shape)
+        self._at_rest = not np.count_nonzero(self.count)
+
+    def _sojourn(self, backlog: np.ndarray) -> np.ndarray:
+        """Each flow's backlog over its fair share of the link."""
+        n_active = np.maximum(1.0, np.add.reduce(backlog > 1e-9, axis=1, dtype=float))
         share_pps = self.capacity / n_active
-        return self.backlog / share_pps[:, None]
+        return backlog / share_pps[:, None]
 
 
 # --- the integrator ----------------------------------------------------------
@@ -386,6 +418,11 @@ class BatchedFluidSimulation:
                 0.0, 0.1, size=self.widths[c]
             )
         self.start_times = starts
+        #: Some lane may not have started yet (cleared once all have).
+        self._waiting = True
+        #: A BBR lane paces and caps its inflight; other lanes' pacing stays
+        #: NaN and their cap inf, so without one the window alone sets a rate.
+        self._paced = not RATE_BASED_CODES.isdisjoint(self.cca_code.tolist())
 
         # Queue state: per-lane backlog and the delay it implies (refreshed
         # after every queue step), per-config early+tail drop totals.
@@ -525,37 +562,53 @@ class BatchedFluidSimulation:
 
     # -- stepping --------------------------------------------------------------
 
-    def _rates(self, rtt_eff: np.ndarray, started: np.ndarray) -> np.ndarray:
-        window_rate = self.cwnd / rtt_eff
-        x = np.where(np.isnan(self.pacing), window_rate, self.pacing)
-        capped = np.isfinite(self.cap)
-        if capped.any():
-            allowed = np.maximum(0.0, (self.cap - self.backlog) / self.base_rtt)
-            x = np.where(capped, np.minimum(x, allowed), x)
-        return np.where(started, x, 0.0)
+    def _rates(self, rtt_eff: np.ndarray, started: Optional[np.ndarray]) -> np.ndarray:
+        x = self.cwnd / rtt_eff
+        if self._paced:
+            np.copyto(x, self.pacing, where=~np.isnan(self.pacing))
+            capped = np.isfinite(self.cap)
+            if np.count_nonzero(capped):
+                allowed = np.maximum(0.0, (self.cap - self.backlog) / self.base_rtt)
+                np.minimum(x, allowed, out=x, where=capped)
+        return x if started is None else np.where(started, x, 0.0)
 
     def step(self) -> None:
         """Advance every config in the shard by one ``dt`` tick."""
-        started = self.start_times <= self.now
+        started = None
+        if self._waiting:
+            started = self.start_times <= self.now
+            self._waiting = np.count_nonzero(started) < started.size
         x = self._rates(self.base_rtt + self._delay, started)
         b = self.burst_pkts
         arrivals = poisson_from_uniform(x * self.dt / b, self._arrival_noise.next_row()) * b
-        delivered = np.empty_like(arrivals)
-        dropped = np.empty_like(arrivals)
-        for q in self.blocks:
-            served, lost = q.step(q.rows(arrivals), self.dt, self.now)
-            q.rows(delivered)[...] = served
-            q.rows(dropped)[...] = lost
-            q.delay[...] = q.flow_delay_s()
+        if len(self.blocks) == 1:
+            # The block's rows are the whole lane table: use them as they are.
+            (q,) = self.blocks
+            served, lost = q.step(arrivals.reshape(q.backlog.shape), self.dt, self.now)
+            delivered = served.reshape(-1)
+            dropped = None if lost is q.no_drops else lost.reshape(-1)
+        else:
+            delivered = np.empty_like(arrivals)
+            dropped = None
+            for q in self.blocks:
+                served, lost = q.step(q.rows(arrivals), self.dt, self.now)
+                q.rows(delivered)[...] = served
+                if lost is not q.no_drops:
+                    if dropped is None:
+                        dropped = np.zeros_like(arrivals)
+                    q.rows(dropped)[...] = lost
 
         self.delivered_total += delivered
-        self.dropped_total += dropped
         self.round_delivered += delivered
-        self.round_lost += dropped
+        if dropped is not None:  # adding zeros would change nothing
+            self.dropped_total += dropped
+            self.round_lost += dropped
         self.now += self.dt
 
-        due = started & (self.now >= self.next_round)
-        if due.any():
+        due = self.now >= self.next_round
+        if started is not None:
+            due &= started
+        if np.count_nonzero(due):
             self._round_updates(due, x)
 
         if self._sample_hook is not None:
@@ -983,23 +1036,19 @@ class PerFlowFluidSimulation(BatchedFluidSimulation):
 
     def _round_updates(self, due: np.ndarray, x: np.ndarray) -> None:
         now, base = self.now, self.base_rtt
-        for i in np.flatnonzero(due).tolist():
+        for i in due.nonzero()[0].tolist():
             flow = self.flows[i]
             rtt = base + float(self._delay[i])
             delivered = float(self.round_delivered[i])
             span = max(now - float(self.round_started_at[i]), self.dt)
             flow.round_update(RoundInfo(
-                now_s=now,
-                rtt_s=rtt,
-                base_rtt_s=base,
-                delivered=delivered,
-                lost=float(self.round_lost[i]),
-                delivery_rate_pps=delivered / span,
-                inflight=float(x[i]) * base + float(self.backlog[i]),
+                now, rtt, base, delivered, float(self.round_lost[i]), delivered / span,
+                float(x[i]) * base + float(self.backlog[i]),
             ))
             self.cwnd[i] = flow.cwnd
-            self.pacing[i] = np.nan if flow.pacing_pps is None else flow.pacing_pps
-            self.cap[i] = flow.inflight_cap
+            if flow.rate_based:  # a window rule never paces or caps
+                self.pacing[i] = np.nan if flow.pacing_pps is None else flow.pacing_pps
+                self.cap[i] = flow.inflight_cap
             self.round_delivered[i] = 0.0
             self.round_lost[i] = 0.0
             self.round_started_at[i] = now

@@ -16,6 +16,7 @@ kernels of :mod:`repro.fluid.batched` alike.
 from __future__ import annotations
 
 import math
+from collections import deque
 from typing import TYPE_CHECKING, Optional
 
 import numpy as np
@@ -318,20 +319,23 @@ class FluidHTcp(FluidCca):
 
 
 class _BwMaxFilter:
-    """Windowed max over the last N rounds (list-based; N is small)."""
+    """Windowed max over the samples of the last N rounds (one per round)."""
 
     def __init__(self, window_rounds: int = BBR_BTLBW_WINDOW_ROUNDS):
-        self.window = window_rounds
-        self.samples: list = []  # (round_idx, value)
-        self.round_idx = 0
+        self.samples: deque = deque(maxlen=window_rounds)
+        self._max = 0.0
 
     def update(self, value: float) -> None:
-        self.round_idx += 1
-        self.samples.append((self.round_idx, value))
-        self.samples = [(r, v) for r, v in self.samples if r > self.round_idx - self.window]
+        self.samples.append(value)
+        self._max = max(self.samples)
+
+    def reset(self, value: float) -> None:
+        """Forget every sample but ``value``, taken this round."""
+        self.samples.clear()
+        self.update(value)
 
     def get(self) -> float:
-        return max((v for _, v in self.samples), default=0.0)
+        return self._max
 
 
 class FluidBbrV1(FluidCca):
@@ -438,7 +442,7 @@ class FluidBbrV1(FluidCca):
         """
         self.full_bw = 0.0
         self.full_bw_count = 0
-        self.bw_filter.samples = [(self.bw_filter.round_idx, self.rate_floor_pps)]
+        self.bw_filter.reset(self.rate_floor_pps)
         self.pacing_pps = self.rate_floor_pps
         self.state = "STARTUP"
 

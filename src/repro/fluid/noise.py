@@ -40,6 +40,7 @@ LAM_SWITCH = 32.0
 #: Hard cap on the counting loop, shared by both implementations so a
 #: pathological ``u`` ~ 1 resolves to the same value everywhere.
 MAX_K = 1024.0
+_COUNTS = tuple(float(k) for k in range(1, int(MAX_K) + 1))
 
 _SMALL_N = 16
 
@@ -67,6 +68,8 @@ def norm_ppf(u: np.ndarray) -> np.ndarray:
         (((((_A[0] * r + _A[1]) * r + _A[2]) * r + _A[3]) * r + _A[4]) * r + _A[5]) * q
         / (((((_B[0] * r + _B[1]) * r + _B[2]) * r + _B[3]) * r + _B[4]) * r + 1.0)
     )
+    if ((u >= _P_LOW) & (u <= 1.0 - _P_LOW)).all():
+        return central  # no u in either tail: the selection below picks central
     with np.errstate(divide="ignore", invalid="ignore"):
         ul = np.where(u > 0.0, u, 1.0)
         ql = np.sqrt(-2.0 * np.log(ul))
@@ -173,23 +176,26 @@ def _poisson_small(lam: np.ndarray, u: np.ndarray) -> np.ndarray:
     transcendental seeds (``exp``, and ``norm_ppf`` for big lanes) go
     through the same numpy kernels the vector path uses.
     """
-    p0 = np.exp(-lam)
-    fl, fu, fp = lam.ravel(), u.ravel(), p0.ravel()
-    out = np.empty(lam.size)
-    for i in range(lam.size):
-        l = float(fl[i])
+    fl, fu = lam.ravel(), u.ravel()
+    counts = []
+    big = []
+    for l, uu, p in zip(fl.tolist(), fu.tolist(), np.exp(-fl).tolist()):
         if l > LAM_SWITCH:
-            out[i] = float(_poisson_big(fl[i : i + 1], fu[i : i + 1])[0])
+            big.append(len(counts))
+            counts.append(0.0)
             continue
-        uu = float(fu[i])
-        p = float(fp[i])
-        cum = p
         k = 0.0
-        while uu >= cum and k < MAX_K:
-            k += 1.0
-            p *= l / k
-            cum += p
-        out[i] = k
+        if uu >= p:
+            cum = p
+            for k in _COUNTS:  # k = 1.0, 2.0, ..., MAX_K
+                p *= l / k
+                cum += p
+                if not uu >= cum:
+                    break
+        counts.append(k)
+    out = np.array(counts)
+    if big:
+        out[big] = _poisson_big(fl[big], fu[big])
     return out.reshape(lam.shape)
 
 

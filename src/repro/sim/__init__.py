@@ -2,11 +2,8 @@
 
 The engine keeps time in integer nanoseconds and executes events in
 (time, insertion-order) order, which makes every run fully deterministic
-for a given seed.
+for a given seed.  Import what you use from its module —
+``repro.sim.engine`` (the event loop), ``repro.sim.rng`` (the seeded
+streams both engine families draw from) and ``repro.sim.trace`` — so a
+fluid run, which needs only the streams, loads no event loop.
 """
-
-from repro.sim.engine import Event, Simulator
-from repro.sim.rng import RngStreams
-from repro.sim.trace import NullTracer
-
-__all__ = ["Event", "Simulator", "RngStreams", "NullTracer"]

@@ -6,14 +6,17 @@ through every re-materialization path without a warning; and the
 convenience entry points actually run experiments.
 """
 
+import gc
+import tracemalloc
 import warnings
 
 import pytest
 
 import repro
 import repro.api as api
+from repro.experiments.cache import ResultCache
 from repro.experiments.config import ExperimentConfig
-from repro.scenario import FlowSpec, Scenario, TopologySpec
+from repro.scenario import AqmSpec, FlowSpec, Scenario, TopologySpec
 from repro.units import mbps
 
 
@@ -57,6 +60,49 @@ def test_sweep_runs_seeds_and_persists(tmp_path):
     assert {r.config["seed"] for r in results} == {1, 2}
     loaded = api.load_store(store)
     assert len(loaded) == 2
+
+
+def test_repeated_warm_sweeps_keep_no_memory(tmp_path):
+    """A warm sweep (cache hits into a fresh store, then a resume from that
+    store) leaves nothing live behind: five of them grow traced memory by
+    less than one result row retained once would.  What RSS keeps rising
+    by across such units is the allocator holding freed pages."""
+    grid = [
+        Scenario(
+            topology=TopologySpec(bottleneck_bw_bps=mbps(20), mss_bytes=1500),
+            flows=(FlowSpec(cca=cca, node=0, count=1), FlowSpec(cca="cubic", node=1, count=1)),
+            aqm=AqmSpec(name=aqm),
+            duration_s=1.0,
+            seed=1,
+        )
+        for cca in ("reno", "bbrv1", "htcp") for aqm in ("fifo", "red")
+    ]
+    stores = iter(tmp_path / f"results{i}.jsonl" for i in range(8))
+
+    def warm_unit():
+        store = next(stores)
+        api.sweep(grid, engine="fluid_batched", store=store, cache=ResultCache(tmp_path / "cache"))
+        return api.sweep(grid, engine="fluid_batched", store=store)
+
+    warm_unit()  # fills the cache (its store is then resumed)
+    warm_unit()  # warm-up: the first pass through the warm paths
+    started = not tracemalloc.is_tracing()
+    tracemalloc.start()
+    try:
+        gc.collect()
+        before = tracemalloc.get_traced_memory()[0]
+        for _ in range(5):
+            warm_unit()
+        gc.collect()
+        grown = tracemalloc.get_traced_memory()[0] - before
+        row = [warm_unit()[0].to_dict()]
+        gc.collect()
+        row_bytes = tracemalloc.get_traced_memory()[0] - before - grown
+    finally:
+        if started:
+            tracemalloc.stop()
+    assert row and row_bytes > 1000
+    assert grown < row_bytes, f"five warm sweeps kept {grown} B (one row is {row_bytes} B)"
 
 
 def test_validate_diffs_engines():

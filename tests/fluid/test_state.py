@@ -9,6 +9,8 @@ by counting calls on a batch HEAD's per-(AQM, width) shards could not
 have built.
 """
 
+import dataclasses
+import json
 from collections import Counter
 from unittest import mock
 
@@ -27,9 +29,9 @@ SMALL_BUDGET = 40
 
 
 def _config(aqm="fifo", flows_per_node=1, duration_s=1.0, delay_multiplier=1.0,
-            seed=1, cca="cubic"):
+            seed=1, cca="cubic", cca2="cubic", engine="fluid_batched"):
     return ExperimentConfig(
-        cca_pair=(cca, "cubic"),
+        cca_pair=(cca, cca2),
         aqm=aqm,
         buffer_bdp=1.0,
         bottleneck_bw_bps=100e6,
@@ -39,7 +41,7 @@ def _config(aqm="fifo", flows_per_node=1, duration_s=1.0, delay_multiplier=1.0,
         seed=seed,
         flows_per_node=flows_per_node,
         delay_multiplier=delay_multiplier,
-        engine="fluid_batched",
+        engine=engine,
     )
 
 
@@ -148,6 +150,31 @@ def test_per_step_cost_is_paid_once_per_step_not_per_block(monkeypatch):
     steps = round(1.0 / sim.dt)
     assert calls["step"] == steps
     assert calls["arrival_lanes"] == steps * sum(c.plan.total_flows for c in configs)
+
+
+def _row(result) -> str:
+    d = result.to_dict()
+    d.pop("wallclock_s")
+    return json.dumps(d, sort_keys=True)
+
+
+@pytest.mark.parametrize("engine", ("fluid", "fluid_batched"))
+@pytest.mark.parametrize("aqm", ("fifo", "red", "fq_codel"))
+@pytest.mark.parametrize("pair", (("reno", "cubic"), ("bbrv1", "bbrv2")))
+def test_a_config_alone_equals_it_inside_a_mixed_shard(pair, aqm, engine):
+    """A one-config shard takes shortcuts a mixed one cannot: its queue
+    law's rows are the whole lane table, a loss-based pair has no pacing
+    or inflight cap to merge, and its lanes all start before the shard's
+    last one.  Its result row must not change by a byte."""
+    config = _config(aqm, 3, duration_s=3.0, seed=77, cca=pair[0], cca2=pair[1], engine=engine)
+    mates = [dataclasses.replace(c, engine=engine, duration_s=3.0) for c in _mini_grid()]
+    shard = [*mates[:4], config, *mates[4:]]
+    assert any(c.cca_pair[0].startswith("bbr") for c in mates)
+    assert len(plan_shards(shard)) == 1
+    alone = BatchedFluidSimulation([config]).start_times
+    together = BatchedFluidSimulation(shard).start_times
+    assert alone.max() < together.max(), "the shard must still be starting lanes"
+    assert _row(run_fluid_batch(shard)[4]) == _row(run_fluid_batch([config])[0])
 
 
 def test_wallclock_is_apportioned_by_lane_share():

@@ -61,8 +61,8 @@ def test_fluid_run_loads_no_packet_network():
         "from repro.experiments.runner import run_experiment\n"
         "run_experiment(ExperimentConfig(('cubic', 'bbrv1'), engine='fluid', duration_s=2.0))"
     )
-    assert "repro.fluid.batched" in loaded
-    assert _under(loaded, ("repro.tcp", "repro.net")) == []
+    assert "repro.fluid.batched" in loaded and "repro.sim.rng" in loaded
+    assert _under(loaded, ("repro.tcp", "repro.net", "repro.sim.engine")) == []
 
 
 def test_the_calibration_table_loads_only_units():
